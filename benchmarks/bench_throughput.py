@@ -34,7 +34,7 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.star_detection import StarDetection
 from repro.sketch.l0 import L0EdgeBank
 from repro.core.windowed import Alg2WindowFactory
-from repro.engine import FanoutRunner, ShardedRunner
+from repro.engine import FanoutRunner, ShardedRunner, effective_cores
 from repro.engine.windows import SlidingPolicy, WindowedProcessor
 from repro.pipeline import Pipeline
 from repro.streams.adapters import bipartite_double_cover_columnar
@@ -139,18 +139,6 @@ SHARDED_GATE_MIN_CORES = 4
 #: recorded, not gated (policy overhead is workload-dependent).
 WINDOW_SPAN = 4096
 WINDOW_RATIO = 0.25
-
-
-def effective_cores() -> int:
-    """CPUs this process may actually use (affinity-aware).
-
-    Delegates to the engine's single source of truth
-    (:func:`repro.engine.effective_cores`) so benchmark artifacts and
-    pipeline run reports can never disagree about the host.
-    """
-    from repro.engine import effective_cores as engine_effective_cores
-
-    return engine_effective_cores()
 
 
 def sharded_gate_applies() -> bool:

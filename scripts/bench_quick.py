@@ -102,7 +102,6 @@ from bench_throughput import (  # noqa: E402 (needs the path tweak above)
     STAR_DEGREE,
     STAR_EPS,
     STAR_VERTICES,
-    effective_cores,
     make_sharded_file,
     make_star_cover,
     make_stream,
@@ -116,6 +115,7 @@ from bench_throughput import (  # noqa: E402 (needs the path tweak above)
     WINDOW_SPAN,
 )
 
+from repro.engine import effective_cores  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.streams.columnar import ColumnarEdgeStream  # noqa: E402
 

@@ -9,8 +9,7 @@ Subcommands:
   JSON pipeline spec directly instead of flags.  ``--save-stream``
   persists the workload for replay; ``--mmap`` memory-maps a v2 stream
   file so larger-than-RAM workloads stream without materialising
-  (``--readahead`` overlaps upcoming chunks' page-in with compute,
-  ``--readahead-depth`` sets how many stay in flight);
+  (``--readahead`` overlaps the next chunk's page-in with compute);
   ``--window-policy tumbling|sliding|decay`` runs the algorithm under
   an engine window policy (``--window`` span, ``--bucket-ratio`` for
   the smooth-histogram sliding window, ``--decay-keep`` for
@@ -64,7 +63,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -101,20 +99,6 @@ from repro.theory.bounds import (
 WORKLOADS = ("star", "cascade", "adversarial", "zipf", "churn")
 ALGORITHMS = ("insertion-only", "insertion-deletion")
 WINDOW_POLICIES = ("tumbling", "sliding", "decay")
-
-
-def make_window_policy(args: argparse.Namespace):
-    """Deprecated shim: the WindowPolicy a ``--window-policy`` run asks
-    for.  Use :func:`repro.pipeline.make_window_policy` on a
-    :class:`~repro.pipeline.WindowSpec` instead."""
-    warnings.warn(
-        "repro.cli.make_window_policy is deprecated; build a "
-        "repro.pipeline.WindowSpec and use "
-        "repro.pipeline.make_window_policy",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return pipeline_module.make_window_policy(_window_spec_from_args(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "while the current one is processed (requires "
                           "--mmap; sharded mmap runs enable this "
                           "automatically)")
-    run.add_argument("--readahead-depth", type=int, default=1,
-                     help="chunks the prefetcher keeps in flight "
-                          "(with --readahead or auto-enabled sharded "
-                          "readahead)")
     run.add_argument("--window-policy", choices=WINDOW_POLICIES,
                      help="run the algorithm under an engine window policy "
                           "and report per-window answers")
@@ -290,28 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_workload(args: argparse.Namespace):
-    """Deprecated shim: build the stream for the requested workload.
-
-    Use a ``generator`` :class:`~repro.pipeline.SourceSpec` (the CLI
-    workloads are registered in :data:`repro.pipeline.GENERATORS`
-    under the same names with the same parameter derivations).
-    """
-    warnings.warn(
-        "repro.cli.make_workload is deprecated; use a generator "
-        "SourceSpec resolved through repro.pipeline.GENERATORS",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.pipeline import GENERATORS, UnknownNameError
-
-    try:
-        return GENERATORS.build(args.workload, _workload_params(args))
-    except UnknownNameError as error:
-        # Shim fidelity: the old factory's error contract.
-        raise ValueError(f"unknown workload {args.workload!r}") from error
-
-
 def _workload_params(args: argparse.Namespace) -> dict:
     """Generator-registry parameters of a flag-driven workload."""
     return {
@@ -341,7 +299,6 @@ def _source_spec_from_args(args: argparse.Namespace) -> SourceSpec:
             mmap=args.mmap,
             # None = auto: sharded mmap passes prefetch on their own.
             readahead=True if args.readahead else None,
-            readahead_depth=args.readahead_depth,
         )
     return SourceSpec.from_generator(
         args.workload, _workload_params(args), chunk_size=args.chunk_size
@@ -424,9 +381,6 @@ def command_run(args: argparse.Namespace) -> int:
     if args.readahead and not args.mmap:
         print("error: --readahead requires --mmap (it prefetches the "
               "memory-mapped reader's next chunks)", file=sys.stderr)
-        return 2
-    if args.readahead_depth < 1:
-        print("error: --readahead-depth must be >= 1", file=sys.stderr)
         return 2
     source_spec = _source_spec_from_args(args)
     try:

@@ -1,14 +1,12 @@
 """Parallel tree-reduction merge: the shard-combine contract.
 
-:class:`~repro.engine.sharded.ShardedRunner` historically folded shard
-summaries left to right in the parent after the barrier —
-``((s0 + s1) + s2) + s3`` — a serial ``O(n_workers)`` chain on one
-core.  :func:`tree_reduce` replaces the fold with a binomial reduction
-tree of the same pairwise :meth:`merge
+:class:`~repro.engine.sharded.ShardedRunner` combines its shard
+summaries in the parent with :func:`tree_reduce`: a binomial reduction
+tree of pairwise :meth:`merge
 <repro.engine.protocol.MergeableStreamProcessor.merge>` calls —
-``(s0 + s1) + (s2 + s3)`` — which halves the live summaries every
-round (log depth), and which the process backend can distribute so
-workers merge pairwise in parallel before anything reaches the parent.
+``(s0 + s1) + (s2 + s3)`` rather than the left-fold
+``((s0 + s1) + s2) + s3`` — which halves the live summaries every
+round (log depth).
 
 **Merge-order contract.**  The tree's merge order is a fixed function
 of the shard index alone: round ``k`` merges shard ``i + 2**k`` into
@@ -45,10 +43,9 @@ def tree_rounds(n: int) -> List[List[Tuple[int, int]]]:
 
     Round ``k`` pairs receiver ``i`` (``i % 2**(k+1) == 0``) with
     sender ``i + 2**k`` whenever the sender exists; after
-    ``ceil(log2 n)`` rounds only shard 0 is live.  The schedule is what
-    the distributed worker-side merge wires its pipes from, and what
-    :func:`tree_reduce` executes in-process — one definition, so the
-    two paths cannot drift.
+    ``ceil(log2 n)`` rounds only shard 0 is live.  :func:`tree_reduce`
+    executes this schedule; it is exposed so tests and benchmarks can
+    inspect the exact merge order.
     """
     if n < 1:
         raise ValueError(f"need at least one shard, got {n}")

@@ -5,12 +5,11 @@ parallel one.  Every registered structure is :meth:`split
 <repro.engine.protocol.MergeableStreamProcessor.split>` into
 ``n_workers`` independent shard instances; a pool of worker processes
 each runs a :class:`~repro.engine.runner.FanoutRunner` over its shard
-of the stream; the shard summaries combine pairwise along the binomial
-reduction tree of :mod:`repro.engine.merge` — worker-side and in
-parallel on the plain process path, in the parent otherwise — and the
-parent finalizes: the classical mergeable-summaries execution plan
-(Agarwal et al.) applied to every structure in the library, with a
-log-depth combine instead of a serial fold.
+of the stream and sends its shard summaries home; the parent combines
+them pairwise along the binomial reduction tree of
+:mod:`repro.engine.merge` and finalizes: the classical
+mergeable-summaries execution plan (Agarwal et al.) applied to every
+structure in the library.
 
 How the stream is partitioned is dictated by the structures themselves
 through their ``shard_routing`` metadata (see
@@ -32,15 +31,18 @@ share one partition).
 
 Two execution backends:
 
-* ``"process"`` (default) — a ``fork``-based worker pool.  For
+* ``"process"`` (default) — a ``fork``-based worker pool, one process
+  per shard.  The workers differ only in their chunk source.  For
   *file sources* every worker opens the persisted stream itself
   (optionally memory-mapped) and filters its own sub-stream, so no
   update data ever crosses a pipe — the out-of-core path: a
   multi-gigabyte v2 file streams through ``n_workers`` cores without
   being materialised anywhere.  For in-memory sources the parent
   routes chunks to bounded per-worker queues (backpressure included).
-  On platforms without ``fork`` the runner falls back to the serial
-  backend (same answers, no parallelism).
+  Either way each worker reports its outcome over its own one-shot
+  result pipe, so a worker that dies without reporting surfaces as EOF
+  the moment it is gone.  On platforms without ``fork`` the runner
+  falls back to the serial backend (same answers, no parallelism).
 * ``"serial"`` — the identical split/route/merge pipeline executed in
   process, one shard at a time.  Useful for tests, debugging, and
   single-core hosts; answers are identical to the process backend.
@@ -89,7 +91,7 @@ from repro.engine.checkpoint import (
     CheckpointStore,
 )
 from repro.engine.faults import FaultPlan
-from repro.engine.merge import tree_reduce, tree_rounds
+from repro.engine.merge import tree_reduce
 from repro.engine.protocol import (
     SHARD_ANY,
     SHARD_BY_VERTEX,
@@ -219,8 +221,9 @@ def _shard_ids(
 ):
     """Shard assignment for one chunk: a per-update id array for masked
     routings, or the single owning worker (int) for whole-chunk
-    round-robin.  The one copy of the routing arithmetic — file-pool
-    and queue-pool workers must stay bit-identical.
+    round-robin.  The one copy of the routing arithmetic — workers
+    routing a file themselves and the parent routing an in-memory
+    source must stay bit-identical.
     """
     if routing == SHARD_ANY:
         return chunk_index % n_workers
@@ -294,7 +297,6 @@ def _drive(
     chunk_size: int,
     mmap: bool,
     readahead: bool = False,
-    readahead_depth: int = 1,
     *,
     start_chunk: int = 0,
     start_position: int = 0,
@@ -305,25 +307,28 @@ def _drive(
 ) -> Dict[str, Any]:
     """Run one shard's FanoutRunner over its routed sub-stream.
 
-    ``start_chunk``/``start_position`` resume the pass at a checkpoint
-    boundary (file sources only); ``fault_plan`` is consulted before
-    every chunk; ``checkpoint`` — a ``(directory, every, tag, meta)``
-    tuple — snapshots the shard's summaries through a
+    ``source`` is a stream-file path (read and routed here), a
+    :class:`_ChunkFeed` (chunks the parent already routed), or any
+    other in-memory source (routed here).  ``start_chunk``/
+    ``start_position`` resume the pass at a checkpoint boundary (file
+    sources only); ``fault_plan`` is consulted before every chunk;
+    ``checkpoint`` — a ``(directory, every, tag, meta)`` tuple —
+    snapshots the shard's summaries through a
     :class:`~repro.engine.checkpoint.CheckpointStore` as it goes.
     """
     runner = FanoutRunner(shard, chunk_size=chunk_size)
+    route: Optional[ShardRouting] = routing
     if isinstance(source, (str, Path)):
         from repro.streams.persist import ChunkedStreamReader
 
         chunks = ChunkedStreamReader(
-            source, mmap=mmap, readahead=readahead,
-            readahead_depth=readahead_depth,
+            source, mmap=mmap, readahead=readahead
         ).chunks(chunk_size, start=start_position)
+    elif start_position:
+        raise ValueError("resume offsets require a stream-file path source")
+    elif isinstance(source, _ChunkFeed):
+        chunks, route = iter(source), None
     else:
-        if start_position:
-            raise ValueError(
-                "resume offsets require a stream-file path source"
-            )
         chunks = as_chunks(source, chunk_size)
     store: Optional[CheckpointStore] = None
     if checkpoint is not None:
@@ -334,8 +339,8 @@ def _drive(
     for chunk in chunks:
         if fault_plan is not None:
             fault_plan.fire(worker, chunk_index, attempt, in_process=in_process)
-        routed = route_chunk(
-            chunk, routing, worker, n_workers, chunk_index, position
+        routed = chunk if route is None else route_chunk(
+            chunk, route, worker, n_workers, chunk_index, position
         )
         position += len(chunk[0])
         chunk_index += 1
@@ -355,28 +360,74 @@ def _drive(
     return dict(runner._processors)
 
 
-def _file_worker(conn, task) -> None:
-    """Process body for file sources: self-read, filter, report.
+class _ChunkFeed:
+    """An in-memory worker's chunk source: sub-chunks the parent routed.
+
+    Items on the ``chunks`` queue are raw ``(a, b, sign)`` column tuples
+    or — when the shared-memory transport is engaged —
+    :class:`ShmChunk` descriptors, which are resolved to zero-copy views
+    and released back to the parent's segment pool once processed.
+    ``None`` ends the stream.  Chunk indices count the chunks this
+    worker consumed, which is what fault plans address for in-memory
+    runs.
+    """
+
+    def __init__(self, chunks: Any, releases: Any) -> None:
+        self.chunks = chunks
+        self.releases = releases
+        self._attachments = ChunkAttacher()
+        self._ended = False
+
+    def __iter__(self):
+        while not self._ended:
+            item = self.chunks.get()
+            if item is None:
+                self._ended = True
+            elif isinstance(item, ShmChunk):
+                yield self._attachments.view(item)
+                self.releases.put(item.segment)
+            else:
+                yield item
+
+    def close(self) -> None:
+        """Consume up to the end sentinel, then detach.
+
+        A worker that failed mid-stream keeps draining so the parent's
+        bounded-queue puts never block on it; unprocessed descriptors
+        are released so the segment pool keeps cycling.
+        """
+        while not self._ended:
+            item = self.chunks.get()
+            if item is None:
+                self._ended = True
+            elif isinstance(item, ShmChunk):
+                self.releases.put(item.segment)
+        self._attachments.close()
+
+
+def _worker(conn, task) -> None:
+    """Process body of every pool worker: drive one shard, report once.
 
     The outcome ``(worker, attempt, processors, error)`` travels over a
     dedicated one-shot pipe owned by this attempt alone; a superseded
     attempt's message dies with its pipe, and a worker that vanishes
     without reporting (SIGKILL, dropped result) surfaces to the parent
-    as EOF rather than as silence on a shared queue.
+    as EOF.
     """
-    (worker, attempt, n_workers, shard, path, routing, chunk_size, mmap,
-     readahead, readahead_depth, start_chunk, start_position, fault_plan,
-     checkpoint) = task
+    (worker, attempt, n_workers, shard, source, routing, chunk_size, mmap,
+     readahead, start_chunk, start_position, fault_plan, checkpoint) = task
     try:
         processors = _drive(
-            shard, path, routing, worker, n_workers, chunk_size, mmap,
-            readahead, readahead_depth,
+            shard, source, routing, worker, n_workers, chunk_size, mmap,
+            readahead,
             start_chunk=start_chunk, start_position=start_position,
             fault_plan=fault_plan, attempt=attempt, checkpoint=checkpoint,
         )
         outcome = (worker, attempt, processors, None)
     except BaseException as exc:
         outcome = (worker, attempt, None, _describe_error(exc))
+    if isinstance(source, _ChunkFeed):
+        source.close()
     if fault_plan is not None:
         if fault_plan.drops_result(worker, attempt):
             return
@@ -385,105 +436,6 @@ def _file_worker(conn, task) -> None:
             return
     conn.send(outcome)
     conn.close()
-
-
-def _tree_file_worker(conn, task, recv_edges, send_edge, strays) -> None:
-    """Process body for the plain-path file pool with worker-side merge.
-
-    After driving its own shard the worker joins the binomial reduction
-    tree (:func:`~repro.engine.merge.tree_rounds`): it first absorbs its
-    partners' summaries round by round (``recv_edges``, ascending round
-    order — a worker only ever receives in rounds *before* the one it
-    sends in), then either ships the accumulated summaries to its
-    receiver (``send_edge``) or, for worker 0, reports the fully merged
-    map to the parent.  The receiver is always the tree's lower shard
-    index and always the left operand of :meth:`merge
-    <repro.engine.protocol.MergeableStreamProcessor.merge>`, so the
-    merge order is exactly the one :func:`~repro.engine.merge.tree_reduce`
-    executes in-process.
-
-    ``strays`` are this process's inherited copies of every tree pipe
-    end owned by *other* workers; they are closed first so that a peer
-    dying mid-run surfaces as EOF on its edge instead of deadlocking
-    the tree.
-    """
-    for stray in strays:
-        stray.close()
-    (worker, n_workers, shard, path, routing, chunk_size, mmap,
-     readahead, readahead_depth) = task
-    try:
-        processors = _drive(
-            shard, path, routing, worker, n_workers, chunk_size, mmap,
-            readahead, readahead_depth,
-        )
-        for edge in recv_edges:
-            theirs = edge.recv()
-            edge.close()
-            for name in processors:
-                processors[name] = processors[name].merge(theirs[name])
-        if send_edge is not None:
-            send_edge.send(processors)
-            send_edge.close()
-            outcome = (worker, None, None)
-        else:
-            outcome = (worker, processors, None)
-    except BaseException as exc:
-        outcome = (worker, None, _describe_error(exc))
-    conn.send(outcome)
-    conn.close()
-
-
-def _queue_worker(
-    worker, shard, chunk_size, in_queue, out_queue, fault_plan=None,
-    release_queue=None,
-) -> None:
-    """Process body for in-memory sources: consume routed chunks.
-
-    Chunks arrive either as raw ``(a, b, sign)`` column tuples or — when
-    the shared-memory transport is engaged — as :class:`ShmChunk`
-    descriptors, which are resolved to zero-copy views and released back
-    to the parent's segment pool after processing.
-    """
-    outcome = None
-    attachments = ChunkAttacher()
-    try:
-        runner = FanoutRunner(shard, chunk_size=chunk_size)
-        consumed = 0
-        while True:
-            chunk = in_queue.get()
-            if chunk is None:
-                break
-            if fault_plan is not None:
-                fault_plan.fire(worker, consumed, 0)
-            consumed += 1
-            if isinstance(chunk, ShmChunk):
-                a, b, sign = attachments.view(chunk)
-                runner.process_chunk(a, b, sign)
-                del a, b, sign
-                release_queue.put(chunk.segment)
-            else:
-                runner.process_chunk(*chunk)
-        outcome = (worker, dict(runner._processors), None)
-    except BaseException as exc:
-        error = _describe_error(exc)
-        # Keep draining until the sentinel so the parent's bounded-queue
-        # puts never block on a worker that has stopped consuming; shm
-        # descriptors are released unprocessed so the pool keeps cycling.
-        while True:
-            chunk = in_queue.get()
-            if chunk is None:
-                break
-            if isinstance(chunk, ShmChunk) and release_queue is not None:
-                release_queue.put(chunk.segment)
-        outcome = (worker, None, error)
-    attachments.close()
-    if fault_plan is not None:
-        if fault_plan.drops_result(worker, 0):
-            return
-        if fault_plan.corrupts_result(worker, 0):
-            out_queue.put("injected-garbage-result")
-            return
-    out_queue.put(outcome)
 
 
 class ShardedRunner:
@@ -497,22 +449,20 @@ class ShardedRunner:
         chunk_size: updates per chunk handed to ``process_batch``.
         mmap: memory-map v2 stream files instead of loading them (file
             sources only; the out-of-core path).
-        readahead: prefetch each worker's upcoming chunks on background
-            threads while the current one is processed (effective for
+        readahead: prefetch each worker's next chunk on a background
+            thread while the current one is processed (effective for
             memory-mapped file sources; identical chunk contents).
             ``None`` (default) auto-enables readahead exactly when the
             workers will memory-map a file source — the cold-cache
             pass whose page-in latency readahead exists to hide; pass
             ``False`` to force it off.
-        readahead_depth: chunks each worker's prefetcher keeps in
-            flight (default 1, the classic double buffer).
         backend: ``"process"`` (fork pool; default) or ``"serial"``.
         retries: times a dead/timed-out file-source shard worker is
             respawned before the ``on_failure`` policy decides (the
             workers are side-effect-free, so a re-run is safe).
         timeout_s: per-shard wall-clock budget; a worker exceeding it
             is terminated and handled like a dead worker (``None``
-            disables the deadline).
+            disables the deadline; file sources only, like retries).
         on_failure: ``"raise"`` (default — fail fast, the historical
             behaviour), ``"retry"`` (exhaust ``retries`` then raise),
             or ``"serial_fallback"`` (exhaust ``retries`` then re-run
@@ -527,7 +477,7 @@ class ShardedRunner:
         fault_plan: optional :class:`~repro.engine.faults.FaultPlan`
             threaded into every worker for deterministic chaos tests;
             omit for the no-op default.
-        shm_transport: in-memory queue-pool chunk handoff.  ``None``
+        shm_transport: in-memory chunk handoff to the workers.  ``None``
             (default) publishes chunk columns through
             ``multiprocessing.shared_memory`` segments whenever the
             platform supports them — the queues then carry only tiny
@@ -543,8 +493,6 @@ class ShardedRunner:
       alive but has not consumed anything for this long;
     * ``RESULT_POLL_TIMEOUT_S`` — result wait slice between per-shard
       deadline scans;
-    * ``RESULT_GRACE_TIMEOUT_S`` — extra wait for an in-flight result
-      after its sender died (in-memory queue pool);
     * ``WORKER_JOIN_TIMEOUT_S`` — orderly worker join deadline;
     * ``TERMINATE_JOIN_TIMEOUT_S`` — join deadline after terminate;
     * ``RETRY_BACKOFF_S`` — base of the exponential retry backoff
@@ -560,7 +508,6 @@ class ShardedRunner:
     QUEUE_PUT_TIMEOUT_S = 1.0
     QUEUE_PUT_DEADLINE_S = 120.0
     RESULT_POLL_TIMEOUT_S = 0.25
-    RESULT_GRACE_TIMEOUT_S = 2.0
     WORKER_JOIN_TIMEOUT_S = 30.0
     TERMINATE_JOIN_TIMEOUT_S = 5.0
     RETRY_BACKOFF_S = 0.05
@@ -573,7 +520,6 @@ class ShardedRunner:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         mmap: bool = False,
         readahead: Optional[bool] = None,
-        readahead_depth: int = 1,
         backend: str = "process",
         retries: int = 2,
         timeout_s: Optional[float] = None,
@@ -587,10 +533,6 @@ class ShardedRunner:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if readahead_depth < 1:
-            raise ValueError(
-                f"readahead_depth must be >= 1, got {readahead_depth}"
-            )
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if retries < 0:
@@ -615,7 +557,6 @@ class ShardedRunner:
         self.chunk_size = chunk_size
         self.mmap = mmap
         self.readahead = None if readahead is None else bool(readahead)
-        self.readahead_depth = int(readahead_depth)
         self.backend = backend
         self.retries = int(retries)
         self.timeout_s = timeout_s
@@ -625,7 +566,7 @@ class ShardedRunner:
         )
         self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
-        #: Shared-memory columnar transport for in-memory queue-pool
+        #: Shared-memory columnar transport for in-memory process
         #: runs: ``True`` forces it, ``False`` disables it, ``None``
         #: (default) auto-enables when POSIX shared memory works here.
         self.shm_transport = shm_transport
@@ -714,7 +655,6 @@ class ShardedRunner:
             chunk_size=int(meta["chunk_size"]),
             mmap=bool(meta["mmap"]),
             readahead=meta["readahead"],
-            readahead_depth=int(meta["readahead_depth"]),
             backend=str(meta["backend"]),
             retries=int(meta["retries"]),
             timeout_s=meta["timeout_s"],
@@ -798,7 +738,6 @@ class ShardedRunner:
             "backend": self.backend,
             "mmap": bool(self.mmap),
             "readahead": self.readahead,
-            "readahead_depth": self.readahead_depth,
             "retries": self.retries,
             "timeout_s": self.timeout_s,
             "on_failure": self.on_failure,
@@ -826,11 +765,10 @@ class ShardedRunner:
         guarantee-identically for the sampled/counter summaries (see
         ``tests/integration/test_sharded_equivalence.py``).
 
-        Shard summaries combine along the fixed shard-index reduction
-        tree of :mod:`repro.engine.merge` — distributed across the
-        workers themselves on the plain process path — so the combine
-        order, and with it every answer, is a function of ``n_workers``
-        alone, never of timing or backend.
+        Shard summaries combine in the parent along the fixed
+        shard-index reduction tree of :mod:`repro.engine.merge`, so the
+        combine order, and with it every answer, is a function of
+        ``n_workers`` alone, never of timing or backend.
         """
         if source is None:
             source = self._resume_source
@@ -867,7 +805,6 @@ class ShardedRunner:
                     source,
                     mmap=True,
                     readahead=self._effective_readahead(True),
-                    readahead_depth=self.readahead_depth,
                 )
             runner.process(source, chunk_size)
             self._merged = dict(self._processors)
@@ -895,10 +832,10 @@ class ShardedRunner:
     ) -> Dict[str, Any]:
         """Combine shard summaries along the reduction tree, finalize.
 
-        Every combine path — serial backend, queue pool, file pool,
-        and the distributed worker-side tree — uses the same
-        shard-index merge order (see :mod:`repro.engine.merge`), so
-        answers never depend on which backend ran the pass.
+        The serial backend and the process pool both end here, so the
+        shard-index merge order (see :mod:`repro.engine.merge`) and
+        with it every answer never depend on which backend ran the
+        pass.
         """
         self._merged = {}
         results = {}
@@ -947,7 +884,7 @@ class ShardedRunner:
                 completed.append(
                     _drive(
                         state, source, routing, worker, self.n_workers,
-                        chunk_size, mmap, readahead, self.readahead_depth,
+                        chunk_size, mmap, readahead,
                         start_chunk=start_chunk,
                         start_position=start_position,
                         fault_plan=self.fault_plan,
@@ -1003,48 +940,37 @@ class ShardedRunner:
         routing: ShardRouting,
         chunk_size: int,
     ) -> List[Dict[str, Any]]:
+        """One process per shard, one result pipe per attempt.
+
+        File-source workers read the stream themselves — zero data IPC;
+        in-memory workers consume chunks the parent routes to bounded
+        per-worker queues (see :meth:`_route_into`).  Either way each
+        attempt reports over a dedicated one-shot pipe created fresh
+        for it, which makes failure detection an event rather than a
+        poll: a worker killed by the OS (or whose result was dropped by
+        fault injection) closes its write end without sending, which
+        the parent sees as EOF.  A message from a superseded attempt is
+        impossible: it would have gone to a pipe the parent no longer
+        holds.
+
+        File-source workers are side-effect-free, so a failed shard is
+        relaunched under the retry policy with exponential backoff.  In
+        an in-memory run the stream was consumed once, so every failure
+        raises whatever the ``on_failure`` policy (persist the stream
+        to a file to get retry semantics).
+
+        When the shared-memory transport is engaged (see
+        ``shm_transport``), the in-memory queues carry only
+        :class:`ShmChunk` descriptors; the column bytes travel through
+        a recycled pool of shared segments that the ``finally`` below
+        unlinks on every exit — including failure paths where a worker
+        died without releasing its segments.
+        """
         context = _fork_context()
         if context is None:
             # No fork on this platform: identical answers, one core.
             return self._run_serial(shards, source, routing, chunk_size)
-        if isinstance(source, (str, Path)):
-            return self._run_file_pool(context, shards, source, routing, chunk_size)
-        return self._run_queue_pool(context, shards, source, routing, chunk_size)
-
-    def _run_file_pool(
-        self, context, shards, source, routing, chunk_size
-    ) -> List[Dict[str, Any]]:
-        """Workers read the stream file themselves — zero data IPC.
-
-        One explicitly managed process per shard (rather than a
-        ``Pool``), each reporting over a dedicated one-shot pipe
-        created fresh per attempt.  The private pipe makes failure
-        detection an event rather than a poll: a worker killed by the
-        OS (or whose result was dropped by fault injection) closes its
-        write end without sending, which the parent sees as EOF and —
-        the workers being side-effect-free — answers by relaunching
-        the shard under the retry policy with exponential backoff.  A
-        message from a superseded attempt is impossible: it would have
-        gone to a pipe the parent no longer holds.
-
-        On the plain fail-fast path (no retries, no timeouts, no
-        checkpoints, no fault injection, no resume) the pool instead
-        merges worker-side along the reduction tree — see
-        :meth:`_run_file_tree`.
-        """
-        if (
-            self.n_workers > 1
-            and self.on_failure == "raise"
-            and self.timeout_s is None
-            and self._checkpoint_store() is None
-            and (self.fault_plan is None or self.fault_plan.is_noop)
-            and not self._resuming
-        ):
-            return self._run_file_tree(
-                context, shards, source, routing, chunk_size
-            )
-        mmap = self._worker_mmap(source)
-        readahead = self._effective_readahead(mmap)
+        in_memory = not isinstance(source, (str, Path))
         store = self._checkpoint_store()
         completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
         starts: Dict[int, Tuple[Dict[str, Any], int, int]] = {}
@@ -1061,6 +987,22 @@ class ShardedRunner:
         if not pending:
             return completed  # type: ignore[return-value]
 
+        publisher: Optional[ChunkPublisher] = None
+        feeds: List[_ChunkFeed] = []
+        if in_memory:
+            mmap = readahead = False
+            use_shm = self.shm_transport
+            if use_shm is None:
+                use_shm = shm_available()
+            publisher = ChunkPublisher() if use_shm else None
+            releases = context.Queue() if use_shm else None
+            feeds = [
+                _ChunkFeed(context.Queue(maxsize=_QUEUE_DEPTH), releases)
+                for _ in range(self.n_workers)
+            ]
+        else:
+            mmap = self._worker_mmap(source)
+            readahead = self._effective_readahead(mmap)
         procs: Dict[int, Any] = {}
         results: Dict[int, Any] = {}
         deadlines: Dict[int, Optional[float]] = {}
@@ -1071,13 +1013,13 @@ class ShardedRunner:
             state, start_chunk, start_position = starts[worker]
             task = (
                 worker, attempts[worker], self.n_workers, state,
-                str(source), routing, chunk_size, mmap, readahead,
-                self.readahead_depth, start_chunk, start_position,
+                feeds[worker] if in_memory else str(source), routing,
+                chunk_size, mmap, readahead, start_chunk, start_position,
                 self.fault_plan, self._shard_checkpoint(worker),
             )
             recv_end, send_end = context.Pipe(duplex=False)
             process = context.Process(
-                target=_file_worker, args=(send_end, task), daemon=True
+                target=_worker, args=(send_end, task), daemon=True
             )
             process.start()
             # The child's inherited copy is now the only writer, so the
@@ -1086,7 +1028,7 @@ class ShardedRunner:
             procs[worker] = process
             results[worker] = recv_end
             deadlines[worker] = (
-                None if self.timeout_s is None
+                None if self.timeout_s is None or in_memory
                 else time.monotonic() + self.timeout_s
             )
 
@@ -1107,7 +1049,7 @@ class ShardedRunner:
 
         def fail(worker: int, retryable: bool, error: Exception) -> None:
             reap(worker, kill=True)
-            if not retryable or self.on_failure == "raise":
+            if in_memory or not retryable or self.on_failure == "raise":
                 raise error
             if attempts[worker] < self.retries:
                 attempts[worker] += 1
@@ -1169,6 +1111,9 @@ class ShardedRunner:
         try:
             for worker in sorted(pending):
                 launch(worker)
+            if in_memory:
+                self._route_into(feeds, procs, publisher, source, routing,
+                                 chunk_size)
             while pending and procs:
                 readers = {
                     results[worker]: worker
@@ -1208,6 +1153,8 @@ class ShardedRunner:
         finally:
             for worker in list(procs):
                 reap(worker, kill=True)
+            if publisher is not None:
+                publisher.close()
 
         for worker in fallback:
             # Last resort after `retries` dead workers: run the shard
@@ -1217,246 +1164,33 @@ class ShardedRunner:
             state, start_chunk, start_position = starts[worker]
             completed[worker] = _drive(
                 state, source, routing, worker, self.n_workers,
-                chunk_size, mmap, readahead, self.readahead_depth,
+                chunk_size, mmap, readahead,
                 start_chunk=start_chunk, start_position=start_position,
                 fault_plan=self.fault_plan, attempt=attempts[worker] + 1,
                 checkpoint=self._shard_checkpoint(worker), in_process=True,
             )
         return completed  # type: ignore[return-value]
 
-    def _run_file_tree(
-        self, context, shards, source, routing, chunk_size
-    ) -> List[Dict[str, Any]]:
-        """Plain-path file pool: workers merge pairwise before reporting.
-
-        Replaces the serial parent-side fold over ``n_workers`` full
-        summary maps with the distributed reduction tree of
-        :func:`~repro.engine.merge.tree_rounds`: in round ``k`` worker
-        ``i + 2**k`` ships its (already partially merged) summaries
-        over a pre-forked pipe to worker ``i``, which folds them in
-        shard order.  Merges at the same depth run on different cores
-        concurrently, the chain the parent must wait for is ``log2``
-        deep instead of linear, and the parent receives exactly one
-        fully merged map (from worker 0) instead of ``n_workers``.
-        The merge order is the one :func:`~repro.engine.merge.tree_reduce`
-        executes in-process, so answers match the serial backend
-        exactly (see :mod:`repro.engine.merge` for which structures
-        that makes bit-identical).
-
-        The path is fail-fast by construction — it is only taken under
-        ``on_failure="raise"`` with no timeout, checkpointing, fault
-        injection, or resume state.  A worker that raises reports its
-        error over its result pipe; one that dies silently surfaces as
-        EOF both to its tree partner (whose stray pipe copies were
-        closed at startup precisely so the tree cannot deadlock on a
-        dead peer) and to the parent, which kills the survivors and
-        raises the primary cause.
-        """
-        mmap = self._worker_mmap(source)
-        readahead = self._effective_readahead(mmap)
-        n_workers = self.n_workers
-
-        # Tree plumbing, created before any fork so every edge can be
-        # handed to both of its endpoints (and closed by everyone
-        # else).
-        recv_edges: Dict[int, List[Any]] = {w: [] for w in range(n_workers)}
-        send_edges: Dict[int, Any] = {}
-        owned: Dict[int, List[Any]] = {w: [] for w in range(n_workers)}
-        edge_conns: List[Any] = []
-        for pairs in tree_rounds(n_workers):
-            for receiver, sender in pairs:
-                recv_end, send_end = context.Pipe(duplex=False)
-                recv_edges[receiver].append(recv_end)
-                send_edges[sender] = send_end
-                owned[receiver].append(recv_end)
-                owned[sender].append(send_end)
-                edge_conns.extend((recv_end, send_end))
-
-        procs: Dict[int, Any] = {}
-        results: Dict[int, Any] = {}
-        merged: Optional[Dict[str, Any]] = None
-        try:
-            for worker, shard in enumerate(shards):
-                task = (
-                    worker, n_workers, shard, str(source), routing,
-                    chunk_size, mmap, readahead, self.readahead_depth,
-                )
-                mine = set(map(id, owned[worker]))
-                strays = [c for c in edge_conns if id(c) not in mine]
-                recv_end, send_end = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_tree_file_worker,
-                    args=(
-                        send_end, task, recv_edges[worker],
-                        send_edges.get(worker), strays,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                send_end.close()
-                procs[worker] = process
-                results[worker] = recv_end
-            # The children now hold the only live copies of the tree
-            # pipes; the parent keeping them open would mask peer
-            # deaths (no EOF) and deadlock the tree.
-            for conn in edge_conns:
-                conn.close()
-
-            errors: Dict[int, ShardedWorkerError] = {}
-            pending = set(range(n_workers))
-            readers = {results[worker]: worker for worker in pending}
-            while pending and not errors:
-                ready = mp_connection.wait(
-                    [results[worker] for worker in sorted(pending)],
-                    timeout=self.RESULT_POLL_TIMEOUT_S,
-                )
-                for recv_end in ready:
-                    worker = readers[recv_end]
-                    try:
-                        message = recv_end.recv()
-                    except (EOFError, OSError):
-                        pending.discard(worker)
-                        errors[worker] = ShardedWorkerError(
-                            f"sharded worker {worker} terminated "
-                            f"abnormally without reporting a result "
-                            f"(exit code {procs[worker].exitcode})",
-                            cause_type="WorkerDied",
-                            worker=worker,
-                        )
-                        continue
-                    if (
-                        not isinstance(message, tuple)
-                        or len(message) != 3
-                        or message[0] != worker
-                    ):
-                        raise ShardedWorkerError(
-                            f"sharded worker returned a corrupt result "
-                            f"message: {message!r}",
-                            cause_type="CorruptResult",
-                            worker=worker,
-                        )
-                    _worker, processors, error = message
-                    pending.discard(worker)
-                    if error is not None:
-                        cause_type, is_stream_error, formatted, _ = error
-                        errors[worker] = ShardedWorkerError(
-                            f"sharded worker {worker} failed:\n{formatted}",
-                            cause_type=cause_type,
-                            is_stream_error=is_stream_error,
-                            worker=worker,
-                        )
-                    elif worker == 0:
-                        merged = processors
-            if errors:
-                raise self._primary_tree_error(errors)
-            if merged is None:
-                raise ShardedWorkerError(
-                    "sharded worker 0 finished without reporting the "
-                    "merged summaries",
-                    cause_type="CorruptResult",
-                    worker=0,
-                )
-        finally:
-            for worker, process in procs.items():
-                recv_end = results.get(worker)
-                if recv_end is not None:
-                    recv_end.close()
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=self.WORKER_JOIN_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=self.TERMINATE_JOIN_TIMEOUT_S)
-        return [merged]
-
-    @staticmethod
-    def _primary_tree_error(
-        errors: Dict[int, "ShardedWorkerError"],
-    ) -> "ShardedWorkerError":
-        """The root cause out of a tree-abort cascade.
-
-        A worker that raises reports the actual exception; its tree
-        partners then see EOF on their edges and the parent may see
-        workers die — all consequences, not causes.  Prefer the
-        reported exception; fall back to the lowest worker index.
-        """
-        secondary = ("EOFError", "OSError", "WorkerDied")
-        for worker in sorted(errors):
-            if errors[worker].cause_type not in secondary:
-                return errors[worker]
-        return errors[min(errors)]
-
-    def _run_queue_pool(
-        self, context, shards, source, routing, chunk_size
-    ) -> List[Dict[str, Any]]:
-        """Parent routes chunks to bounded per-worker queues.
-
-        In-memory sources are consumed exactly once, so a dead queue
-        worker is not retryable — failures raise regardless of the
-        ``on_failure`` policy (persist the stream to a file to get
-        retry semantics).
-
-        When the shared-memory transport is engaged (see
-        ``shm_transport``), the queues carry only :class:`ShmChunk`
-        descriptors; the column bytes travel through a recycled pool of
-        shared segments that the ``finally`` below unlinks on every
-        exit — including failure paths where a worker died without
-        releasing its segments.
-        """
-        use_shm = self.shm_transport
-        if use_shm is None:
-            use_shm = shm_available()
-        publisher = ChunkPublisher() if use_shm else None
-        release_queue = context.Queue() if use_shm else None
-        in_queues = [
-            context.Queue(maxsize=_QUEUE_DEPTH) for _ in range(self.n_workers)
-        ]
-        out_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_queue_worker,
-                args=(worker, shards[worker], chunk_size, in_queues[worker],
-                      out_queue, self.fault_plan, release_queue),
-                daemon=True,
+    def _route_into(
+        self, feeds, procs, publisher, source, routing, chunk_size
+    ) -> None:
+        """Route an in-memory source into the workers' chunk queues,
+        then send every worker its end sentinel."""
+        position = 0
+        for chunk_index, chunk in enumerate(as_chunks(source, chunk_size)):
+            routed_all = route_chunk_all(
+                chunk, routing, self.n_workers, chunk_index, position
             )
-            for worker in range(self.n_workers)
-        ]
-        for process in workers:
-            process.start()
-        clean = False
-        try:
-            position = 0
-            for chunk_index, chunk in enumerate(as_chunks(source, chunk_size)):
-                routed_all = route_chunk_all(
-                    chunk, routing, self.n_workers, chunk_index, position
-                )
-                if publisher is not None:
-                    publisher.drain(release_queue)
-                    routed_all = publisher.publish(routed_all)
-                for worker, routed in enumerate(routed_all):
-                    if routed is not None:
-                        self._put_alive(in_queues[worker], routed,
-                                        workers[worker], worker)
-                position += len(chunk[0])
-            for worker, queue in enumerate(in_queues):
-                self._put_alive(queue, None, workers[worker], worker)
-            outcomes = self._gather_outcomes(out_queue, workers)
-            clean = True
-        finally:
-            for process in workers:
-                # On an error path the surviving workers may still be
-                # blocked waiting for chunks that will never come —
-                # don't stall a full join timeout per worker before
-                # surfacing it.
-                if not clean and process.is_alive():
-                    process.terminate()
-                process.join(timeout=self.WORKER_JOIN_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=self.TERMINATE_JOIN_TIMEOUT_S)
             if publisher is not None:
-                publisher.close()
-        return self._collect(outcomes)
+                publisher.drain(feeds[0].releases)
+                routed_all = publisher.publish(routed_all)
+            for worker, routed in enumerate(routed_all):
+                if routed is not None:
+                    self._put_alive(feeds[worker].chunks, routed,
+                                    procs[worker], worker)
+            position += len(chunk[0])
+        for worker, feed in enumerate(feeds):
+            self._put_alive(feed.chunks, None, procs[worker], worker)
 
     def _put_alive(self, queue, item, process, worker) -> None:
         """Bounded-queue put that notices a dead or wedged consumer.
@@ -1486,66 +1220,6 @@ class ShardedRunner:
                         f"while still alive; giving up routing to it"
                     ) from None
 
-    def _gather_outcomes(self, out_queue, workers):
-        """Collect one result per worker, noticing abnormal deaths.
-
-        A worker that hits a Python-level error reports it through the
-        queue; a worker killed by the OS never does, so waiting must
-        watch process liveness rather than block forever.
-        """
-        outcomes = []
-        pending = set(range(self.n_workers))
-        while pending:
-            try:
-                outcome = out_queue.get(timeout=self.RESULT_POLL_TIMEOUT_S)
-            except queue_module.Empty:
-                dead = [w for w in pending if not workers[w].is_alive()]
-                if dead:
-                    # Grace period: a result already sent may still be
-                    # in the pipe after the sender exited.
-                    try:
-                        outcome = out_queue.get(
-                            timeout=self.RESULT_GRACE_TIMEOUT_S
-                        )
-                    except queue_module.Empty:
-                        codes = {w: workers[w].exitcode for w in dead}
-                        raise RuntimeError(
-                            f"sharded worker(s) {sorted(dead)} terminated "
-                            f"abnormally without reporting a result "
-                            f"(exit codes {codes})"
-                        ) from None
-                else:
-                    continue
-            if (
-                not isinstance(outcome, tuple)
-                or len(outcome) != 3
-                or not isinstance(outcome[0], int)
-                or not 0 <= outcome[0] < self.n_workers
-            ):
-                raise ShardedWorkerError(
-                    f"sharded worker returned a corrupt result message: "
-                    f"{outcome!r}",
-                    cause_type="CorruptResult",
-                )
-            outcomes.append(outcome)
-            pending.discard(outcome[0])
-        return outcomes
-
-    def _collect(self, outcomes) -> List[Dict[str, Any]]:
-        """Order worker results 0..W-1, surfacing worker tracebacks."""
-        completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
-        for worker, processors, error in outcomes:
-            if error is not None:
-                cause_type, is_stream_error, formatted, _retryable = error
-                raise ShardedWorkerError(
-                    f"sharded worker {worker} failed:\n{formatted}",
-                    cause_type=cause_type,
-                    is_stream_error=is_stream_error,
-                    worker=worker,
-                )
-            completed[worker] = processors
-        return completed  # type: ignore[return-value]
-
 
 def run_sharded(
     processors: Mapping[str, Any],
@@ -1555,7 +1229,6 @@ def run_sharded(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     mmap: bool = False,
     readahead: Optional[bool] = None,
-    readahead_depth: int = 1,
     backend: str = "process",
     retries: int = 2,
     timeout_s: Optional[float] = None,
@@ -1577,7 +1250,6 @@ def run_sharded(
         chunk_size=chunk_size,
         mmap=mmap,
         readahead=readahead,
-        readahead_depth=readahead_depth,
         backend=backend,
         retries=retries,
         timeout_s=timeout_s,

@@ -171,7 +171,6 @@ def open_source(spec: SourceSpec) -> OpenSource:
             # Auto (None) readahead binds at the runner that knows its
             # access pattern; a bare reader prefetches only on request.
             readahead=bool(spec.readahead),
-            readahead_depth=spec.readahead_depth,
         )
         if reader.version != 2:
             raise SpecError(
@@ -192,7 +191,6 @@ def _open_file_header(spec: SourceSpec) -> OpenSource:
         spec.path,
         mmap=detect_version(spec.path) == 2,
         readahead=bool(spec.readahead),
-        readahead_depth=spec.readahead_depth,
     )
     return OpenSource(spec, reader=reader)
 
@@ -385,7 +383,6 @@ class Pipeline:
                     chunk_size=chunk_size,
                     mmap=spec.source.mmap,
                     readahead=spec.source.readahead,
-                    readahead_depth=spec.source.readahead_depth,
                     retries=execution.retries,
                     timeout_s=execution.timeout_s,
                     on_failure=execution.on_failure,
@@ -557,15 +554,9 @@ class PipelineBuilder:
         *,
         mmap: bool = False,
         readahead: Optional[bool] = None,
-        readahead_depth: int = 1,
     ) -> "PipelineBuilder":
         return self.source(
-            SourceSpec.from_file(
-                path,
-                mmap=mmap,
-                readahead=readahead,
-                readahead_depth=readahead_depth,
-            )
+            SourceSpec.from_file(path, mmap=mmap, readahead=readahead)
         )
 
     def chunk_size(self, chunk_size: int) -> "PipelineBuilder":

@@ -145,7 +145,6 @@ class SourceSpec:
             ``None`` (default) auto-enables readahead exactly where it
             pays: memory-mapped file passes, whose cold page-ins are
             the latency being hidden.
-        readahead_depth: chunks kept in flight by the prefetcher.
     """
 
     kind: str
@@ -156,7 +155,6 @@ class SourceSpec:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     mmap: bool = False
     readahead: Optional[bool] = None
-    readahead_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.path is not None and not isinstance(self.path, str):
@@ -189,7 +187,6 @@ class SourceSpec:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         mmap: bool = False,
         readahead: Optional[bool] = None,
-        readahead_depth: int = 1,
     ) -> "SourceSpec":
         return SourceSpec(
             kind="file",
@@ -197,7 +194,6 @@ class SourceSpec:
             chunk_size=chunk_size,
             mmap=mmap,
             readahead=readahead,
-            readahead_depth=readahead_depth,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -445,7 +441,7 @@ _SCALAR_FIELDS = {
     "source": (
         ("kind", str), ("generator", (str, type(None))),
         ("path", (str, type(None))), ("chunk_size", int), ("mmap", bool),
-        ("readahead", (bool, type(None))), ("readahead_depth", int),
+        ("readahead", (bool, type(None))),
     ),
     "window": (
         ("policy", str), ("window", int), ("bucket_ratio", (int, float)),
@@ -562,9 +558,6 @@ def validate_spec(spec: PipelineSpec) -> List[Diagnostic]:
             "readahead requires mmap (it prefetches the memory-mapped "
             "reader's next chunks)",
             "set mmap=true, or leave readahead unset for auto")
-    if source.readahead_depth < 1:
-        bad("source.readahead_depth",
-            f"readahead_depth must be >= 1, got {source.readahead_depth}")
 
     if not spec.processors:
         bad("processors", "a pipeline needs at least one processor",

@@ -515,17 +515,14 @@ class ChunkedStreamReader:
     copy).  Range validation then happens per chunk rather than at open
     time; v1 text is already incremental, so ``mmap`` is a no-op for it.
 
-    With ``readahead=True`` (memory-mapped v2 sources) upcoming chunks'
-    column slices are materialised on background threads while the
-    caller processes the current chunk — overlapping page-in I/O with
-    compute, which is where a cold-cache out-of-core pass spends its
-    time.  ``readahead_depth`` sets how many chunks the prefetcher
-    keeps in flight (default 1, the classic double buffer; deeper
-    buffers help when per-chunk compute is bursty relative to I/O).
-    Chunk contents are identical to the non-readahead path (the
-    prefetcher only changes *when* bytes are touched, never which);
-    the flag is accepted but inert for v1 text and eager v2 sources,
-    which have no deferred I/O to overlap.
+    With ``readahead=True`` (memory-mapped v2 sources) the next chunk's
+    column slices are materialised on a background thread while the
+    caller processes the current chunk — a double buffer overlapping
+    page-in I/O with compute, which is where a cold-cache out-of-core
+    pass spends its time.  Chunk contents are identical to the
+    non-readahead path (the prefetcher only changes *when* bytes are
+    touched, never which); the flag is accepted but inert for v1 text
+    and eager v2 sources, which have no deferred I/O to overlap.
 
     Chunked reading validates identifier ranges and signs per chunk but
     not the cross-chunk simple-graph discipline (that would require
@@ -538,16 +535,10 @@ class ChunkedStreamReader:
         path: Union[str, Path],
         mmap: bool = False,
         readahead: bool = False,
-        readahead_depth: int = 1,
     ) -> None:
-        if readahead_depth < 1:
-            raise ValueError(
-                f"readahead_depth must be >= 1, got {readahead_depth}"
-            )
         self.path = Path(path)
         self.mmap = bool(mmap)
         self.readahead = bool(readahead)
-        self.readahead_depth = int(readahead_depth)
         self._validate_chunks = False
         self._timestamps_checked = False
         if _is_v2_path(self.path):
@@ -703,16 +694,14 @@ class ChunkedStreamReader:
     def _chunks_readahead(
         self, chunk_size: int, start: int = 0
     ) -> Iterator[Columns]:
-        """Buffered mmap iteration: while the caller processes chunk
-        ``i``, worker threads materialise (and thereby page in) up to
-        ``readahead_depth`` upcoming chunks' column slices (depth 1 is
-        the classic double buffer).  Materialisation copies the slices
-        out of the map, so a yielded chunk stays valid however long the
-        consumer holds it; per-chunk range validation runs on the
-        prefetch threads and surfaces through the futures exactly where
-        the serial path would raise.
+        """Double-buffered mmap iteration: while the caller processes
+        chunk ``i``, a worker thread materialises (and thereby pages in)
+        chunk ``i + 1``'s column slices.  Materialisation copies the
+        slices out of the map, so a yielded chunk stays valid however
+        long the consumer holds it; per-chunk range validation runs on
+        the prefetch thread and surfaces through the future exactly
+        where the serial path would raise.
         """
-        from collections import deque
         from concurrent.futures import ThreadPoolExecutor
 
         columns = self._columns
@@ -730,21 +719,13 @@ class ChunkedStreamReader:
             self._check_ranges(*chunk)
             return chunk
 
-        depth = self.readahead_depth
-        starts = range(start, n_items, chunk_size)
-        with ThreadPoolExecutor(max_workers=depth) as pool:
-            pending = deque()
-            starts_iter = iter(starts)
-            for start in starts_iter:
-                pending.append(pool.submit(materialise, start))
-                if len(pending) == depth:
-                    break
-            while pending:
-                chunk = pending.popleft().result()
-                next_start = next(starts_iter, None)
-                if next_start is not None:
-                    pending.append(pool.submit(materialise, next_start))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            ahead = pool.submit(materialise, start)
+            for begin in range(start + chunk_size, n_items, chunk_size):
+                chunk = ahead.result()
+                ahead = pool.submit(materialise, begin)
                 yield chunk
+            yield ahead.result()
 
     def _flush(self, a_buf, b_buf, sign_buf) -> Columns:
         chunk = (

@@ -10,8 +10,11 @@ round-trips, refcounted recycling, unconditional unlink) and through
   :class:`~repro.engine.shm.ShmChunk` descriptors (and ``None``
   shutdown sentinels) — never column arrays;
 * a SIGKILLed worker leaves **zero** shared segments behind, on both
-  the raising path (retries exhausted) and the retry-and-succeed path.
+  the raising path (retries exhausted) and the retry-and-succeed path,
+  and so does a worker whose result message is dropped or corrupted.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ import pytest
 from repro.baselines import CountMinSketch, CountSketch
 from repro.engine import FanoutRunner, ShardedRunner
 from repro.engine.faults import FaultPlan
-from repro.engine.sharded import fork_available
+from repro.engine.sharded import ShardedWorkerError, fork_available
 from repro.engine.shm import (
     ChunkAttacher,
     ChunkPublisher,
@@ -235,6 +238,37 @@ class TestChaosNoLeaks:
         )
         with pytest.raises(RuntimeError):
             runner.run(turnstile_stream())
+        assert names, "expected segments to have been allocated"
+        assert all(attach_raises(name) for name in set(names))
+
+    @pytest.mark.parametrize(
+        "plan, cause",
+        [
+            (FaultPlan.drop_result(worker=1), "WorkerDied"),
+            (FaultPlan.corrupt_result(worker=0), "CorruptResult"),
+        ],
+        ids=["dropped", "corrupt"],
+    )
+    def test_lost_result_raises_promptly_and_leaves_no_segments(
+        self, monkeypatch, plan, cause
+    ):
+        """The result pipe reports a lost or garbled result as soon as
+        the worker is gone: a poll slice far longer than the run never
+        elapses, and the segment pool is unlinked all the same."""
+        names = self._record_segments(monkeypatch)
+        runner = ShardedRunner(
+            {"cs": CountSketch(64, rows=3, seed=6)},
+            n_workers=2,
+            chunk_size=CHUNK,
+            shm_transport=True,
+            fault_plan=plan,
+        )
+        runner.RESULT_POLL_TIMEOUT_S = 60.0
+        began = time.monotonic()
+        with pytest.raises(ShardedWorkerError) as excinfo:
+            runner.run(turnstile_stream())
+        assert time.monotonic() - began < 30.0
+        assert excinfo.value.cause_type == cause
         assert names, "expected segments to have been allocated"
         assert all(attach_raises(name) for name in set(names))
 

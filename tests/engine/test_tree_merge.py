@@ -1,12 +1,12 @@
-"""Tree-reduction merge: schedule, order contract, distributed path.
+"""Tree-reduction merge: schedule, order contract, process pool.
 
 The contract under test (see :mod:`repro.engine.merge`): shard
 summaries combine along a binomial reduction tree whose shape is a
 fixed function of the worker count, the receiver is always the lower
 shard index, and for associative merges the result is bit-identical to
-the sequential left-fold — which makes the worker-side distributed
-merge of the plain file pool indistinguishable from the serial
-backend for every linear/exact structure.
+the sequential left-fold — which makes the parent-side merge of the
+process pool's shard summaries indistinguishable from the serial
+backend and from a single-core pass for every linear/exact structure.
 """
 
 import numpy as np
@@ -45,9 +45,9 @@ class TestTreeRounds:
         assert len(tree_rounds(n)) == (n - 1).bit_length()
 
     def test_receives_precede_the_send(self):
-        # A worker's send round is the lowest set bit of its index;
-        # it must only receive in strictly earlier rounds, or the
-        # distributed pipeline would deadlock.
+        # A shard's send round is the lowest set bit of its index; it
+        # only receives in strictly earlier rounds, so it is fully
+        # merged by the time it is folded into its receiver.
         n = 13
         for k, pairs in enumerate(tree_rounds(n)):
             for receiver, sender in pairs:
@@ -94,7 +94,7 @@ class TestTreeReduce:
 
 
 # ----------------------------------------------------------------------
-# The distributed worker-side tree (plain file pool).
+# The process pool, merged in the parent, over either chunk source.
 # ----------------------------------------------------------------------
 
 
@@ -119,7 +119,7 @@ def _factory():
 
 
 class _PoisonSketch(CountMinSketch):
-    """Raises midway through its shard: exercises tree-path fail-fast."""
+    """Raises midway through its shard: exercises pool fail-fast."""
 
     def process_batch(self, a, b, sign=None):
         if np.any(np.asarray(a) == 63):
@@ -140,32 +140,39 @@ def stream_file(tmp_path_factory):
     return stream, str(path)
 
 
+def _source(stream_file, kind):
+    """The file path, or the in-memory stream the parent routes."""
+    stream, path = stream_file
+    return path if kind == "file" else stream
+
+
 @needs_fork
-class TestDistributedTree:
+@pytest.mark.parametrize("kind", ("file", "memory"))
+class TestProcessPoolTree:
     @pytest.mark.parametrize("workers", (2, 3, 4, 5))
-    def test_matches_single_core_bit_identically(self, stream_file, workers):
-        stream, path = stream_file
+    def test_matches_single_core_bit_identically(
+        self, stream_file, workers, kind
+    ):
         single = FanoutRunner(_factory(), chunk_size=CHUNK)
-        single.run(stream)
+        single.run(stream_file[0])
         runner = ShardedRunner(
             _factory(), n_workers=workers, chunk_size=CHUNK
         )
-        runner.run(path)
+        runner.run(_source(stream_file, kind))
         assert np.array_equal(single["cm"]._table, runner["cm"]._table)
         assert np.array_equal(single["cs"]._table, runner["cs"]._table)
         assert single["full"]._neighbours == runner["full"]._neighbours
 
     @pytest.mark.parametrize("workers", (2, 3, 4, 5))
-    def test_matches_serial_backend(self, stream_file, workers):
-        _, path = stream_file
+    def test_matches_serial_backend(self, stream_file, workers, kind):
         serial = ShardedRunner(
             _factory(), n_workers=workers, chunk_size=CHUNK, backend="serial"
         )
-        serial.run(path)
+        serial.run(stream_file[1])
         process = ShardedRunner(
             _factory(), n_workers=workers, chunk_size=CHUNK
         )
-        process.run(path)
+        process.run(_source(stream_file, kind))
         assert np.array_equal(serial["cm"]._table, process["cm"]._table)
         assert np.array_equal(serial["cs"]._table, process["cs"]._table)
         for left, right in zip(
@@ -174,47 +181,15 @@ class TestDistributedTree:
             assert left._candidates_seen == right._candidates_seen
             assert dict(left._reservoir) == dict(right._reservoir)
 
-    def test_tree_path_is_taken_when_plain(self, stream_file, monkeypatch):
-        _, path = stream_file
-        taken = []
-        original = ShardedRunner._run_file_tree
-
-        def spy(self, *args, **kwargs):
-            taken.append(True)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ShardedRunner, "_run_file_tree", spy)
-        runner = ShardedRunner(_factory(), n_workers=2, chunk_size=CHUNK)
-        runner.run(path)
-        assert taken
-
-    def test_tree_path_skipped_under_retry_policy(
-        self, stream_file, monkeypatch
-    ):
-        _, path = stream_file
-
-        def explode(self, *args, **kwargs):  # pragma: no cover
-            raise AssertionError("tree path taken on a retrying runner")
-
-        monkeypatch.setattr(ShardedRunner, "_run_file_tree", explode)
-        runner = ShardedRunner(
-            _factory(), n_workers=2, chunk_size=CHUNK, on_failure="retry"
-        )
-        single = FanoutRunner(_factory(), chunk_size=CHUNK)
-        single.run(stream_file[0])
-        runner.run(path)
-        assert np.array_equal(single["cm"]._table, runner["cm"]._table)
-
-    def test_worker_error_fails_fast_with_root_cause(self, stream_file):
-        _, path = stream_file
+    def test_worker_error_fails_fast_with_root_cause(self, stream_file, kind):
         runner = ShardedRunner(
             {"poison": _PoisonSketch(0.05, 0.05, seed=5)},
             n_workers=4,
             chunk_size=CHUNK,
         )
         with pytest.raises(ShardedWorkerError) as excinfo:
-            runner.run(path)
+            runner.run(_source(stream_file, kind))
         # The reported cause must be the worker's actual exception,
-        # not the EOF cascade its tree partners see when it dies.
+        # not the death of the workers the parent then terminates.
         assert excinfo.value.cause_type == "ValueError"
         assert "poison vertex observed" in str(excinfo.value)

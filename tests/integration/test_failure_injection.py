@@ -11,6 +11,8 @@ reproduce the unfaulted answers *bit-identically*, because the
 mergeable-summary design makes re-running a shard side-effect-free.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,50 @@ class TestShardRetry:
         assert excinfo.value.cause_type == "CorruptResult"
         assert runner.retries_used == 0
 
+    @pytest.mark.parametrize(
+        "plan, cause",
+        [
+            (FaultPlan.drop_result(worker=1), "WorkerDied"),
+            (FaultPlan.corrupt_result(worker=0), "CorruptResult"),
+        ],
+        ids=["dropped", "corrupt"],
+    )
+    def test_in_memory_lost_result_raises_without_retry(self, plan, cause):
+        """An in-memory stream is consumed once, so a lost or garbled
+        result raises whatever the policy — and does so the moment the
+        worker's result pipe reports it, not after a poll slice."""
+        runner = chaos_runner(
+            retries=2, on_failure="retry", shm_transport=False,
+            fault_plan=plan,
+        )
+        runner.RESULT_POLL_TIMEOUT_S = 60.0
+        began = time.monotonic()
+        with pytest.raises(ShardedWorkerError) as excinfo:
+            runner.run(chaos_stream())
+        assert time.monotonic() - began < 30.0
+        assert excinfo.value.cause_type == cause
+        assert runner.retries_used == 0
+
+    @pytest.mark.parametrize("chunk, fires", [(8, True), (12, False)])
+    def test_in_memory_fault_chunks_count_consumed_chunks(
+        self, chunk, fires
+    ):
+        """In-memory workers index chunk faults by the chunks they
+        consumed: worker 1 is dealt every other one of the 19 chunks,
+        so its ninth and last is its chunk 8, and a chunk 12 never
+        comes (a file-source worker would count all 19)."""
+        runner = chaos_runner(
+            fault_plan=FaultPlan.read_error(
+                worker=1, chunk=chunk, exc="ValueError", message="fired"
+            ),
+        )
+        if fires:
+            with pytest.raises(ShardedWorkerError, match="fired"):
+                runner.run(chaos_stream())
+        else:
+            results = runner.run(chaos_stream())
+            assert np.array_equal(results["cm"]._table, reference_table())
+
     def test_timeout_enforced_and_retried(self, stream_file):
         """A wedged worker (first attempt sleeps past timeout_s) is
         killed and retried; the clean second attempt is exact."""
@@ -367,6 +413,33 @@ class TestCheckpointResume:
         )
         with pytest.raises(ShardedWorkerError, match="terminated abnormally"):
             crashing.run(stream_file)
+        resumed = ShardedRunner.resume(ckpt)
+        results = resumed.run()
+        assert np.array_equal(results["cm"]._table, reference_table())
+
+    def test_resume_accepts_manifest_with_retired_readahead_depth(
+        self, stream_file, tmp_path
+    ):
+        """Run manifests written while ``readahead_depth`` was still a
+        runner option carry it in their meta; resume ignores it."""
+        from repro.engine.checkpoint import CheckpointStore
+        from repro.engine.sharded import RUN_TAG
+
+        ckpt = tmp_path / "ckpt"
+        crashing = chaos_runner(
+            retries=0,
+            checkpoint_dir=ckpt,
+            checkpoint_every=2,
+            fault_plan=FaultPlan.kill(worker=1, chunk=4),
+        )
+        with pytest.raises(ShardedWorkerError, match="terminated abnormally"):
+            crashing.run(stream_file)
+        store = CheckpointStore(ckpt)
+        manifest = store.load(RUN_TAG)
+        store.save(
+            RUN_TAG, manifest.state, chunk_index=0, position=0,
+            meta={**manifest.meta, "readahead_depth": 2},
+        )
         resumed = ShardedRunner.resume(ckpt)
         results = resumed.run()
         assert np.array_equal(results["cm"]._table, reference_table())

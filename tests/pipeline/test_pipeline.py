@@ -114,7 +114,7 @@ class TestSources:
         dump_stream(stream, path, format="v2")
         result = (
             Pipeline.builder()
-            .file(path, mmap=True, readahead=True, readahead_depth=2)
+            .file(path, mmap=True, readahead=True)
             .processor("insertion-only", label="alg2", n=stream.n, d=8,
                        alpha=2, seed=1)
             .build()

@@ -411,6 +411,13 @@ class TestReadaheadEquivalence:
         reader = ChunkedStreamReader(path, mmap=True, readahead=True)
         assert list(reader.chunks(8)) == []
 
+    def test_stream_shorter_than_one_chunk(self, tmp_path):
+        path = tmp_path / "tiny.npz"
+        dump_stream(columnar(3), path, format="v2")
+        reader = ChunkedStreamReader(path, mmap=True, readahead=True)
+        chunks = list(reader.chunks(4))
+        assert [len(chunk[0]) for chunk in chunks] == [3]
+
     def test_range_validation_still_raises(self, tmp_path):
         stream = columnar(64)
         path = tmp_path / "bad.npz"
@@ -464,64 +471,6 @@ class TestReadaheadEquivalence:
         assert np.array_equal(plain, prefetched)
 
 
-class TestReadaheadDepth:
-    """readahead_depth > 1: more chunks in flight, identical contents."""
-
-    @pytest.mark.parametrize("depth", (1, 2, 5))
-    @pytest.mark.parametrize("chunk_size", (7, 64))
-    def test_chunks_identical_at_any_depth(self, tmp_path, depth, chunk_size):
-        stream = columnar(333)
-        path = tmp_path / "stream.npz"
-        dump_stream(stream, path, format="v2")
-        serial = [
-            tuple(np.array(column) for column in chunk)
-            for chunk in ChunkedStreamReader(path, mmap=True).chunks(chunk_size)
-        ]
-        deep = list(
-            ChunkedStreamReader(
-                path, mmap=True, readahead=True, readahead_depth=depth
-            ).chunks(chunk_size)
-        )
-        assert len(serial) == len(deep)
-        for mine, theirs in zip(serial, deep):
-            for left, right in zip(mine, theirs):
-                assert np.array_equal(left, right)
-
-    def test_depth_larger_than_stream(self, tmp_path):
-        stream = columnar(10)
-        path = tmp_path / "tiny.npz"
-        dump_stream(stream, path, format="v2")
-        reader = ChunkedStreamReader(
-            path, mmap=True, readahead=True, readahead_depth=8
-        )
-        chunks = list(reader.chunks(4))
-        assert sum(len(chunk[0]) for chunk in chunks) == 10
-
-    def test_depth_must_be_positive(self, tmp_path):
-        stream = columnar(4)
-        path = tmp_path / "s.npz"
-        dump_stream(stream, path, format="v2")
-        with pytest.raises(ValueError, match="readahead_depth"):
-            ChunkedStreamReader(path, readahead_depth=0)
-
-    def test_validation_error_still_surfaces_at_depth(self, tmp_path):
-        stream = columnar(64)
-        path = tmp_path / "bad.npz"
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                a=stream.a,
-                b=stream.b,
-                sign=stream.sign,
-                meta=np.array([2, 2, stream.m], dtype=np.int64),
-            )
-        reader = ChunkedStreamReader(
-            path, mmap=True, readahead=True, readahead_depth=4
-        )
-        with pytest.raises(StreamFormatError, match="out of range"):
-            list(reader.chunks(16))
-
-
 class TestShardedAutoReadahead:
     """ShardedRunner(readahead=None) auto-enables prefetch on mmap
     passes and keeps answers identical either way."""
@@ -538,12 +487,6 @@ class TestShardedAutoReadahead:
         forced_on = ShardedRunner(n_workers=2, readahead=True)
         assert forced_on._effective_readahead(False) is True
 
-    def test_depth_validated(self):
-        from repro.engine import ShardedRunner
-
-        with pytest.raises(ValueError, match="readahead_depth"):
-            ShardedRunner(n_workers=2, readahead_depth=0)
-
     def test_auto_readahead_answers_identical(self, tmp_path):
         from repro.engine import ShardedRunner
         from repro.core.insertion_only import InsertionOnlyFEwW
@@ -559,4 +502,3 @@ class TestShardedAutoReadahead:
             ).run(str(path))["alg2"]
 
         assert run() == run(readahead=False)
-        assert run(readahead_depth=3) == run(readahead=False)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main, make_workload
+from repro.cli import _workload_params, build_parser, main
+from repro.pipeline import GENERATORS
 
 
 class TestParser:
@@ -30,7 +31,7 @@ class TestWorkloadFactory:
             ["run", "--workload", workload, "--n", "64", "--m", "512",
              "--d", "16"]
         )
-        stream = make_workload(args)
+        stream = GENERATORS.build(workload, _workload_params(args))
         assert len(stream) > 0
 
     def test_churn_contains_deletions(self):
@@ -38,7 +39,9 @@ class TestWorkloadFactory:
             ["run", "--workload", "churn", "--n", "32", "--m", "64",
              "--d", "8"]
         )
-        assert not make_workload(args).insertion_only
+        assert not GENERATORS.build(
+            "churn", _workload_params(args)
+        ).insertion_only
 
 
 class TestCommands:
@@ -459,34 +462,6 @@ class TestSpecRuns:
         code = main(["run", "--spec", str(path)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
-
-    def test_bad_readahead_depth_is_a_friendly_error(self, capsys, tmp_path):
-        path = tmp_path / "stream.npz"
-        assert main(
-            ["run", "--workload", "star", "--n", "64", "--m", "256",
-             "--d", "16", "--save-stream", str(path)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["run", "--stream-file", str(path), "--d", "16", "--mmap",
-             "--readahead", "--readahead-depth", "0"]
-        )
-        assert code == 2
-        assert "--readahead-depth must be >= 1" in capsys.readouterr().err
-
-    def test_readahead_depth_flag(self, capsys, tmp_path):
-        path = tmp_path / "stream.npz"
-        assert main(
-            ["run", "--workload", "star", "--n", "64", "--m", "256",
-             "--d", "16", "--save-stream", str(path)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["run", "--stream-file", str(path), "--d", "16", "--mmap",
-             "--readahead", "--readahead-depth", "3"]
-        )
-        assert code == 0
-        assert "verification skipped" in capsys.readouterr().out
 
 
 class TestFaultToleranceFlags:

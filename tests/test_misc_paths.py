@@ -1,23 +1,19 @@
 """Coverage of remaining small code paths across modules."""
 
-import argparse
-
 import pytest
 
-from repro.cli import make_workload
 from repro.comm.protocol import MessageLog
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.core.windowed import TumblingWindowFEwW
+from repro.pipeline import GENERATORS, UnknownNameError
 from repro.spacemeter import SpaceBreakdown
 
 
-class TestCliWorkloadFactory:
+class TestWorkloadRegistry:
     def test_unknown_workload_raises(self):
-        args = argparse.Namespace(
-            workload="mystery", n=8, m=8, d=2, alpha=1, seed=0
-        )
-        with pytest.raises(ValueError, match="unknown workload"):
-            make_workload(args)
+        params = {"n": 8, "m": 8, "d": 2, "alpha": 1, "seed": 0}
+        with pytest.raises(UnknownNameError, match="mystery"):
+            GENERATORS.build("mystery", params)
 
 
 class TestMessageLogOrdering:
