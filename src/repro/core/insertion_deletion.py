@@ -330,11 +330,11 @@ class InsertionDeletionFEwW:
             if witnesses:
                 collected.setdefault(a, set()).update(witnesses)
         if self._edge_bank is not None:
+            m = self.m
             for flat in self._edge_bank.sample_all():
-                if flat is None:
-                    continue
-                edge = Edge.from_flat_index(flat, self.m)
-                collected.setdefault(edge.a, set()).add(edge.b)
+                if flat is not None:
+                    a, b = divmod(flat, m)
+                    collected.setdefault(a, set()).add(b)
         self._result_cache = collected
         return collected
 

@@ -10,8 +10,10 @@ For the columnar batch engine the same polynomials are evaluated over
 whole NumPy arrays at once (:meth:`KWiseHash.batch`).  Products of two
 61-bit field elements need 122 bits, so the vectorized path splits each
 operand into 31-bit limbs and folds the partial products with the
-Mersenne identity ``2**61 ≡ 1 (mod p)``; every intermediate fits in
-``uint64``.  The batch path is exact: it returns bit-identical values to
+Mersenne identity ``2**61 ≡ 1 (mod p)``.  The four folded terms are
+summed unreduced: their total is below ``2**63 + 2**32``, so it fits in
+``uint64`` and one final reduction suffices (:func:`mulmod_p61`).  The
+batch path is exact: it returns bit-identical values to
 :meth:`KWiseHash.__call__` on every input.
 """
 
@@ -49,14 +51,24 @@ def mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a·b = a1·b1·2⁶² + (a1·b0 + a0·b1)·2³¹ + a0·b0``
 
-    and each term is folded with ``2⁶¹ ≡ 1 (mod p)``.
+    and ``2⁶¹ ≡ 1 (mod p)`` turns the first two terms into
+    ``2·a1·b1 < 2⁶¹`` and ``(mid >> 30) + ((mid mod 2³⁰) << 31) < 2³² + 2⁶¹``.
+    The four terms are summed unreduced — the total stays below
+    ``2⁶³ + 2³²`` — and folded once.  In-place steps touch only fresh
+    temporaries, never the operands.
     """
     a1, a0 = a >> _SHIFT31, a & _MASK31
     b1, b0 = b >> _SHIFT31, b & _MASK31
-    hi = a1 * b1                      # < 2^60; times 2^62 ≡ times 2 (mod p)
-    mid = a1 * b0 + a0 * b1           # < 2^62
-    mid_term = (mid >> _SHIFT30) + ((mid & _MASK30) << _SHIFT31)
-    return _fold61(_fold61(hi << _ONE) + _fold61(mid_term) + _fold61(a0 * b0))
+    mid = a1 * b0
+    mid += a0 * b1                    # < 2^62
+    total = a1 * b1                   # < 2^60; times 2^62 ≡ times 2 (mod p)
+    total <<= _ONE
+    total += mid >> _SHIFT30
+    mid &= _MASK30
+    mid <<= _SHIFT31
+    total += mid
+    total += a0 * b0                  # < 2^62
+    return _fold61(total)
 
 
 def powmod_p61(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:

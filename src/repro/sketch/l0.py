@@ -56,13 +56,10 @@ from repro.sketch.hashing import (
     random_kwise,
 )
 from repro.sketch.ssparse import (
-    POWER_TABLE_MAX_ENTRIES,
-    _WINDOW_BITS,
-    _WINDOW_MASK,
     SSparseRecovery,
     build_power_tables,
-    power_table_windows,
     scatter_cell_updates,
+    table_powers,
 )
 
 
@@ -159,13 +156,9 @@ class L0Sampler:
         self._sample_memo: Optional[int] = None
 
     def _ensure_power_tables(self) -> Optional[np.ndarray]:
-        """Build the stacked ``(windows, 256, L, R, B)`` tables when small."""
+        """Build the stacked ``(windows, size, L, R, B)`` tables when small."""
         if self._power_tables is None:
-            entries = (
-                power_table_windows(self.dim) * 256 * self._r.size
-            )
-            if entries <= POWER_TABLE_MAX_ENTRIES:
-                self._power_tables = build_power_tables(self._r, self.dim)
+            self._power_tables = build_power_tables(self._r, self.dim)
         return self._power_tables
 
     def _recovery(self, level: int) -> SSparseRecovery:
@@ -281,21 +274,9 @@ class L0Sampler:
         buckets = (field % np.uint64(self._n_buckets)).astype(np.int64)
         addr = (lab[:, np.newaxis] * self._n_rows + rows) * self._n_buckets + buckets
         if power_tables is not None:
-            powers = power_tables[
-                0, (x & _WINDOW_MASK)[:, np.newaxis], lab[:, np.newaxis], rows, buckets
-            ]
-            for window in range(1, power_tables.shape[0]):
-                window_values = (x >> np.int64(window * _WINDOW_BITS)) & _WINDOW_MASK
-                powers = mulmod_p61(
-                    powers,
-                    power_tables[
-                        window,
-                        window_values[:, np.newaxis],
-                        lab[:, np.newaxis],
-                        rows,
-                        buckets,
-                    ],
-                )
+            powers = table_powers(
+                power_tables, x[:, np.newaxis], lab[:, np.newaxis], rows, buckets
+            )
         else:
             powers = powmod_p61(
                 self._r[lab[:, np.newaxis], rows, buckets],
@@ -660,21 +641,9 @@ class L0SamplerBank:
                 slab = epair[lo:hi, np.newaxis] - sampler_index * n_levels
                 sbuckets = buckets[lo:hi]
                 if tables is not None:
-                    segment = tables[
-                        0, (sx & _WINDOW_MASK)[:, np.newaxis],
-                        slab, rows, sbuckets,
-                    ]
-                    for window in range(1, tables.shape[0]):
-                        shifted = (
-                            sx >> np.int64(window * _WINDOW_BITS)
-                        ) & _WINDOW_MASK
-                        segment = mulmod_p61(
-                            segment,
-                            tables[
-                                window, shifted[:, np.newaxis],
-                                slab, rows, sbuckets,
-                            ],
-                        )
+                    segment = table_powers(
+                        tables, sx[:, np.newaxis], slab, rows, sbuckets
+                    )
                 else:
                     segment = powmod_p61(
                         sampler._r[slab, rows, sbuckets],
@@ -741,13 +710,11 @@ class L0SamplerBank:
         support = self._support.support()
         if not support:
             return [None] * self.count
-        results: List[Optional[int]] = []
-        for _ in range(self.count):
-            if self._draw_rng.random() < self.delta:
-                results.append(None)
-            else:
-                results.append(self._draw_rng.choice(support))
-        return results
+        # One draw (plus a choice unless it fails) per sampler, in order.
+        draw, choice, delta = self._draw_rng.random, self._draw_rng.choice, self.delta
+        return [
+            None if draw() < delta else choice(support) for _ in range(self.count)
+        ]
 
     def space_words(self) -> int:
         """Exact mode: sum of real structure sizes.  Fast mode: paper formula."""

@@ -62,53 +62,81 @@ _SHIFT32 = np.uint64(32)
 _POW32 = np.uint64(1 << 32)  # 2^32 < p, already reduced
 
 _WINDOW_BITS = 8
-_WINDOW_SIZE = 1 << _WINDOW_BITS
-_WINDOW_MASK = np.int64(_WINDOW_SIZE - 1)
 #: Upper bound on cached power-table entries per structure (32 MB of
 #: uint64) — beyond this the fingerprint falls back to the shared
 #: square-and-multiply chain.
 POWER_TABLE_MAX_ENTRIES = 1 << 22
 
 
-def power_table_windows(dim: int) -> int:
-    """Number of 8-bit exponent windows needed to cover ``[0, dim)``."""
-    return max(1, (max(dim - 1, 1).bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS)
+def power_table_shape(dim: int) -> Tuple[int, int]:
+    """``(windows, entries per window)`` of the power tables for ``[0, dim)``.
+
+    Exponents below ``dim`` need ``bits = bit_length(dim - 1)`` bits.
+    The window count ``W = ceil(bits / 8)`` fixes the lookups per
+    exponent; the width ``ceil(bits / W)`` is the narrowest that still
+    covers every bit with ``W`` windows (at ``dim = 2**18``: 3 windows
+    of 6 bits, 64 entries each instead of 256).
+    """
+    bits = max(dim - 1, 1).bit_length()
+    windows = (bits + _WINDOW_BITS - 1) // _WINDOW_BITS
+    return windows, 1 << -(-bits // windows)
 
 
-def build_power_tables(r: np.ndarray, dim: int) -> np.ndarray:
-    """Per-cell windowed power tables for fingerprint exponentiation.
+def build_power_tables(r: np.ndarray, dim: int) -> Optional[np.ndarray]:
+    """Per-cell windowed power tables, or ``None`` above the entry cap.
 
-    Returns a ``(windows, 256) + r.shape`` ``uint64`` array where entry
-    ``[w, v]`` holds ``r ** (v * 256**w) mod p`` element-wise, so any
+    Returns a ``(windows, size) + r.shape`` ``uint64`` array (see
+    :func:`power_table_shape`) where entry ``[w, v]`` holds
+    ``r ** (v << (w * log2(size))) mod p`` element-wise, so any
     ``r ** index`` with ``index < dim`` is the product of one lookup per
-    window — ``windows - 1`` modular multiplies per element instead of a
-    ``2 * bit_length(index)``-round square-and-multiply chain.
+    window (:func:`table_powers`) — ``windows - 1`` modular multiplies
+    per element instead of a ``2 * bit_length(index)``-round
+    square-and-multiply chain.  Returns ``None`` when the tables would
+    hold more than :data:`POWER_TABLE_MAX_ENTRIES` entries.
 
     Each window fills by log-doubling: once exponents ``[0, filled)``
     exist, ``table[filled + j] = table[j] * base^filled`` extends them
-    in one vectorized multiply, so a window costs ~16 :func:`mulmod_p61`
-    calls instead of 255 sequential ones — the dominant cost of a bank's
-    first fused chunk.  Every entry is the canonical residue
+    in one vectorized multiply.  Every entry is the canonical residue
     ``r^exponent mod p`` (``mulmod_p61`` is exact and always reduces),
-    so the tables are bit-identical to the sequential product chain and
-    to ``pow(int(r), index, PRIME_61)``.
+    so the tables are bit-identical to ``pow(int(r), exponent, PRIME_61)``.
     """
-    n_windows = power_table_windows(dim)
-    tables = np.empty((n_windows, _WINDOW_SIZE) + r.shape, dtype=np.uint64)
+    n_windows, size = power_table_shape(dim)
+    if n_windows * size * r.size > POWER_TABLE_MAX_ENTRIES:
+        return None
+    tables = np.empty((n_windows, size) + r.shape, dtype=np.uint64)
     base = np.asarray(r, dtype=np.uint64)
     for window in range(n_windows):
         table = tables[window]
         table[0] = np.uint64(1)
         table[1] = base
         filled = 2
-        while filled < _WINDOW_SIZE:
-            take = min(filled, _WINDOW_SIZE - filled)
+        while filled < size:
+            take = min(filled, size - filled)
             step = mulmod_p61(table[filled - 1], base)
             table[filled : filled + take] = mulmod_p61(table[:take], step)
             filled += take
         if window + 1 < n_windows:
-            base = mulmod_p61(table[_WINDOW_SIZE - 1], base)
+            base = mulmod_p61(table[size - 1], base)
     return tables
+
+
+def table_powers(
+    tables: np.ndarray, indices: np.ndarray, *cells: np.ndarray
+) -> np.ndarray:
+    """Gather ``r ** indices`` from :func:`build_power_tables` output.
+
+    ``cells`` index the trailing (per-cell) axes of ``tables`` and
+    broadcast against ``indices``; the window width is read from the
+    table shape.  The product of canonical residues is the canonical
+    residue of ``r ** index``, bit-identical to :func:`powmod_p61`.
+    """
+    width = tables.shape[1].bit_length() - 1
+    mask = np.int64(tables.shape[1] - 1)
+    powers = tables[(0, indices & mask) + cells]
+    for window in range(1, tables.shape[0]):
+        digits = (indices >> np.int64(window * width)) & mask
+        powers = mulmod_p61(powers, tables[(window, digits) + cells])
+    return powers
 
 
 def _decode_cell(
@@ -248,14 +276,7 @@ class SSparseRecovery:
     def _ensure_power_tables(self) -> Optional[np.ndarray]:
         """Build the fingerprint power tables when affordably small."""
         if self._power_tables is None:
-            entries = (
-                power_table_windows(self.dim)
-                * _WINDOW_SIZE
-                * self.n_rows
-                * self.n_buckets
-            )
-            if entries <= POWER_TABLE_MAX_ENTRIES:
-                self._power_tables = build_power_tables(self._r, self.dim)
+            self._power_tables = build_power_tables(self._r, self.dim)
         return self._power_tables
 
     def update(self, index: int, delta: int) -> None:
@@ -297,17 +318,7 @@ class SSparseRecovery:
         elif power_tables is False:
             power_tables = None
         if power_tables is not None:
-            powers = power_tables[
-                0, (indices & _WINDOW_MASK)[np.newaxis, :], rows, buckets
-            ]
-            for window in range(1, power_tables.shape[0]):
-                window_values = (indices >> np.int64(window * _WINDOW_BITS)) & (
-                    _WINDOW_MASK
-                )
-                powers = mulmod_p61(
-                    powers,
-                    power_tables[window, window_values[np.newaxis, :], rows, buckets],
-                )
+            powers = table_powers(power_tables, indices[np.newaxis, :], rows, buckets)
         else:
             r_selected = self._r[rows, buckets]
             powers = powmod_p61(
