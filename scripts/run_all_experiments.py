@@ -21,7 +21,9 @@ def main() -> int:
     )
     completed = subprocess.run(
         [
-            sys.executable, "-m", "pytest", "benchmarks/",
+            sys.executable, "-m", "pytest",
+            *sorted(str(path.relative_to(repo_root))
+                    for path in repo_root.glob("benchmarks/bench_*.py")),
             "--benchmark-disable", "-s", "-q",
         ],
         cwd=repo_root,

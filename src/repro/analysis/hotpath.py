@@ -1,8 +1,9 @@
 """Hot-path shape lint: batch entry points must stay vectorized.
 
 Every throughput win in this repo came from replacing per-item Python
-loops with whole-chunk NumPy kernels, and every floor in
-``FLOOR_UPDATES_PER_S`` assumes the batch entry points stay that way.
+loops with whole-chunk NumPy kernels, and every per-layer ceiling in
+``scripts/perf_gate.py`` (``baselines.count_min.ingest_s`` and the
+rest) assumes the batch entry points stay that way.
 ``hotpath/scalar-loop`` flags a ``for`` loop inside a
 ``process_batch`` / ``observe_batch`` / ``update_batch`` body whose
 iterable references one of the method's own batch parameters — the

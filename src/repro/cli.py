@@ -25,9 +25,6 @@ Subcommands:
   stream files between the v1 text and v2 columnar NPZ formats;
 * ``bounds`` — print the paper's predicted space bounds for given
   parameters (both models, upper and lower);
-* ``bench report`` — print the per-structure throughput trend across
-  the ``BENCH_throughput.json`` run history written by
-  ``scripts/bench_quick.py``;
 * ``analyze`` — run the static invariant linter + registry contract
   auditor over the package sources (``--strict`` is the CI gate,
   ``--json`` the machine-readable report, ``--diff REV`` restricts to
@@ -52,7 +49,6 @@ Examples::
     python -m repro persist info zipf.npz
     python -m repro persist convert zipf.npz zipf.txt
     python -m repro bounds --n 4096 --d 128 --alpha 2
-    python -m repro bench report --artifact BENCH_throughput.json
     python -m repro analyze --strict
     python -m repro analyze --diff HEAD~1 --json
     python -m repro figures
@@ -64,7 +60,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.neighbourhood import AlgorithmFailed, verify_neighbourhood
 from repro.engine.sharded import ON_FAILURE_POLICIES, ShardedWorkerError
@@ -216,26 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "describe",
         help="print every registered processor and generator with its "
              "parameters",
-    )
-
-    bench = subparsers.add_parser(
-        "bench", help="inspect benchmark artifacts"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    report = bench_commands.add_parser(
-        "report",
-        help="print the per-structure throughput trend across the "
-             "BENCH_throughput.json run history",
-    )
-    report.add_argument(
-        "--artifact", type=Path, default=Path("BENCH_throughput.json"),
-        metavar="PATH",
-        help="benchmark artifact written by scripts/bench_quick.py "
-             "(default: ./BENCH_throughput.json)",
-    )
-    report.add_argument(
-        "--last", type=int, default=8, metavar="N",
-        help="show at most the last N history entries (default 8)",
     )
 
     analyze = subparsers.add_parser(
@@ -660,151 +636,6 @@ def command_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_history(artifact: dict) -> list:
-    """The artifact's run history, oldest first.
-
-    Accepts both formats: the appendable-history artifact (``history``
-    array, latest last) and the pre-history single-run artifact (the
-    bare dict becomes a one-entry history).
-    """
-    history = artifact.get("history")
-    if isinstance(history, list) and history:
-        return [entry for entry in history if isinstance(entry, dict)]
-    return [artifact]
-
-
-def _bench_entry_label(entry: dict) -> str:
-    """A short per-run column header: commit if stamped, else host."""
-    git = entry.get("git") or {}
-    commit = git.get("commit")
-    if commit:
-        return f"{commit}{'+' if git.get('dirty') else ''}"
-    host = entry.get("host") or {}
-    return f"{host.get('machine', '?')}/{host.get('effective_cores', '?')}c"
-
-
-def command_bench(args: argparse.Namespace) -> int:
-    if args.bench_command != "report":
-        raise AssertionError(f"unhandled bench command {args.bench_command!r}")
-    try:
-        artifact = json.loads(Path(args.artifact).read_text())
-    except FileNotFoundError:
-        print(f"error: no benchmark artifact at {args.artifact}; run "
-              f"PYTHONPATH=src python scripts/bench_quick.py first",
-              file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read {args.artifact}: {error}", file=sys.stderr)
-        return 2
-    history = _bench_history(artifact)[-max(args.last, 1):]
-    labels = [_bench_entry_label(entry) for entry in history]
-    dirty_runs = sum(
-        1 for entry in history if (entry.get("git") or {}).get("dirty")
-    )
-    structures: List[str] = []
-    for entry in history:
-        for name in (entry.get("results") or {}):
-            if name not in structures:
-                structures.append(name)
-    print(f"throughput trend over {len(history)} run(s) "
-          f"(batch k-upd/s, oldest -> latest):")
-    if dirty_runs:
-        # Dirty-tree rates are not attributable to their commit label —
-        # whatever was uncommitted at bench time is invisible to git.
-        print(f"  note: {dirty_runs} run(s) marked '+' were benched on a "
-              f"dirty working tree (uncommitted changes; rates may not "
-              f"match the labelled commit)")
-    width = max((len(name) for name in structures), default=8)
-    print(f"  {'structure':{width}s}  " + "  ".join(
-        f"{label:>12s}" for label in labels))
-    for name in structures:
-        cells = []
-        for entry in history:
-            row = (entry.get("results") or {}).get(name)
-            rate = row.get("batch_updates_per_s") if row else None
-            cells.append(
-                f"{rate / 1e3:12.1f}" if rate is not None else f"{'-':>12s}"
-            )
-        print(f"  {name:{width}s}  " + "  ".join(cells))
-    # Star-detection trend: the end-to-end guess-ladder speedup of the
-    # engine pass over the per-item reference (the fused shared-pass
-    # ladder's acceptance metric), one column per run.
-    star_cells = []
-    have_star = False
-    for entry in history:
-        speedup = (entry.get("star_detection") or {}).get("batch_speedup")
-        if speedup is None:
-            star_cells.append(f"{'-':>12s}")
-        else:
-            have_star = True
-            star_cells.append(f"{speedup:11.1f}x")
-    if have_star:
-        print("star detection: engine-pass speedup vs per-item ladder:")
-        print(f"  {'guess ladder':{width}s}  " + "  ".join(star_cells))
-    # Windowed trend: Algorithm 2's engine rate under each window
-    # policy (tumbling vs smooth-histogram sliding), one row per policy.
-    windowed_rows: Dict[str, List[str]] = {}
-    for column, entry in enumerate(history):
-        for record in (entry.get("windowed") or {}).get("entries") or []:
-            policy = record.get("policy")
-            if policy is None:
-                continue
-            cells = windowed_rows.setdefault(
-                policy, [f"{'-':>12s}"] * len(history)
-            )
-            rate = record.get("updates_per_s")
-            if rate is not None:
-                cells[column] = f"{rate / 1e3:12.1f}"
-    if windowed_rows:
-        print("windowed Algorithm 2 (batch k-upd/s by policy):")
-        for policy in sorted(windowed_rows):
-            print(f"  {policy:{width}s}  " + "  ".join(windowed_rows[policy]))
-    # Probe-latency trend: cached sliding query() calls per second at
-    # the Pipeline's probe points (the suffix-merge cache's metric).
-    probe_cells = []
-    have_probes = False
-    for entry in history:
-        rate = (entry.get("probes") or {}).get("probes_per_s")
-        if rate is None:
-            probe_cells.append(f"{'-':>12s}")
-        else:
-            have_probes = True
-            probe_cells.append(f"{rate:12.1f}")
-    if have_probes:
-        print("probe latency (cached sliding query() probes/s):")
-        print(f"  {'probes':{width}s}  " + "  ".join(probe_cells))
-    # Sharded scaling trend: only worker counts the host could actually
-    # scale to — entries flagged gated: false are timesharing numbers,
-    # not scaling results, and are excluded from the trend.
-    sharded_rows: Dict[int, List[str]] = {}
-    any_skipped = False
-    for column, entry in enumerate(history):
-        entries = (entry.get("sharded") or {}).get("entries") or []
-        for record in entries:
-            workers = record.get("workers")
-            if workers is None:
-                continue
-            if record.get("gated") is False:
-                any_skipped = True
-                continue
-            cells = sharded_rows.setdefault(
-                workers, [f"{'-':>12s}"] * len(history)
-            )
-            speedup = record.get("speedup_vs_single")
-            cells[column] = (
-                f"{speedup:11.2f}x" if speedup is not None else f"{'-':>12s}"
-            )
-    if sharded_rows:
-        print("sharded speedup vs single worker (gated entries only):")
-        for workers in sorted(sharded_rows):
-            print(f"  {f'{workers} worker(s)':{width}s}  "
-                  + "  ".join(sharded_rows[workers]))
-    elif any_skipped:
-        print("sharded trend skipped: no recorded entry was eligible for "
-              "the scaling gate on its host (all gated: false)")
-    return 0
-
-
 def command_analyze(args: argparse.Namespace) -> int:
     """``repro analyze``: run the invariant linter + contract auditor.
 
@@ -872,8 +703,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return command_pipeline(args)
     if args.command == "bounds":
         return command_bounds(args)
-    if args.command == "bench":
-        return command_bench(args)
     if args.command == "analyze":
         return command_analyze(args)
     if args.command == "figures":

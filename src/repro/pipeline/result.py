@@ -9,8 +9,8 @@ whole thing JSON-compatible — answers are summarized by
 :func:`describe_answer` (a ``Neighbourhood`` becomes its vertex and
 witness count, window records become index/range/value rows,
 query-style summaries become their type and space) so a result can be
-logged, archived next to ``BENCH_throughput.json``, or diffed across
-runs.
+logged, archived next to a ``perfbench/run.py`` result, or diffed
+across runs.
 """
 
 from __future__ import annotations
