@@ -85,7 +85,7 @@ def main() -> None:
                        "mmap": True},
             "processors": [{"name": "insertion-only",
                             "params": {"n": 64, "d": 8, "alphas": 2}}],
-            "execution": {"backend": "serial", "workers": 4},
+            "execution": {"backend": "fanout", "workers": 4},
         })
     except PipelineValidationError as error:
         print(f"\nconflicting spec rejected with "

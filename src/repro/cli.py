@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run`` — assemble a declarative :class:`~repro.pipeline.Pipeline`
   from the flags (workload/file source × optional window policy ×
-  serial-or-sharded backend × algorithm) and execute it, printing the
+  fanout-or-sharded backend × algorithm) and execute it, printing the
   verified result and space accounting; ``--spec job.json`` runs a
   JSON pipeline spec directly instead of flags.  ``--save-stream``
   persists the workload for replay; ``--mmap`` memory-maps a v2 stream
@@ -423,6 +423,8 @@ def command_run(args: argparse.Namespace) -> int:
         print(f"{verb} {result.report.checkpoint['dir']}")
     if result.report.shard_retries:
         print(f"shard retries: {result.report.shard_retries}")
+    if result.report.shard_fallbacks:
+        print(f"shard fallbacks: {result.report.shard_fallbacks}")
     if args.window_policy is not None:
         report_windowed(args.window_policy, result["algorithm"])
         print(f"space: {algorithm.space_words()} words")
@@ -453,7 +455,7 @@ def _apply_spec_overrides(data, args: argparse.Namespace) -> None:
 
     Overrides land before :meth:`PipelineSpec.from_dict`, so the merged
     spec is validated as a whole (e.g. ``--on-failure retry`` against a
-    serial-backend spec fails eagerly with the spec layer's own
+    fanout-backend spec fails eagerly with the spec layer's own
     diagnostic).  A section that is present but not an object is left
     untouched for ``from_dict`` to diagnose.
     """

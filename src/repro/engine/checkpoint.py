@@ -49,6 +49,22 @@ _MANIFEST_KEYS = (
 )
 
 
+def checkpoint_interval(
+    checkpoint_dir: Optional[Union[str, Path]], checkpoint_every: Optional[int]
+) -> Optional[int]:
+    """A runner's validated snapshot interval in chunks: ``None``
+    without a directory, :data:`DEFAULT_CHECKPOINT_EVERY` if unset."""
+    if checkpoint_every is not None:
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
+        if checkpoint_dir is None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+        return checkpoint_every
+    return None if checkpoint_dir is None else DEFAULT_CHECKPOINT_EVERY
+
+
 class CheckpointError(RuntimeError):
     """A checkpoint is missing, torn, or from an incompatible format."""
 

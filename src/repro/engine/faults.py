@@ -176,11 +176,11 @@ class FaultPlan:
     ) -> None:
         """Fire every chunk-scoped fault planned for this point.
 
-        Called by the drive loops immediately before processing chunk
-        ``chunk_index``.  ``in_process=True`` marks drive loops running
-        in the parent (serial backend, fanout, serial fallback), where
-        a kill fault must not SIGKILL the caller's whole process — it
-        raises instead, flagging the plan as mis-scoped.
+        Called by :func:`~repro.engine.runner.drive` immediately before
+        processing chunk ``chunk_index``.  ``in_process=True`` marks a
+        pass running in the caller's process (fanout, or a shard run
+        in-process), where a kill fault must not SIGKILL the whole
+        process — it raises instead, flagging the plan as mis-scoped.
         """
         for fault in self.faults:
             if fault.chunk != chunk_index or not fault._matches(worker, attempt):
@@ -194,7 +194,7 @@ class FaultPlan:
                     raise RuntimeError(
                         f"fault-plan kill for worker {worker} at chunk "
                         f"{chunk_index} fired in-process; kill faults "
-                        f"require the process backend"
+                        f"require a worker process"
                     )
                 os.kill(os.getpid(), signal.SIGKILL)
 

@@ -10,6 +10,11 @@ stream is therefore traversed a single time regardless of how many
 structures consume it — the property Lemma 3.3's ``O(log n)`` parallel
 degree guesses and any multi-tenant ingestion pipeline rely on.
 
+The pass itself is :func:`drive`, the engine's only chunk loop: the
+fanout runner, every sharded worker and the pipeline's mid-stream
+probes all run through it, with fault injection, routing, probe and
+checkpoint hooks at fixed points of each chunk.
+
 Chunk sources are normalised by :func:`as_chunks`:
 
 * :class:`~repro.streams.columnar.ColumnarEdgeStream` — zero-copy
@@ -36,11 +41,26 @@ bucket/RNG state) and chunk boundaries line up.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.engine.checkpoint import (
+    DEFAULT_CHECKPOINT_EVERY,
+    CheckpointStore,
+    checkpoint_interval,
+)
 from repro.engine.protocol import ensure_stream_processor
 from repro.streams.columnar import (
     DEFAULT_CHUNK_SIZE,
@@ -49,17 +69,33 @@ from repro.streams.columnar import (
 )
 from repro.streams.stream import EdgeStream
 
+#: ``(store, tag, every, meta)``: where and how often :func:`drive`
+#: snapshots its processors.
+CheckpointPlan = Tuple[CheckpointStore, str, int, Dict[str, Any]]
+
 
 def as_chunks(
-    source: Any, chunk_size: int = DEFAULT_CHUNK_SIZE
+    source: Any, chunk_size: int = DEFAULT_CHUNK_SIZE, start: int = 0
 ) -> Iterator[Columns]:
-    """Normalise any supported stream source into ``(a, b, sign)`` chunks."""
+    """Normalise any supported stream source into ``(a, b, sign)`` chunks.
+
+    ``start`` skips that many leading updates (a checkpoint's resume
+    offset); only a stream file — a path or a
+    :class:`~repro.streams.persist.ChunkedStreamReader` — can seek.
+    """
+    # Deferred import keeps streams.persist free to evolve without the
+    # engine module loading it for in-memory runs.
     if isinstance(source, (str, Path)):
-        # Deferred import keeps streams.persist free to evolve without
-        # the engine module loading it for in-memory runs.
         from repro.streams.persist import ChunkedStreamReader
 
-        return ChunkedStreamReader(source).chunks(chunk_size)
+        source = ChunkedStreamReader(source)
+    if start:
+        if _stream_file_path(source) is None:
+            raise ValueError(
+                "resume offsets require a stream-file source (a path or "
+                "ChunkedStreamReader)"
+            )
+        return source.chunks(chunk_size, start=start)
     if isinstance(source, EdgeStream):
         source = ColumnarEdgeStream.from_edge_stream(source)
     if hasattr(source, "chunks"):
@@ -70,6 +106,74 @@ def as_chunks(
         f"cannot stream chunks from {type(source).__name__}; expected a "
         f"ColumnarEdgeStream, EdgeStream, path, or chunk iterable"
     )
+
+
+def _stream_file_path(source: Any) -> Optional[str]:
+    """The file behind a re-openable source (a path or
+    :class:`~repro.streams.persist.ChunkedStreamReader`), else ``None``."""
+    if isinstance(source, (str, Path)):
+        return str(source)
+    from repro.streams.persist import ChunkedStreamReader
+
+    if isinstance(source, ChunkedStreamReader):
+        return str(source.path)
+    return None
+
+
+def drive(
+    chunks: Iterable[Columns],
+    processors: Mapping[str, Any],
+    *,
+    chunk_index: int = 0,
+    position: int = 0,
+    fault: Optional[Callable[[int], None]] = None,
+    route: Optional[Callable[[Columns, int, int], Optional[Columns]]] = None,
+    on_chunk: Optional[Callable[[int], None]] = None,
+    checkpoint: Optional[CheckpointPlan] = None,
+) -> Tuple[int, int]:
+    """The one chunk loop: every runner hands its chunks over here.
+
+    Each chunk goes through the same steps, in order:
+
+    1. ``fault(chunk_index)`` fires the planned faults;
+    2. ``route(chunk, chunk_index, position)`` picks the sub-chunk this
+       caller owns (``None``: nothing in this chunk);
+    3. every processor ingests it;
+    4. ``on_chunk(position)`` sees the updates consumed so far;
+    5. every ``every`` chunks, ``checkpoint = (store, tag, every, meta)``
+       snapshots the processors with the stream offset.
+
+    A final ``complete=True`` snapshot follows the last chunk.
+    ``chunk_index``/``position`` are where the pass starts (a resume
+    offset); returns the ``(chunk_index, position)`` it ended at.
+    """
+    targets = tuple(processors.values())
+    store: Optional[CheckpointStore] = None
+    if checkpoint is not None:
+        store, tag, every, meta = checkpoint
+    for chunk in chunks:
+        if fault is not None:
+            fault(chunk_index)
+        routed = chunk if route is None else route(chunk, chunk_index, position)
+        if routed is not None:
+            for processor in targets:
+                processor.process_batch(*routed)
+        position += len(chunk[0])
+        chunk_index += 1
+        if on_chunk is not None:
+            on_chunk(position)
+        if store is not None and chunk_index % every == 0:
+            store.save(
+                tag, dict(processors),
+                chunk_index=chunk_index, position=position, meta=meta,
+            )
+    if store is not None:
+        store.save(
+            tag, dict(processors),
+            chunk_index=chunk_index, position=position,
+            complete=True, meta=meta,
+        )
+    return chunk_index, position
 
 
 #: Checkpoint tag a (single-worker) fanout pass snapshots under.
@@ -111,26 +215,19 @@ class FanoutRunner:
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}"
-                )
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires checkpoint_dir")
-        if checkpoint_dir is not None and checkpoint_every is None:
-            from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY
-
-            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.chunk_size = chunk_size
+        self.checkpoint_every = checkpoint_interval(
+            checkpoint_dir, checkpoint_every
+        )
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
-        self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
         self.resumed = False
-        self._start_chunk = 0
-        self._start_position = 0
+        #: Where :meth:`process` starts: chunk ordinal and stream
+        #: offset (non-zero after :meth:`resume`).
+        self.start_chunk = 0
+        self.start_position = 0
         self._resume_source: Optional[str] = None
         self._processors: Dict[str, Any] = {}
         if processors is not None:
@@ -157,11 +254,6 @@ class FanoutRunner:
             repro.engine.checkpoint.CheckpointError: when the
                 checkpoint is absent, torn, or version-incompatible.
         """
-        from repro.engine.checkpoint import (
-            DEFAULT_CHECKPOINT_EVERY,
-            CheckpointStore,
-        )
-
         snapshot = CheckpointStore(checkpoint_dir).load(FANOUT_TAG)
         runner = cls(
             snapshot.state,
@@ -172,8 +264,8 @@ class FanoutRunner:
             ),
             fault_plan=fault_plan,
         )
-        runner._start_chunk = snapshot.chunk_index
-        runner._start_position = snapshot.position
+        runner.start_chunk = snapshot.chunk_index
+        runner.start_position = snapshot.position
         runner._resume_source = snapshot.meta.get("source")
         if source is not None:
             runner._resume_source = str(source)
@@ -215,54 +307,56 @@ class FanoutRunner:
             processor.process_batch(a, b, sign)
 
     def process(
-        self, source: Any = None, chunk_size: Optional[int] = None
+        self,
+        source: Any = None,
+        chunk_size: Optional[int] = None,
+        *,
+        on_chunk: Optional[Callable[[int], None]] = None,
     ) -> "FanoutRunner":
-        """Stream ``source`` through every processor (no finalize)."""
+        """Stream ``source`` through every processor (no finalize).
+
+        ``on_chunk(position)`` runs after every chunk with the number
+        of updates consumed so far (see :func:`drive`).  Checkpointing
+        and resuming need a re-openable source: a path or a
+        :class:`~repro.streams.persist.ChunkedStreamReader`.
+        """
         source = self._default_source(source)
         chunk_size = chunk_size or self.chunk_size
-        plan = self.fault_plan
-        plain = (
-            self.checkpoint_dir is None
-            and (plan is None or plan.is_noop)
-            and self._start_position == 0
-        )
-        if plain:
-            for a, b, sign in as_chunks(source, chunk_size):
-                self.process_chunk(a, b, sign)
-            return self
-        store = self._checkpoint_store()
-        chunks, path = self._offset_chunks(source, chunk_size)
-        chunk_index = self._start_chunk
-        position = self._start_position
-        meta = {
-            "source": path,
-            "chunk_size": chunk_size,
-            "checkpoint_every": self.checkpoint_every,
-        }
-        if store is not None:
-            # Initial snapshot: a run killed before the first periodic
-            # checkpoint still resumes (from the start).
-            store.save(
-                FANOUT_TAG, dict(self._processors),
-                chunk_index=chunk_index, position=position, meta=meta,
-            )
-        for chunk in chunks:
-            if plan is not None:
-                plan.fire(0, chunk_index, 0, in_process=True)
-            self.process_chunk(*chunk)
-            position += len(chunk[0])
-            chunk_index += 1
-            if store is not None and chunk_index % self.checkpoint_every == 0:
-                store.save(
-                    FANOUT_TAG, dict(self._processors),
-                    chunk_index=chunk_index, position=position, meta=meta,
+        checkpoint: Optional[CheckpointPlan] = None
+        if self.checkpoint_dir is not None:
+            path = _stream_file_path(source)
+            if path is None:
+                raise ValueError(
+                    "checkpointing requires a stream-file source (a path "
+                    "or ChunkedStreamReader)"
                 )
-        if store is not None:
+            store = CheckpointStore(self.checkpoint_dir)
+            meta = {
+                "source": path,
+                "chunk_size": chunk_size,
+                "checkpoint_every": self.checkpoint_every,
+            }
+            # Initial snapshot: a run killed before the first periodic
+            # checkpoint still resumes (from where this pass started).
             store.save(
                 FANOUT_TAG, dict(self._processors),
-                chunk_index=chunk_index, position=position,
-                complete=True, meta=meta,
+                chunk_index=self.start_chunk,
+                position=self.start_position, meta=meta,
             )
+            checkpoint = (store, FANOUT_TAG, self.checkpoint_every, meta)
+        plan = self.fault_plan
+        drive(
+            as_chunks(source, chunk_size, start=self.start_position),
+            self._processors,
+            chunk_index=self.start_chunk,
+            position=self.start_position,
+            fault=(
+                None if plan is None or plan.is_noop
+                else partial(plan.fire, 0, in_process=True)
+            ),
+            on_chunk=on_chunk,
+            checkpoint=checkpoint,
+        )
         return self
 
     def _default_source(self, source: Any) -> Any:
@@ -273,39 +367,6 @@ class FanoutRunner:
         raise TypeError(
             "process() requires a source (or a runner built by "
             "FanoutRunner.resume(), which remembers its file)"
-        )
-
-    def _checkpoint_store(self):
-        if self.checkpoint_dir is None:
-            return None
-        from repro.engine.checkpoint import CheckpointStore
-
-        return CheckpointStore(self.checkpoint_dir)
-
-    def _offset_chunks(self, source: Any, chunk_size: int):
-        """Chunk iterator honouring the resume offset, plus the source
-        path (``None`` for in-memory sources).
-
-        Checkpointing and resuming need a re-openable, seekable source:
-        a path or a :class:`~repro.streams.persist.ChunkedStreamReader`.
-        Fault injection alone works on any source.
-        """
-        from repro.streams.persist import ChunkedStreamReader
-
-        if isinstance(source, (str, Path)):
-            reader = ChunkedStreamReader(source)
-        elif isinstance(source, ChunkedStreamReader):
-            reader = source
-        elif self.checkpoint_dir is None and self._start_position == 0:
-            return as_chunks(source, chunk_size), None
-        else:
-            raise ValueError(
-                "checkpointing requires a stream-file source (a path or "
-                "ChunkedStreamReader)"
-            )
-        return (
-            reader.chunks(chunk_size, start=self._start_position),
-            str(reader.path),
         )
 
     def finalize(self) -> Dict[str, Any]:

@@ -29,23 +29,20 @@ A run registers processors with *compatible* routings only (``"any"``
 composes with either of the others; vertex and window routing cannot
 share one partition).
 
-Two execution backends:
-
-* ``"process"`` (default) — a ``fork``-based worker pool, one process
-  per shard.  The workers differ only in their chunk source.  For
-  *file sources* every worker opens the persisted stream itself
-  (optionally memory-mapped) and filters its own sub-stream, so no
-  update data ever crosses a pipe — the out-of-core path: a
-  multi-gigabyte v2 file streams through ``n_workers`` cores without
-  being materialised anywhere.  For in-memory sources the parent
-  routes chunks to bounded per-worker queues (backpressure included).
-  Either way each worker reports its outcome over its own one-shot
-  result pipe, so a worker that dies without reporting surfaces as EOF
-  the moment it is gone.  On platforms without ``fork`` the runner
-  falls back to the serial backend (same answers, no parallelism).
-* ``"serial"`` — the identical split/route/merge pipeline executed in
-  process, one shard at a time.  Useful for tests, debugging, and
-  single-core hosts; answers are identical to the process backend.
+Execution is a ``fork``-based worker pool, one process per shard, each
+running the engine's one chunk loop (:func:`~repro.engine.runner.drive`)
+over its shard.  The workers differ only in their chunk source.  For
+*file sources* every worker opens the persisted stream itself
+(optionally memory-mapped) and filters its own sub-stream, so no
+update data ever crosses a pipe — the out-of-core path: a
+multi-gigabyte v2 file streams through ``n_workers`` cores without
+being materialised anywhere.  For in-memory sources the parent
+routes chunks to bounded per-worker queues (backpressure included).
+Either way each worker reports its outcome over its own one-shot
+result pipe, so a worker that dies without reporting surfaces as EOF
+the moment it is gone.  On platforms without ``fork`` every shard
+runs in-process, one at a time, through the same split/route/merge
+plan (same answers, no parallelism; counted in ``fallbacks_used``).
 
 With ``n_workers=1`` the runner degenerates to a plain
 :class:`~repro.engine.runner.FanoutRunner` pass (no split, no merge) —
@@ -80,16 +77,14 @@ import queue as queue_module
 import secrets
 import time
 import traceback
+from functools import partial
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.engine.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    CheckpointStore,
-)
+from repro.engine.checkpoint import CheckpointStore, checkpoint_interval
 from repro.engine.faults import FaultPlan
 from repro.engine.merge import tree_reduce
 from repro.engine.protocol import (
@@ -100,7 +95,7 @@ from repro.engine.protocol import (
     ensure_mergeable,
     shard_routing_of,
 )
-from repro.engine.runner import FanoutRunner, as_chunks
+from repro.engine.runner import CheckpointPlan, as_chunks, drive
 from repro.engine.shm import (
     ChunkAttacher,
     ChunkPublisher,
@@ -117,8 +112,6 @@ _SHIFT = np.uint64(33)
 #: Bounded per-worker chunk queue length (backpressure for in-memory
 #: sources much larger than what the workers can absorb).
 _QUEUE_DEPTH = 8
-
-BACKENDS = ("process", "serial")
 
 #: Dead/timed-out worker policies: fail fast, respawn the shard with
 #: bounded retries, or retry then re-run the shard in-process.
@@ -167,7 +160,7 @@ def _fork_context():
 
 
 def fork_available() -> bool:
-    """True when the process backend can actually run in parallel here."""
+    """True when shard workers can actually run in parallel here."""
     return _fork_context() is not None
 
 
@@ -288,76 +281,63 @@ def route_chunk_all(
     ]
 
 
-def _drive(
-    shard: Dict[str, Any],
-    source: Any,
-    routing: ShardRouting,
-    worker: int,
-    n_workers: int,
-    chunk_size: int,
-    mmap: bool,
-    readahead: bool = False,
-    *,
-    start_chunk: int = 0,
-    start_position: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    attempt: int = 0,
-    checkpoint: Optional[Tuple[str, int, str, Dict[str, Any]]] = None,
-    in_process: bool = False,
-) -> Dict[str, Any]:
-    """Run one shard's FanoutRunner over its routed sub-stream.
+class _ShardTask(NamedTuple):
+    """One attempt at one shard, in a worker process or in-process.
 
-    ``source`` is a stream-file path (read and routed here), a
-    :class:`_ChunkFeed` (chunks the parent already routed), or any
-    other in-memory source (routed here).  ``start_chunk``/
-    ``start_position`` resume the pass at a checkpoint boundary (file
-    sources only); ``fault_plan`` is consulted before every chunk;
-    ``checkpoint`` — a ``(directory, every, tag, meta)`` tuple —
-    snapshots the shard's summaries through a
-    :class:`~repro.engine.checkpoint.CheckpointStore` as it goes.
+    ``source`` is a stream-file path or an in-memory source (routed by
+    the shard itself), or a :class:`_ChunkFeed` (chunks the parent
+    already routed); ``start_chunk``/``start_position`` resume the pass
+    at a checkpoint boundary (file sources only).
     """
-    runner = FanoutRunner(shard, chunk_size=chunk_size)
-    route: Optional[ShardRouting] = routing
-    if isinstance(source, (str, Path)):
-        from repro.streams.persist import ChunkedStreamReader
 
-        chunks = ChunkedStreamReader(
-            source, mmap=mmap, readahead=readahead
-        ).chunks(chunk_size, start=start_position)
-    elif start_position:
-        raise ValueError("resume offsets require a stream-file path source")
-    elif isinstance(source, _ChunkFeed):
-        chunks, route = iter(source), None
+    worker: int
+    attempt: int
+    n_workers: int
+    shard: Dict[str, Any]
+    source: Any
+    routing: ShardRouting
+    chunk_size: int
+    mmap: bool
+    readahead: bool
+    start_chunk: int
+    start_position: int
+    fault_plan: Optional[FaultPlan]
+    checkpoint: Optional[CheckpointPlan]
+
+
+def _drive(task: _ShardTask, in_process: bool = False) -> Dict[str, Any]:
+    """Open one shard's chunk source and run it through :func:`drive`;
+    returns the shard's processors."""
+    source, route = task.source, None
+    if isinstance(source, _ChunkFeed):
+        chunks = iter(source)
     else:
-        chunks = as_chunks(source, chunk_size)
-    store: Optional[CheckpointStore] = None
-    if checkpoint is not None:
-        directory, every, tag, meta = checkpoint
-        store = CheckpointStore(directory)
-    chunk_index = start_chunk
-    position = start_position
-    for chunk in chunks:
-        if fault_plan is not None:
-            fault_plan.fire(worker, chunk_index, attempt, in_process=in_process)
-        routed = chunk if route is None else route_chunk(
-            chunk, route, worker, n_workers, chunk_index, position
-        )
-        position += len(chunk[0])
-        chunk_index += 1
-        if routed is not None:
-            runner.process_chunk(*routed)
-        if store is not None and chunk_index % every == 0:
-            store.save(
-                tag, dict(runner._processors),
-                chunk_index=chunk_index, position=position, meta=meta,
+        if isinstance(source, (str, Path)):
+            from repro.streams.persist import ChunkedStreamReader
+
+            source = ChunkedStreamReader(
+                source, mmap=task.mmap, readahead=task.readahead
             )
-    if store is not None:
-        store.save(
-            tag, dict(runner._processors),
-            chunk_index=chunk_index, position=position,
-            complete=True, meta=meta,
-        )
-    return dict(runner._processors)
+        chunks = as_chunks(source, task.chunk_size, start=task.start_position)
+
+        def route(chunk, chunk_index, position):
+            return route_chunk(
+                chunk, task.routing, task.worker, task.n_workers,
+                chunk_index, position,
+            )
+
+    plan = task.fault_plan
+    drive(
+        chunks, task.shard,
+        chunk_index=task.start_chunk, position=task.start_position,
+        fault=None if plan is None else partial(
+            plan.fire, task.worker, attempt=task.attempt,
+            in_process=in_process,
+        ),
+        route=route,
+        checkpoint=task.checkpoint,
+    )
+    return task.shard
 
 
 class _ChunkFeed:
@@ -405,7 +385,7 @@ class _ChunkFeed:
         self._attachments.close()
 
 
-def _worker(conn, task) -> None:
+def _worker(conn, task: _ShardTask) -> None:
     """Process body of every pool worker: drive one shard, report once.
 
     The outcome ``(worker, attempt, processors, error)`` travels over a
@@ -414,20 +394,13 @@ def _worker(conn, task) -> None:
     without reporting (SIGKILL, dropped result) surfaces to the parent
     as EOF.
     """
-    (worker, attempt, n_workers, shard, source, routing, chunk_size, mmap,
-     readahead, start_chunk, start_position, fault_plan, checkpoint) = task
+    worker, attempt, fault_plan = task.worker, task.attempt, task.fault_plan
     try:
-        processors = _drive(
-            shard, source, routing, worker, n_workers, chunk_size, mmap,
-            readahead,
-            start_chunk=start_chunk, start_position=start_position,
-            fault_plan=fault_plan, attempt=attempt, checkpoint=checkpoint,
-        )
-        outcome = (worker, attempt, processors, None)
+        outcome = (worker, attempt, _drive(task), None)
     except BaseException as exc:
         outcome = (worker, attempt, None, _describe_error(exc))
-    if isinstance(source, _ChunkFeed):
-        source.close()
+    if isinstance(task.source, _ChunkFeed):
+        task.source.close()
     if fault_plan is not None:
         if fault_plan.drops_result(worker, attempt):
             return
@@ -456,7 +429,6 @@ class ShardedRunner:
             workers will memory-map a file source — the cold-cache
             pass whose page-in latency readahead exists to hide; pass
             ``False`` to force it off.
-        backend: ``"process"`` (fork pool; default) or ``"serial"``.
         retries: times a dead/timed-out file-source shard worker is
             respawned before the ``on_failure`` policy decides (the
             workers are side-effect-free, so a re-run is safe).
@@ -520,7 +492,6 @@ class ShardedRunner:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         mmap: bool = False,
         readahead: Optional[bool] = None,
-        backend: str = "process",
         retries: int = 2,
         timeout_s: Optional[float] = None,
         on_failure: str = "raise",
@@ -533,8 +504,6 @@ class ShardedRunner:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if timeout_s is not None and not timeout_s > 0:
@@ -544,27 +513,19 @@ class ShardedRunner:
                 f"on_failure must be one of {ON_FAILURE_POLICIES}, "
                 f"got {on_failure!r}"
             )
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}"
-                )
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires checkpoint_dir")
-        if checkpoint_dir is not None and checkpoint_every is None:
-            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
+        self.checkpoint_every = checkpoint_interval(
+            checkpoint_dir, checkpoint_every
+        )
         self.n_workers = n_workers
         self.chunk_size = chunk_size
         self.mmap = mmap
         self.readahead = None if readahead is None else bool(readahead)
-        self.backend = backend
         self.retries = int(retries)
         self.timeout_s = timeout_s
         self.on_failure = on_failure
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
-        self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
         #: Shared-memory columnar transport for in-memory process
         #: runs: ``True`` forces it, ``False`` disables it, ``None``
@@ -655,7 +616,6 @@ class ShardedRunner:
             chunk_size=int(meta["chunk_size"]),
             mmap=bool(meta["mmap"]),
             readahead=meta["readahead"],
-            backend=str(meta["backend"]),
             retries=int(meta["retries"]),
             timeout_s=meta["timeout_s"],
             on_failure=str(meta["on_failure"]),
@@ -679,16 +639,14 @@ class ShardedRunner:
             return None
         return CheckpointStore(self.checkpoint_dir)
 
-    def _shard_checkpoint(
-        self, worker: int
-    ) -> Optional[Tuple[str, int, str, Dict[str, Any]]]:
-        """The ``checkpoint=`` tuple handed to a shard's drive loop."""
+    def _shard_checkpoint(self, worker: int) -> Optional[CheckpointPlan]:
+        """The ``checkpoint=`` plan handed to a shard's drive loop."""
         if self.checkpoint_dir is None:
             return None
         return (
-            str(self.checkpoint_dir),
-            int(self.checkpoint_every),
+            CheckpointStore(self.checkpoint_dir),
             shard_checkpoint_tag(worker),
+            int(self.checkpoint_every),
             {"run_id": self._run_id},
         )
 
@@ -735,7 +693,6 @@ class ShardedRunner:
             "source": str(source),
             "n_workers": self.n_workers,
             "chunk_size": chunk_size,
-            "backend": self.backend,
             "mmap": bool(self.mmap),
             "readahead": self.readahead,
             "retries": self.retries,
@@ -768,7 +725,8 @@ class ShardedRunner:
         Shard summaries combine in the parent along the fixed
         shard-index reduction tree of :mod:`repro.engine.merge`, so the
         combine order, and with it every answer, is a function of
-        ``n_workers`` alone, never of timing or backend.
+        ``n_workers`` alone, never of timing or of which shards ran
+        in-process.
         """
         if source is None:
             source = self._resume_source
@@ -797,7 +755,6 @@ class ShardedRunner:
         )
         if self.n_workers == 1 and plain:
             # Degenerate case: the exact single-core reference path.
-            runner = FanoutRunner(self._processors, chunk_size=chunk_size)
             if self.mmap:
                 from repro.streams.persist import ChunkedStreamReader
 
@@ -806,9 +763,8 @@ class ShardedRunner:
                     mmap=True,
                     readahead=self._effective_readahead(True),
                 )
-            runner.process(source, chunk_size)
-            self._merged = dict(self._processors)
-            return runner.finalize()
+            drive(as_chunks(source, chunk_size), self._processors)
+            return self._merge_and_finalize([self._processors])
 
         if self._resuming:
             shards = self._resume_shards
@@ -821,10 +777,7 @@ class ShardedRunner:
             shards = self._split_shards()
         if store is not None and not self._resuming:
             self._save_run_checkpoint(store, shards, source, chunk_size)
-        if self.backend == "serial":
-            completed = self._run_serial(shards, source, routing, chunk_size)
-        else:
-            completed = self._run_processes(shards, source, routing, chunk_size)
+        completed = self._run_processes(shards, source, routing, chunk_size)
         return self._merge_and_finalize(completed)
 
     def _merge_and_finalize(
@@ -832,10 +785,9 @@ class ShardedRunner:
     ) -> Dict[str, Any]:
         """Combine shard summaries along the reduction tree, finalize.
 
-        The serial backend and the process pool both end here, so the
-        shard-index merge order (see :mod:`repro.engine.merge`) and
-        with it every answer never depend on which backend ran the
-        pass.
+        The merge order is the shard index (see
+        :mod:`repro.engine.merge`), so every answer is the same whether
+        a shard ran in a worker or in-process.
         """
         self._merged = {}
         results = {}
@@ -855,53 +807,6 @@ class ShardedRunner:
             for worker, piece in enumerate(processor.split(self.n_workers)):
                 shards[worker][name] = piece
         return shards
-
-    def _run_serial(
-        self,
-        shards: List[Dict[str, Any]],
-        source: Any,
-        routing: ShardRouting,
-        chunk_size: int,
-    ) -> List[Dict[str, Any]]:
-        """The split/route/merge pipeline on one core (shard at a time).
-
-        In-memory sources may be consumed only once (chunk iterables),
-        so chunks are materialised and replayed per shard; file sources
-        are re-read per shard, exactly like the process backend.
-        """
-        if isinstance(source, (str, Path)):
-            store = self._checkpoint_store()
-            mmap = self._worker_mmap(source)
-            readahead = self._effective_readahead(mmap)
-            completed = []
-            for worker, shard in enumerate(shards):
-                state, start_chunk, start_position, done = self._shard_start(
-                    store, worker, shard
-                )
-                if done:
-                    completed.append(state)
-                    continue
-                completed.append(
-                    _drive(
-                        state, source, routing, worker, self.n_workers,
-                        chunk_size, mmap, readahead,
-                        start_chunk=start_chunk,
-                        start_position=start_position,
-                        fault_plan=self.fault_plan,
-                        checkpoint=self._shard_checkpoint(worker),
-                        in_process=True,
-                    )
-                )
-            return completed
-        chunks = list(as_chunks(source, chunk_size))
-        return [
-            _drive(
-                shard, iter(chunks), routing, worker, self.n_workers,
-                chunk_size, False,
-                fault_plan=self.fault_plan, in_process=True,
-            )
-            for worker, shard in enumerate(shards)
-        ]
 
     def _worker_mmap(self, source) -> bool:
         """Whether shard workers should memory-map ``source``.
@@ -940,18 +845,77 @@ class ShardedRunner:
         routing: ShardRouting,
         chunk_size: int,
     ) -> List[Dict[str, Any]]:
+        """Run every unfinished shard; returns all shard summaries.
+
+        Shards run in the worker pool (:meth:`_run_pool`).  A shard runs
+        in-process instead, through the same :func:`_drive`, only where
+        the runner has no choice: on platforms without ``fork`` (every
+        shard), and under ``on_failure="serial_fallback"`` once its
+        worker has died ``retries`` times.  An in-memory source is then
+        materialised once and replayed per shard, since it may be
+        consumable only once.
+        """
+        in_memory = not isinstance(source, (str, Path))
+        store = self._checkpoint_store()
+        completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
+        starts: Dict[int, Tuple[Dict[str, Any], int, int]] = {}
+        for worker, shard in enumerate(shards):
+            state, start_chunk, start_position, done = self._shard_start(
+                store, worker, shard
+            )
+            if done:
+                completed[worker] = state
+            else:
+                starts[worker] = (state, start_chunk, start_position)
+        if not starts:
+            return completed  # type: ignore[return-value]
+        if in_memory:
+            mmap = readahead = False
+        else:
+            mmap = self._worker_mmap(source)
+            readahead = self._effective_readahead(mmap)
+        attempts = {worker: 0 for worker in starts}
+
+        def task(worker: int, shard_source: Any) -> _ShardTask:
+            state, start_chunk, start_position = starts[worker]
+            return _ShardTask(
+                worker, attempts[worker], self.n_workers, state,
+                shard_source, routing, chunk_size, mmap, readahead,
+                start_chunk, start_position, self.fault_plan,
+                self._shard_checkpoint(worker),
+            )
+
+        context = _fork_context()
+        fallback = sorted(starts) if context is None else self._run_pool(
+            context, task, attempts, completed, source, routing, chunk_size
+        )
+        replay = (
+            list(as_chunks(source, chunk_size))
+            if in_memory and fallback else None
+        )
+        for worker in fallback:
+            # Deterministic in-process kill faults are rejected by the
+            # plan itself (see FaultPlan.fire).
+            self.fallbacks_used += 1
+            completed[worker] = _drive(
+                task(worker, source if replay is None else iter(replay)),
+                in_process=True,
+            )
+        return completed  # type: ignore[return-value]
+
+    def _run_pool(
+        self, context, task, attempts, completed, source, routing, chunk_size
+    ) -> List[int]:
         """One process per shard, one result pipe per attempt.
 
-        File-source workers read the stream themselves — zero data IPC;
-        in-memory workers consume chunks the parent routes to bounded
-        per-worker queues (see :meth:`_route_into`).  Either way each
-        attempt reports over a dedicated one-shot pipe created fresh
-        for it, which makes failure detection an event rather than a
-        poll: a worker killed by the OS (or whose result was dropped by
-        fault injection) closes its write end without sending, which
-        the parent sees as EOF.  A message from a superseded attempt is
-        impossible: it would have gone to a pipe the parent no longer
-        holds.
+        Fills ``completed`` with each shard's summaries and returns the
+        shards left to the in-process fallback.  In-memory sources are
+        routed by the parent into bounded per-worker queues (see
+        :meth:`_route_into`).  Each attempt reports over a one-shot pipe
+        created fresh for it: a worker killed by the OS (or whose result
+        was dropped by fault injection) closes its write end without
+        sending, which the parent sees as EOF, and a superseded
+        attempt's message dies with its pipe.
 
         File-source workers are side-effect-free, so a failed shard is
         relaunched under the retry policy with exponential backoff.  In
@@ -966,31 +930,11 @@ class ShardedRunner:
         unlinks on every exit — including failure paths where a worker
         died without releasing its segments.
         """
-        context = _fork_context()
-        if context is None:
-            # No fork on this platform: identical answers, one core.
-            return self._run_serial(shards, source, routing, chunk_size)
         in_memory = not isinstance(source, (str, Path))
-        store = self._checkpoint_store()
-        completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
-        starts: Dict[int, Tuple[Dict[str, Any], int, int]] = {}
-        pending = set()
-        for worker, shard in enumerate(shards):
-            state, start_chunk, start_position, done = self._shard_start(
-                store, worker, shard
-            )
-            if done:
-                completed[worker] = state
-            else:
-                starts[worker] = (state, start_chunk, start_position)
-                pending.add(worker)
-        if not pending:
-            return completed  # type: ignore[return-value]
-
+        pending = set(attempts)
         publisher: Optional[ChunkPublisher] = None
         feeds: List[_ChunkFeed] = []
         if in_memory:
-            mmap = readahead = False
             use_shm = self.shm_transport
             if use_shm is None:
                 use_shm = shm_available()
@@ -1000,26 +944,20 @@ class ShardedRunner:
                 _ChunkFeed(context.Queue(maxsize=_QUEUE_DEPTH), releases)
                 for _ in range(self.n_workers)
             ]
-        else:
-            mmap = self._worker_mmap(source)
-            readahead = self._effective_readahead(mmap)
         procs: Dict[int, Any] = {}
         results: Dict[int, Any] = {}
         deadlines: Dict[int, Optional[float]] = {}
-        attempts = {worker: 0 for worker in pending}
         fallback: List[int] = []
 
         def launch(worker: int) -> None:
-            state, start_chunk, start_position = starts[worker]
-            task = (
-                worker, attempts[worker], self.n_workers, state,
-                feeds[worker] if in_memory else str(source), routing,
-                chunk_size, mmap, readahead, start_chunk, start_position,
-                self.fault_plan, self._shard_checkpoint(worker),
-            )
             recv_end, send_end = context.Pipe(duplex=False)
             process = context.Process(
-                target=_worker, args=(send_end, task), daemon=True
+                target=_worker,
+                args=(
+                    send_end,
+                    task(worker, feeds[worker] if in_memory else str(source)),
+                ),
+                daemon=True,
             )
             process.start()
             # The child's inherited copy is now the only writer, so the
@@ -1058,6 +996,7 @@ class ShardedRunner:
                 launch(worker)
                 return
             if self.on_failure == "serial_fallback":
+                attempts[worker] += 1
                 pending.discard(worker)
                 fallback.append(worker)
                 return
@@ -1155,21 +1094,7 @@ class ShardedRunner:
                 reap(worker, kill=True)
             if publisher is not None:
                 publisher.close()
-
-        for worker in fallback:
-            # Last resort after `retries` dead workers: run the shard
-            # in-process.  Deterministic in-process kill faults are
-            # rejected by the plan itself (see FaultPlan.fire).
-            self.fallbacks_used += 1
-            state, start_chunk, start_position = starts[worker]
-            completed[worker] = _drive(
-                state, source, routing, worker, self.n_workers,
-                chunk_size, mmap, readahead,
-                start_chunk=start_chunk, start_position=start_position,
-                fault_plan=self.fault_plan, attempt=attempts[worker] + 1,
-                checkpoint=self._shard_checkpoint(worker), in_process=True,
-            )
-        return completed  # type: ignore[return-value]
+        return fallback
 
     def _route_into(
         self, feeds, procs, publisher, source, routing, chunk_size
@@ -1222,40 +1147,13 @@ class ShardedRunner:
 
 
 def run_sharded(
-    processors: Mapping[str, Any],
-    source: Any,
-    *,
-    n_workers: int = 2,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mmap: bool = False,
-    readahead: Optional[bool] = None,
-    backend: str = "process",
-    retries: int = 2,
-    timeout_s: Optional[float] = None,
-    on_failure: str = "raise",
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    shm_transport: Optional[bool] = None,
+    processors: Mapping[str, Any], source: Any, **options: Any
 ) -> Dict[str, Any]:
-    """One-shot convenience: build a ShardedRunner, run it, return answers.
+    """One-shot convenience: build a ShardedRunner (``options`` are its
+    keyword arguments), run it, return answers.
 
     Prefer assembling runs through :class:`repro.pipeline.Pipeline`,
     which adds spec validation, registries, and typed results on top of
     the same execution path; this helper remains for direct engine use.
     """
-    return ShardedRunner(
-        processors,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        mmap=mmap,
-        readahead=readahead,
-        backend=backend,
-        retries=retries,
-        timeout_s=timeout_s,
-        on_failure=on_failure,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        fault_plan=fault_plan,
-        shm_transport=shm_transport,
-    ).run(source)
+    return ShardedRunner(processors, **options).run(source)

@@ -3,7 +3,7 @@
 A pipeline is described by a validated, JSON-serializable
 :class:`~repro.pipeline.spec.PipelineSpec` — *source* (in-memory /
 generator-by-name / stream file) × *window* (tumbling / sliding /
-decay, optional) × *execution backend* (fanout / serial / sharded) ×
+decay, optional) × *execution backend* (fanout / sharded) ×
 *processors* (resolved by name through the typed
 :mod:`~repro.pipeline.registry`) — and executed by
 :class:`~repro.pipeline.pipeline.Pipeline`, which returns a typed

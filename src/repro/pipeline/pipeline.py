@@ -41,12 +41,12 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.faults import FaultPlan
 from repro.engine.protocol import combined_routing, shard_routing_of
-from repro.engine.runner import FANOUT_TAG, FanoutRunner, as_chunks
+from repro.engine.runner import FANOUT_TAG, FanoutRunner
 from repro.engine.sharded import (
     RUN_TAG,
     ShardedRunner,
@@ -195,6 +195,35 @@ def _open_file_header(spec: SourceSpec) -> OpenSource:
     return OpenSource(spec, reader=reader)
 
 
+def _probe_hook(
+    processors: Dict[str, Any],
+    probe_every: int,
+    start: int,
+    probes: List[ProbeRecord],
+) -> Callable[[int], None]:
+    """The ``on_chunk`` hook that records a probe each ``probe_every``
+    updates, quantized to chunk ends.  After position ``P`` the next
+    probe is due at ``(P // probe_every + 1) * probe_every``, whether
+    the pass starts fresh or at a resume offset ``start``."""
+    next_probe = (start // probe_every + 1) * probe_every
+
+    def on_chunk(position: int) -> None:
+        nonlocal next_probe
+        if position >= next_probe:
+            probes.append(
+                ProbeRecord(
+                    position,
+                    {
+                        label: processor.query()
+                        for label, processor in processors.items()
+                    },
+                )
+            )
+            next_probe = (position // probe_every + 1) * probe_every
+
+    return on_chunk
+
+
 class Pipeline:
     """A validated, executable, serializable pipeline description."""
 
@@ -302,7 +331,7 @@ class Pipeline:
                 chunk boundaries).  Requires a window spec and the
                 fanout backend — sharded state is distributed until
                 the merge, so there is no mid-stream whole-answer to
-                probe.
+                probe.  A resumed run keeps the same probe grid.
             resume: continue a checkpointed run from the snapshots in
                 the spec's ``checkpoint.dir`` instead of starting over
                 (requires a checkpoint spec).  When no checkpoint has
@@ -328,13 +357,8 @@ class Pipeline:
             if spec.execution.backend != "fanout":
                 raise SpecError(
                     f"probe_every requires the fanout backend, got "
-                    f"{spec.execution.backend!r}; sharded/serial passes "
-                    f"have no single mid-stream state to probe"
-                )
-            if spec.checkpoint is not None:
-                raise SpecError(
-                    "probe_every cannot be combined with checkpointing; "
-                    "the probe loop bypasses the checkpointed drive loop"
+                    f"{spec.execution.backend!r}; sharded passes have no "
+                    f"single mid-stream state to probe"
                 )
         if resume and spec.checkpoint is None:
             raise SpecError(
@@ -365,7 +389,7 @@ class Pipeline:
         chunk_size = spec.source.chunk_size
         probes: List[ProbeRecord] = []
         routing: Optional[Any] = None
-        shard_retries = 0
+        shard_retries = shard_fallbacks = 0
 
         start = time.perf_counter()
         if execution.backend == "sharded":
@@ -403,30 +427,18 @@ class Pipeline:
             merged = {label: runner[label] for label in runner.names()}
             routing = runner.routing()
             shard_retries = runner.retries_used
-        elif execution.backend == "serial":
-            for label, processor in processors.items():
-                FanoutRunner(
-                    {label: processor},
-                    chunk_size=chunk_size,
-                    fault_plan=fault_plan,
-                ).process(opened.chunk_source())
-            answers = {
-                label: processor.finalize()
-                for label, processor in processors.items()
-            }
-            merged = processors
-            routing = self._static_routing(processors)
+            shard_fallbacks = runner.fallbacks_used
         else:
+            # A resumed runner remembers its file.
+            fanout_source: Any = None
             if resume:
-                runner = FanoutRunner.resume(
+                fanout = FanoutRunner.resume(
                     checkpoint.dir,
                     source=spec.source.path,
                     fault_plan=fault_plan,
                 )
-                answers = runner.run()
-                merged = {label: runner[label] for label in runner.names()}
             else:
-                runner = FanoutRunner(
+                fanout = FanoutRunner(
                     processors,
                     chunk_size=chunk_size,
                     checkpoint_dir=(
@@ -437,19 +449,19 @@ class Pipeline:
                     ),
                     fault_plan=fault_plan,
                 )
-                if probe_every is not None:
-                    self._run_with_probes(
-                        runner, opened, processors, chunk_size, probe_every,
-                        probes,
-                    )
-                    answers = runner.finalize()
-                else:
-                    answers = runner.run(
-                        spec.source.path
-                        if checkpoint is not None
-                        else opened.chunk_source()
-                    )
-                merged = processors
+                fanout_source = (
+                    spec.source.path
+                    if checkpoint is not None
+                    else opened.chunk_source()
+                )
+            merged = {label: fanout[label] for label in fanout.names()}
+            fanout.process(
+                fanout_source,
+                on_chunk=None if probe_every is None else _probe_hook(
+                    merged, probe_every, fanout.start_position, probes
+                ),
+            )
+            answers = fanout.finalize()
             routing = self._static_routing(merged)
         elapsed = time.perf_counter() - start
 
@@ -465,6 +477,7 @@ class Pipeline:
             window=spec.window.to_dict() if spec.window is not None else None,
             resumed=bool(resume),
             shard_retries=shard_retries,
+            shard_fallbacks=shard_fallbacks,
             checkpoint=checkpoint.to_dict() if checkpoint is not None else None,
         )
         return PipelineResult(
@@ -474,33 +487,6 @@ class Pipeline:
             probes=probes,
             stream=opened.stream,
         )
-
-    @staticmethod
-    def _run_with_probes(
-        runner: FanoutRunner,
-        opened: OpenSource,
-        processors: Dict[str, Any],
-        chunk_size: int,
-        probe_every: int,
-        probes: List[ProbeRecord],
-    ) -> None:
-        position = 0
-        next_probe = probe_every
-        for a, b, sign in as_chunks(opened.chunk_source(), chunk_size):
-            runner.process_chunk(a, b, sign)
-            position += len(a)
-            if position >= next_probe:
-                probes.append(
-                    ProbeRecord(
-                        position,
-                        {
-                            label: processor.query()
-                            for label, processor in processors.items()
-                        },
-                    )
-                )
-                while next_probe <= position:
-                    next_probe += probe_every
 
     @staticmethod
     def _static_routing(processors: Dict[str, Any]) -> Optional[Any]:
@@ -610,9 +596,6 @@ class PipelineBuilder:
             on_failure=on_failure,
         )
         return self
-
-    def serial(self) -> "PipelineBuilder":
-        return self.execution("serial")
 
     def sharded(self, workers: int, **kwargs: Any) -> "PipelineBuilder":
         return self.execution("sharded", workers, **kwargs)

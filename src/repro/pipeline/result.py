@@ -111,8 +111,10 @@ class RunReport:
 
     The fault-tolerance fields default to their "nothing happened"
     values: ``resumed`` is True when the pass continued from a
-    checkpoint, ``shard_retries`` counts shard-worker re-runs, and
-    ``checkpoint`` echoes the checkpoint spec when one was active.
+    checkpoint, ``shard_retries`` counts shard-worker re-runs,
+    ``shard_fallbacks`` counts shards that ran in-process (no ``fork``
+    here, or ``on_failure="serial_fallback"``), and ``checkpoint``
+    echoes the checkpoint spec when one was active.
     """
 
     n_updates: int
@@ -129,6 +131,7 @@ class RunReport:
     window: Optional[Dict[str, Any]] = None
     resumed: bool = False
     shard_retries: int = 0
+    shard_fallbacks: int = 0
     checkpoint: Optional[Dict[str, Any]] = None
 
     @property

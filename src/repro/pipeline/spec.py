@@ -18,7 +18,7 @@ serialize.
 :func:`validate_spec` performs the eager cross-field validation:
 every conflicting assignment in the spec is reported as a
 :class:`~repro.pipeline.errors.Diagnostic` (mmap without a file
-source, multi-worker serial backends, non-mergeable processors under
+source, multi-worker fanout backends, non-mergeable processors under
 merging window policies, unknown registry names or mistyped
 parameters, ...), and :class:`~repro.pipeline.Pipeline` raises them
 all at construction time as one
@@ -43,7 +43,7 @@ from repro.pipeline.errors import (
 from repro.streams.columnar import DEFAULT_CHUNK_SIZE
 
 SOURCE_KINDS = ("memory", "generator", "file")
-BACKENDS = ("fanout", "serial", "sharded")
+BACKENDS = ("fanout", "sharded")
 WINDOW_POLICIES = ("tumbling", "sliding", "decay")
 
 _MISSING = dataclasses.MISSING
@@ -297,9 +297,6 @@ class ExecSpec:
 
     * ``"fanout"`` (default) — one single-pass
       :class:`~repro.engine.runner.FanoutRunner` over all processors.
-    * ``"serial"`` — one independent pass per processor (the
-      pre-engine style; useful for isolating a structure's behaviour
-      or timing).  Requires a re-iterable source.
     * ``"sharded"`` — a :class:`~repro.engine.sharded.ShardedRunner`
       over ``workers`` processes, merging shard summaries.
 
@@ -627,7 +624,7 @@ def validate_spec(spec: PipelineSpec) -> List[Diagnostic]:
                 bad(f"processors[{index}].name",
                     f"{entry.name!r} is not mergeable and cannot run on "
                     f"the sharded backend",
-                    "use the fanout or serial backend")
+                    "use the fanout backend")
     if execution.retries < 0:
         bad("execution.retries",
             f"retries must be >= 0, got {execution.retries}")
@@ -655,9 +652,5 @@ def validate_spec(spec: PipelineSpec) -> List[Diagnostic]:
                 f"kind={source.kind!r}",
                 "resume re-opens the stream file at the saved offset, "
                 "which only a persisted stream supports")
-        if execution.backend == "serial":
-            bad("checkpoint.dir",
-                "checkpointing requires the fanout or sharded backend, "
-                "got backend='serial'")
 
     return diagnostics

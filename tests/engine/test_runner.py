@@ -1,11 +1,19 @@
-"""FanoutRunner: single-pass fan-out, source normalisation, results."""
+"""FanoutRunner and the drive loop: single-pass fan-out, source
+normalisation, per-chunk hooks, results."""
 
 import numpy as np
 import pytest
 
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.topk import TopKFEwW
-from repro.engine import FanoutRunner, as_chunks, run_fanout
+from repro.engine import (
+    CheckpointStore,
+    FanoutRunner,
+    FaultPlan,
+    as_chunks,
+    run_fanout,
+)
+from repro.engine.runner import drive
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
@@ -148,3 +156,94 @@ class TestFanoutRunner:
         heavy = results["feww"]
         assert heavy is not None
         assert sketch.estimate(heavy.vertex) >= d
+
+
+def column_chunks(sizes):
+    """Chunks of the given lengths over a 0, 1, 2, ... id sequence."""
+    chunks, start = [], 0
+    for size in sizes:
+        ids = np.arange(start, start + size)
+        chunks.append((ids, ids, np.ones(size, dtype=np.int64)))
+        start += size
+    return chunks
+
+
+class TestDrive:
+    def test_hooks_run_in_order_at_every_chunk(self):
+        events = []
+
+        class Recording:
+            def process_batch(self, a, b, sign=None):
+                events.append(("ingest", a.tolist()))
+
+        def route(chunk, chunk_index, position):
+            events.append(("route", chunk_index, position))
+            return chunk
+
+        end = drive(
+            column_chunks([2, 1]), {"p": Recording()},
+            chunk_index=5, position=40,
+            fault=lambda chunk_index: events.append(("fault", chunk_index)),
+            route=route,
+            on_chunk=lambda position: events.append(("probe", position)),
+        )
+        assert end == (7, 43)
+        assert events == [
+            ("fault", 5), ("route", 5, 40), ("ingest", [0, 1]),
+            ("probe", 42),
+            ("fault", 6), ("route", 6, 42), ("ingest", [2]),
+            ("probe", 43),
+        ]
+
+    def test_unrouted_chunk_still_advances_the_position(self):
+        counting = CountingProcessor()
+        positions = []
+        end = drive(
+            column_chunks([3, 4, 5]), {"c": counting},
+            route=lambda chunk, index, position: None if index == 1 else chunk,
+            on_chunk=positions.append,
+        )
+        assert end == (3, 12)
+        assert positions == [3, 7, 12]
+        assert [len(a) for a, _ in counting.chunks] == [3, 5]
+
+    def test_fault_fires_before_its_chunk(self):
+        counting = CountingProcessor()
+        plan = FaultPlan.read_error(0, chunk=2)
+        with pytest.raises(OSError, match="injected read error"):
+            drive(
+                column_chunks([4, 4, 4, 4]), {"c": counting},
+                fault=lambda index: plan.fire(0, index, in_process=True),
+            )
+        assert len(counting.chunks) == 2
+
+    def test_checkpoints_every_n_chunks_then_complete(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        saved = []
+        original = store.save
+
+        def save(tag, state, **kwargs):
+            saved.append((kwargs["chunk_index"], kwargs["position"],
+                          kwargs.get("complete", False)))
+            return original(tag, state, **kwargs)
+
+        store.save = save
+        counting = CountingProcessor()
+        drive(
+            column_chunks([2, 2, 2, 2, 1]), {"c": counting},
+            checkpoint=(store, "t", 2, {"note": 1}),
+        )
+        assert saved == [(2, 4, False), (4, 8, False), (5, 9, True)]
+        snapshot = store.load("t")
+        assert snapshot.complete and snapshot.position == 9
+        assert snapshot.meta == {"note": 1}
+        assert snapshot.state["c"].finalize() == 9
+
+    def test_resume_offset_needs_a_stream_file(self, tmp_path):
+        stream = ColumnarEdgeStream.from_edge_stream(star_stream())
+        with pytest.raises(ValueError, match="stream-file source"):
+            as_chunks(stream, 16, start=16)
+        path = tmp_path / "s.npz"
+        dump_stream(stream, path, format="v2")
+        tail = np.concatenate([a for a, _, _ in as_chunks(path, 16, start=32)])
+        assert tail.tolist() == stream.a[32:].tolist()

@@ -1,4 +1,4 @@
-"""ShardedRunner mechanics: registration, routing, backends, failures."""
+"""ShardedRunner mechanics: registration, routing, execution, failures."""
 
 import numpy as np
 import pytest
@@ -67,8 +67,8 @@ class TestRegistration:
             ShardedRunner(n_workers=0)
         with pytest.raises(ValueError, match="chunk_size"):
             ShardedRunner(chunk_size=0)
-        with pytest.raises(ValueError, match="backend"):
-            ShardedRunner(backend="threads")
+        with pytest.raises(TypeError, match="backend"):
+            ShardedRunner(backend="serial")
 
     def test_run_without_processors_rejected(self):
         with pytest.raises(RuntimeError, match="no processors"):
@@ -155,13 +155,16 @@ class TestExecution:
         with pytest.raises(ValueError, match="path source"):
             runner.run(small_stream())
 
-    @pytest.mark.parametrize("backend", ["process", "serial"])
-    def test_worker_failure_propagates(self, backend):
+    @pytest.mark.parametrize("backend", ["process", "in-process"])
+    def test_worker_failure_propagates(self, backend, monkeypatch):
+        if backend == "in-process":
+            monkeypatch.setattr(
+                "repro.engine.sharded._fork_context", lambda: None
+            )
         runner = ShardedRunner(
             {"fail": FailingProcessor()},
             n_workers=2,
             chunk_size=16,
-            backend=backend,
         )
         expected = RuntimeError if backend == "process" else Exception
         with pytest.raises(expected, match="synthetic mid-stream failure"):

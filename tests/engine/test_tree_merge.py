@@ -5,8 +5,8 @@ summaries combine along a binomial reduction tree whose shape is a
 fixed function of the worker count, the receiver is always the lower
 shard index, and for associative merges the result is bit-identical to
 the sequential left-fold — which makes the parent-side merge of the
-process pool's shard summaries indistinguishable from the serial
-backend and from a single-core pass for every linear/exact structure.
+process pool's shard summaries indistinguishable from in-process shard
+runs and from a single-core pass for every linear/exact structure.
 """
 
 import numpy as np
@@ -14,9 +14,20 @@ import pytest
 
 from repro.baselines import CountMinSketch, CountSketch, FullStorage
 from repro.core.insertion_only import InsertionOnlyFEwW
-from repro.engine import FanoutRunner, ShardedRunner
+from repro.engine import (
+    CheckpointStore,
+    FanoutRunner,
+    FaultPlan,
+    ShardedRunner,
+    as_chunks,
+)
 from repro.engine.merge import tree_reduce, tree_rounds
-from repro.engine.sharded import ShardedWorkerError, fork_available
+from repro.engine.sharded import (
+    RUN_TAG,
+    ShardedWorkerError,
+    fork_available,
+    shard_checkpoint_tag,
+)
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.persist import dump_stream
 
@@ -164,19 +175,23 @@ class TestProcessPoolTree:
         assert single["full"]._neighbours == runner["full"]._neighbours
 
     @pytest.mark.parametrize("workers", (2, 3, 4, 5))
-    def test_matches_serial_backend(self, stream_file, workers, kind):
-        serial = ShardedRunner(
-            _factory(), n_workers=workers, chunk_size=CHUNK, backend="serial"
+    def test_matches_in_process_shards(
+        self, stream_file, workers, kind, monkeypatch
+    ):
+        in_process = ShardedRunner(
+            _factory(), n_workers=workers, chunk_size=CHUNK
         )
-        serial.run(stream_file[1])
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.engine.sharded._fork_context", lambda: None)
+            in_process.run(stream_file[1])
         process = ShardedRunner(
             _factory(), n_workers=workers, chunk_size=CHUNK
         )
         process.run(_source(stream_file, kind))
-        assert np.array_equal(serial["cm"]._table, process["cm"]._table)
-        assert np.array_equal(serial["cs"]._table, process["cs"]._table)
+        assert np.array_equal(in_process["cm"]._table, process["cm"]._table)
+        assert np.array_equal(in_process["cs"]._table, process["cs"]._table)
         for left, right in zip(
-            serial["alg2"].runs, process["alg2"].runs
+            in_process["alg2"].runs, process["alg2"].runs
         ):
             assert left._candidates_seen == right._candidates_seen
             assert dict(left._reservoir) == dict(right._reservoir)
@@ -193,3 +208,58 @@ class TestProcessPoolTree:
         # not the death of the workers the parent then terminates.
         assert excinfo.value.cause_type == "ValueError"
         assert "poison vertex observed" in str(excinfo.value)
+
+
+def _assert_same_shards(mine, theirs):
+    assert np.array_equal(mine["cm"]._table, theirs["cm"]._table)
+    assert np.array_equal(mine["cs"]._table, theirs["cs"]._table)
+    assert mine["full"]._neighbours == theirs["full"]._neighbours
+    for left, right in zip(mine["alg2"].runs, theirs["alg2"].runs):
+        assert left._candidates_seen == right._candidates_seen
+        assert dict(left._reservoir) == dict(right._reservoir)
+
+
+@needs_fork
+class TestInProcessShards:
+    """Without fork every shard runs in-process through the same drive
+    loop; the answers stay bit-identical to the process pool."""
+
+    def test_one_shot_in_memory_source_is_replayed(
+        self, stream_file, monkeypatch
+    ):
+        process = ShardedRunner(_factory(), n_workers=3, chunk_size=CHUNK)
+        process.run(stream_file[0])
+        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
+        in_process = ShardedRunner(_factory(), n_workers=3, chunk_size=CHUNK)
+        # A chunk iterator can be consumed once; every shard still sees
+        # the whole stream.
+        in_process.run(as_chunks(stream_file[0], CHUNK))
+        _assert_same_shards(in_process, process)
+        assert in_process.fallbacks_used == 3
+
+    def test_checkpoint_resume_matches_process_pool(
+        self, stream_file, tmp_path, monkeypatch
+    ):
+        process = ShardedRunner(_factory(), n_workers=3, chunk_size=CHUNK)
+        process.run(stream_file[1])
+        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
+        ckpt = tmp_path / "ckpt"
+        crashing = ShardedRunner(
+            _factory(), n_workers=3, chunk_size=CHUNK,
+            checkpoint_dir=ckpt, checkpoint_every=2,
+            fault_plan=FaultPlan.read_error(worker=1, chunk=5),
+        )
+        with pytest.raises(OSError, match="injected"):
+            crashing.run(stream_file[1])
+        # Older run manifests carry a "backend" key; resume ignores it.
+        store = CheckpointStore(ckpt)
+        manifest = store.load(RUN_TAG)
+        store.save(
+            RUN_TAG, manifest.state, chunk_index=0, position=0,
+            meta={**manifest.meta, "backend": "serial"},
+        )
+        assert store.load(shard_checkpoint_tag(0)).complete
+        assert store.load(shard_checkpoint_tag(1)).chunk_index == 4
+        resumed = ShardedRunner.resume(ckpt)
+        resumed.run()
+        _assert_same_shards(resumed, process)

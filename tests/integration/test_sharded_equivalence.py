@@ -323,8 +323,9 @@ class TestFromDisk:
             reservoir_state(sharded_runner["alg2"])
         )
 
-    def test_serial_backend_matches_process_backend(self, zipf):
+    def test_in_process_shards_match_process_pool(self, zipf, monkeypatch):
         factory = lambda: {"cm": CountMinSketch(0.05, 0.05, seed=5)}
         process, _ = sharded_pass(factory, zipf, 3)
-        serial, _ = sharded_pass(factory, zipf, 3, backend="serial")
-        assert np.array_equal(process["cm"]._table, serial["cm"]._table)
+        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
+        in_process, _ = sharded_pass(factory, zipf, 3)
+        assert np.array_equal(process["cm"]._table, in_process["cm"]._table)

@@ -211,7 +211,7 @@ def decay_fp(answer):
 
 def probe_positions(wrapper, stream, probe_every, on_probe):
     """Drive the wrapper chunk by chunk, probing exactly where
-    ``Pipeline._run_with_probes`` would (quantized to chunk ends)."""
+    ``Pipeline.run(probe_every=...)`` does (quantized to chunk ends)."""
     position, next_probe = 0, probe_every
     for a, b, sign in stream.chunks(CHUNK):
         wrapper.process_batch(a, b, sign)

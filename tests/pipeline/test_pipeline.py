@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine import CheckpointStore, FaultPlan, fork_available
 from repro.pipeline import (
     Pipeline,
     SourceSpec,
@@ -48,14 +49,6 @@ def windowed_builder(stream, policy, window, **window_params):
 
 
 class TestBackends:
-    def test_fanout_and_serial_agree(self):
-        stream = zipf_columnar()
-        fanout = basic_builder(stream).build().run()
-        serial = basic_builder(stream).serial().build().run()
-        assert fanout["alg2"] == serial["alg2"]
-        assert fanout.report.backend == "fanout"
-        assert serial.report.backend == "serial"
-
     def test_sharded_keeps_the_guarantee(self):
         stream = zipf_columnar()
         fanout = basic_builder(stream).build().run()
@@ -89,6 +82,34 @@ class TestBackends:
             .run()
         )
         assert "alg2" in result and "alg2-strict" in result
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_serial_fallback_is_reported(self, tmp_path):
+        stream = zipf_columnar()
+        path = tmp_path / "stream.npz"
+        dump_stream(stream, path, format="v2")
+
+        def run(on_failure, fault_plan=None):
+            return (
+                Pipeline.builder()
+                .file(path)
+                .chunk_size(256)
+                .processor("count-min", label="cm", epsilon=0.05,
+                           delta=0.05, seed=5)
+                .sharded(2, retries=0, on_failure=on_failure)
+                .build()
+                .run(fault_plan=fault_plan)
+            )
+
+        clean = run("raise")
+        recovered = run("serial_fallback", FaultPlan.kill(worker=0, chunk=1))
+        assert clean.report.shard_fallbacks == 0
+        assert recovered.report.shard_fallbacks == 1
+        assert recovered.report.shard_retries == 0
+        assert recovered.to_dict()["report"]["shard_fallbacks"] == 1
+        assert np.array_equal(
+            recovered.processors["cm"]._table, clean.processors["cm"]._table
+        )
 
 
 class TestSources:
@@ -196,6 +217,70 @@ class TestProbes:
         stream = zipf_columnar()
         with pytest.raises(SpecError, match=">= 1"):
             self.probe_pipeline(stream).run(probe_every=0)
+
+    def test_fault_plan_fires_under_probes(self):
+        stream = zipf_columnar()
+        with pytest.raises(OSError, match="injected read error"):
+            self.probe_pipeline(stream).run(
+                probe_every=256, fault_plan=FaultPlan.read_error(0, chunk=2)
+            )
+
+    def test_checkpointed_probes_resume_on_the_same_grid(self, tmp_path):
+        stream = zipf_columnar()
+        path = tmp_path / "stream.npz"
+        dump_stream(stream, path, format="v2")
+        probe_every = 300
+        chunk_ends = list(range(256, len(stream), 256)) + [len(stream)]
+
+        def pipeline(ckpt):
+            return (
+                Pipeline.builder()
+                .file(path)
+                .chunk_size(256)
+                .processor("insertion-only", label="alg2", n=stream.n,
+                           d=8, alpha=2)
+                .window("sliding", 500, bucket_ratio=0.25, seed=1)
+                .checkpoint(ckpt, every=2)
+                .build()
+            )
+
+        def grid(start):
+            """Probe positions by the rule: after position P the next
+            probe is due at (P // probe_every + 1) * probe_every."""
+            positions, due = [], (start // probe_every + 1) * probe_every
+            for end in chunk_ends:
+                if end > start and end >= due:
+                    positions.append(end)
+                    due = (end // probe_every + 1) * probe_every
+            return positions
+
+        def fingerprint(answer):
+            return (answer.start_update, answer.end_update, answer.value)
+
+        whole = pipeline(tmp_path / "whole").run(probe_every=probe_every)
+        crashing = pipeline(tmp_path / "ckpt")
+        with pytest.raises(OSError, match="injected read error"):
+            crashing.run(
+                probe_every=probe_every,
+                fault_plan=FaultPlan.read_error(0, chunk=5),
+            )
+        offset = CheckpointStore(tmp_path / "ckpt").load("fanout").position
+        assert offset == 4 * 256
+        resumed = crashing.run(probe_every=probe_every, resume=True)
+
+        assert resumed.report.resumed
+        assert fingerprint(resumed["alg2"]) == fingerprint(whole["alg2"])
+        positions = [probe.position for probe in whole.probes]
+        assert positions == grid(0)
+        tail = [probe for probe in whole.probes if probe.position > offset]
+        assert [probe.position for probe in resumed.probes] == grid(offset)
+        assert [probe.position for probe in resumed.probes] == [
+            probe.position for probe in tail
+        ]
+        for mine, theirs in zip(resumed.probes, tail):
+            assert fingerprint(mine.answers["alg2"]) == fingerprint(
+                theirs.answers["alg2"]
+            )
 
 
 class TestResults:

@@ -53,12 +53,12 @@ def spec_variants():
             ),
         ),
         (
-            "decay-serial",
+            "decay-fanout",
             PipelineSpec(
                 generator,
                 (alg2,),
                 window=WindowSpec("decay", 64, keep=2),
-                execution=ExecSpec("serial"),
+                execution=ExecSpec("fanout"),
             ),
         ),
     ]
@@ -179,7 +179,8 @@ class TestValidationDiagnostics:
         )
         fields = set(diagnostics_of(spec))
         assert {"source.generator", "source.mmap", "source.chunk_size",
-                "processors[0].name", "execution.workers"} <= fields
+                "processors[0].name", "execution.backend",
+                "execution.workers"} <= fields
 
     def test_constructing_pipeline_raises_them_all(self):
         spec = PipelineSpec(
@@ -361,11 +362,12 @@ class TestFaultToleranceSpecs:
         diagnostic = diagnostics_of(spec)["checkpoint.dir"]
         assert "file source" in diagnostic.problem
 
-    def test_checkpoint_rejects_serial_backend(self):
+    def test_serial_backend_is_unknown(self):
         spec = dataclasses.replace(
             self.full_spec(), execution=ExecSpec("serial"),
         )
-        assert "checkpoint.dir" in diagnostics_of(spec)
+        diagnostic = diagnostics_of(spec)["execution.backend"]
+        assert diagnostic.problem == "unknown backend 'serial'"
 
     def test_checkpoint_every_must_be_positive(self):
         spec = dataclasses.replace(

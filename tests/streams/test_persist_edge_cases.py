@@ -433,8 +433,12 @@ class TestReadaheadEquivalence:
         with pytest.raises(StreamFormatError, match="out of range"):
             list(reader.chunks(16))
 
-    def test_engine_answers_unchanged_under_readahead(self, tmp_path):
+    def test_engine_answers_unchanged_under_readahead(
+        self, tmp_path, monkeypatch
+    ):
         from repro.engine import ShardedRunner
+
+        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
         from repro.sketch.exact import DegreeCounter
 
         stream = columnar(500, n=16)
@@ -462,11 +466,10 @@ class TestReadaheadEquivalence:
 
         plain = ShardedRunner(
             {"deg": CountingProcessor()}, n_workers=2, mmap=True,
-            backend="serial",
         ).run(str(path))["deg"]
         prefetched = ShardedRunner(
             {"deg": CountingProcessor()}, n_workers=2, mmap=True,
-            readahead=True, backend="serial",
+            readahead=True,
         ).run(str(path))["deg"]
         assert np.array_equal(plain, prefetched)
 
@@ -487,9 +490,11 @@ class TestShardedAutoReadahead:
         forced_on = ShardedRunner(n_workers=2, readahead=True)
         assert forced_on._effective_readahead(False) is True
 
-    def test_auto_readahead_answers_identical(self, tmp_path):
+    def test_auto_readahead_answers_identical(self, tmp_path, monkeypatch):
         from repro.engine import ShardedRunner
         from repro.core.insertion_only import InsertionOnlyFEwW
+
+        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
 
         stream = columnar(400, n=16)
         path = tmp_path / "stream.npz"
@@ -498,7 +503,7 @@ class TestShardedAutoReadahead:
         def run(**kwargs):
             return ShardedRunner(
                 {"alg2": InsertionOnlyFEwW(16, 4, 2, seed=3)},
-                n_workers=2, mmap=True, backend="serial", **kwargs,
+                n_workers=2, mmap=True, **kwargs,
             ).run(str(path))["alg2"]
 
         assert run() == run(readahead=False)
