@@ -45,8 +45,8 @@ CEILINGS: Dict[Tuple[str, str], float] = {
     ("star-file-sharded", "core.star_detection.ingest_s"): 6.0,
     ("star-file-sharded", "core.star_detection.finalize_ms"): 3.0,
     ("sliding-zipf-probes", "engine.windows.ingest_s"): 0.25,
-    ("sliding-zipf-probes", "engine.windows.query_ms"): 30.0,
-    ("sliding-zipf-probes", "engine.windows.query_tail_ms"): 35.0,
+    ("sliding-zipf-probes", "engine.windows.query_ms"): 19.0,
+    ("sliding-zipf-probes", "engine.windows.query_tail_ms"): 23.0,
 }
 
 

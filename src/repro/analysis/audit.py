@@ -14,6 +14,14 @@ every entry, so the static and dynamic views cannot drift.  Per entry:
 * mergeable smoke: ``split(1)`` yields exactly one same-type summary
   that still ingests and finalizes (``audit/split-identity``), and a
   ``split(2)`` pair merges (``audit/merge-smoke``);
+* merge-argument contract: ``merge(other)`` leaves ``other``'s
+  finalized answer unchanged and its result shares no mutable
+  container (list, dict, set, array, RNG, object) with ``other`` —
+  ``audit/merge-argument``.  Window probes merge live buckets without
+  cloning them, so this is what keeps a probe from perturbing the
+  stream.  Flushing ``other`` in place is allowed and ``finalize`` is
+  outside the contract (it may draw from an RNG or memoise), so
+  answers are read from throwaway copies, settled by one more merge;
 * metadata ↔ capability agreement: the *instance*'s validated
   ``shard_routing`` must match the registry's declared routing, and
   ``mergeable`` must match what
@@ -26,7 +34,11 @@ otherwise at ``<registry>``.
 
 from __future__ import annotations
 
+import copy
+import enum
 import pickle
+import types
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -64,6 +76,97 @@ _BATCH_A = np.array([0, 1, 2, 0], dtype=np.int64)
 _BATCH_B = np.array([1, 2, 3, 4], dtype=np.int64)
 _BATCH_A2 = np.array([3, 1], dtype=np.int64)
 _BATCH_B2 = np.array([5, 2], dtype=np.int64)
+
+#: Denser batches for the merge-argument probe: vertex 0 is heavy in
+#: both operands, so witness-collecting structures hold lists to merge.
+_MERGE_A = np.array([0, 0, 0, 0, 0, 1, 1, 2], dtype=np.int64)
+_MERGE_B = np.array([1, 2, 3, 4, 5, 6, 7, 8], dtype=np.int64)
+_MERGE_A2 = np.array([0, 0, 0, 0, 3, 3], dtype=np.int64)
+_MERGE_B2 = np.array([9, 10, 11, 12, 13, 14], dtype=np.int64)
+
+#: Leaves of the container walk: immutable, or not state at all.
+_ATOMIC = (
+    int, float, complex, str, bytes, bool, type(None), range, slice,
+    np.generic, enum.Enum, type, types.FunctionType,
+    types.BuiltinFunctionType, types.MethodType, types.ModuleType,
+)
+
+
+def _settled_answer(processor: Any, settler: Any) -> bytes:
+    """Pickled answer of a throwaway copy of ``processor`` after it
+    merges a copy of ``settler``.
+
+    ``finalize`` may draw from an RNG or memoise, so it never runs on
+    the audited instance.  The extra merge consolidates the copy's
+    pending updates, so a summary its own merge argument flushed in
+    place reads the same as before the flush.
+    """
+    probe = copy.deepcopy(processor).merge(copy.deepcopy(settler))
+    return pickle.dumps(probe.finalize())
+
+
+def _mutable_state(root: Any) -> Dict[int, Any]:
+    """id -> object for every mutable container reachable from ``root``:
+    lists, dicts, sets, arrays, RNGs and objects with attributes.
+
+    NumPy views count as their base array, so two views of one buffer
+    are the same container.
+    """
+    found: Dict[int, Any] = {}
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _ATOMIC) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, dict):
+            found[id(obj)] = obj
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set, bytearray)):
+            found[id(obj)] = obj
+            stack.extend(obj)
+        elif isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+        else:
+            found[id(obj)] = obj
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for klass in type(obj).__mro__:
+                for name in getattr(klass, "__slots__", ()):
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
+    return found
+
+
+def _merge_argument_findings(build: Any) -> List[str]:
+    """Problems with ``merge(other)``'s treatment of ``other``."""
+    left, right = build().split(2)
+    left.process_batch(_MERGE_A, _MERGE_B)
+    right.process_batch(_MERGE_A2, _MERGE_B2)
+    settler = copy.deepcopy(left)
+    before = _settled_answer(right, settler)
+    merged = left.merge(right)
+    problems = []
+    if _settled_answer(right, settler) != before:
+        problems.append("merge(other) changed other's finalized answer")
+    theirs = _mutable_state(right)
+    shared = Counter(
+        type(obj).__name__
+        for key, obj in _mutable_state(merged).items()
+        if key in theirs
+    )
+    if shared:
+        kinds = ", ".join(f"{name} x{n}" for name, n in sorted(shared.items()))
+        problems.append(
+            f"merge(other)'s result shares mutable state with other "
+            f"({kinds})"
+        )
+    return problems
 
 
 def _audit_params(entry: Any) -> Tuple[Optional[Dict[str, Any]], List[str]]:
@@ -219,5 +322,24 @@ def audit_registry(
                     f"{type(error).__name__}: {error}",
                     "same-configuration shards must always merge; this is "
                     "the exact fold ShardedRunner performs",
+                )
+                continue
+            try:
+                problems = _merge_argument_findings(
+                    lambda: entry.build(params)
+                )
+            except Exception as error:  # noqa: BLE001
+                problems = [
+                    f"merge-argument probe failed with "
+                    f"{type(error).__name__}: {error}"
+                ]
+            for problem in problems:
+                report(
+                    "audit/merge-argument",
+                    problem,
+                    "merge folds into its receiver (or a new summary): it "
+                    "may flush its argument but must not change its "
+                    "answer, and must copy any container it takes from it "
+                    "— window probes merge live buckets without cloning",
                 )
     return findings

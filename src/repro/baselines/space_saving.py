@@ -72,20 +72,25 @@ class SpaceSaving:
         classic implementation maintained (insertion order = tracking
         order).  For reading only — mutations do not write back.
         """
-        order = np.argsort(self._stamps[: self._size], kind="stable")
-        return {
-            self._slot_items[slot]: int(self._values[slot])
-            for slot in order.tolist()
-        }
+        items, values, _ = self._tracked()
+        return dict(zip(items, values))
 
     @property
     def _overestimates(self) -> Dict[int, int]:
         """Per-item overcount bounds in tracking order (read-only view)."""
+        items, _, overs = self._tracked()
+        return dict(zip(items, overs))
+
+    def _tracked(self) -> Tuple[List[int], List[int], List[int]]:
+        """(items, values, overestimates) in tracking order — one
+        argsort over the stamps, shared by all three columns."""
         order = np.argsort(self._stamps[: self._size], kind="stable")
-        return {
-            self._slot_items[slot]: int(self._overs[slot])
-            for slot in order.tolist()
-        }
+        slot_items = self._slot_items
+        return (
+            [slot_items[slot] for slot in order.tolist()],
+            self._values[order].tolist(),
+            self._overs[order].tolist(),
+        )
 
     def _take_stamp(self) -> int:
         """Next tracking-order stamp, renumbering when the fused-key
@@ -306,30 +311,43 @@ class SpaceSaving:
         )
 
     def _load(
-        self,
-        counters: Dict[int, int],
-        overestimates: Dict[int, int],
-        length: int,
+        self, items: List[int], values: List[int], overs: List[int], length: int
     ) -> None:
-        """Populate an empty summary from dicts, stamping items in dict
-        iteration order (used by :meth:`merge`)."""
-        for item, value in counters.items():
-            slot = self._size
-            self._size += 1
-            self._slot_items.append(item)
-            self._slots[item] = slot
-            self._values[slot] = value
-            self._overs[slot] = overestimates.get(item, 0)
-            self._stamps[slot] = slot
-        self._next_stamp = self._size
+        """Populate an empty summary column by column, stamping items in
+        list order (used by :meth:`merge`)."""
+        size = len(items)
+        self._size = size
+        self._slot_items = list(items)
+        self._slots = dict(zip(items, range(size)))
+        self._values[:size] = values
+        self._overs[:size] = overs
+        self._stamps[:size] = np.arange(size, dtype=np.int64)
+        self._next_stamp = size
         self._length = length
         if length >= _VALUE_CAP:
             self._widen()
         else:
-            size = self._size
             self._keys[:size] = (
                 self._values[:size] * _STAMP_MOD + self._stamps[:size]
             )
+
+    def clone(self) -> "SpaceSaving":
+        """An independent duplicate built from array and container
+        copies — equal to ``copy.deepcopy`` without the graph walk (the
+        window fold clones its seed bucket on every probe)."""
+        dup = object.__new__(SpaceSaving)
+        dup.k = self.k
+        dup._values = self._values.copy()
+        dup._overs = self._overs.copy()
+        dup._stamps = self._stamps.copy()
+        dup._keys = self._keys.copy()
+        dup._slot_items = list(self._slot_items)
+        dup._slots = dict(self._slots)
+        dup._size = self._size
+        dup._next_stamp = self._next_stamp
+        dup._wide = self._wide
+        dup._length = self._length
+        return dup
 
     def merge(self, other: "SpaceSaving") -> "SpaceSaving":
         """Combine two summaries of disjoint sub-streams (mergeability).
@@ -341,7 +359,8 @@ class SpaceSaving:
         only the ``k`` largest merged counters are kept.  The merged
         summary still brackets every item's true count:
         ``true <= estimate <= true + L_total / k``.  Both summaries must
-        have the same ``k``.
+        have the same ``k``.  Neither operand is modified; the result is
+        a new summary.
         """
         if not isinstance(other, SpaceSaving):
             raise ValueError(
@@ -349,43 +368,44 @@ class SpaceSaving:
             )
         if self.k != other.k:
             raise ValueError(f"cannot merge k={self.k} with k={other.k}")
-        mine_counters = self._counters
-        their_counters = other._counters
-        mine_overs = self._overestimates
-        their_overs = other._overestimates
+        mine_items, mine_values, mine_overs = self._tracked()
+        their_items, their_values, their_overs = other._tracked()
+        mine = dict(zip(mine_items, zip(mine_values, mine_overs)))
+        theirs = dict(zip(their_items, zip(their_values, their_overs)))
         # A summary that never filled up tracks every item it saw, so an
         # untracked item's true count there is 0, not the minimum counter.
-        floor_self = (
-            min(mine_counters.values()) if len(mine_counters) >= self.k else 0
-        )
-        floor_other = (
-            min(their_counters.values())
-            if len(their_counters) >= other.k
-            else 0
-        )
+        floor_self = min(mine_values) if len(mine) >= self.k else 0
+        floor_other = min(their_values) if len(theirs) >= other.k else 0
         combined: Dict[int, int] = {}
         overestimates: Dict[int, int] = {}
-        for item in set(mine_counters) | set(their_counters):
-            mine = mine_counters.get(item)
-            theirs = their_counters.get(item)
-            estimate = (mine if mine is not None else floor_self) + (
-                theirs if theirs is not None else floor_other
-            )
-            certified = 0
-            if mine is not None:
-                certified += mine - mine_overs.get(item, 0)
-            if theirs is not None:
-                certified += theirs - their_overs.get(item, 0)
+        # The union's set order decides ties below, so it is kept as is.
+        for item in set(mine) | set(theirs):
+            pair = mine.get(item)
+            if pair is None:
+                estimate, certified = floor_self, 0
+            else:
+                estimate, certified = pair[0], pair[0] - pair[1]
+            pair = theirs.get(item)
+            if pair is None:
+                estimate += floor_other
+            else:
+                estimate += pair[0]
+                certified += pair[0] - pair[1]
             combined[item] = estimate
             overestimates[item] = estimate - certified
         if len(combined) > self.k:
-            kept = sorted(combined, key=combined.__getitem__, reverse=True)[
+            items = sorted(combined, key=combined.__getitem__, reverse=True)[
                 : self.k
             ]
-            combined = {item: combined[item] for item in kept}
-            overestimates = {item: overestimates[item] for item in kept}
+        else:
+            items = list(combined)
         merged = SpaceSaving(self.k)
-        merged._load(combined, overestimates, self._length + other._length)
+        merged._load(
+            items,
+            [combined[item] for item in items],
+            [overestimates[item] for item in items],
+            self._length + other._length,
+        )
         return merged
 
     def split(self, n_shards: int) -> List["SpaceSaving"]:

@@ -415,13 +415,19 @@ class DegResSampling:
         """Combine two runs over vertex-disjoint sub-streams.
 
         Candidate counts add; the merged reservoir is the union of both
-        shard reservoirs (vertex routing makes the keys disjoint — each
-        vertex crossed ``d1`` in exactly one shard).  Witness lists of a
-        vertex somehow present in both are deduplicated at merge time
-        and clipped to ``d2``.  The union holds up to ``n_shards * s``
-        vertices — the classical mergeable-summaries space tradeoff —
-        and each shard's sample is a faithful Algorithm 1 run over its
-        sub-stream, so Lemma 3.1's success bound applies per shard.
+        reservoirs.  Under vertex routing the keys are disjoint — each
+        vertex crossed ``d1`` in exactly one shard.  Window buckets split
+        the stream by time instead, so a hot vertex sits in both
+        operands: its witness lists are deduplicated at merge time and
+        clipped to ``d2`` (a list already holding ``d2`` witnesses is
+        left as it is, which is what extend-then-clip would give).  The
+        union holds up to ``n_shards * s`` vertices — the classical
+        mergeable-summaries space tradeoff — and each shard's sample is a
+        faithful Algorithm 1 run over its sub-stream, so Lemma 3.1's
+        success bound applies per shard.
+
+        ``other`` is left unchanged and shares no list with the result:
+        witness lists that move over are copied.
         """
         if not isinstance(other, DegResSampling):
             raise ValueError(
@@ -446,17 +452,20 @@ class DegResSampling:
         if self._degrees is not None and other._degrees is not None:
             self._degrees.merge(other._degrees)
         self._candidates_seen += other._candidates_seen
+        reservoir = self._reservoir
+        resident = self._resident
+        d2 = self.d2
         for vertex, witnesses in other._reservoir.items():
-            stored = self._reservoir.get(vertex)
+            stored = reservoir.get(vertex)
             if stored is None:
-                self._reservoir[vertex] = list(witnesses)
-                self._resident.append(vertex)
-            else:
+                reservoir[vertex] = witnesses[:]
+                resident.append(vertex)
+            elif len(stored) < d2:
                 seen = set(stored)
                 stored.extend(
                     witness for witness in witnesses if witness not in seen
                 )
-                del stored[self.d2:]
+                del stored[d2:]
         return self
 
     def split(self, n_shards: int) -> List["DegResSampling"]:

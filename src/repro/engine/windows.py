@@ -79,8 +79,11 @@ def clone_summary(instance: Any) -> Any:
     Prefers the structure-provided ``clone()`` fast path — a
     bit-identical state duplication without the generic deepcopy graph
     walk — and falls back to ``copy.deepcopy`` for structures that do
-    not provide one.  Window policies clone bucket summaries on every
-    suffix fold and mid-stream probe, so this is on the query hot path.
+    not provide one.  Registry merges leave their argument's answer
+    alone and share no mutable container with it, so a fold clones only
+    the summary it merges *into*: a steady-state sliding probe clones
+    its fold seed and the cached fold it hands out, and a probe that
+    must keep or finalize the in-progress bucket clones that once.
     """
     clone = getattr(instance, "clone", None)
     if callable(clone):
@@ -234,13 +237,16 @@ class WindowPolicy:
     ) -> Any:
         """The policy's answer *mid-stream*, without closing anything.
 
-        ``partial`` is the in-progress bucket (a deep copy of the live
-        instance; ``None`` when it is empty).  The base behaviour —
+        ``partial`` is the in-progress bucket over the *live* instance
+        (``None`` when it is empty).  It keeps streaming after the
+        probe, so a policy may merge it into a summary it owns but must
+        clone it before keeping or finalizing it.  The base behaviour —
         kept by tumbling, matching the pre-refactor "query the last
         completed window" semantics — ignores it; policies whose
         retention merges summaries (sliding, decay) override to
         include the partial bucket so the answer covers the stream up
-        to the current update.  Must not mutate ``state``.
+        to the current update.  Must not change the retained buckets in
+        ``state`` (derived query caches may be filled in).
         """
         return self.result(state, make_record)
 
@@ -345,26 +351,25 @@ class SlidingPolicy(WindowPolicy):
     def _suffix_fold(self, state, start: int) -> Any:
         """A caller-owned left-fold merge of ``state[start:]``.
 
-        Buckets stay live for repeat queries: merge consumes its
-        operands, so the fold runs over clones.  When the state carries
-        a suffix cache (see :class:`SuffixCacheList`) the fold is built
-        once per (start, bucket-list) pair and re-cloned on later
-        probes, making repeated queries O(1) merges instead of
-        O(retained) — the cache only empties when a bucket closes.
+        Buckets stay live for repeat queries.  A merge leaves its
+        argument's answer alone and shares nothing mutable with it (the
+        ``audit/merge-argument`` contract), so the fold clones its seed
+        bucket and merges the later buckets in directly.  When the state carries a suffix
+        cache (see :class:`SuffixCacheList`) the fold is built once per
+        (start, bucket-list) pair and re-cloned on later probes, making
+        repeated queries O(1) merges instead of O(retained) — the cache
+        only empties when a bucket closes.
         """
         if start >= len(state):
             return None
         cache = getattr(state, "suffix", None)
-        if cache is None:
-            merged = clone_summary(state[start].instance)
-            for bucket in state[start + 1 :]:
-                merged = merged.merge(clone_summary(bucket.instance))
-            return merged
-        fold = cache.get(start)
+        fold = None if cache is None else cache.get(start)
         if fold is None:
             fold = clone_summary(state[start].instance)
             for bucket in state[start + 1 :]:
-                fold = fold.merge(clone_summary(bucket.instance))
+                fold = fold.merge(bucket.instance)
+            if cache is None:
+                return fold
             cache[start] = fold
         return clone_summary(fold)
 
@@ -387,9 +392,11 @@ class SlidingPolicy(WindowPolicy):
                     break
         merged = self._suffix_fold(state, start)
         if merged is None:
+            # Nothing closed yet: the answer keeps the live instance's
+            # state, so it gets its own copy.
             merged = clone_summary(partial.instance)
         elif partial is not None:
-            merged = merged.merge(clone_summary(partial.instance))
+            merged = merged.merge(partial.instance)
         return SlidingWindowAnswer(
             window=self.window,
             bucket=self.bucket,
@@ -491,22 +498,28 @@ class DecayPolicy(WindowPolicy):
         """Mid-stream answer: the in-progress bucket appears as the
         newest recent bucket (retention folding only happens when it
         actually closes, so ``recent`` may transiently show ``keep + 1``
-        buckets; ``state`` itself is never touched)."""
-        if partial is not None:
-            state = dict(state, recent=state["recent"] + [partial])
-        return self.result(state, make_record)
+        buckets).  Retention is never touched; the record and tail-value
+        memos land in ``state``, so later probes reuse them."""
+        return self._answer(state, partial, make_record)
 
     def result(self, state, make_record) -> DecayAnswer:
+        return self._answer(state, None, make_record)
+
+    def _answer(self, state, partial, make_record) -> DecayAnswer:
         # Closed buckets receive no further updates, so their records
         # are memoized per (index, end) — a probe only re-finalizes the
         # in-progress bucket and whatever closed since the last probe.
         # The tail value is keyed by its covered span, which only moves
-        # when a bucket folds.  (``query`` hands in a shallow dict copy
-        # sharing these caches, so probes populate them too.)
+        # when a bucket folds.  Every summary here keeps streaming or
+        # folding, and finalize may draw from an RNG or memoise, so each
+        # value comes from a copy: a probe never perturbs later answers.
         tail = state["tail"]
         cache = state.get("_records")
+        buckets = state["recent"]
+        if partial is not None:
+            buckets = buckets + [partial]
         recent = []
-        for bucket in state["recent"]:
+        for bucket in buckets:
             record = None
             key = (bucket.index, bucket.end)
             if cache is not None:
@@ -514,7 +527,7 @@ class DecayPolicy(WindowPolicy):
             if record is None:
                 record = make_record(
                     bucket.index, bucket.start, bucket.end,
-                    bucket.instance.finalize(),
+                    clone_summary(bucket.instance).finalize(),
                 )
                 if cache is not None:
                     cache[key] = record
@@ -527,7 +540,7 @@ class DecayPolicy(WindowPolicy):
             if memo is not None and memo[0] == span:
                 tail_value = memo[1]
             else:
-                tail_value = tail.finalize()
+                tail_value = clone_summary(tail).finalize()
                 state["_tail_record"] = (span, tail_value)
         return DecayAnswer(
             recent=recent,
@@ -740,25 +753,26 @@ class WindowedProcessor:
     def query(self) -> Any:
         """The policy's answer at the *current* stream position.
 
-        Unlike :meth:`finalize`, nothing closes and no state mutates:
-        the wrapper keeps streaming afterwards, so callers can probe as
+        Unlike :meth:`finalize`, nothing closes and no later answer
+        changes (a merge may consolidate a bucket's pending updates, and
+        query caches fill in): the wrapper keeps streaming afterwards,
+        so callers can probe as
         often as they like (monitoring dashboards, the Pipeline's
         ``probe_every`` hook).  The in-progress bucket is handed to the
-        policy as an independent copy (the structure-provided ``clone()``
-        fast path when available, else a deep copy) — for the
-        smooth-histogram sliding policy that makes this exact
+        policy as is, not copied: sliding merges it into a fold it owns,
+        and the paths that keep or finalize it — decay, and a sliding
+        query before any bucket has closed — clone it once.  For the
+        smooth-histogram sliding policy this is exact
         query-at-any-point: the answer covers the trailing span ending
         at the update fed last.  Tumbling keeps its historical
-        semantics (completed windows only).
+        semantics (completed windows only) and never looks at the
+        in-progress bucket.
         """
         partial = None
         if self._updates > 0:
             start = self._bucket_index * self.policy.bucket
             partial = Bucket(
-                self._bucket_index,
-                start,
-                start + self._updates,
-                clone_summary(self._current),
+                self._bucket_index, start, start + self._updates, self._current
             )
         return self.policy.query(self._state, partial, self._make_record)
 

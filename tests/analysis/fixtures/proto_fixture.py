@@ -6,7 +6,7 @@ them in a throwaway registry with deliberately wrong metadata.
 """
 
 import threading
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class GoodSummary:
@@ -88,3 +88,43 @@ class BrokenSplit(GoodSummary):
 
     def split(self, n_shards: int) -> List["GoodSummary"]:
         return [GoodSummary(self.k) for _ in range(n_shards + 1)]
+
+
+class ArgumentDrainingMerge(GoodSummary):
+    """merge() moves the argument's count instead of adding it: the
+    argument answers 0 afterwards."""
+
+    def merge(self, other: "GoodSummary") -> "GoodSummary":
+        self.total += other.total
+        other.total = 0
+        return self
+
+
+class WitnessAdoptingMerge:
+    """merge() adopts the argument's witness list for vertices it has
+    not seen instead of copying it, so both summaries share the list."""
+
+    shard_routing = "any"
+
+    def __init__(self, k: int = 4) -> None:
+        self.k = k
+        self.witnesses: Dict[int, List[int]] = {}
+
+    def process_batch(self, a, b, sign=None) -> None:
+        for vertex, witness in zip(a.tolist(), b.tolist()):
+            self.witnesses.setdefault(vertex, []).append(witness)
+
+    def finalize(self) -> Dict[int, List[int]]:
+        return {vertex: sorted(ws) for vertex, ws in self.witnesses.items()}
+
+    def split(self, n_shards: int) -> List["WitnessAdoptingMerge"]:
+        return [type(self)(self.k) for _ in range(n_shards)]
+
+    def merge(self, other: "WitnessAdoptingMerge") -> "WitnessAdoptingMerge":
+        for vertex, witnesses in other.witnesses.items():
+            stored = self.witnesses.get(vertex)
+            if stored is None:
+                self.witnesses[vertex] = witnesses
+            else:
+                stored.extend(witnesses)
+        return self

@@ -12,6 +12,10 @@ def _rules_for(findings, name):
     )
 
 
+def _problems_for(findings, name):
+    return [f.problem for f in findings if f"processor {name!r}" in f.problem]
+
+
 @pytest.fixture()
 def audited(import_fixture):
     module = import_fixture("proto_fixture")
@@ -34,6 +38,8 @@ def audited(import_fixture):
     add("broken-split", module.BrokenSplit, mergeable=True, routing="any")
     add("secretly", module.SecretlyMergeable, mergeable=False)
     add("not-actually", module.NotActuallyMergeable, mergeable=True, params=())
+    add("draining", module.ArgumentDrainingMerge, mergeable=True, routing="any")
+    add("adopting", module.WitnessAdoptingMerge, mergeable=True, routing="any")
     add(
         "unbuildable",
         module.GoodSummary,
@@ -62,6 +68,20 @@ class TestBrokenRegistry:
     def test_metadata_exceeds_capability(self, audited):
         assert _rules_for(audited, "not-actually") == [
             "audit/metadata-capability"
+        ]
+
+    def test_merge_that_changes_its_argument_is_named(self, audited):
+        assert _rules_for(audited, "draining") == ["audit/merge-argument"]
+        assert _problems_for(audited, "draining") == [
+            "processor 'draining': merge(other) changed other's finalized "
+            "answer"
+        ]
+
+    def test_merge_that_adopts_argument_lists_is_named(self, audited):
+        assert _rules_for(audited, "adopting") == ["audit/merge-argument"]
+        assert _problems_for(audited, "adopting") == [
+            "processor 'adopting': merge(other)'s result shares mutable "
+            "state with other (list x1)"
         ]
 
     def test_unbuildable_entry_reported_not_crashed(self, audited):

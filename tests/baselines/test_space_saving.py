@@ -1,5 +1,9 @@
 """Tests for the SpaceSaving baseline."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,3 +98,41 @@ class TestGuarantees:
         for item in stream:
             summary.update(item)
         assert sum(summary._counters.values()) == len(stream)
+
+
+class TestCloneAndMerge:
+    @staticmethod
+    def _loaded(k=8, seed=4, size=3000):
+        summary = SpaceSaving(k)
+        rng = np.random.default_rng(seed)
+        summary.process_batch(rng.zipf(1.4, size=size) % 200)
+        return summary
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_clone_pickles_like_deepcopy(self, wide):
+        summary = self._loaded()
+        if wide:
+            summary._widen()
+        assert pickle.dumps(summary.clone()) == pickle.dumps(
+            copy.deepcopy(summary)
+        )
+
+    def test_ingesting_into_the_clone_leaves_the_original_alone(self):
+        summary = self._loaded()
+        estimates = {item: summary.estimate(item) for item in range(200)}
+        state = pickle.dumps(summary)
+        dup = summary.clone()
+        dup.process_batch(np.arange(50, 150, dtype=np.int64))
+        dup.update(7, 40)
+        assert {item: summary.estimate(item) for item in range(200)} == (
+            estimates
+        )
+        assert pickle.dumps(summary) == state
+
+    def test_merge_leaves_both_operands_alone(self):
+        left, right = self._loaded(seed=1), self._loaded(seed=2)
+        before = pickle.dumps((left, right))
+        merged = left.merge(right)
+        assert pickle.dumps((left, right)) == before
+        merged.process_batch(np.arange(20, dtype=np.int64))
+        assert pickle.dumps((left, right)) == before

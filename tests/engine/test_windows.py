@@ -1,6 +1,8 @@
 """Unit tests for the window-policy subsystem (repro.engine.windows)."""
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.engine import (
     derive_bucket_seed,
     ensure_mergeable,
 )
+from repro.engine import windows
 from repro.streams.columnar import ColumnarEdgeStream
 
 
@@ -26,6 +29,19 @@ def full_storage_factory(n, m, seed):
 
 def make_full(n=16, m=2000):
     return functools.partial(full_storage_factory, n, m)
+
+
+def frozen_queries():
+    """The integration suite's frozen legacy window queries."""
+    path = (
+        Path(__file__).parents[1]
+        / "integration"
+        / "test_window_query_equivalence.py"
+    )
+    spec = importlib.util.spec_from_file_location("frozen_window_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_stream(count, n=16, m=None, seed=3):
@@ -400,6 +416,50 @@ class TestMidStreamQuery:
         # finalize closes bucket 2 for real and folds bucket 0 away.
         assert final.has_tail
         assert [record.end_update for record in final.recent] == [200, 250]
+
+    def test_decay_probes_reuse_the_tail_value_memo(self, monkeypatch):
+        """Probes with no fold between them finalize the folded tail
+        once: the tail-value memo lands in the live state."""
+        processor = self._fed(DecayPolicy(100, keep=2), count=450)
+        tail = processor._state["tail"]
+        tail_copies = []
+        finalized = []
+        real_clone = windows.clone_summary
+        real_finalize = FullStorage.finalize
+
+        def clone(instance):
+            duplicate = real_clone(instance)
+            if instance is tail:
+                tail_copies.append(duplicate)
+            return duplicate
+
+        def finalize(store):
+            if store is tail or any(store is copy for copy in tail_copies):
+                finalized.append(store)
+            return real_finalize(store)
+
+        monkeypatch.setattr(windows, "clone_summary", clone)
+        monkeypatch.setattr(FullStorage, "finalize", finalize)
+        legacy_decay_query = frozen_queries().legacy_decay_query
+
+        def fingerprint(answer):
+            return (
+                [(r.end_update, r.value._neighbours) for r in answer.recent],
+                answer.tail_value._neighbours,
+                answer.tail_end_update,
+            )
+
+        stream = make_stream(500, m=500)
+        for stop in (460, 470, 480):  # all inside bucket 4: no fold
+            processor.process_batch(
+                stream.a[stop - 10 : stop], stream.b[stop - 10 : stop]
+            )
+            assert fingerprint(processor.query()) == fingerprint(
+                legacy_decay_query(processor)
+            )
+        assert processor._state["tail"] is tail
+        assert len(finalized) == 1  # once per tail span, not per probe
+        assert processor._state["_tail_record"][0] == (0, 200)
 
     def test_query_on_empty_processor(self):
         sliding = WindowedProcessor(make_full(16, 500), SlidingPolicy(120),

@@ -19,17 +19,21 @@ chunk loops and the real ``Pipeline.run(probe_every=...)`` hook, which
 is fanout-only by design), and post-run merged-wrapper queries at 1, 2
 and 4 :class:`ShardedRunner` workers including mmap file sources —
 over both a deepcopy-cloned inner (FullStorage) and a ``clone()``-fast-
-path inner (Algorithm 2).
+path inner (Algorithm 2).  Every registry entry that builds under a
+sliding window is pinned the same way, and a steady-state probe is held
+to two clones per processor: merges leave their argument alone, so a
+fold clones only the summary it merges into.
 """
 
 import copy
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.baselines import FullStorage
+from repro.baselines import FullStorage, MisraGries, SpaceSaving
 from repro.core.windowed import Alg2WindowFactory
 from repro.engine import (
     DecayPolicy,
@@ -38,7 +42,10 @@ from repro.engine import (
     SlidingPolicy,
     WindowedProcessor,
 )
+from repro.engine import windows
 from repro.engine.windows import Bucket, DecayAnswer, SlidingWindowAnswer
+from repro.pipeline.registry import RegistryWindowFactory
+from repro.sketch.l0 import L0EdgeBank
 from repro.streams.columnar import ColumnarEdgeStream
 
 WORKERS = (1, 2, 4)
@@ -423,3 +430,182 @@ class TestQueryCacheHygiene:
         assert "_records" not in dup._state
         assert "_tail_record" not in dup._state
         assert decay_fp(dup.query()) == expected
+
+
+# ----------------------------------------------------------------------
+# Every window-capable registry processor vs the frozen fold.
+# ----------------------------------------------------------------------
+
+#: Registry entries that build under a sliding window, at test sizes.
+#: count-min, count-sketch and bloom-dedup refuse to merge buckets with
+#: different seeds, by design.
+WINDOWED_ENTRIES = {
+    "full-storage": {"n": 24, "m": 1600},
+    "insertion-only": {"n": 24, "d": 8, "alpha": 2},
+    "topk": {"n": 24, "d": 8, "alpha": 2, "k": 2},
+    "star-detection": {"n_vertices": 1600, "alpha": 2},
+    "insertion-deletion": {"n": 24, "m": 1600, "d": 8, "alpha": 2},
+    "l0-bank": {"n": 24, "m": 1600, "count": 8},
+    "misra-gries": {"k": 6},
+    "space-saving": {"k": 6},
+}
+
+
+@pytest.fixture(scope="module")
+def registry_stream(monitoring_stream):
+    """The first 1600 updates: 9 buckets, enough to slide and decay."""
+    a, b = monitoring_stream.a[:1600], monitoring_stream.b[:1600]
+    return ColumnarEdgeStream(a, b, n=24, m=1600, validate=False)
+
+
+def registry_wrapper(name, policy):
+    return WindowedProcessor(
+        RegistryWindowFactory.of(name, WINDOWED_ENTRIES[name]), policy, seed=5
+    )
+
+
+def answer_fp(value):
+    """Comparable form of any windowed entry's ``finalize`` output."""
+    if isinstance(value, FullStorage):
+        return {v: sorted(ws) for v, ws in value._neighbours.items() if ws}
+    if isinstance(value, SpaceSaving):
+        return (
+            list(value._counters.items()),
+            list(value._overestimates.items()),
+            value._length,
+        )
+    if isinstance(value, MisraGries):
+        return list(value._counters.items()), value._length
+    if isinstance(value, L0EdgeBank):
+        return copy.deepcopy(value).sample_all()
+    return value  # None, or frozen-dataclass answers (lists of them)
+
+
+def fed_in_chunks(wrapper, stream):
+    """The unprobed twin: same chunks (counter baselines' batch folds
+    depend on chunk boundaries), no queries."""
+    for a, b, sign in stream.chunks(CHUNK):
+        wrapper.process_batch(a, b, sign)
+    return wrapper
+
+
+def registry_sliding_fp(answer):
+    if answer is None:
+        return None
+    return (
+        answer.start_update,
+        answer.end_update,
+        answer.n_buckets,
+        answer_fp(answer.value),
+    )
+
+
+def registry_decay_fp(answer):
+    return (
+        [
+            (r.window_index, r.start_update, r.end_update, answer_fp(r.value))
+            for r in answer.recent
+        ],
+        answer_fp(answer.tail_value),
+        answer.tail_start_update,
+        answer.tail_end_update,
+    )
+
+
+class TestRegistryProcessors:
+    @pytest.mark.parametrize("name", sorted(WINDOWED_ENTRIES))
+    def test_sliding_probes_match_frozen_fold(self, registry_stream, name):
+        policy = SlidingPolicy(WINDOW, bucket_ratio=RATIO)
+        wrapper = registry_wrapper(name, policy)
+        probed = []
+
+        def check(position):
+            first = wrapper.query()
+            expected = registry_sliding_fp(legacy_sliding_query(wrapper))
+            assert registry_sliding_fp(first) == expected
+            assert registry_sliding_fp(wrapper.query()) == expected
+            probed.append(position)
+
+        probe_positions(wrapper, registry_stream, PROBE_INTERVALS[0], check)
+        assert probed[0] < policy.bucket  # the clone-once branch ran
+        clean = fed_in_chunks(registry_wrapper(name, policy), registry_stream)
+        assert registry_sliding_fp(wrapper.finalize()) == registry_sliding_fp(
+            clean.finalize()
+        )
+
+    @pytest.mark.parametrize("name", sorted(WINDOWED_ENTRIES))
+    def test_finalize_after_boundary_probe(self, registry_stream, name):
+        """A probe at a bucket boundary caches the fold; the finalize
+        right after it is served from that cache."""
+        policy = SlidingPolicy(WINDOW, bucket_ratio=RATIO)
+        wrapper = registry_wrapper(name, policy)
+        stop = 8 * policy.bucket
+        a, b = registry_stream.a[:stop], registry_stream.b[:stop]
+        for start in range(0, stop, policy.bucket):
+            end = start + policy.bucket
+            wrapper.process_batch(a[start:end], b[start:end])
+            probe = wrapper.query()
+        assert wrapper._state.suffix
+        expected = registry_sliding_fp(legacy_sliding_query(wrapper))
+        assert registry_sliding_fp(probe) == expected
+        assert registry_sliding_fp(wrapper.finalize()) == expected
+        clean = registry_wrapper(name, policy)
+        clean.process_batch(a, b)
+        assert registry_sliding_fp(clean.finalize()) == expected
+
+    @pytest.mark.parametrize("name", sorted(WINDOWED_ENTRIES))
+    def test_decay_probes_match_frozen_fold(self, registry_stream, name):
+        policy = DecayPolicy(bucket_size=300, keep=3)
+        wrapper = registry_wrapper(name, policy)
+
+        def check(position):
+            expected = registry_decay_fp(legacy_decay_query(wrapper))
+            assert registry_decay_fp(wrapper.query()) == expected
+            assert registry_decay_fp(wrapper.query()) == expected
+
+        probe_positions(wrapper, registry_stream, PROBE_INTERVALS[0], check)
+        clean = fed_in_chunks(registry_wrapper(name, policy), registry_stream)
+        # Probes finalize copies: the retained summaries stay exactly
+        # those of the unprobed twin (finalize may draw and memoise).
+        assert pickle.dumps(wrapper) == pickle.dumps(clean)
+        assert registry_decay_fp(wrapper.finalize()) == registry_decay_fp(
+            clean.finalize()
+        )
+
+    def test_probe_clone_counts(self, monitoring_stream, monkeypatch):
+        """Clones per probe of the benchmark's two windowed processors.
+
+        Before any bucket closes, a probe clones the live instance once.
+        A probe right after a close clones the fold seed and the cached
+        fold it hands out (2 per processor); the other buckets merge in
+        uncloned.  A later probe in the same bucket clones only the
+        cached fold and merges the live instance in.
+        """
+        calls = []
+
+        def counting_clone(instance):
+            calls.append(type(instance).__name__)
+            return real_clone(instance)
+
+        real_clone = windows.clone_summary
+        monkeypatch.setattr(windows, "clone_summary", counting_clone)
+        policy = SlidingPolicy(1024, bucket_ratio=0.25)
+        wrappers = [
+            registry_wrapper("insertion-only", policy),
+            registry_wrapper("space-saving", policy),
+        ]
+        half = policy.bucket // 2
+        per_probe = []
+        for start in range(0, 30 * half, half):
+            a = monitoring_stream.a[start : start + half]
+            b = monitoring_stream.b[start : start + half]
+            for wrapper in wrappers:
+                wrapper.process_batch(a, b)
+            calls.clear()
+            for wrapper in wrappers:
+                wrapper.query()
+            per_probe.append(len(calls))
+        assert per_probe[0] == 2  # one live-instance clone each
+        steady = per_probe[2 * policy.retained :]
+        assert steady[0::2] == [2] * len(steady[0::2])  # mid-bucket, cache hit
+        assert steady[1::2] == [4] * len(steady[1::2])  # after a close
