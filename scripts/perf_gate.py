@@ -17,7 +17,10 @@ tripped ceiling.
 Ceilings are 5-10x the traced values measured at seed 1 on a 2-vCPU
 host (Python 3.11, NumPy 2.4), so only a kernel that falls back to a
 per-item Python loop, or a layer that stops running, trips them; the
-benchmark's ``BENCHMARK.json`` bounds judge smaller moves.
+benchmark's ``BENCHMARK.json`` bounds judge smaller moves.  One is
+tighter: ``sketch.l0_bank.build_ms`` sits at about 1.6x its measured
+18 ms, below the 24-44 ms that drawing one fingerprint base per s-sparse
+cell (27.7k ``randrange`` calls per bank) costs on the same host.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ CEILINGS: Dict[Tuple[str, str], float] = {
     ("insert-zipf-fanout", "baselines.count_min.ingest_s"): 0.5,
     ("insert-zipf-fanout", "baselines.count_sketch.ingest_s"): 0.5,
     ("turnstile-churn-exact", "core.insertion_deletion.ingest_s"): 0.3,
-    ("turnstile-churn-exact", "core.insertion_deletion.finalize_ms"): 1200.0,
+    ("turnstile-churn-exact", "core.insertion_deletion.finalize_ms"): 250.0,
     ("turnstile-churn-exact", "sketch.l0_bank.ingest_s"): 0.015,
-    ("turnstile-churn-exact", "sketch.l0_bank.sample_ms"): 1500.0,
+    ("turnstile-churn-exact", "sketch.l0_bank.sample_ms"): 650.0,
+    ("turnstile-churn-exact", "sketch.l0_bank.build_ms"): 30.0,
     ("star-file-sharded", "core.star_detection.ingest_s"): 6.0,
     ("star-file-sharded", "core.star_detection.finalize_ms"): 3.0,
     ("sliding-zipf-probes", "engine.windows.ingest_s"): 0.25,

@@ -32,7 +32,7 @@ import copy
 import math
 import random
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class InsertionDeletionFEwW:
                 n * m, count, self.delta, rng, mode=sampler_mode
             )
 
-        self._result_cache: Optional[Dict[int, Set[int]]] = None
+        self._result_cache: Optional[np.ndarray] = None
         self._updates_seen = 0
 
     # ------------------------------------------------------------------
@@ -316,52 +316,74 @@ class InsertionDeletionFEwW:
     # Output.
     # ------------------------------------------------------------------
 
-    def _collected(self) -> Dict[int, Set[int]]:
-        """Query every sampler once and group stored edges by A-vertex.
+    def _sampled_edges(self) -> np.ndarray:
+        """Every sampler's output as sorted distinct flat edges ``a*m + b``.
 
-        Sampler queries are randomised, so the outcome is computed once
-        and memoised: repeated calls to :meth:`result` agree.
+        Each bank answers one read with its sorted distinct draws
+        (:meth:`~repro.sketch.l0.L0SamplerBank.distinct_samples`); a
+        vertex bank's witnesses ``b`` become ``a*m + b``, and one
+        ``np.unique`` over the banks' answers leaves the distinct
+        sampled edges grouped by vertex.  Sampler queries are
+        randomised, so the outcome is computed once and memoised:
+        repeated calls to :meth:`result` agree.
         """
-        if self._result_cache is not None:
-            return self._result_cache
-        collected: Dict[int, Set[int]] = {}
-        for a, bank in self._vertex_banks.items():
-            witnesses = {b for b in bank.sample_all() if b is not None}
-            if witnesses:
-                collected.setdefault(a, set()).update(witnesses)
-        if self._edge_bank is not None:
+        if self._result_cache is None:
             m = self.m
-            for flat in self._edge_bank.sample_all():
-                if flat is not None:
-                    a, b = divmod(flat, m)
-                    collected.setdefault(a, set()).add(b)
-        self._result_cache = collected
-        return collected
+            columns = [np.zeros(0, dtype=np.int64)]
+            for a, bank in self._vertex_banks.items():
+                columns.append(bank.distinct_samples() + a * m)
+            if self._edge_bank is not None:
+                columns.append(self._edge_bank.distinct_samples())
+            self._result_cache = np.unique(np.concatenate(columns))
+        return self._result_cache
+
+    def _groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vertices, starts, sizes)``: each sampled vertex (ascending)
+        and its run of distinct witnesses in :meth:`_sampled_edges`."""
+        vertices = self._sampled_edges() // self.m
+        starts = np.flatnonzero(np.diff(vertices, prepend=-1))
+        sizes = np.diff(np.append(starts, len(vertices)))
+        return vertices[starts], starts, sizes
+
+    def _collected(self) -> Dict[int, Set[int]]:
+        """The sampled witnesses as a vertex → set-of-``b`` dict view
+        (ascending vertex ids; diagnostics and tests, not the answer
+        path)."""
+        edges = self._sampled_edges()
+        vertices, starts, sizes = self._groups()
+        m = self.m
+        return {
+            vertex: set((edges[start : start + size] - vertex * m).tolist())
+            for vertex, start, size in zip(
+                vertices.tolist(), starts.tolist(), sizes.tolist()
+            )
+        }
 
     @property
     def successful(self) -> bool:
         """True when some vertex accumulated >= ceil(d/α) witnesses."""
-        return any(
-            len(witnesses) >= self.threshold
-            for witnesses in self._collected().values()
-        )
+        sizes = self._groups()[2]
+        return bool(len(sizes)) and int(sizes.max()) >= self.threshold
 
     def result(self) -> Neighbourhood:
-        """Any stored neighbourhood of size >= ceil(d/α) (step 4).
+        """A stored neighbourhood of size >= ceil(d/α) (step 4).
+
+        The vertex with the most distinct sampled witnesses wins; ties
+        go to the smallest vertex id.
 
         Raises:
             AlgorithmFailed: when no vertex reached the threshold.
         """
-        best_vertex, best_witnesses = None, set()
-        for vertex, witnesses in self._collected().items():
-            if len(witnesses) >= self.threshold and len(witnesses) > len(best_witnesses):
-                best_vertex, best_witnesses = vertex, witnesses
-        if best_vertex is None:
+        vertices, starts, sizes = self._groups()
+        best = int(np.argmax(sizes)) if len(sizes) else -1
+        if best < 0 or int(sizes[best]) < self.threshold:
             raise AlgorithmFailed(
                 f"Algorithm 3 failed (n={self.n}, d={self.d}, alpha={self.alpha}, "
                 f"strategy={self.strategy.value})"
             )
-        return Neighbourhood.of(best_vertex, best_witnesses)
+        vertex, start = int(vertices[best]), int(starts[best])
+        edges = self._sampled_edges()[start : start + int(sizes[best])]
+        return Neighbourhood.of(vertex, (edges - vertex * self.m).tolist())
 
     def finalize(self) -> Optional[Neighbourhood]:
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

@@ -9,9 +9,18 @@ bank mode (see :mod:`repro.sketch.l0`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
+
+
+def check_columns(indices, deltas) -> None:
+    """Raise ``ValueError`` unless two update columns are as long."""
+    if len(indices) != len(deltas):
+        raise ValueError(
+            f"update columns differ in length: {len(indices)} indices, "
+            f"{len(deltas)} deltas"
+        )
 
 
 class DegreeCounter:
@@ -123,6 +132,8 @@ class DegreeCounter:
 #: Consolidate pending batch columns once their total length passes this
 #: (bounds buffered memory on long query-free streams).
 _FLUSH_PENDING = 1 << 18
+#: Scalar updates buffer as Python pairs (~100 bytes each): flush sooner.
+_FLUSH_SCALAR = 1 << 14
 
 
 class ExactSupport:
@@ -132,65 +143,68 @@ class ExactSupport:
     state of the accelerated ℓ₀-sampler bank.  Not space-metered: it is
     simulator state, never charged to a streaming algorithm.
 
-    Batch updates are *deferred*: :meth:`update_batch` only appends the
-    (validated, copied) coordinate and delta columns to a pending list,
-    and every read path consolidates them with one vectorized
-    ``np.unique`` + scatter-add netting pass.  The vector is linear in
-    its updates, so deferring and netting cannot change any final value;
-    the consolidated state is identical to applying ``update`` item by
-    item.
+    The consolidated vector is two sorted ``int64`` columns (live
+    coordinates and their non-zero values), so the fast bank reads its
+    support as an array with no conversion.  Updates are *deferred*:
+    :meth:`update_batch` appends the (validated, copied) coordinate and
+    delta columns to a pending list, :meth:`update` appends one pair to
+    a scalar buffer, and every read path consolidates both with one
+    vectorized ``np.unique`` + scatter-add netting pass.  The vector is
+    linear in its updates, so deferring and netting cannot change any
+    final value; the consolidated state is identical to applying
+    ``update`` item by item.
     """
 
     def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._store: Dict[int, int] = {}
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._nets = np.zeros(0, dtype=np.int64)
         self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._scalar: List[Tuple[int, int]] = []
         self._pending_len = 0
 
-    @property
-    def _values(self) -> Dict[int, int]:
-        """The consolidated coordinate → value dict (flushes pending)."""
-        if self._pending:
+    def _consolidated(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted ``(coordinates, values)`` columns (flushes pending)."""
+        if self._pending_len:
             self._flush()
-        return self._store
+        return self._keys, self._nets
 
     def _flush(self) -> None:
-        """Net every pending batch into the consolidated dict at once."""
-        pending = self._pending
-        self._pending = []
-        self._pending_len = 0
-        coords = [column for column, _ in pending]
-        nets = [column for _, column in pending]
-        store = self._store
-        if store:
-            coords.append(np.fromiter(store.keys(), np.int64, len(store)))
-            nets.append(np.fromiter(store.values(), np.int64, len(store)))
+        """Net every pending update into the consolidated columns at once."""
+        coords = [self._keys] + [column for column, _ in self._pending]
+        nets = [self._nets] + [column for _, column in self._pending]
+        if self._scalar:
+            pairs = np.array(self._scalar, dtype=np.int64)
+            coords.append(pairs[:, 0])
+            nets.append(pairs[:, 1])
+        self._pending, self._scalar, self._pending_len = [], [], 0
         unique, inverse = np.unique(np.concatenate(coords), return_inverse=True)
         total = np.zeros(len(unique), dtype=np.int64)
         np.add.at(total, inverse, np.concatenate(nets))
         live = total != 0
-        self._store = dict(zip(unique[live].tolist(), total[live].tolist()))
+        self._keys, self._nets = unique[live], total[live]
+        # support_array() hands the coordinates out without a copy.
+        self._keys.flags.writeable = False
 
     def update(self, index: int, delta: int) -> None:
-        """Apply ``vector[index] += delta``, dropping zeros."""
+        """Queue ``vector[index] += delta`` (validated, then deferred)."""
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} out of range [0, {self.dim})")
-        if self._pending:
+        self._scalar.append((index, delta))
+        self._pending_len += 1
+        if len(self._scalar) >= _FLUSH_SCALAR:
             self._flush()
-        new_value = self._store.get(index, 0) + delta
-        if new_value == 0:
-            self._store.pop(index, None)
-        else:
-            self._store[index] = new_value
 
     def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Queue a batch of signed updates (validated, then deferred).
 
         The columns are copied before buffering, so callers may hand in
         views of reused chunk buffers (e.g. shared-memory segments).
+        Raises ``ValueError`` when the columns differ in length.
         """
+        check_columns(indices, deltas)
         if len(indices) == 0:
             return
         indices = np.asarray(indices)
@@ -223,22 +237,32 @@ class ExactSupport:
                 f"cannot merge ExactSupport over dim={self.dim} with "
                 f"dim={other.dim}"
             )
-        for index, value in other._values.items():
-            self.update(index, value)
+        keys, nets = other._consolidated()
+        self._pending.append((keys.copy(), nets.copy()))
+        self._pending_len += len(keys)
+        self._flush()
         return self
+
+    def support_array(self) -> np.ndarray:
+        """Sorted ``int64`` array of the non-zero coordinates (read-only
+        view of the consolidated state; copy before mutating)."""
+        return self._consolidated()[0]
 
     def support(self) -> List[int]:
         """Sorted list of non-zero coordinates."""
-        return sorted(self._values)
+        return self._consolidated()[0].tolist()
 
     def support_size(self) -> int:
-        return len(self._values)
+        return len(self._consolidated()[0])
 
     def value(self, index: int) -> int:
-        return self._values.get(index, 0)
+        keys, nets = self._consolidated()
+        at = int(np.searchsorted(keys, index))
+        return int(nets[at]) if at < len(keys) and keys[at] == index else 0
 
     def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._values.items())
+        keys, nets = self._consolidated()
+        return zip(keys.tolist(), nets.tolist())
 
     def __contains__(self, index: int) -> bool:
-        return index in self._values
+        return self.value(index) != 0

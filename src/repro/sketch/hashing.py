@@ -94,6 +94,32 @@ def powmod_p61(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return result
 
 
+def degree1_field(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(a * x + b) mod p`` for degree-1 hash coefficients, broadcast.
+
+    ``a`` and ``b`` hold coefficients in ``[0, p)``; ``x`` holds
+    non-negative ``int64`` points and broadcasts against them.  Equal to
+    a pairwise-independent :class:`KWiseHash`'s :meth:`field_value`
+    element by element.  Points below 2³¹ (any dimension up to 2³¹)
+    take a shorter path: with ``a = a1·2³¹ + a0``, ``a·x = a1·x·2³¹ +
+    a0·x`` where ``h = a1·x < 2⁶¹`` folds to ``(h >> 30) + ((h mod 2³⁰)
+    << 31)``; adding ``a0·x < 2⁶²`` and ``b < 2⁶¹`` stays below
+    ``2⁶³ + 2³¹``, so one fold reduces the sum — two multiplies instead
+    of :func:`mulmod_p61`'s four and its extra fold.
+    """
+    points = x.astype(np.uint64)
+    if x.size and int(x.max()) >= 1 << 31:
+        return _fold61(mulmod_p61(a, _fold61(points)) + b)
+    high = (a >> _SHIFT31) * points
+    total = (a & _MASK31) * points
+    total += b
+    total += high >> _SHIFT30
+    high &= _MASK30
+    high <<= _SHIFT31
+    total += high
+    return _fold61(total)
+
+
 class KWiseHash:
     """A member of a k-wise independent hash family ``[p] -> [range_size]``.
 

@@ -9,31 +9,48 @@ these as a black box, citing Jowhari–Sağlam–Tardos [26] for the bound
 
 :class:`L0Sampler` is the real structure: nested geometric subsampling
 levels, an s-sparse recovery per level, and a min-hash tiebreak so that
-the returned coordinate is uniform over the support.  All ``n_levels``
-recoveries share one sparsity/row geometry, so their accumulator planes
-are stacked into single 3-D ``(n_levels, n_rows, n_buckets)`` arrays and
-a batch is absorbed with ONE scatter-add per plane across every level
-(level membership is nested, so each level's surviving subset is a
-prefix-filtered view of the previous one).  ``decode``/``merge``/
-``split`` rebuild per-level :class:`SSparseRecovery` views over the
-stacked planes; the state is bit-identical to a list of independent
-per-level structures fed the same stream.
+the returned coordinate is uniform over the support.
+
+Layout
+------
+All ``n_levels`` recoveries share one sparsity/row geometry, so their
+accumulator planes are stacked into single 3-D ``(n_levels, n_rows,
+n_buckets)`` arrays, and every cell of every level fingerprints with ONE
+random base ``z`` per sampler (see :mod:`repro.sketch.ssparse` for the
+soundness bound: at ``dim = 2**18`` and δ = 0.05 a sampler has 2,964
+cells, and a collision cell passes its fingerprint check with
+probability at most ``2964 * 2**18 / (2**61 - 1) ≈ 3.4e-10``).  A batch
+computes ``delta * z^x`` once per coordinate from the sampler's
+windowed power table (3 × 64 entries, 1.5 KB, at ``dim = 2**18``) and
+broadcasts it across the levels and rows the coordinate lands in; ONE
+scatter-add per plane absorbs every level (level membership is nested,
+so each level's surviving subset is a prefix-filtered view of the
+previous one).  ``decode``/``merge`` build per-level
+:class:`SSparseRecovery` views over the stacked planes.  A sampler is
+charged 3 words per cell, its row hashes, the one base, and its level
+and tiebreak hashes.
 
 :class:`L0SamplerBank` manages the many independent samplers Algorithm 3
 needs.  It has two modes:
 
 * ``"exact"`` — every sampler is a real :class:`L0Sampler`; updates fan
-  out to each of them.  The bank stacks all samplers' level hashes into
-  one :class:`~repro.sketch.hashing.KWiseHashStack` so a chunk's level
-  assignment for every sampler is one fused evaluation.
+  out to each of them.  The bank stacks all samplers' planes into 4-D
+  arrays, their level hashes into one
+  :class:`~repro.sketch.hashing.KWiseHashStack` and their power tables
+  on a trailing axis, so a consolidated chunk is one fused kernel pass.
 * ``"fast"`` — the bank tracks the exact support once (simulator state,
-  not charged) and at query time draws each sampler's output uniformly
-  from the support with an independent seeded RNG.  Distributionally
-  this matches a bank of ideal ℓ₀-samplers; space is *accounted* with
-  the paper's formula via :func:`l0_sampler_space_words`.  This keeps
-  Algorithm 3 runnable at benchmark sizes in pure Python.  The
-  equivalence of the two modes is property-tested in
-  ``tests/sketch/test_l0.py``.
+  not charged) and at query time draws every sampler's output with
+  two NumPy calls on a seeded ``Generator``: a δ failure mask from
+  ``random(count)``, then ``count`` uniform picks from the sorted
+  support with ``integers``.  Distributionally this matches a bank of
+  ideal ℓ₀-samplers; space is *accounted* with the paper's formula via
+  :func:`l0_sampler_space_words`.  This keeps Algorithm 3 runnable at
+  benchmark sizes in pure Python.  The equivalence of the two modes is
+  property-tested in ``tests/sketch/test_l0.py``.
+
+Both modes answer with :meth:`L0SamplerBank.sample_column`, an ``int64``
+column with -1 for a failed sampler; :meth:`L0SamplerBank.sample_all`
+is its list view.
 """
 
 from __future__ import annotations
@@ -45,20 +62,21 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sketch.exact import ExactSupport
+from repro.sketch.exact import ExactSupport, check_columns
 from repro.sketch.hashing import (
     PRIME_61,
     KWiseHash,
     KWiseHashStack,
     _fold61,
-    mulmod_p61,
-    powmod_p61,
+    degree1_field,
     random_kwise,
 )
 from repro.sketch.ssparse import (
     SSparseRecovery,
-    build_power_tables,
+    build_power_table,
+    recovery_rows,
     scatter_cell_updates,
+    signed_terms,
     table_powers,
 )
 
@@ -111,30 +129,32 @@ class L0Sampler:
         self.dim = dim
         self.delta = delta
         self.n_levels = max(1, math.ceil(math.log2(dim)) + 1)
-        sparsity = max(2, math.ceil(math.log2(2.0 / delta)))
+        self._sparsity = max(2, math.ceil(math.log2(2.0 / delta)))
+        self._recovery_delta = delta / (2 * self.n_levels)
+        self._n_rows = recovery_rows(self._sparsity, self._recovery_delta)
+        self._n_buckets = 2 * self._sparsity
+        # Draw order: level hash, tiebreak hash, every level's row
+        # hashes (level by level), then the one fingerprint base shared
+        # by all levels, rows and buckets.
         self._level_hash: KWiseHash = random_kwise(2, 1 << self.n_levels, rng)
         self._tiebreak: KWiseHash = random_kwise(2, 1 << 61, rng)
-        # Construct real per-level recoveries first so the RNG draw order
-        # is identical to a list of independent structures, then stack
-        # their accumulator planes into the sampler-owned 3-D arrays.
-        recoveries = [
-            SSparseRecovery(dim, sparsity, delta / (2 * self.n_levels), rng)
+        self._row_hashes: List[List[KWiseHash]] = [
+            [random_kwise(2, self._n_buckets, rng) for _ in range(self._n_rows)]
             for _ in range(self.n_levels)
         ]
-        template = recoveries[0]
-        self._sparsity = template.s
-        self._recovery_delta = template.delta
-        self._n_rows = template.n_rows
-        self._n_buckets = template.n_buckets
-        self._row_hashes: List[List[KWiseHash]] = [r._hashes for r in recoveries]
-        self._row_stacks: List[KWiseHashStack] = [r._stack for r in recoveries]
-        self._r = np.stack([r._r for r in recoveries])
-        self._weight = np.stack([r._weight for r in recoveries])
-        self._dot = np.stack([r._dot for r in recoveries])
-        self._fingerprint = np.stack([r._fingerprint for r in recoveries])
+        self._row_stacks: List[KWiseHashStack] = [
+            KWiseHashStack(hashes) for hashes in self._row_hashes
+        ]
+        self._z = rng.randrange(2, PRIME_61)
+        # Derived from _z, not charged (see SSparseRecovery).
+        self._table = build_power_table(self._z, dim)
+        shape = (self.n_levels, self._n_rows, self._n_buckets)
+        self._weight = np.zeros(shape, dtype=np.int64)
+        self._dot = np.zeros(shape, dtype=np.int64)
+        self._fingerprint = np.zeros(shape, dtype=np.uint64)
         # Row-hash coefficients stacked as (n_levels, n_rows) matrices so
         # the fused batch path evaluates every (level, row) bucket with
-        # one broadcast Horner step (all row hashes are pairwise
+        # one broadcast degree1_field pass (all row hashes are pairwise
         # independent, i.e. degree-1 polynomials).
         self._row_a = np.array(
             [[h.coefficients[0] for h in hashes] for hashes in self._row_hashes],
@@ -144,9 +164,6 @@ class L0Sampler:
             [[h.coefficients[1] for h in hashes] for hashes in self._row_hashes],
             dtype=np.uint64,
         )
-        # Lazily-built windowed fingerprint power tables, stacked over
-        # all levels (pure cache derived from _r; not charged).
-        self._power_tables: Optional[np.ndarray] = None
         # Sample memo: sample() is a pure function of the stacked
         # planes, so the result is served from cache until an update or
         # merge dirties the sampler (probe-heavy pipelines re-query
@@ -155,16 +172,11 @@ class L0Sampler:
         self._sample_cached = False
         self._sample_memo: Optional[int] = None
 
-    def _ensure_power_tables(self) -> Optional[np.ndarray]:
-        """Build the stacked ``(windows, size, L, R, B)`` tables when small."""
-        if self._power_tables is None:
-            self._power_tables = build_power_tables(self._r, self.dim)
-        return self._power_tables
-
     def _recovery(self, level: int) -> SSparseRecovery:
         """A view-backed :class:`SSparseRecovery` over one level's planes.
 
-        The views write through to the stacked arrays, so scalar updates,
+        The views share the sampler's fingerprint base and power table
+        and write through to the stacked arrays, so scalar updates,
         decoding and merging through the view mutate the sampler state.
         Views are transient — never stored — so ``deepcopy`` of the
         sampler only ever copies the stacked planes.
@@ -177,13 +189,11 @@ class L0Sampler:
         recovery.n_rows = self._n_rows
         recovery._hashes = self._row_hashes[level]
         recovery._stack = self._row_stacks[level]
-        recovery._r = self._r[level]
+        recovery._z = self._z
+        recovery._table = self._table
         recovery._weight = self._weight[level]
         recovery._dot = self._dot[level]
         recovery._fingerprint = self._fingerprint[level]
-        recovery._power_tables = (
-            None if self._power_tables is None else self._power_tables[:, :, level]
-        )
         # The view is transient, so its decode memo never survives; the
         # durable memo lives on the sampler (see sample()).
         recovery._dirty = True
@@ -225,26 +235,21 @@ class L0Sampler:
             levels[survives] = level
         return levels
 
-    def update_batch(
-        self,
-        indices: np.ndarray,
-        deltas: np.ndarray,
-        *,
-        levels: Optional[np.ndarray] = None,
-    ) -> None:
+    def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of signed updates.
 
         The level of every index is computed with one vectorized hash
-        evaluation (or taken from ``levels`` when a bank already fused
-        that pass across samplers).  An index surviving to level ``l``
+        evaluation.  An index surviving to level ``l``
         updates levels ``0..l``, so the batch expands into flat
-        ``(item, level)`` entries; every entry's bucket, fingerprint
-        power and cell address are computed with broadcast passes over
-        the stacked planes and ALL levels are absorbed with one exact
+        ``(item, level)`` entries carrying the item's one fingerprint
+        term ``delta * z^x``; every entry's bucket and cell address are
+        computed with broadcast passes over the stacked planes and ALL
+        levels are absorbed with one exact
         scatter per accumulator plane — no Python loop over levels or
         recovery objects.  Final state matches item-by-item updates
         exactly — the sketch is linear.
         """
+        check_columns(indices, deltas)
         if len(indices) == 0:
             return
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
@@ -253,48 +258,26 @@ class L0Sampler:
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         self._dirty = True
-        if levels is None:
-            levels = self._levels_of_batch(indices)
-        power_tables = self._ensure_power_tables()
+        levels = self._levels_of_batch(indices)
+        # One fingerprint term delta * z^x per item, shared by every
+        # level and row the item lands in.
+        terms = signed_terms(table_powers(self._table, indices), deltas)
         # Expand to one entry per (item, level <= deepest(item)).  Entry
-        # e carries item index x[e], delta d[e] and level lab[e].
+        # e carries item index x[e], delta d[e], term t[e] and level
+        # lab[e].
         counts = levels + 1
         starts = np.cumsum(counts) - counts
         n_entries = int(counts[-1] + starts[-1])
         x = np.repeat(indices, counts)
         lab = np.arange(n_entries, dtype=np.int64) - np.repeat(starts, counts)
         d = np.repeat(deltas, counts)
+        t = np.repeat(terms, counts)
         rows = np.arange(self._n_rows, dtype=np.int64)[np.newaxis, :]
-        # Degree-1 Horner with per-entry coefficients — bit-identical to
+        # Degree-1 hashes with per-entry coefficients — bit-identical to
         # each level's KWiseHash on its surviving subset.
-        field = _fold61(
-            mulmod_p61(self._row_a[lab], _fold61(x.astype(np.uint64))[:, np.newaxis])
-            + self._row_b[lab]
-        )
+        field = degree1_field(self._row_a[lab], self._row_b[lab], x[:, np.newaxis])
         buckets = (field % np.uint64(self._n_buckets)).astype(np.int64)
         addr = (lab[:, np.newaxis] * self._n_rows + rows) * self._n_buckets + buckets
-        if power_tables is not None:
-            powers = table_powers(
-                power_tables, x[:, np.newaxis], lab[:, np.newaxis], rows, buckets
-            )
-        else:
-            powers = powmod_p61(
-                self._r[lab[:, np.newaxis], rows, buckets],
-                x.astype(np.uint64)[:, np.newaxis],
-            )
-        # delta = ±1 covers edge streams: ±r^i mod p needs no multiply
-        # (powers lie in [1, p), so p - powers is the exact negation).
-        magnitudes = np.abs(d)
-        if magnitudes.max() == 1 and magnitudes.min() == 1:
-            contrib = np.where(
-                (d > 0)[:, np.newaxis],
-                powers,
-                np.uint64(PRIME_61) - powers,
-            )
-        else:
-            contrib = mulmod_p61(
-                powers, np.remainder(d, PRIME_61).astype(np.uint64)[:, np.newaxis]
-            )
         shape = addr.shape
         scatter_cell_updates(
             self._weight.reshape(-1),
@@ -303,7 +286,7 @@ class L0Sampler:
             addr.ravel(),
             np.broadcast_to(d[:, np.newaxis], shape).ravel(),
             np.broadcast_to((x * d)[:, np.newaxis], shape).ravel(),
-            contrib.ravel(),
+            np.broadcast_to(t[:, np.newaxis], shape).ravel(),
         )
 
     def merge(self, other: "L0Sampler") -> "L0Sampler":
@@ -331,10 +314,10 @@ class L0Sampler:
                         "cannot merge s-sparse recoveries with different row "
                         "hashes; split both from the same seeded structure"
                     )
-        if not np.array_equal(self._r, other._r):
+        if self._z != other._z:
             raise ValueError(
-                "cannot merge 1-sparse cells with different dimensions or "
-                "fingerprint bases; split both from the same seeded structure"
+                "cannot merge l0-samplers with different fingerprint bases; "
+                "split both from the same seeded structure"
             )
         self._dirty = True
         self._weight += other._weight
@@ -344,14 +327,6 @@ class L0Sampler:
         # rebinding would silently detach them.
         self._fingerprint[:] = _fold61(self._fingerprint + other._fingerprint)
         return self
-
-    def __getstate__(self):
-        # Power tables are a pure cache derived from ``_r``; dropping
-        # them keeps pickles/deepcopies small and avoids materialising
-        # per-sampler copies of bank-shared tables.
-        state = dict(self.__dict__)
-        state["_power_tables"] = None
-        return state
 
     def sample(self) -> Optional[int]:
         """Return a near-uniform support coordinate, or None on failure.
@@ -380,9 +355,12 @@ class L0Sampler:
         return result
 
     def space_words(self) -> int:
-        """Actual words retained: recoveries plus the two hashes."""
+        """Actual words retained: every level's cells and row hashes,
+        the one fingerprint base, and the level and tiebreak hashes."""
         return (
-            sum(self._recovery(level).space_words() for level in range(self.n_levels))
+            3 * self._weight.size
+            + sum(h.space_words() for hashes in self._row_hashes for h in hashes)
+            + 1
             + self._level_hash.space_words()
             + self._tiebreak.space_words()
         )
@@ -431,7 +409,7 @@ class L0SamplerBank:
                 else None
             )
             self._support: Optional[ExactSupport] = None
-            self._draw_rng: Optional[random.Random] = None
+            self._draw_rng: Optional[np.random.Generator] = None
             # Buffered (indices, deltas, already-netted) update columns,
             # consolidated by _flush_updates (see _BANK_FLUSH_PENDING).
             self._pending: List[Tuple[np.ndarray, np.ndarray, bool]] = []
@@ -441,7 +419,8 @@ class L0SamplerBank:
             self._samplers = []
             self._level_stack = None
             self._support = ExactSupport(dim)
-            self._draw_rng = random.Random(rng.getrandbits(64))
+            # Exactly one 64-bit draw from the parent rng per fast bank.
+            self._draw_rng = np.random.default_rng(rng.getrandbits(64))
 
     def _stack_planes(self) -> None:
         """Stack all samplers' accumulator planes into bank 4-D arrays.
@@ -449,29 +428,29 @@ class L0SamplerBank:
         The bank-wide fused kernel scatters every sampler's
         contributions in one pass, which needs all accumulators
         contiguous: ``(sampler, level, row, bucket)`` arrays for the
-        weight/dot/fingerprint planes and ``(sampler * level, row)``
-        matrices for the row-hash coefficients.  Each sampler's arrays
-        are then re-pointed at views of the stacked planes, so the
-        per-sampler scalar path, decoding and merging all read and write
-        the very same memory — no dual bookkeeping, no divergence.
+        weight/dot/fingerprint planes, ``(sampler * level, row)``
+        matrices for the row-hash coefficients, and the samplers' power
+        tables stacked as ``(windows, size, sampler)``.  Each sampler's
+        planes are then re-pointed at views of the stacked planes, so
+        the per-sampler scalar path, decoding and merging all read and
+        write the very same memory — no dual bookkeeping, no divergence.
         Called from ``__init__`` and again after unpickling/deepcopy
         (copying a numpy view materialises an independent array, which
         would silently break the aliasing).
         """
         if not self._samplers:
             self._bank_weight = self._bank_dot = self._bank_fingerprint = None
-            self._bank_r = self._bank_row_a = self._bank_row_b = None
+            self._bank_table = self._bank_row_a = self._bank_row_b = None
             return
         samplers = self._samplers
         self._bank_weight = np.stack([s._weight for s in samplers])
         self._bank_dot = np.stack([s._dot for s in samplers])
         self._bank_fingerprint = np.stack([s._fingerprint for s in samplers])
-        self._bank_r = np.stack([s._r for s in samplers])
+        self._bank_table = np.stack([s._table for s in samplers], axis=-1)
         for i, sampler in enumerate(samplers):
             sampler._weight = self._bank_weight[i]
             sampler._dot = self._bank_dot[i]
             sampler._fingerprint = self._bank_fingerprint[i]
-            sampler._r = self._bank_r[i]
         n_rows = samplers[0]._n_rows
         self._bank_row_a = np.stack([s._row_a for s in samplers]).reshape(-1, n_rows)
         self._bank_row_b = np.stack([s._row_b for s in samplers]).reshape(-1, n_rows)
@@ -508,15 +487,14 @@ class L0SamplerBank:
         skip re-netting.  Linearity makes the final state bit-identical
         to eager item-by-item fan-out.
         """
-        if len(indices) == 0:
-            return
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
         if self.mode == "fast":
             assert self._support is not None
             self._support.update_batch(indices, deltas)
             return
-        if not self._samplers:
+        check_columns(indices, deltas)
+        if len(indices) == 0 or not self._samplers:
             return
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
             bad = indices[(indices < 0) | (indices >= self.dim)][0]
             raise ValueError(f"index {int(bad)} out of range [0, {self.dim})")
@@ -564,20 +542,19 @@ class L0SamplerBank:
 
         The whole bank is treated as one accumulator indexed by
         ``(sampler, level, row, bucket)``: level assignment for all
-        samplers is one stacked hash evaluation; the ``(sampler, item)``
+        samplers is one stacked hash evaluation; each sampler's
+        fingerprint term ``delta * z^x`` is read once per coordinate
+        from the stacked power tables (a ``(sampler, item)`` grid); the
         grid expands to one entry per surviving ``(sampler, item,
         level)`` carrying the bank-flat plane index ``sampler * L +
-        level``; buckets are evaluated with one broadcast Horner pass
-        over the bank-stacked row coefficients; and all contributions
-        land in the 4-D planes through ONE limb-split bincount scatter
-        per entry slice.  Fingerprint power products are gathered from
-        each sampler's own windowed table — the entry order is
-        sampler-major, so each sampler's segment of an entry slice is
-        contiguous and its (small, cache-resident) table is walked once.
-        Every plane update is an exact int64 add or a canonical mod-p
-        fold — both commutative and associative — so the final state is
-        bit-identical to fanning the same updates out sampler by sampler
-        (and item by item).
+        level`` and its term; buckets are evaluated with one broadcast
+        :func:`~repro.sketch.hashing.degree1_field` pass over the
+        bank-stacked row coefficients; and all contributions land in the
+        4-D planes through ONE bincount scatter per plane and entry
+        slice, the term broadcast across the rows.  Every plane update is an exact int64 add or a canonical
+        mod-p fold — both commutative and associative — so the final
+        state is bit-identical to fanning the same updates out sampler
+        by sampler (and item by item).
         """
         template = self._samplers[0]
         n_samplers = len(self._samplers)
@@ -590,77 +567,33 @@ class L0SamplerBank:
         for level in range(1, n_levels):
             survives = (levels == level - 1) & (values % (1 << level) == 0)
             levels[survives] = level
+        samplers = np.arange(n_samplers, dtype=np.int64)
+        terms = signed_terms(
+            table_powers(
+                self._bank_table, unique[np.newaxis, :], samplers[:, np.newaxis]
+            ),
+            net[np.newaxis, :],
+        )
         counts = (levels + 1).reshape(-1)
         starts = np.cumsum(counts) - counts
         n_entries = int(starts[-1] + counts[-1])
         x = np.repeat(np.tile(unique, n_samplers), counts)
         d = np.repeat(np.tile(net, n_samplers), counts)
+        t = np.repeat(terms.reshape(-1), counts)
         lab = np.arange(n_entries, dtype=np.int64) - np.repeat(starts, counts)
-        pair = (
-            np.repeat(
-                np.repeat(np.arange(n_samplers, dtype=np.int64), len(unique)),
-                counts,
-            )
-            * n_levels
-            + lab
-        )
-        # Entries are sampler-major; bounds[i] is sampler i's first entry.
-        per_sampler = counts.reshape(n_samplers, -1).sum(axis=1)
-        bounds = np.concatenate(
-            ([0], np.cumsum(per_sampler))
-        ).astype(np.int64)
+        pair = np.repeat(np.repeat(samplers, len(unique)), counts) * n_levels + lab
         rows = np.arange(n_rows, dtype=np.int64)[np.newaxis, :]
-        magnitudes = np.abs(d)
-        unit = bool(magnitudes.max() == 1) and bool(magnitudes.min() == 1)
         weight_flat = self._bank_weight.reshape(-1)
         dot_flat = self._bank_dot.reshape(-1)
         fingerprint_flat = self._bank_fingerprint.reshape(-1)
         for begin in range(0, n_entries, _BANK_ENTRY_CHUNK):
             end = min(begin + _BANK_ENTRY_CHUNK, n_entries)
             ex, ed, epair = x[begin:end], d[begin:end], pair[begin:end]
-            field = _fold61(
-                mulmod_p61(
-                    self._bank_row_a[epair],
-                    _fold61(ex.astype(np.uint64))[:, np.newaxis],
-                )
-                + self._bank_row_b[epair]
+            field = degree1_field(
+                self._bank_row_a[epair], self._bank_row_b[epair], ex[:, np.newaxis]
             )
             buckets = (field % np.uint64(n_buckets)).astype(np.int64)
             addr = (epair[:, np.newaxis] * n_rows + rows) * n_buckets + buckets
-            powers = np.empty((end - begin, n_rows), dtype=np.uint64)
-            first = int(np.searchsorted(bounds, begin, side="right")) - 1
-            last = int(np.searchsorted(bounds, end, side="left"))
-            for sampler_index in range(first, last):
-                lo = max(begin, int(bounds[sampler_index])) - begin
-                hi = min(end, int(bounds[sampler_index + 1])) - begin
-                if lo >= hi:
-                    continue
-                sampler = self._samplers[sampler_index]
-                tables = sampler._ensure_power_tables()
-                sx = ex[lo:hi]
-                slab = epair[lo:hi, np.newaxis] - sampler_index * n_levels
-                sbuckets = buckets[lo:hi]
-                if tables is not None:
-                    segment = table_powers(
-                        tables, sx[:, np.newaxis], slab, rows, sbuckets
-                    )
-                else:
-                    segment = powmod_p61(
-                        sampler._r[slab, rows, sbuckets],
-                        sx.astype(np.uint64)[:, np.newaxis],
-                    )
-                powers[lo:hi] = segment
-            if unit:
-                contrib = np.where(
-                    (ed > 0)[:, np.newaxis],
-                    powers,
-                    np.uint64(PRIME_61) - powers,
-                )
-            else:
-                contrib = mulmod_p61(
-                    powers,
-                    np.remainder(ed, PRIME_61).astype(np.uint64)[:, np.newaxis],
-                )
             shape = addr.shape
             scatter_cell_updates(
                 weight_flat,
@@ -669,7 +602,7 @@ class L0SamplerBank:
                 addr.ravel(),
                 np.broadcast_to(ed[:, np.newaxis], shape).ravel(),
                 np.broadcast_to((ex * ed)[:, np.newaxis], shape).ravel(),
-                contrib.ravel(),
+                np.broadcast_to(t[begin:end, np.newaxis], shape).ravel(),
             )
 
     def merge(self, other: "L0SamplerBank") -> "L0SamplerBank":
@@ -701,19 +634,61 @@ class L0SamplerBank:
             self._support.merge(other._support)
         return self
 
-    def sample_all(self) -> List[Optional[int]]:
-        """Query every sampler; entries are None on (simulated) failure."""
+    def _draw_picks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """One fast-mode read: ``(support, picks)``, sampler ``i``
+        answering ``support[picks[i]]`` or failing where ``picks[i]`` is
+        -1.
+
+        Two calls on the draw generator: a failure mask from
+        ``random(count)`` (each sampler fails with probability
+        ``delta``), then ``count`` uniform positions in the sorted live
+        support from ``integers``.  An empty support fails every sampler
+        without drawing.
+        """
+        assert self._support is not None and self._draw_rng is not None
+        support = self._support.support_array()
+        if len(support) == 0:
+            return support, np.full(self.count, -1, dtype=np.int64)
+        failed = self._draw_rng.random(self.count) < self.delta
+        picks = self._draw_rng.integers(0, len(support), size=self.count)
+        picks[failed] = -1
+        return support, picks
+
+    def sample_column(self) -> np.ndarray:
+        """Query every sampler: an ``int64`` column, -1 where one failed.
+
+        Exact mode decodes each sampler (memoized); fast mode draws a
+        fresh column on every call (see :meth:`_draw_picks`).
+        """
         if self.mode == "exact":
             self._flush_updates()
-            return [sampler.sample() for sampler in self._samplers]
-        assert self._support is not None and self._draw_rng is not None
-        support = self._support.support()
-        if not support:
-            return [None] * self.count
-        # One draw (plus a choice unless it fails) per sampler, in order.
-        draw, choice, delta = self._draw_rng.random, self._draw_rng.choice, self.delta
+            samples = [sampler.sample() for sampler in self._samplers]
+            return np.array(
+                [-1 if sample is None else sample for sample in samples],
+                dtype=np.int64,
+            )
+        support, picks = self._draw_picks()
+        drawn = picks >= 0
+        picks[drawn] = support[picks[drawn]]
+        return picks
+
+    def distinct_samples(self) -> np.ndarray:
+        """The sorted distinct coordinates one read returns.
+
+        Consumes exactly the draws of :meth:`sample_column`; fast mode
+        counts the picks per support position with one ``bincount``
+        instead of sorting them.
+        """
+        if self.mode == "exact":
+            column = self.sample_column()
+            return np.unique(column[column >= 0])
+        support, picks = self._draw_picks()
+        return support[np.bincount(picks[picks >= 0], minlength=len(support)) > 0]
+
+    def sample_all(self) -> List[Optional[int]]:
+        """:meth:`sample_column` as a list, None where a sampler failed."""
         return [
-            None if draw() < delta else choice(support) for _ in range(self.count)
+            None if sample < 0 else sample for sample in self.sample_column().tolist()
         ]
 
     def space_words(self) -> int:

@@ -14,16 +14,32 @@ coordinates surviving level-wise subsampling.
 Layout
 ------
 The cells live in three flat NumPy accumulator planes of shape
-``(n_rows, n_buckets)`` — ``weight`` (sum of deltas, ``int64``),
-``dot`` (sum of ``index * delta``, ``int64``) and ``fingerprint``
-(sum of ``delta * r^index`` in GF(2^61 - 1), ``uint64``) — plus one
-``uint64`` plane of per-cell fingerprint bases ``r``.  This is the same
-state a grid of :class:`~repro.sketch.onesparse.OneSparseCell` objects
-would hold (and the RNG draw order matches that layout exactly: row
-hashes first, then fingerprint bases row-major), but a whole batch is
+``(n_rows, n_buckets)``: ``weight`` (sum of deltas, ``int64``), ``dot``
+(sum of ``index * delta``, ``int64``) and ``fingerprint`` (sum of
+``delta * z^index`` in GF(2^61 - 1), ``uint64``).  Every cell shares ONE
+random fingerprint base ``z`` per structure, the construction of
+Ganguly, "Counting distinct items over update streams" (2007), and
+Cormode and Firmani, "A unifying framework for ℓ₀-sampling algorithms"
+(2014).  The RNG draws the row hashes first, then ``z``.  A batch is
 absorbed with one fused :class:`~repro.sketch.hashing.KWiseHashStack`
-evaluation and one scatter-add per plane instead of a Python loop per
-(row, item) pair.
+evaluation, one ``z^index`` per item read from a small windowed power
+table (:func:`build_power_table`, 3 × 64 entries at ``dim = 2**18``) and
+broadcast across the rows, and one scatter-add per plane.  An
+:class:`~repro.sketch.l0.L0Sampler` shares one ``z`` (and one table)
+across all of its levels, rows and buckets.
+
+Soundness of the shared base
+----------------------------
+A cell holding the net vector ``v`` (support ``S``) decodes as 1-sparse
+at ``i = dot / weight`` when ``weight * z^i == Σ_{j∈S} v_j z^j``.  If
+``v`` is not the single coordinate ``(i, weight)``, the difference of
+the two sides is a non-zero polynomial in ``z`` of degree below ``dim``,
+so a uniform ``z`` passes the check with probability at most
+``dim / p``.  A union bound over the cells of one structure bounds the
+probability that ANY collision cell is misread: at ``dim = 2**18`` an
+ℓ₀-sampler with δ = 0.05 has 2,964 cells, so ``2964 * 2**18 / (2**61 -
+1) ≈ 3.4e-10`` per sampler.  A per-cell base buys nothing over this
+bound, and charging it costs a word per cell.
 
 The ``int64`` planes are exact until a cell's running ``|weight|`` or
 ``|dot|`` exceeds 2^63 — with graph streams (unit deltas, indices below
@@ -31,7 +47,7 @@ The ``int64`` planes are exact until a cell's running ``|weight|`` or
 supported stream; the fingerprint plane is modular and cannot overflow.
 
 The fingerprint scatter is modular: per-item contributions
-``(delta mod p) * r^index mod p`` are split into 32-bit limbs,
+``(delta mod p) * z^index mod p`` are split into 32-bit limbs,
 scatter-added into temporary ``int64`` planes (a chunk of ``< 2^31``
 items cannot overflow them), and the limbs are recombined per cell with
 ``2^61 ≡ 1`` folds.  Addition in GF(p) is commutative, so the result is
@@ -46,6 +62,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sketch.exact import check_columns
 from repro.sketch.hashing import (
     PRIME_61,
     KWiseHash,
@@ -62,14 +79,15 @@ _SHIFT32 = np.uint64(32)
 _POW32 = np.uint64(1 << 32)  # 2^32 < p, already reduced
 
 _WINDOW_BITS = 8
-#: Upper bound on cached power-table entries per structure (32 MB of
-#: uint64) — beyond this the fingerprint falls back to the shared
-#: square-and-multiply chain.
-POWER_TABLE_MAX_ENTRIES = 1 << 22
+
+
+def recovery_rows(s: int, delta: float) -> int:
+    """Rows of an s-sparse recovery: ``ceil(log2(max(s, 2) / delta))``."""
+    return max(1, math.ceil(math.log2(max(s, 2) / delta)))
 
 
 def power_table_shape(dim: int) -> Tuple[int, int]:
-    """``(windows, entries per window)`` of the power tables for ``[0, dim)``.
+    """``(windows, entries per window)`` of the power table for ``[0, dim)``.
 
     Exponents below ``dim`` need ``bits = bit_length(dim - 1)`` bits.
     The window count ``W = ceil(bits / 8)`` fixes the lookups per
@@ -82,65 +100,76 @@ def power_table_shape(dim: int) -> Tuple[int, int]:
     return windows, 1 << -(-bits // windows)
 
 
-def build_power_tables(r: np.ndarray, dim: int) -> Optional[np.ndarray]:
-    """Per-cell windowed power tables, or ``None`` above the entry cap.
+def build_power_table(z: int, dim: int) -> np.ndarray:
+    """The windowed power table of one fingerprint base ``z``.
 
-    Returns a ``(windows, size) + r.shape`` ``uint64`` array (see
+    Returns a ``(windows, size)`` ``uint64`` array (see
     :func:`power_table_shape`) where entry ``[w, v]`` holds
-    ``r ** (v << (w * log2(size))) mod p`` element-wise, so any
-    ``r ** index`` with ``index < dim`` is the product of one lookup per
-    window (:func:`table_powers`) — ``windows - 1`` modular multiplies
-    per element instead of a ``2 * bit_length(index)``-round
-    square-and-multiply chain.  Returns ``None`` when the tables would
-    hold more than :data:`POWER_TABLE_MAX_ENTRIES` entries.
+    ``z ** (v << (w * log2(size))) mod p``, so any ``z ** index`` with
+    ``index < dim`` is the product of one lookup per window
+    (:func:`table_powers`): ``windows - 1`` modular multiplies instead
+    of a ``2 * bit_length(index)``-round square-and-multiply chain.
 
     Each window fills by log-doubling: once exponents ``[0, filled)``
     exist, ``table[filled + j] = table[j] * base^filled`` extends them
     in one vectorized multiply.  Every entry is the canonical residue
-    ``r^exponent mod p`` (``mulmod_p61`` is exact and always reduces),
-    so the tables are bit-identical to ``pow(int(r), exponent, PRIME_61)``.
+    ``z^exponent mod p`` (``mulmod_p61`` is exact and always reduces),
+    so the table is bit-identical to ``pow(z, exponent, PRIME_61)``.
     """
     n_windows, size = power_table_shape(dim)
-    if n_windows * size * r.size > POWER_TABLE_MAX_ENTRIES:
-        return None
-    tables = np.empty((n_windows, size) + r.shape, dtype=np.uint64)
-    base = np.asarray(r, dtype=np.uint64)
+    table = np.empty((n_windows, size), dtype=np.uint64)
+    base = np.uint64(z)
     for window in range(n_windows):
-        table = tables[window]
-        table[0] = np.uint64(1)
-        table[1] = base
+        row = table[window]
+        row[0] = np.uint64(1)
+        row[1] = base
         filled = 2
         while filled < size:
             take = min(filled, size - filled)
-            step = mulmod_p61(table[filled - 1], base)
-            table[filled : filled + take] = mulmod_p61(table[:take], step)
+            step = mulmod_p61(row[filled - 1], base)
+            row[filled : filled + take] = mulmod_p61(row[:take], step)
             filled += take
         if window + 1 < n_windows:
-            base = mulmod_p61(table[size - 1], base)
-    return tables
+            base = mulmod_p61(row[size - 1], base)
+    return table
 
 
 def table_powers(
-    tables: np.ndarray, indices: np.ndarray, *cells: np.ndarray
+    tables: np.ndarray, indices: np.ndarray, *bases: np.ndarray
 ) -> np.ndarray:
-    """Gather ``r ** indices`` from :func:`build_power_tables` output.
+    """Gather ``z ** indices`` from :func:`build_power_table` output.
 
-    ``cells`` index the trailing (per-cell) axes of ``tables`` and
-    broadcast against ``indices``; the window width is read from the
+    ``tables`` is one ``(windows, size)`` table, or several stacked on
+    trailing axes (a bank stacks its samplers' tables as ``(windows,
+    size, samplers)``); ``bases`` then index those trailing axes and
+    broadcast against ``indices``.  The window width is read from the
     table shape.  The product of canonical residues is the canonical
-    residue of ``r ** index``, bit-identical to :func:`powmod_p61`.
+    residue of ``z ** index``, bit-identical to :func:`powmod_p61`.
     """
     width = tables.shape[1].bit_length() - 1
     mask = np.int64(tables.shape[1] - 1)
-    powers = tables[(0, indices & mask) + cells]
+    powers = tables[(0, indices & mask) + bases]
     for window in range(1, tables.shape[0]):
         digits = (indices >> np.int64(window * width)) & mask
-        powers = mulmod_p61(powers, tables[(window, digits) + cells])
+        powers = mulmod_p61(powers, tables[(window, digits) + bases])
     return powers
 
 
+def signed_terms(powers: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Fingerprint contributions ``delta * z^index mod p``.
+
+    ``powers`` holds ``z^index`` and broadcasts against ``deltas``.
+    Unit deltas (edge streams) need no multiply: powers lie in
+    ``[1, p)``, so ``p - powers`` is the exact negation.
+    """
+    magnitudes = np.abs(deltas)
+    if magnitudes.size and magnitudes.max() == 1 and magnitudes.min() == 1:
+        return np.where(deltas > 0, powers, np.uint64(PRIME_61) - powers)
+    return mulmod_p61(powers, np.remainder(deltas, PRIME_61).astype(np.uint64))
+
+
 def _decode_cell(
-    weight: int, dot: int, fingerprint: int, r: int, dim: int
+    weight: int, dot: int, fingerprint: int, z: int, dim: int
 ) -> OneSparseResult:
     """Classify one cell's accumulators (Python-int arithmetic throughout).
 
@@ -152,7 +181,7 @@ def _decode_cell(
     if weight != 0 and dot % weight == 0:
         index = dot // weight
         if 0 <= index < dim:
-            expected = (weight * pow(r, index, PRIME_61)) % PRIME_61
+            expected = (weight * pow(z, index, PRIME_61)) % PRIME_61
             if expected == fingerprint:
                 return OneSparseResult(CellState.ONE_SPARSE, index, weight)
     return OneSparseResult(CellState.COLLISION)
@@ -164,13 +193,22 @@ _BINCOUNT_CHUNK = 1 << 20  # keeps every float64 limb sum integral (< 2^53)
 def _bincount_sum_int64(
     addr: np.ndarray, values: np.ndarray, length: int
 ) -> np.ndarray:
-    """Exact per-address ``int64`` sums via two float64 bincounts.
+    """Exact per-address ``int64`` sums via float64 bincounts.
 
-    Splits each value into a non-negative low 32-bit limb and a signed
-    high limb; with at most 2^20 contributions every limb sum stays an
-    integer below 2^53, so the float64 accumulation is exact and the
-    recombined ``int64`` result is bit-identical to sequential addition.
+    When ``max|value| * len(values) < 2^53`` (unit deltas, and ``index
+    * delta`` below 2^33, always pass) every partial sum is an integer
+    below 2^53, so one float64 bincount is exact.  Otherwise each value
+    splits into a non-negative low 32-bit limb and a signed high limb;
+    with at most 2^20 contributions every limb sum stays an integer
+    below 2^53.  Either way the ``int64`` result is bit-identical to
+    sequential addition.
     """
+    if len(values) and max(int(values.max()), -int(values.min())) * len(values) < (
+        1 << 53
+    ):
+        return np.bincount(
+            addr, weights=values.astype(np.float64), minlength=length
+        ).astype(np.int64)
     lo = np.bincount(
         addr, weights=(values & np.int64(0xFFFFFFFF)).astype(np.float64),
         minlength=length,
@@ -195,10 +233,11 @@ def scatter_cell_updates(
 
     ``weight``/``dot``/``fingerprint`` are 1-D views over all target
     cells; ``addr`` holds a flat cell address per contribution.  Each
-    plane reduces with exact limb-split ``np.bincount`` passes (far
-    faster than ``np.add.at``), processed in chunks small enough that
-    every float64 limb sum stays integral; the fingerprint plane
-    recombines its 32-bit limb sums modulo ``2^61 - 1``.  Addition is
+    plane reduces with exact float64 ``np.bincount`` passes (far faster
+    than ``np.add.at``; see :func:`_bincount_sum_int64`), processed in
+    chunks small enough that every float64 limb sum stays integral; the
+    fingerprint plane recombines its 32-bit limb sums modulo
+    ``2^61 - 1``.  Addition is
     commutative and exact in every plane, hence the result is
     bit-identical to applying the items one at a time.
     """
@@ -233,7 +272,8 @@ class SSparseRecovery:
         dim: dimension of the implicit vector.
         s: target sparsity.
         delta: failure probability bound for full-support recovery.
-        rng: randomness source for hash functions and fingerprints.
+        rng: randomness source for the row hashes and the fingerprint
+            base (drawn in that order).
     """
 
     def __init__(self, dim: int, s: int, delta: float, rng: random.Random) -> None:
@@ -245,27 +285,18 @@ class SSparseRecovery:
         self.s = s
         self.delta = delta
         self.n_buckets = 2 * s
-        self.n_rows = max(1, math.ceil(math.log2(max(s, 2) / delta)))
+        self.n_rows = recovery_rows(s, delta)
         self._hashes: List[KWiseHash] = [
             random_kwise(2, self.n_buckets, rng) for _ in range(self.n_rows)
         ]
         self._stack = KWiseHashStack(self._hashes)
-        # Fingerprint bases drawn row-major — the same order a grid of
-        # OneSparseCell objects would consume the RNG.
-        self._r = np.array(
-            [
-                [rng.randrange(2, PRIME_61) for _ in range(self.n_buckets)]
-                for _ in range(self.n_rows)
-            ],
-            dtype=np.uint64,
-        )
+        self._z = rng.randrange(2, PRIME_61)
+        # Derived from _z, not charged (like a hash stack's stacked
+        # coefficient matrix).
+        self._table = build_power_table(self._z, dim)
         self._weight = np.zeros((self.n_rows, self.n_buckets), dtype=np.int64)
         self._dot = np.zeros((self.n_rows, self.n_buckets), dtype=np.int64)
         self._fingerprint = np.zeros((self.n_rows, self.n_buckets), dtype=np.uint64)
-        # Lazily-built windowed power tables (pure cache, derived from
-        # _r — not charged to space_words, like a hash stack's stacked
-        # coefficient matrix).
-        self._power_tables: Optional[np.ndarray] = None
         # Decode memo: valid while no update/merge has dirtied the
         # planes since the last decode (probe-heavy pipelines decode
         # unchanged structures repeatedly).
@@ -273,73 +304,48 @@ class SSparseRecovery:
         self._decode_cached = False
         self._decode_cache: Optional[Dict[int, int]] = None
 
-    def _ensure_power_tables(self) -> Optional[np.ndarray]:
-        """Build the fingerprint power tables when affordably small."""
-        if self._power_tables is None:
-            self._power_tables = build_power_tables(self._r, self.dim)
-        return self._power_tables
-
     def update(self, index: int, delta: int) -> None:
         """Apply ``vector[index] += delta``."""
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} out of range [0, {self.dim})")
         self._dirty = True
+        term = delta * pow(self._z, index, PRIME_61)
         for row, hash_function in enumerate(self._hashes):
             bucket = hash_function(index)
             self._weight[row, bucket] += delta
             self._dot[row, bucket] += index * delta
             self._fingerprint[row, bucket] = (
-                int(self._fingerprint[row, bucket])
-                + delta * pow(int(self._r[row, bucket]), index, PRIME_61)
+                int(self._fingerprint[row, bucket]) + term
             ) % PRIME_61
 
     def batch_contributions(
-        self,
-        indices: np.ndarray,
-        deltas: np.ndarray,
-        power_tables: Optional[np.ndarray] = None,
+        self, indices: np.ndarray, deltas: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-item cell contributions for a chunk, ready to scatter.
 
         Returns ``(addr, weight_values, dot_values, fingerprint_values)``
         — flat arrays of length ``n_rows * len(indices)`` where ``addr``
-        is the flat cell address (``row * n_buckets + bucket``).  Callers
-        stacking several recoveries offset ``addr`` and concatenate
-        before one :func:`scatter_cell_updates` pass (and may pass their
-        own ``power_tables`` slice when they cache the tables stacked,
-        or ``False`` to force the square-and-multiply chain — transient
-        views must not rebuild tables per chunk).
+        is the flat cell address (``row * n_buckets + bucket``).  The
+        fingerprint term ``delta * z^index`` is computed once per item
+        and broadcast across the rows.
         """
         buckets = self._stack.batch_rows(indices)
         rows = np.arange(self.n_rows, dtype=np.int64)[:, np.newaxis]
         addr = (rows * self.n_buckets + buckets).ravel()
-        if power_tables is None:
-            power_tables = self._ensure_power_tables()
-        elif power_tables is False:
-            power_tables = None
-        if power_tables is not None:
-            powers = table_powers(power_tables, indices[np.newaxis, :], rows, buckets)
-        else:
-            r_selected = self._r[rows, buckets]
-            powers = powmod_p61(
-                r_selected, indices.astype(np.uint64)[np.newaxis, :]
-            )
-        contrib = mulmod_p61(
-            powers,
-            np.remainder(deltas, PRIME_61).astype(np.uint64)[np.newaxis, :],
-        )
+        terms = signed_terms(table_powers(self._table, indices), deltas)
         shape = (self.n_rows, len(indices))
         weight_values = np.broadcast_to(deltas, shape).ravel()
         dot_values = np.broadcast_to(indices * deltas, shape).ravel()
-        return addr, weight_values, dot_values, contrib.ravel()
+        return addr, weight_values, dot_values, np.broadcast_to(terms, shape).ravel()
 
     def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of signed updates.
 
-        One fused hash evaluation over all rows, one modular-exponent
-        pass for the fingerprints and one scatter-add per accumulator
+        One fused hash evaluation over all rows, one table lookup per
+        item for the fingerprints and one scatter-add per accumulator
         plane.  Final state matches item-by-item updates exactly.
         """
+        check_columns(indices, deltas)
         if len(indices) == 0:
             return
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
@@ -365,8 +371,9 @@ class SSparseRecovery:
         """Cell-wise sum of two recoveries over disjoint sub-streams.
 
         Valid only for structures split from the same seeded instance
-        (identical row hashes); every cell is linear, so the merged
-        structure equals the single-pass structure exactly.
+        (identical row hashes and fingerprint base); every cell is
+        linear, so the merged structure equals the single-pass structure
+        exactly.
         """
         if (
             not isinstance(other, SSparseRecovery)
@@ -382,10 +389,10 @@ class SSparseRecovery:
                     "cannot merge s-sparse recoveries with different row "
                     "hashes; split both from the same seeded structure"
                 )
-        if not np.array_equal(self._r, other._r):
+        if self._z != other._z:
             raise ValueError(
-                "cannot merge 1-sparse cells with different dimensions or "
-                "fingerprint bases; split both from the same seeded structure"
+                "cannot merge s-sparse recoveries with different fingerprint "
+                "bases; split both from the same seeded structure"
             )
         self._dirty = True
         self._weight += other._weight
@@ -395,14 +402,6 @@ class SSparseRecovery:
         # them.
         self._fingerprint[:] = _fold61(self._fingerprint + other._fingerprint)
         return self
-
-    def __getstate__(self):
-        # The windowed power tables are a pure cache derived from ``_r``;
-        # dropping them keeps pickles/deepcopies small and avoids
-        # materialising per-structure copies of bank-shared tables.
-        state = dict(self.__dict__)
-        state["_power_tables"] = None
-        return state
 
     def _nonzero_cells(
         self,
@@ -443,8 +442,9 @@ class SSparseRecovery:
         Classifies every non-zero cell with vectorized arithmetic that
         mirrors :func:`_decode_cell` exactly: NumPy's int64 floored
         ``//``/``%`` match Python's for negative weights, and the
-        candidate fingerprint ``(weight * r^index) mod p`` is formed
-        from the canonical residue of ``weight`` — so the recovered
+        candidate fingerprint ``(weight * z^index) mod p`` is formed
+        from the canonical residue of ``weight`` (``z^index`` by
+        :func:`powmod_p61`, for candidate cells only) — so the recovered
         set, its insertion order (ascending flat cell address) and the
         collision verdict are all bit-identical to the per-cell loop.
         """
@@ -465,10 +465,7 @@ class SSparseRecovery:
         if candidate.any():
             expected = mulmod_p61(
                 np.remainder(weight[candidate], PRIME_61).astype(np.uint64),
-                powmod_p61(
-                    self._r.reshape(-1)[live[candidate]],
-                    index[candidate].astype(np.uint64),
-                ),
+                powmod_p61(np.uint64(self._z), index[candidate].astype(np.uint64)),
             )
             one_sparse[candidate] = expected == fingerprint[candidate]
         for cell_index, cell_value in zip(
@@ -492,7 +489,7 @@ class SSparseRecovery:
         weight = self._weight.copy().reshape(-1)
         dot = self._dot.copy().reshape(-1)
         fingerprint = self._fingerprint.copy().reshape(-1)
-        r = self._r.reshape(-1)
+        z = self._z
 
         def rescan():
             for cell in self._nonzero_cells(
@@ -504,7 +501,7 @@ class SSparseRecovery:
                     int(weight[cell]),
                     int(dot[cell]),
                     int(fingerprint[cell]),
-                    int(r[cell]),
+                    z,
                     self.dim,
                 )
 
@@ -512,14 +509,12 @@ class SSparseRecovery:
         frontier = list(seed.items())
         while frontier:
             index, value = frontier.pop()
+            term = value * pow(z, index, PRIME_61)
             for row, hash_function in enumerate(self._hashes):
                 cell = row * self.n_buckets + hash_function(index)
                 weight[cell] -= value
                 dot[cell] -= index * value
-                fingerprint[cell] = (
-                    int(fingerprint[cell])
-                    - value * pow(int(r[cell]), index, PRIME_61)
-                ) % PRIME_61
+                fingerprint[cell] = (int(fingerprint[cell]) - term) % PRIME_61
             for result in rescan():
                 if (
                     result.state is CellState.ONE_SPARSE
@@ -535,8 +530,8 @@ class SSparseRecovery:
         return recovered
 
     def space_words(self) -> int:
-        """Cells (4 words each: three accumulators plus the fingerprint
-        base) plus one hash function per row."""
-        cell_words = 4 * self.n_rows * self.n_buckets
+        """Cells (3 words each: the three accumulators), the one
+        fingerprint base, and one hash function per row."""
+        cell_words = 3 * self.n_rows * self.n_buckets
         hash_words = sum(h.space_words() for h in self._hashes)
-        return cell_words + hash_words
+        return cell_words + 1 + hash_words

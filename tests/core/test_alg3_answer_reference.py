@@ -1,11 +1,15 @@
-"""Algorithm 3's answer path pinned to a frozen per-item reference.
+"""Algorithm 3's answer path pinned to a frozen dict-of-sets reference.
 
-``_legacy_sample_all`` and ``_legacy_collected`` below are the
-fast-bank draw loop and the ``Edge``-object grouping the answer path
-used before it went object-free.  Twin instances fed the same stream
-must give the same witness dict, the same vertex insertion order (which
-decides ``result()`` ties), the same ``result()``, and leave the draw
-RNGs in the same state.
+The answer path groups every bank's draw column with array ops (flat
+index ``a*m + b``, distinct edges, a count per vertex).  The reference
+below is the grouping it replaced: ``Edge`` objects and a dict of sets,
+fed the same draw columns from a same-seed twin.  Twins fed the same
+stream must give the same witnesses per vertex, the same ``result()``
+under the documented tie-break (most distinct witnesses, ties to the
+smallest vertex id), and leave the draw generators in the same state.
+``_reference_draws`` freezes the fast bank's draw order: one
+``random(count)`` failure mask, then one ``integers`` call over the
+sorted live support.
 """
 
 import random
@@ -25,27 +29,34 @@ from repro.streams.edge import Edge
 N, M, D, ALPHA = 64, 256, 96, 2
 
 
-def _legacy_sample_all(bank):
+def _reference_draws(bank):
     support = bank._support.support()
     if not support:
         return [None] * bank.count
-    results = []
-    for _ in range(bank.count):
-        if bank._draw_rng.random() < bank.delta:
-            results.append(None)
-        else:
-            results.append(bank._draw_rng.choice(support))
-    return results
+    failed = bank._draw_rng.random(bank.count) < bank.delta
+    picks = bank._draw_rng.integers(0, len(support), size=bank.count)
+    return [
+        None if fail else support[pick]
+        for fail, pick in zip(failed.tolist(), picks.tolist())
+    ]
+
+
+def _banks(algorithm):
+    banks = list(algorithm._vertex_banks.values())
+    if algorithm._edge_bank is not None:
+        banks.append(algorithm._edge_bank)
+    return banks
 
 
 def _legacy_collected(algorithm):
+    """Query the banks in the algorithm's order, group with a dict of sets."""
     collected = {}
     for a, bank in algorithm._vertex_banks.items():
-        witnesses = {b for b in _legacy_sample_all(bank) if b is not None}
+        witnesses = {b for b in bank.sample_all() if b is not None}
         if witnesses:
             collected.setdefault(a, set()).update(witnesses)
     if algorithm._edge_bank is not None:
-        for flat in _legacy_sample_all(algorithm._edge_bank):
+        for flat in algorithm._edge_bank.sample_all():
             if flat is None:
                 continue
             edge = Edge.from_flat_index(flat, algorithm.m)
@@ -55,7 +66,7 @@ def _legacy_collected(algorithm):
 
 def _legacy_result(algorithm, collected):
     best_vertex, best_witnesses = None, set()
-    for vertex, witnesses in collected.items():
+    for vertex, witnesses in sorted(collected.items()):
         if len(witnesses) >= algorithm.threshold and len(witnesses) > len(
             best_witnesses
         ):
@@ -79,10 +90,11 @@ def _churn_columns(seed, star_vertex=5, background=3000):
     return cols_a, cols_b, sign
 
 
-def _twins(strategy, scale=0.05, seed=3):
+def _twins(strategy, scale=0.05, seed=3, mode="fast"):
     return [
         InsertionDeletionFEwW(
-            N, M, D, ALPHA, seed=seed, strategy=strategy, scale=scale
+            N, M, D, ALPHA, seed=seed, strategy=strategy, scale=scale,
+            sampler_mode=mode,
         )
         for _ in range(2)
     ]
@@ -96,19 +108,20 @@ def _feed(algorithm, columns, chunk=512):
 
 
 def _draw_states(algorithm):
-    banks = list(algorithm._vertex_banks.values())
-    if algorithm._edge_bank is not None:
-        banks.append(algorithm._edge_bank)
-    return [bank._draw_rng.getstate() for bank in banks]
+    return [
+        bank._draw_rng.bit_generator.state
+        for bank in _banks(algorithm)
+        if bank.mode == "fast"
+    ]
 
 
 def _assert_same_answers(current, reference):
     expected = _legacy_collected(reference)
     got = current._collected()
     assert got == expected
-    assert list(got) == list(expected)
     assert _draw_states(current) == _draw_states(reference)
     assert current.finalize() == _legacy_result(reference, expected)
+    assert current.successful == (_legacy_result(reference, expected) is not None)
     return got
 
 
@@ -122,6 +135,24 @@ def test_strategies_match_reference(strategy):
     assert got
     answer = current.result()
     assert answer.vertex == 5 and len(answer.witnesses) >= current.threshold
+
+
+def test_exact_mode_goes_through_the_same_grouping():
+    n, m, d = 8, 32, 6
+    twins = [
+        InsertionDeletionFEwW(n, m, d, ALPHA, seed=2, scale=0.2,
+                              sampler_mode="exact")
+        for _ in range(2)
+    ]
+    a = np.array([3] * d + [1, 6], dtype=np.int64)
+    b = np.array(list(range(d)) + [7, 9], dtype=np.int64)
+    for algorithm in twins:
+        algorithm.process_batch(a, b)
+    current, reference = twins
+    got = _assert_same_answers(current, reference)
+    assert got and set(got) <= {1, 3, 6}
+    for vertex, witnesses in got.items():
+        assert witnesses <= set(b[a == vertex].tolist())
 
 
 def test_partial_vertex_sample_reports_unsampled_vertices():
@@ -149,6 +180,7 @@ def test_empty_support(strategy):
     _feed(current, columns)
     _feed(reference, columns)
     assert _assert_same_answers(current, reference) == {}
+    assert not current.successful
     with pytest.raises(AlgorithmFailed):
         current.result()
 
@@ -168,12 +200,33 @@ def test_split_merge_round_trip():
     single = InsertionDeletionFEwW(N, M, D, ALPHA, seed=11, scale=0.05)
     _feed(single, columns)
     assert single._collected() == got
-    assert list(single._collected()) == list(got)
+    assert single.finalize() == current.finalize()
+
+
+def test_ties_go_to_the_smallest_vertex_id():
+    # Vertices 3 and 1 each keep three live edges; vertex 3 arrives
+    # first.  The edge bank samples every live edge, so both reach the
+    # threshold with equal sets and the smaller id must win.
+    n, m, d = 4, 8, 3
+    algorithm = InsertionDeletionFEwW(
+        n, m, d, 1, seed=5, strategy=SamplingStrategy.EDGE, scale=4.0
+    )
+    assert algorithm._edge_bank.count >= 200
+    algorithm.process_batch(
+        np.array([3, 3, 3, 1, 1, 1, 2], dtype=np.int64),
+        np.array([0, 4, 6, 1, 2, 7, 5], dtype=np.int64),
+        np.array([1, 1, 1, 1, 1, 1, 1], dtype=np.int64),
+    )
+    collected = algorithm._collected()
+    assert collected[3] == {0, 4, 6} and collected[1] == {1, 2, 7}
+    answer = algorithm.result()
+    assert answer.vertex == 1 and answer.witnesses == frozenset({1, 2, 7})
+    assert algorithm.result() == answer  # memoised
 
 
 def test_fast_bank_draws_match_reference_with_failures():
-    # A large delta makes the failure branch fire, so the RNG order of
-    # draw-then-choice is exercised on both outcomes.
+    # A large delta makes the failure branch fire, so the draw order of
+    # mask-then-integers is exercised on both outcomes.
     banks = [
         L0SamplerBank(1000, 400, 0.3, random.Random(21), mode="fast")
         for _ in range(2)
@@ -182,6 +235,9 @@ def test_fast_bank_draws_match_reference_with_failures():
         bank.update_batch(np.arange(0, 1000, 7), np.ones(143, dtype=np.int64))
     for _ in range(3):
         got = banks[0].sample_all()
-        assert got == _legacy_sample_all(banks[1])
+        assert got == _reference_draws(banks[1])
         assert None in got and any(s is not None for s in got)
-    assert banks[0]._draw_rng.getstate() == banks[1]._draw_rng.getstate()
+    assert (
+        banks[0]._draw_rng.bit_generator.state
+        == banks[1]._draw_rng.bit_generator.state
+    )

@@ -91,7 +91,7 @@ def legacy_bank_planes(
                     bucket = hash_function(index)
                     weight[level, row, bucket] += delta
                     dot[level, row, bucket] += index * delta
-                    base = int(sampler._r[level, row, bucket])
+                    base = sampler._z  # one base per sampler
                     fingerprint[level, row, bucket] = (
                         int(fingerprint[level, row, bucket])
                         + delta * pow(base, index, PRIME_61)
@@ -106,7 +106,7 @@ def legacy_decode(recovery: SSparseRecovery) -> Optional[Dict[int, int]]:
     weight = recovery._weight.reshape(-1)
     dot = recovery._dot.reshape(-1)
     fingerprint = recovery._fingerprint.reshape(-1)
-    bases = recovery._r.reshape(-1)
+    bases = [recovery._z] * len(weight)  # one base per structure
 
     def classify(w: int, dt: int, fp: int, base: int):
         if w == 0 and dt == 0 and fp == 0:

@@ -2,8 +2,9 @@
 
 Pins :func:`mulmod_p61` and :func:`_fold61` to Python-int arithmetic
 (random arrays, limb boundaries, broadcasting, read-only operands), and
-the power tables to ``pow(r, exponent, p)`` entry by entry, to the
-square-and-multiply fallback plane by plane, and to their size.
+the per-base power tables to ``pow(z, exponent, p)`` entry by entry, the
+table-fed batch kernels to the scalar ``pow()`` paths plane by plane,
+and the tables to their size.
 """
 
 import random
@@ -13,11 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import ssparse
-from repro.sketch.hashing import PRIME_61, _fold61, mulmod_p61
+from repro.sketch.hashing import (
+    PRIME_61,
+    KWiseHash,
+    _fold61,
+    degree1_field,
+    mulmod_p61,
+)
 from repro.sketch.l0 import L0Sampler, L0SamplerBank
 from repro.sketch.ssparse import (
-    build_power_tables,
+    build_power_table,
     power_table_shape,
     table_powers,
 )
@@ -93,22 +99,49 @@ class TestFold:
         assert _fold61(_u64(values)).tolist() == [v % P for v in values]
 
 
-POWER_TABLE_DIMS = [1, 2, 3, 64, 65, 4096, 1 << 16, 1 << 18, (1 << 18) + 1]
+class TestDegree1Field:
+    """Both paths of the ℓ₀ kernels' row-hash evaluation equal the
+    scalar hash: points below 2³¹, and any point once one reaches it."""
+
+    @pytest.mark.parametrize(
+        "points",
+        (
+            [0, 1, 2, 12345, (1 << 31) - 1],
+            [0, 1, (1 << 31) - 1, 1 << 31, (1 << 40) - 1, P - 1],
+        ),
+        ids=("below-2^31", "any"),
+    )
+    def test_matches_kwise_field_value(self, points):
+        rng = random.Random(3)
+        pairs = [(a, b) for a in LIMB_BOUNDARIES for b in (0, 1, P - 1)]
+        pairs += [(rng.randrange(P), rng.randrange(P)) for _ in range(40)]
+        a = _u64([x for x, _ in pairs])[np.newaxis, :]
+        b = _u64([y for _, y in pairs])[np.newaxis, :]
+        x = np.array(points, dtype=np.int64)[:, np.newaxis]
+        got = degree1_field(a, b, x)
+        assert got.tolist() == [
+            [KWiseHash([ca, cb], 7).field_value(point) for ca, cb in pairs]
+            for point in points
+        ]
+
+
+POWER_TABLE_DIMS = [
+    1, 2, 3, 64, 65, 4096, 1 << 16, 1 << 18, (1 << 18) + 1, 1 << 40,
+]
 
 
 class TestPowerTables:
     @pytest.mark.parametrize("dim", POWER_TABLE_DIMS)
     def test_every_entry_is_the_window_power(self, dim):
         rng = random.Random(dim)
-        r = _u64([2, P - 1, rng.randrange(2, P)])
-        tables = build_power_tables(r, dim)
         n_windows, size = power_table_shape(dim)
-        assert tables.shape == (n_windows, size, len(r))
         width = size.bit_length() - 1
-        for w in range(n_windows):
-            for v in range(size):
-                assert tables[w, v].tolist() == [
-                    pow(int(base), v << (w * width), P) for base in r
+        for z in (2, P - 1, rng.randrange(2, P)):
+            table = build_power_table(z, dim)
+            assert table.shape == (n_windows, size)
+            for w in range(n_windows):
+                assert table[w].tolist() == [
+                    pow(z, v << (w * width), P) for v in range(size)
                 ]
 
     @pytest.mark.parametrize("dim", POWER_TABLE_DIMS)
@@ -123,23 +156,24 @@ class TestPowerTables:
     @pytest.mark.parametrize("dim", POWER_TABLE_DIMS)
     def test_gathered_products_match_pow(self, dim):
         rng = random.Random(7)
-        r = _u64([rng.randrange(2, P) for _ in range(4)])
-        tables = build_power_tables(r, dim)
+        bases = [rng.randrange(2, P) for _ in range(4)]
         indices = np.array(
             sorted({0, dim - 1, dim // 2} | {rng.randrange(dim) for _ in range(20)}),
             dtype=np.int64,
         )
-        cells = np.arange(len(r), dtype=np.int64)[np.newaxis, :]
-        got = table_powers(tables, indices[:, np.newaxis], cells)
-        assert got.tolist() == [
-            [pow(int(base), int(i), P) for base in r] for i in indices
-        ]
+        expected = [[pow(z, int(i), P) for z in bases] for i in indices]
+        # One table per base, and the bank's stacking on a trailing axis.
+        for column, z in enumerate(bases):
+            got = table_powers(build_power_table(z, dim), indices)
+            assert got.tolist() == [row[column] for row in expected]
+        stacked = np.stack([build_power_table(z, dim) for z in bases], axis=-1)
+        cells = np.arange(len(bases), dtype=np.int64)[np.newaxis, :]
+        got = table_powers(stacked, indices[:, np.newaxis], cells)
+        assert got.tolist() == expected
 
-    def test_cap_declines_oversized_tables(self, monkeypatch):
-        monkeypatch.setattr(ssparse, "POWER_TABLE_MAX_ENTRIES", 3 * 64 * 10 - 1)
-        assert build_power_tables(_u64([3] * 10), 1 << 18) is None
-        monkeypatch.setattr(ssparse, "POWER_TABLE_MAX_ENTRIES", 3 * 64 * 10)
-        assert build_power_tables(_u64([3] * 10), 1 << 18) is not None
+    def test_dim_2_40_takes_five_windows(self):
+        assert power_table_shape(1 << 40) == (5, 256)
+        assert build_power_table(3, 1 << 40).nbytes == 5 * 256 * 8
 
 
 DIM = 1 << 18
@@ -153,41 +187,37 @@ def _signed_stream(seed, length=6000):
     return indices.astype(np.int64), deltas.astype(np.int64)
 
 
-class TestTablesAgainstFallback:
-    """The tables are a pure cache: the powmod chain lands the same planes."""
+class TestTablesAgainstPythonPow:
+    """The table-fed batch kernels land the planes the scalar paths,
+    which exponentiate with Python's ``pow()``, land item by item."""
 
-    def test_sampler_planes(self, monkeypatch):
+    def test_sampler_planes(self):
         indices, deltas = _signed_stream(11)
         tabled = L0Sampler(DIM, 0.05, random.Random(5))
         tabled.update_batch(indices, deltas)
-        assert tabled._power_tables is not None
-        monkeypatch.setattr(ssparse, "POWER_TABLE_MAX_ENTRIES", 0)
-        chained = L0Sampler(DIM, 0.05, random.Random(5))
-        chained.update_batch(indices, deltas)
-        assert chained._power_tables is None
-        assert np.array_equal(tabled._fingerprint, chained._fingerprint)
-        assert np.array_equal(tabled._weight, chained._weight)
-        assert np.array_equal(tabled._dot, chained._dot)
-        assert tabled.sample() == chained.sample()
+        scalar = L0Sampler(DIM, 0.05, random.Random(5))
+        for index, delta in zip(indices.tolist(), deltas.tolist()):
+            scalar.update(index, delta)
+        assert np.array_equal(tabled._fingerprint, scalar._fingerprint)
+        assert np.array_equal(tabled._weight, scalar._weight)
+        assert np.array_equal(tabled._dot, scalar._dot)
+        assert tabled.sample() == scalar.sample()
 
-    def test_exact_bank_planes(self, monkeypatch):
-        indices, deltas = _signed_stream(12)
-        tabled = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
-        tabled.update_batch(indices, deltas)
-        tabled_samples = tabled.sample_all()
-        assert all(s._power_tables is not None for s in tabled._samplers)
-        monkeypatch.setattr(ssparse, "POWER_TABLE_MAX_ENTRIES", 0)
-        chained = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
-        chained.update_batch(indices, deltas)
-        assert chained.sample_all() == tabled_samples
-        assert all(s._power_tables is None for s in chained._samplers)
-        assert np.array_equal(tabled._bank_fingerprint, chained._bank_fingerprint)
-        assert np.array_equal(tabled._bank_weight, chained._bank_weight)
-        assert np.array_equal(tabled._bank_dot, chained._bank_dot)
+    def test_exact_bank_planes(self):
+        indices, deltas = _signed_stream(12, length=2000)
+        fused = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
+        fused.update_batch(indices, deltas)
+        fused_samples = fused.sample_all()
+        scalar = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
+        for index, delta in zip(indices.tolist(), deltas.tolist()):
+            scalar.update(index, delta)
+        assert scalar.sample_all() == fused_samples
+        assert np.array_equal(fused._bank_fingerprint, scalar._bank_fingerprint)
+        assert np.array_equal(fused._bank_weight, scalar._bank_weight)
+        assert np.array_equal(fused._bank_dot, scalar._bank_dot)
 
-    def test_sampler_tables_are_a_quarter_of_full_width(self):
+    def test_sampler_table_is_three_windows_of_64(self):
         sampler = L0Sampler(DIM, 0.05, random.Random(8))
-        cells = sampler._r.size
-        tables = sampler._ensure_power_tables()
-        assert tables.shape == (3, 64) + sampler._r.shape
-        assert tables.size == 3 * 64 * cells == (3 * 256 * cells) // 4
+        assert sampler._table.shape == (3, 64)
+        assert sampler._table.nbytes == 3 * 64 * 8  # 1.5 KB per sampler
+        assert np.array_equal(sampler._table, build_power_table(sampler._z, DIM))

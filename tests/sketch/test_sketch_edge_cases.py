@@ -1,11 +1,15 @@
 """Focused edge-case tests for the sketching substrate: level nesting,
-peeling soundness, and simulated-failure plumbing."""
+peeling soundness, simulated-failure plumbing, and update-column
+validation."""
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sketch.exact import ExactSupport
 from repro.sketch.l0 import L0Sampler, L0SamplerBank
 from repro.sketch.ssparse import SSparseRecovery
 
@@ -78,3 +82,40 @@ class TestBankFailureSimulation:
         bank.update(1, 1)
         assert bank.sample_all() == []
         assert bank.space_words() == 0
+
+
+def _exact_bank():
+    return L0SamplerBank(16, 3, 0.1, random.Random(4), mode="exact")
+
+
+def _fast_bank():
+    return L0SamplerBank(16, 3, 0.1, random.Random(4), mode="fast")
+
+
+class TestMismatchedColumns:
+    """Every batch entry point names both lengths when its update
+    columns differ, instead of buffering or broadcasting them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda: ExactSupport(10),
+            _exact_bank,
+            _fast_bank,
+            lambda: SSparseRecovery(16, 2, 0.1, random.Random(5)),
+            lambda: L0Sampler(16, 0.1, random.Random(6)),
+        ),
+        ids=("exact-support", "exact-bank", "fast-bank", "ssparse", "l0-sampler"),
+    )
+    @pytest.mark.parametrize(
+        "indices, deltas", (([1, 2], [1]), ([3], [1, 5]), ([3, 9, 12], [1]))
+    )
+    def test_update_batch_rejects_mismatched_lengths(self, make, indices, deltas):
+        structure = make()
+        with pytest.raises(
+            ValueError,
+            match=f"{len(indices)} indices, {len(deltas)} deltas",
+        ):
+            structure.update_batch(
+                np.array(indices, dtype=np.int64), np.array(deltas, dtype=np.int64)
+            )

@@ -7,9 +7,9 @@ sampler, all levels).  The frozen reference is the structure they
 replaced: a grid of :class:`~repro.sketch.onesparse.OneSparseCell`
 objects updated one ``(row, item)`` pair at a time.  The legacy grids
 are embedded here with the exact RNG draw order of the stacked
-structures (row hashes first, then fingerprint bases row-major), so
-same-seed instances share every hash and base and any accumulator
-divergence is a real equivalence break.
+structures (row hashes first, then the one fingerprint base every cell
+of a structure shares), so same-seed instances share every hash and
+base and any accumulator divergence is a real equivalence break.
 """
 
 import math
@@ -21,11 +21,7 @@ import pytest
 from repro.sketch.hashing import PRIME_61, random_kwise
 from repro.sketch.l0 import L0Sampler, L0SamplerBank
 from repro.sketch.onesparse import OneSparseCell
-from repro.sketch.ssparse import (
-    SSparseRecovery,
-    _decode_cell,
-    scatter_cell_updates,
-)
+from repro.sketch.ssparse import SSparseRecovery, _decode_cell
 
 DIM = 600
 SEED = 41
@@ -35,12 +31,12 @@ class _LegacySSparse:
     """The pre-stacking s-sparse recovery: one OneSparseCell per bucket.
 
     Reproduces ``SSparseRecovery.__init__``'s randomness consumption
-    exactly: ``n_rows`` pairwise-independent row hashes first, then one
-    fingerprint base per cell in row-major order (each drawn inside the
-    cell constructor, as the original grid did).
+    exactly: ``n_rows`` pairwise-independent row hashes first, then the
+    one fingerprint base every cell shares (``draw_base=False`` leaves
+    the draw to an enclosing sampler, which calls :meth:`set_base`).
     """
 
-    def __init__(self, dim, s, delta, rng):
+    def __init__(self, dim, s, delta, rng, draw_base=True):
         self.dim = dim
         self.s = s
         self.n_buckets = 2 * s
@@ -48,10 +44,20 @@ class _LegacySSparse:
         self._hashes = [
             random_kwise(2, self.n_buckets, rng) for _ in range(self.n_rows)
         ]
+        # The cells' own base draws come from a throwaway generator and
+        # are overwritten by the shared base.
+        placeholder = random.Random(0)
         self._cells = [
-            [OneSparseCell(dim, rng) for _ in range(self.n_buckets)]
+            [OneSparseCell(dim, placeholder) for _ in range(self.n_buckets)]
             for _ in range(self.n_rows)
         ]
+        if draw_base:
+            self.set_base(rng.randrange(2, PRIME_61))
+
+    def set_base(self, base):
+        for row in self._cells:
+            for cell in row:
+                cell._r = base
 
     def update(self, index, delta):
         for row, hash_function in enumerate(self._hashes):
@@ -62,7 +68,8 @@ class _LegacyL0Sampler:
     """The pre-stacking ℓ₀-sampler: per-level legacy recovery grids.
 
     Randomness order matches ``L0Sampler.__init__``: level hash, then
-    tiebreak hash, then the per-level recoveries in level order.
+    tiebreak hash, then the per-level row hashes in level order, then
+    the one fingerprint base shared by every level.
     """
 
     def __init__(self, dim, delta, rng):
@@ -72,9 +79,14 @@ class _LegacyL0Sampler:
         self._level_hash = random_kwise(2, 1 << self.n_levels, rng)
         self._tiebreak = random_kwise(2, 1 << 61, rng)
         self._recoveries = [
-            _LegacySSparse(dim, sparsity, delta / (2 * self.n_levels), rng)
+            _LegacySSparse(
+                dim, sparsity, delta / (2 * self.n_levels), rng, draw_base=False
+            )
             for _ in range(self.n_levels)
         ]
+        base = rng.randrange(2, PRIME_61)
+        for grid in self._recoveries:
+            grid.set_base(base)
 
     def _level_of(self, index):
         value = self._level_hash(index)
@@ -110,7 +122,7 @@ def _assert_recovery_matches_grid(recovery, grid):
             assert int(recovery._weight[row, bucket]) == cell._weight
             assert int(recovery._dot[row, bucket]) == cell._dot
             assert int(recovery._fingerprint[row, bucket]) == cell._fingerprint
-            assert int(recovery._r[row, bucket]) == cell._r
+            assert recovery._z == cell._r
 
 
 class TestStackedSSparse:
@@ -154,30 +166,6 @@ class TestStackedSSparse:
         assert np.array_equal(by_item._dot, by_batch._dot)
         assert np.array_equal(by_item._fingerprint, by_batch._fingerprint)
 
-    def test_power_table_fallback_is_bit_identical(self):
-        # The windowed power tables are a pure cache: forcing the
-        # square-and-multiply fallback must land identical fingerprints.
-        tabled = SSparseRecovery(DIM, self.S, self.DELTA, random.Random(SEED))
-        fallback = SSparseRecovery(DIM, self.S, self.DELTA, random.Random(SEED))
-        indices, deltas = _signed_stream()
-        tabled.update_batch(indices, deltas)
-        assert tabled._power_tables is not None  # cache actually in play
-        addr, weight_values, dot_values, contrib = fallback.batch_contributions(
-            indices, deltas, power_tables=False
-        )
-        scatter_cell_updates(
-            fallback._weight.reshape(-1),
-            fallback._dot.reshape(-1),
-            fallback._fingerprint.reshape(-1),
-            addr,
-            weight_values,
-            dot_values,
-            contrib,
-        )
-        assert np.array_equal(tabled._fingerprint, fallback._fingerprint)
-        assert np.array_equal(tabled._weight, fallback._weight)
-        assert np.array_equal(tabled._dot, fallback._dot)
-
     def test_per_cell_decode_matches_onesparse_cell(self):
         current, legacy = self._pair()
         indices, deltas = _signed_stream()
@@ -191,7 +179,7 @@ class TestStackedSSparse:
                         int(current._weight[row, bucket]),
                         int(current._dot[row, bucket]),
                         int(current._fingerprint[row, bucket]),
-                        int(current._r[row, bucket]),
+                        current._z,
                         DIM,
                     )
                     == cell.decode()
@@ -223,11 +211,18 @@ class TestStackedSSparse:
         assert merged.decode() == single.decode()
 
     def test_space_words_matches_cell_grid_accounting(self):
+        # 3 words per cell (a OneSparseCell's words less its base) plus
+        # the one shared base.
         current, legacy = self._pair()
         grid_words = sum(
-            cell.space_words() for row in legacy._cells for cell in row
+            cell.space_words() - 1 for row in legacy._cells for cell in row
         ) + sum(h.space_words() for h in legacy._hashes)
-        assert current.space_words() == grid_words
+        assert current.space_words() == grid_words + 1
+        assert current.space_words() == (
+            3 * current.n_rows * current.n_buckets
+            + 1
+            + sum(h.space_words() for h in current._hashes)
+        )
 
 
 class TestStackedL0Sampler:
@@ -307,12 +302,14 @@ class TestStackedL0Sampler:
 
     def test_space_words_matches_legacy_accounting(self):
         current, legacy = self._pair()
+        # 3 words per cell (a OneSparseCell's words less its base) plus
+        # the one base every level shares.
         grid_words = sum(
-            cell.space_words()
+            cell.space_words() - 1
             for grid in legacy._recoveries
             for row in grid._cells
             for cell in row
-        )
+        ) + 1
         hash_words = sum(
             h.space_words()
             for grid in legacy._recoveries
