@@ -58,7 +58,6 @@ from repro.engine import (
     WindowedProcessor,
     as_chunks,
     run_fanout,
-    run_sharded,
 )
 from repro.pipeline import (
     ExecSpec,
@@ -170,7 +169,6 @@ __all__ = [
     "register_generator",
     "register_processor",
     "run_fanout",
-    "run_sharded",
     "run_spec",
     "social_network_stream",
     "stream_from_edges",

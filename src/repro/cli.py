@@ -8,8 +8,7 @@ Subcommands:
   verified result and space accounting; ``--spec job.json`` runs a
   JSON pipeline spec directly instead of flags.  ``--save-stream``
   persists the workload for replay; ``--mmap`` memory-maps a v2 stream
-  file so larger-than-RAM workloads stream without materialising
-  (``--readahead`` overlaps the next chunk's page-in with compute);
+  file so larger-than-RAM workloads stream without materialising;
   ``--window-policy tumbling|sliding|decay`` runs the algorithm under
   an engine window policy (``--window`` span, ``--bucket-ratio`` for
   the smooth-histogram sliding window, ``--decay-keep`` for
@@ -133,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mmap", action="store_true",
                      help="memory-map the v2 stream file instead of loading "
                           "it (requires --stream-file; the out-of-core path)")
-    run.add_argument("--readahead", action="store_true",
-                     help="prefetch upcoming chunks on background threads "
-                          "while the current one is processed (requires "
-                          "--mmap; sharded mmap runs enable this "
-                          "automatically)")
     run.add_argument("--window-policy", choices=WINDOW_POLICIES,
                      help="run the algorithm under an engine window policy "
                           "and report per-window answers")
@@ -273,8 +267,6 @@ def _source_spec_from_args(args: argparse.Namespace) -> SourceSpec:
             args.stream_file,
             chunk_size=args.chunk_size,
             mmap=args.mmap,
-            # None = auto: sharded mmap passes prefetch on their own.
-            readahead=True if args.readahead else None,
         )
     return SourceSpec.from_generator(
         args.workload, _workload_params(args), chunk_size=args.chunk_size
@@ -353,10 +345,6 @@ def command_run(args: argparse.Namespace) -> int:
     if args.mmap and args.stream_file is None:
         print("error: --mmap requires --stream-file (it memory-maps a "
               "persisted v2 stream)", file=sys.stderr)
-        return 2
-    if args.readahead and not args.mmap:
-        print("error: --readahead requires --mmap (it prefetches the "
-              "memory-mapped reader's next chunks)", file=sys.stderr)
         return 2
     source_spec = _source_spec_from_args(args)
     try:

@@ -149,11 +149,11 @@ class InsertionDeletionFEwW:
 
     def process_item(self, item: StreamItem) -> None:
         """Route one signed update into both sampling structures."""
-        self._result_cache = None
-        self._updates_seen += 1
         edge = item.edge
         if edge.a >= self.n or edge.b >= self.m:
             raise ValueError(f"edge {edge} out of range for ({self.n}, {self.m})")
+        self._updates_seen += 1
+        self._result_cache = None
         bank = self._vertex_banks.get(edge.a)
         if bank is not None:
             bank.update(edge.b, item.sign)
@@ -177,8 +177,6 @@ class InsertionDeletionFEwW:
         re-sorting or re-netting.  All sketches involved are linear, so
         the final state is identical to item-by-item processing.
         """
-        self._result_cache = None
-        self._updates_seen += len(a)
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
         if sign is None:
@@ -196,6 +194,8 @@ class InsertionDeletionFEwW:
             bad = np.flatnonzero((a < 0) | (a >= self.n) | (b < 0) | (b >= self.m))[0]
             edge = Edge(int(a[bad]), int(b[bad]))
             raise ValueError(f"edge {edge} out of range for ({self.n}, {self.m})")
+        self._updates_seen += len(a)
+        self._result_cache = None
         flat = a * self.m + b
         unique, inverse = np.unique(flat, return_inverse=True)
         net = np.zeros(len(unique), dtype=np.int64)

@@ -242,7 +242,6 @@ class StarDetection:
         post-increment degree fans out to every rung — bit-identical to
         each rung counting for itself (the counts would be equal).
         """
-        self._updates_seen += 1
         if self.model == "insertion-only":
             if item.is_delete:
                 raise ValueError(
@@ -256,6 +255,9 @@ class StarDetection:
         else:
             for _, algorithm in self._runs:
                 algorithm.process_item(item)  # type: ignore[attr-defined]
+        # Counted last: a rejected update must leave the detector
+        # splittable, as if it had never been offered.
+        self._updates_seen += 1
 
     def process_batch(
         self,
@@ -284,7 +286,6 @@ class StarDetection:
         b = np.ascontiguousarray(b, dtype=np.int64)
         if len(a) == 0:
             return
-        self._updates_seen += len(a)
         if self.model == "insertion-only":
             if sign is not None and np.any(sign != INSERT):
                 raise ValueError(
@@ -343,6 +344,7 @@ class StarDetection:
                 algorithm.process_netted(  # type: ignore[attr-defined]
                     unique, net, len(a)
                 )
+        self._updates_seen += len(a)
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.

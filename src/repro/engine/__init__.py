@@ -44,7 +44,6 @@ from repro.engine.sharded import (
     ShardedWorkerError,
     effective_cores,
     fork_available,
-    run_sharded,
     vertex_shard,
 )
 from repro.engine.windows import (
@@ -90,7 +89,6 @@ __all__ = [
     "ensure_stream_processor",
     "fork_available",
     "run_fanout",
-    "run_sharded",
     "shard_routing_of",
     "vertex_shard",
 ]

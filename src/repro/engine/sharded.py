@@ -298,7 +298,6 @@ class _ShardTask(NamedTuple):
     routing: ShardRouting
     chunk_size: int
     mmap: bool
-    readahead: bool
     start_chunk: int
     start_position: int
     fault_plan: Optional[FaultPlan]
@@ -315,9 +314,7 @@ def _drive(task: _ShardTask, in_process: bool = False) -> Dict[str, Any]:
         if isinstance(source, (str, Path)):
             from repro.streams.persist import ChunkedStreamReader
 
-            source = ChunkedStreamReader(
-                source, mmap=task.mmap, readahead=task.readahead
-            )
+            source = ChunkedStreamReader(source, mmap=task.mmap)
         chunks = as_chunks(source, task.chunk_size, start=task.start_position)
 
         def route(chunk, chunk_index, position):
@@ -422,13 +419,6 @@ class ShardedRunner:
         chunk_size: updates per chunk handed to ``process_batch``.
         mmap: memory-map v2 stream files instead of loading them (file
             sources only; the out-of-core path).
-        readahead: prefetch each worker's next chunk on a background
-            thread while the current one is processed (effective for
-            memory-mapped file sources; identical chunk contents).
-            ``None`` (default) auto-enables readahead exactly when the
-            workers will memory-map a file source — the cold-cache
-            pass whose page-in latency readahead exists to hide; pass
-            ``False`` to force it off.
         retries: times a dead/timed-out file-source shard worker is
             respawned before the ``on_failure`` policy decides (the
             workers are side-effect-free, so a re-run is safe).
@@ -449,13 +439,12 @@ class ShardedRunner:
         fault_plan: optional :class:`~repro.engine.faults.FaultPlan`
             threaded into every worker for deterministic chaos tests;
             omit for the no-op default.
-        shm_transport: in-memory chunk handoff to the workers.  ``None``
-            (default) publishes chunk columns through
-            ``multiprocessing.shared_memory`` segments whenever the
-            platform supports them — the queues then carry only tiny
-            descriptors (see :mod:`repro.engine.shm`); ``False``
-            forces the classic pickled-columns transport; ``True``
-            requires shared memory and fails loudly without it.
+
+    In-memory sources reach the workers through
+    ``multiprocessing.shared_memory`` segments whenever POSIX shared
+    memory works here — the queues then carry only tiny descriptors
+    (see :mod:`repro.engine.shm`); elsewhere the queues carry the
+    pickled chunk columns.
 
     Overridable timing knobs (class attributes, seconds; override on an
     instance to tune a specific run or speed up tests):
@@ -491,14 +480,12 @@ class ShardedRunner:
         n_workers: int = 2,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         mmap: bool = False,
-        readahead: Optional[bool] = None,
         retries: int = 2,
         timeout_s: Optional[float] = None,
         on_failure: str = "raise",
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        shm_transport: Optional[bool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -519,7 +506,6 @@ class ShardedRunner:
         self.n_workers = n_workers
         self.chunk_size = chunk_size
         self.mmap = mmap
-        self.readahead = None if readahead is None else bool(readahead)
         self.retries = int(retries)
         self.timeout_s = timeout_s
         self.on_failure = on_failure
@@ -527,10 +513,6 @@ class ShardedRunner:
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
         self.fault_plan = fault_plan
-        #: Shared-memory columnar transport for in-memory process
-        #: runs: ``True`` forces it, ``False`` disables it, ``None``
-        #: (default) auto-enables when POSIX shared memory works here.
-        self.shm_transport = shm_transport
         #: Shard re-runs performed (for run reports / diagnostics).
         self.retries_used = 0
         #: Shards that ended up on the in-process fallback path.
@@ -615,7 +597,6 @@ class ShardedRunner:
             n_workers=int(meta["n_workers"]),
             chunk_size=int(meta["chunk_size"]),
             mmap=bool(meta["mmap"]),
-            readahead=meta["readahead"],
             retries=int(meta["retries"]),
             timeout_s=meta["timeout_s"],
             on_failure=str(meta["on_failure"]),
@@ -694,7 +675,6 @@ class ShardedRunner:
             "n_workers": self.n_workers,
             "chunk_size": chunk_size,
             "mmap": bool(self.mmap),
-            "readahead": self.readahead,
             "retries": self.retries,
             "timeout_s": self.timeout_s,
             "on_failure": self.on_failure,
@@ -758,11 +738,7 @@ class ShardedRunner:
             if self.mmap:
                 from repro.streams.persist import ChunkedStreamReader
 
-                source = ChunkedStreamReader(
-                    source,
-                    mmap=True,
-                    readahead=self._effective_readahead(True),
-                )
+                source = ChunkedStreamReader(source, mmap=True)
             drive(as_chunks(source, chunk_size), self._processors)
             return self._merge_and_finalize([self._processors])
 
@@ -826,18 +802,6 @@ class ShardedRunner:
         except OSError:
             return False
 
-    def _effective_readahead(self, mmap: bool) -> bool:
-        """Resolve the auto (``None``) readahead setting.
-
-        Cold memory-mapped file passes are exactly where prefetch pays:
-        every chunk's first touch is a page-in that would otherwise
-        stall the worker's compute.  Eager and in-memory sources have
-        no deferred I/O, so auto resolves to off there.
-        """
-        if self.readahead is not None:
-            return self.readahead
-        return bool(mmap)
-
     def _run_processes(
         self,
         shards: List[Dict[str, Any]],
@@ -869,18 +833,14 @@ class ShardedRunner:
                 starts[worker] = (state, start_chunk, start_position)
         if not starts:
             return completed  # type: ignore[return-value]
-        if in_memory:
-            mmap = readahead = False
-        else:
-            mmap = self._worker_mmap(source)
-            readahead = self._effective_readahead(mmap)
+        mmap = not in_memory and self._worker_mmap(source)
         attempts = {worker: 0 for worker in starts}
 
         def task(worker: int, shard_source: Any) -> _ShardTask:
             state, start_chunk, start_position = starts[worker]
             return _ShardTask(
                 worker, attempts[worker], self.n_workers, state,
-                shard_source, routing, chunk_size, mmap, readahead,
+                shard_source, routing, chunk_size, mmap,
                 start_chunk, start_position, self.fault_plan,
                 self._shard_checkpoint(worker),
             )
@@ -923,21 +883,19 @@ class ShardedRunner:
         raises whatever the ``on_failure`` policy (persist the stream
         to a file to get retry semantics).
 
-        When the shared-memory transport is engaged (see
-        ``shm_transport``), the in-memory queues carry only
-        :class:`ShmChunk` descriptors; the column bytes travel through
-        a recycled pool of shared segments that the ``finally`` below
-        unlinks on every exit — including failure paths where a worker
-        died without releasing its segments.
+        When POSIX shared memory works here, the in-memory queues carry
+        only :class:`ShmChunk` descriptors; the column bytes travel
+        through a recycled pool of shared segments that the ``finally``
+        below unlinks on every exit — including failure paths where a
+        worker died without releasing its segments.  Elsewhere the
+        queues carry the pickled columns themselves.
         """
         in_memory = not isinstance(source, (str, Path))
         pending = set(attempts)
         publisher: Optional[ChunkPublisher] = None
         feeds: List[_ChunkFeed] = []
         if in_memory:
-            use_shm = self.shm_transport
-            if use_shm is None:
-                use_shm = shm_available()
+            use_shm = shm_available()
             publisher = ChunkPublisher() if use_shm else None
             releases = context.Queue() if use_shm else None
             feeds = [
@@ -1145,15 +1103,3 @@ class ShardedRunner:
                         f"while still alive; giving up routing to it"
                     ) from None
 
-
-def run_sharded(
-    processors: Mapping[str, Any], source: Any, **options: Any
-) -> Dict[str, Any]:
-    """One-shot convenience: build a ShardedRunner (``options`` are its
-    keyword arguments), run it, return answers.
-
-    Prefer assembling runs through :class:`repro.pipeline.Pipeline`,
-    which adds spec validation, registries, and typed results on top of
-    the same execution path; this helper remains for direct engine use.
-    """
-    return ShardedRunner(processors, **options).run(source)

@@ -165,13 +165,7 @@ def open_source(spec: SourceSpec) -> OpenSource:
     from repro.streams.persist import ChunkedStreamReader, load_columnar
 
     if spec.mmap:
-        reader = ChunkedStreamReader(
-            spec.path,
-            mmap=True,
-            # Auto (None) readahead binds at the runner that knows its
-            # access pattern; a bare reader prefetches only on request.
-            readahead=bool(spec.readahead),
-        )
+        reader = ChunkedStreamReader(spec.path, mmap=True)
         if reader.version != 2:
             raise SpecError(
                 f"mmap requires a v2 (NPZ) stream file, and {spec.path} "
@@ -188,9 +182,7 @@ def _open_file_header(spec: SourceSpec) -> OpenSource:
     from repro.streams.persist import ChunkedStreamReader, detect_version
 
     reader = ChunkedStreamReader(
-        spec.path,
-        mmap=detect_version(spec.path) == 2,
-        readahead=bool(spec.readahead),
+        spec.path, mmap=detect_version(spec.path) == 2
     )
     return OpenSource(spec, reader=reader)
 
@@ -406,7 +398,6 @@ class Pipeline:
                     n_workers=execution.workers,
                     chunk_size=chunk_size,
                     mmap=spec.source.mmap,
-                    readahead=spec.source.readahead,
                     retries=execution.retries,
                     timeout_s=execution.timeout_s,
                     on_failure=execution.on_failure,
@@ -535,15 +526,9 @@ class PipelineBuilder:
         return self.source(SourceSpec.from_generator(name, params))
 
     def file(
-        self,
-        path: Union[str, Path],
-        *,
-        mmap: bool = False,
-        readahead: Optional[bool] = None,
+        self, path: Union[str, Path], *, mmap: bool = False
     ) -> "PipelineBuilder":
-        return self.source(
-            SourceSpec.from_file(path, mmap=mmap, readahead=readahead)
-        )
+        return self.source(SourceSpec.from_file(path, mmap=mmap))
 
     def chunk_size(self, chunk_size: int) -> "PipelineBuilder":
         self._chunk_size = chunk_size

@@ -141,10 +141,6 @@ class SourceSpec:
         chunk_size: updates per engine chunk.
         mmap: memory-map the v2 file instead of loading it (file
             sources; the out-of-core path).
-        readahead: prefetch upcoming chunks on a background thread.
-            ``None`` (default) auto-enables readahead exactly where it
-            pays: memory-mapped file passes, whose cold page-ins are
-            the latency being hidden.
     """
 
     kind: str
@@ -154,7 +150,6 @@ class SourceSpec:
     path: Optional[str] = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
     mmap: bool = False
-    readahead: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.path is not None and not isinstance(self.path, str):
@@ -186,14 +181,9 @@ class SourceSpec:
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         mmap: bool = False,
-        readahead: Optional[bool] = None,
     ) -> "SourceSpec":
         return SourceSpec(
-            kind="file",
-            path=str(path),
-            chunk_size=chunk_size,
-            mmap=mmap,
-            readahead=readahead,
+            kind="file", path=str(path), chunk_size=chunk_size, mmap=mmap
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -438,7 +428,6 @@ _SCALAR_FIELDS = {
     "source": (
         ("kind", str), ("generator", (str, type(None))),
         ("path", (str, type(None))), ("chunk_size", int), ("mmap", bool),
-        ("readahead", (bool, type(None))),
     ),
     "window": (
         ("policy", str), ("window", int), ("bucket_ratio", (int, float)),
@@ -550,11 +539,6 @@ def validate_spec(spec: PipelineSpec) -> List[Diagnostic]:
         bad("source.mmap",
             f"mmap requires a file source, got kind={source.kind!r}",
             "mmap memory-maps a persisted v2 stream")
-    if source.readahead and not source.mmap:
-        bad("source.readahead",
-            "readahead requires mmap (it prefetches the memory-mapped "
-            "reader's next chunks)",
-            "set mmap=true, or leave readahead unset for auto")
 
     if not spec.processors:
         bad("processors", "a pipeline needs at least one processor",

@@ -502,9 +502,10 @@ class ChunkedStreamReader:
     ``(a, b, sign)`` column triples sized for ``process_batch`` — the
     same surface :class:`~repro.streams.columnar.ColumnarEdgeStream`
     offers, so :func:`repro.engine.as_chunks` treats files and
-    in-memory streams uniformly.  v2 files are sliced directly from
-    their stored columns; v1 text is parsed incrementally, so at most
-    one chunk of updates is held in Python objects at a time.
+    in-memory streams uniformly.  v2 chunks are views of the stored
+    columns, the same slices ``ColumnarEdgeStream.chunks`` yields; v1
+    text is parsed incrementally, so at most one chunk of updates is
+    held in Python objects at a time.
 
     With ``mmap=True`` a v2 file's columns are memory-mapped instead of
     loaded: opening the reader touches only the zip directory and npy
@@ -515,30 +516,15 @@ class ChunkedStreamReader:
     copy).  Range validation then happens per chunk rather than at open
     time; v1 text is already incremental, so ``mmap`` is a no-op for it.
 
-    With ``readahead=True`` (memory-mapped v2 sources) the next chunk's
-    column slices are materialised on a background thread while the
-    caller processes the current chunk — a double buffer overlapping
-    page-in I/O with compute, which is where a cold-cache out-of-core
-    pass spends its time.  Chunk contents are identical to the
-    non-readahead path (the prefetcher only changes *when* bytes are
-    touched, never which); the flag is accepted but inert for v1 text
-    and eager v2 sources, which have no deferred I/O to overlap.
-
     Chunked reading validates identifier ranges and signs per chunk but
     not the cross-chunk simple-graph discipline (that would require
     whole-stream state); use :func:`load_columnar` when full validation
     is required.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        mmap: bool = False,
-        readahead: bool = False,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], mmap: bool = False) -> None:
         self.path = Path(path)
         self.mmap = bool(mmap)
-        self.readahead = bool(readahead)
         self._validate_chunks = False
         self._timestamps_checked = False
         if _is_v2_path(self.path):
@@ -646,16 +632,7 @@ class ChunkedStreamReader:
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         if self._columns is not None:
-            if self.readahead and self.mmap:
-                yield from self._chunks_readahead(chunk_size, start)
-            elif self._validate_chunks:
-                for chunk in self._column_slices(chunk_size, start):
-                    self._check_ranges(*chunk)
-                    yield chunk
-            elif start:
-                yield from self._column_slices(chunk_size, start)
-            else:
-                yield from self._columns.chunks(chunk_size)
+            yield from self._column_slices(chunk_size, start)
             return
         with open(self.path, "r", encoding="ascii") as handle:
             handle.readline()  # header, parsed in __init__
@@ -681,51 +658,19 @@ class ChunkedStreamReader:
     def _column_slices(
         self, chunk_size: int, start: int
     ) -> Iterator[Columns]:
-        """Column-slice chunks beginning ``start`` updates in."""
+        """Column-slice chunks beginning ``start`` updates in, each
+        range-checked when the columns were not validated at open."""
         columns = self._columns
         for begin in range(start, len(columns), chunk_size):
             stop = begin + chunk_size
-            yield (
+            chunk = (
                 columns.a[begin:stop],
                 columns.b[begin:stop],
                 columns.sign[begin:stop],
             )
-
-    def _chunks_readahead(
-        self, chunk_size: int, start: int = 0
-    ) -> Iterator[Columns]:
-        """Double-buffered mmap iteration: while the caller processes
-        chunk ``i``, a worker thread materialises (and thereby pages in)
-        chunk ``i + 1``'s column slices.  Materialisation copies the
-        slices out of the map, so a yielded chunk stays valid however
-        long the consumer holds it; per-chunk range validation runs on
-        the prefetch thread and surfaces through the future exactly
-        where the serial path would raise.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        columns = self._columns
-        n_items = len(columns)
-        if n_items == 0 or start >= n_items:
-            return
-
-        def materialise(begin: int) -> Columns:
-            stop = begin + chunk_size
-            chunk = (
-                np.array(columns.a[begin:stop]),
-                np.array(columns.b[begin:stop]),
-                np.array(columns.sign[begin:stop]),
-            )
-            self._check_ranges(*chunk)
-            return chunk
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            ahead = pool.submit(materialise, start)
-            for begin in range(start + chunk_size, n_items, chunk_size):
-                chunk = ahead.result()
-                ahead = pool.submit(materialise, begin)
-                yield chunk
-            yield ahead.result()
+            if self._validate_chunks:
+                self._check_ranges(*chunk)
+            yield chunk
 
     def _flush(self, a_buf, b_buf, sign_buf) -> Columns:
         chunk = (

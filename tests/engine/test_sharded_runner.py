@@ -6,9 +6,10 @@ import pytest
 from repro.baselines import CountMinSketch, MisraGries
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import ShardedRunner, run_sharded, vertex_shard
+from repro.engine import ShardedRunner, vertex_shard
 from repro.engine.sharded import route_chunk
 from repro.streams.columnar import ColumnarEdgeStream
+from repro.streams.edge import DELETE, INSERT, Edge, StreamItem
 
 
 def small_stream(n_updates=200, n=16):
@@ -135,9 +136,7 @@ class TestRouting:
 class TestExecution:
     def test_single_worker_equals_fanout(self):
         stream = small_stream()
-        results = run_sharded(
-            {"mg": MisraGries(8)}, stream, n_workers=1
-        )
+        results = ShardedRunner({"mg": MisraGries(8)}, n_workers=1).run(stream)
         assert results["mg"]._length == len(stream)
 
     def test_merged_processor_accessible_after_run(self):
@@ -211,12 +210,9 @@ class TestExecution:
 
     def test_more_workers_than_chunks(self):
         stream = small_stream(10)
-        results = run_sharded(
-            {"cm": CountMinSketch(0.1, 0.1, seed=1)},
-            stream,
-            n_workers=4,
-            chunk_size=64,
-        )
+        results = ShardedRunner(
+            {"cm": CountMinSketch(0.1, 0.1, seed=1)}, n_workers=4, chunk_size=64
+        ).run(stream)
         single = CountMinSketch(0.1, 0.1, seed=1)
         single.process_batch(stream.a, stream.b, stream.sign)
         assert np.array_equal(results["cm"]._table, single._table)
@@ -225,9 +221,9 @@ class TestExecution:
         empty = ColumnarEdgeStream(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), n=4, m=4
         )
-        results = run_sharded(
-            {"alg2": InsertionOnlyFEwW(4, 2, 2, seed=0)}, empty, n_workers=2
-        )
+        results = ShardedRunner(
+            {"alg2": InsertionOnlyFEwW(4, 2, 2, seed=0)}, n_workers=2
+        ).run(empty)
         assert results == {"alg2": None}
 
 
@@ -263,3 +259,59 @@ class TestSplitGuards:
         )
         with pytest.raises(RuntimeError, match="before processing"):
             detector.split(2)
+
+
+def _alg3():
+    from repro.core.insertion_deletion import InsertionDeletionFEwW
+
+    return InsertionDeletionFEwW(4, 4, 2, 1)
+
+
+def _star(model):
+    from repro.core.star_detection import StarDetection
+
+    return StarDetection(8, alpha=2, eps=0.5, model=model, seed=1)
+
+
+def _one(a, b, sign):
+    return (
+        np.array([a], dtype=np.int64),
+        np.array([b], dtype=np.int64),
+        np.array([sign], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, feed",
+    [
+        (_alg3, lambda p: p.process_item(StreamItem(Edge(9, 0), INSERT))),
+        (_alg3, lambda p: p.process_batch([9], [0])),
+        (
+            lambda: _star("insertion-only"),
+            lambda p: p.process_item(StreamItem(Edge(1, 2), DELETE)),
+        ),
+        (
+            lambda: _star("insertion-only"),
+            lambda p: p.process_batch(*_one(1, 2, DELETE)),
+        ),
+        (
+            lambda: _star("insertion-deletion"),
+            lambda p: p.process_item(StreamItem(Edge(9, 2), INSERT)),
+        ),
+        (
+            lambda: _star("insertion-deletion"),
+            lambda p: p.process_batch(*_one(9, 2, INSERT)),
+        ),
+    ],
+    ids=[
+        "alg3-item", "alg3-batch", "star-insert-only-item",
+        "star-insert-only-batch", "star-turnstile-item",
+        "star-turnstile-batch",
+    ],
+)
+def test_rejected_chunk_is_not_counted(build, feed):
+    processor = build()
+    with pytest.raises(ValueError):
+        feed(processor)
+    assert processor._updates_seen == 0
+    assert len(processor.split(2)) == 2

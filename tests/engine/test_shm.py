@@ -150,16 +150,19 @@ class TestPublisherAttacher:
 
 class TestShardedTransportEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("shm_transport", [True, False, None])
-    def test_count_sketch_bit_identical(self, workers, shm_transport):
+    @pytest.mark.parametrize("transport", ["shm", "pickled"])
+    def test_count_sketch_bit_identical(self, workers, transport, monkeypatch):
+        """The pickled-columns transport is what hosts without POSIX
+        shared memory run; a failing probe selects it here."""
+        if transport == "pickled":
+            monkeypatch.setattr(
+                "repro.engine.sharded.shm_available", lambda: False
+            )
         stream = turnstile_stream()
         factory = lambda: {"cs": CountSketch(64, rows=3, seed=6)}
         single = FanoutRunner(factory(), chunk_size=CHUNK).run(stream)
         sharded = ShardedRunner(
-            factory(),
-            n_workers=workers,
-            chunk_size=CHUNK,
-            shm_transport=shm_transport,
+            factory(), n_workers=workers, chunk_size=CHUNK
         ).run(stream)
         assert np.array_equal(single["cs"]._table, sharded["cs"]._table)
 
@@ -170,7 +173,7 @@ class TestShardedTransportEquivalence:
         factory = lambda: {"cm": CountMinSketch(0.05, 0.05, seed=5)}
         single = FanoutRunner(factory(), chunk_size=CHUNK).run(stream)
         sharded = ShardedRunner(
-            factory(), n_workers=workers, chunk_size=CHUNK, shm_transport=True
+            factory(), n_workers=workers, chunk_size=CHUNK
         ).run(stream)
         assert np.array_equal(single["cm"]._table, sharded["cm"]._table)
 
@@ -189,7 +192,6 @@ class TestDescriptorOnlyTraffic:
             {"cs": CountSketch(64, rows=3, seed=6)},
             n_workers=2,
             chunk_size=CHUNK,
-            shm_transport=True,
         ).run(turnstile_stream())
         chunks = [item for item in payloads if item is not None]
         assert chunks, "expected routed chunks on the queues"
@@ -216,7 +218,6 @@ class TestChaosNoLeaks:
             {"cs": CountSketch(64, rows=3, seed=6)},
             n_workers=2,
             chunk_size=CHUNK,
-            shm_transport=True,
             retries=0,
             fault_plan=FaultPlan.kill(1, 2),
         )
@@ -233,7 +234,6 @@ class TestChaosNoLeaks:
             {"cs": CountSketch(64, rows=3, seed=6)},
             n_workers=2,
             chunk_size=CHUNK,
-            shm_transport=True,
             fault_plan=FaultPlan.read_error(1, 2),
         )
         with pytest.raises(RuntimeError):
@@ -260,7 +260,6 @@ class TestChaosNoLeaks:
             {"cs": CountSketch(64, rows=3, seed=6)},
             n_workers=2,
             chunk_size=CHUNK,
-            shm_transport=True,
             fault_plan=plan,
         )
         runner.RESULT_POLL_TIMEOUT_S = 60.0
@@ -272,16 +271,3 @@ class TestChaosNoLeaks:
         assert names, "expected segments to have been allocated"
         assert all(attach_raises(name) for name in set(names))
 
-
-def test_auto_mode_falls_back_to_pickling_when_probe_fails(monkeypatch):
-    """shm_transport=None degrades gracefully on hosts without POSIX shm."""
-    import repro.engine.sharded as sharded_module
-
-    monkeypatch.setattr(sharded_module, "shm_available", lambda: False)
-    stream = turnstile_stream(length=600)
-    factory = lambda: {"cs": CountSketch(64, rows=3, seed=6)}
-    single = FanoutRunner(factory(), chunk_size=CHUNK).run(stream)
-    sharded = ShardedRunner(
-        factory(), n_workers=2, chunk_size=CHUNK, shm_transport=None
-    ).run(stream)
-    assert np.array_equal(single["cs"]._table, sharded["cs"]._table)

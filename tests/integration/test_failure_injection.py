@@ -301,13 +301,19 @@ class TestShardRetry:
         ],
         ids=["dropped", "corrupt"],
     )
-    def test_in_memory_lost_result_raises_without_retry(self, plan, cause):
+    def test_in_memory_lost_result_raises_without_retry(
+        self, plan, cause, monkeypatch
+    ):
         """An in-memory stream is consumed once, so a lost or garbled
         result raises whatever the policy — and does so the moment the
-        worker's result pipe reports it, not after a poll slice."""
+        worker's result pipe reports it, not after a poll slice.  Runs
+        the pickled-columns transport, as on hosts without POSIX
+        shared memory."""
+        monkeypatch.setattr(
+            "repro.engine.sharded.shm_available", lambda: False
+        )
         runner = chaos_runner(
-            retries=2, on_failure="retry", shm_transport=False,
-            fault_plan=plan,
+            retries=2, on_failure="retry", fault_plan=plan
         )
         runner.RESULT_POLL_TIMEOUT_S = 60.0
         began = time.monotonic()
@@ -417,11 +423,15 @@ class TestCheckpointResume:
         results = resumed.run()
         assert np.array_equal(results["cm"]._table, reference_table())
 
-    def test_resume_accepts_manifest_with_retired_readahead_depth(
-        self, stream_file, tmp_path
+    @pytest.mark.parametrize(
+        "key, value", [("readahead_depth", 2), ("readahead", True)]
+    )
+    def test_resume_accepts_manifest_with_retired_readahead_keys(
+        self, stream_file, tmp_path, key, value
     ):
-        """Run manifests written while ``readahead_depth`` was still a
-        runner option carry it in their meta; resume ignores it."""
+        """Run manifests written while ``readahead_depth`` or
+        ``readahead`` was still a runner option carry it in their meta;
+        resume ignores it."""
         from repro.engine.checkpoint import CheckpointStore
         from repro.engine.sharded import RUN_TAG
 
@@ -438,7 +448,7 @@ class TestCheckpointResume:
         manifest = store.load(RUN_TAG)
         store.save(
             RUN_TAG, manifest.state, chunk_index=0, position=0,
-            meta={**manifest.meta, "readahead_depth": 2},
+            meta={**manifest.meta, key: value},
         )
         resumed = ShardedRunner.resume(ckpt)
         results = resumed.run()

@@ -122,7 +122,6 @@ class LegacyRun:
                 n_workers=workers,
                 chunk_size=CHUNK,
                 mmap=mmap,
-                readahead=False,
             )
             answer = sharded.run(source)["algorithm"]
             return answer, sharded["algorithm"]

@@ -135,7 +135,7 @@ class TestSources:
         dump_stream(stream, path, format="v2")
         result = (
             Pipeline.builder()
-            .file(path, mmap=True, readahead=True)
+            .file(path, mmap=True)
             .processor("insertion-only", label="alg2", n=stream.n, d=8,
                        alpha=2, seed=1)
             .build()

@@ -184,7 +184,7 @@ class TestSketchEntries:
     def test_bloom_dedup_sharded_matches_single_core(self):
         import numpy as np
 
-        from repro.engine import run_sharded
+        from repro.engine import ShardedRunner
         from repro.streams.columnar import ColumnarEdgeStream
 
         # 200 distinct pairs inserted, 50 deleted and re-inserted —
@@ -208,12 +208,11 @@ class TestSketchEntries:
         params = {"n": 16, "m": 300, "capacity": 1024, "seed": 4}
         single = PROCESSORS.build("bloom-dedup", params)
         single.process_batch(stream.a, stream.b, stream.sign)
-        sharded = run_sharded(
+        sharded = ShardedRunner(
             {"dedup": PROCESSORS.build("bloom-dedup", params)},
-            stream,
             n_workers=2,
             chunk_size=64,
-        )["dedup"]
+        ).run(stream)["dedup"]
         # Vertex routing keeps pair key spaces disjoint per shard, so
         # first-arrival decisions — and both counters — are exact.
         assert single.suppressed > 0  # the workload really repeats
@@ -223,7 +222,7 @@ class TestSketchEntries:
     def test_l0_bank_sharded_matches_single_core(self):
         import numpy as np
 
-        from repro.engine import run_sharded
+        from repro.engine import ShardedRunner
         from repro.streams.columnar import ColumnarEdgeStream
 
         rng = np.random.default_rng(22)
@@ -236,11 +235,10 @@ class TestSketchEntries:
         params = {"n": 8, "m": 300, "count": 6, "seed": 7, "mode": "exact"}
         single = PROCESSORS.build("l0-bank", params)
         single.process_batch(stream.a, stream.b, stream.sign)
-        sharded = run_sharded(
+        sharded = ShardedRunner(
             {"bank": PROCESSORS.build("l0-bank", params)},
-            stream,
             n_workers=2,
             chunk_size=32,
-        )["bank"]
+        ).run(stream)["bank"]
         # Linear sketches merge exactly: same seeds, same samples.
         assert sharded.sample_edges() == single.sample_edges()

@@ -47,7 +47,7 @@ def spec_variants():
         (
             "sharded-file",
             PipelineSpec(
-                SourceSpec.from_file("stream.npz", mmap=True, readahead=True),
+                SourceSpec.from_file("stream.npz", mmap=True),
                 (alg2, ProcessorSpec("misra-gries", {"k": 8})),
                 execution=ExecSpec("sharded", 4),
             ),
@@ -101,9 +101,10 @@ class TestSerializationErrors:
         with pytest.raises(SpecError, match="cannot be serialized"):
             spec.to_dict()
 
-    # readahead_depth was a SourceSpec field once; specs that still
-    # carry it are rejected by name rather than silently ignored.
-    @pytest.mark.parametrize("key", ["mmaps", "readahead_depth"])
+    # readahead_depth and readahead were SourceSpec fields once; specs
+    # that still carry them are rejected by name rather than silently
+    # ignored.
+    @pytest.mark.parametrize("key", ["mmaps", "readahead_depth", "readahead"])
     def test_unknown_source_field_is_reported(self, key):
         with pytest.raises(SpecError, match=rf"unknown field\(s\) \['{key}'\]"):
             SourceSpec.from_dict({"kind": "file", "path": "x", key: True})
@@ -220,13 +221,6 @@ class TestValidationDiagnostics:
             (ProcessorSpec("insertion-only", {"n": 8, "d": 2}),),
         )
         assert "source.path" in diagnostics_of(spec)
-
-    def test_readahead_without_mmap(self):
-        spec = PipelineSpec(
-            SourceSpec.from_file("x.npz", readahead=True),
-            (ProcessorSpec("insertion-only", {"n": 8, "d": 2}),),
-        )
-        assert "source.readahead" in diagnostics_of(spec)
 
     def test_processor_seed_under_window_is_a_conflict(self):
         spec = PipelineSpec(

@@ -381,129 +381,65 @@ class TestTimestampedPersistence:
 
 
 # ----------------------------------------------------------------------
-# Chunk-level readahead (mmap prefetch).
+# The v2 column-slice loop shared by the eager and mapped readers.
 # ----------------------------------------------------------------------
 
 
-class TestReadaheadEquivalence:
+class TestColumnSlices:
     @pytest.mark.parametrize("chunk_size", (1, 7, 64, 1000))
-    def test_chunks_identical_to_serial_mmap(self, tmp_path, chunk_size):
+    def test_slices_match_the_in_memory_stream(
+        self, tmp_path, mmap_mode, chunk_size
+    ):
         stream = columnar(333)
         path = tmp_path / "stream.npz"
         dump_stream(stream, path, format="v2")
-        serial = [
-            tuple(np.array(column) for column in chunk)
-            for chunk in ChunkedStreamReader(path, mmap=True).chunks(chunk_size)
-        ]
-        prefetched = list(
-            ChunkedStreamReader(path, mmap=True, readahead=True).chunks(
-                chunk_size
-            )
-        )
-        assert len(serial) == len(prefetched)
-        for mine, theirs in zip(serial, prefetched):
+        read = list(ChunkedStreamReader(path, mmap=mmap_mode).chunks(chunk_size))
+        expected = list(stream.chunks(chunk_size))
+        assert len(read) == len(expected)
+        for mine, theirs in zip(read, expected):
             for left, right in zip(mine, theirs):
-                assert np.array_equal(left, right)
+                assert np.array_equal(np.asarray(left), right)
 
-    def test_empty_stream(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        dump_stream(columnar(0), path, format="v2")
-        reader = ChunkedStreamReader(path, mmap=True, readahead=True)
-        assert list(reader.chunks(8)) == []
-
-    def test_stream_shorter_than_one_chunk(self, tmp_path):
-        path = tmp_path / "tiny.npz"
-        dump_stream(columnar(3), path, format="v2")
-        reader = ChunkedStreamReader(path, mmap=True, readahead=True)
-        chunks = list(reader.chunks(4))
-        assert [len(chunk[0]) for chunk in chunks] == [3]
-
-    def test_range_validation_still_raises(self, tmp_path):
-        stream = columnar(64)
-        path = tmp_path / "bad.npz"
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                a=stream.a,
-                b=stream.b,
-                sign=stream.sign,
-                meta=np.array([2, 2, stream.m], dtype=np.int64),  # n too small
-            )
-        reader = ChunkedStreamReader(path, mmap=True, readahead=True)
-        with pytest.raises(StreamFormatError, match="out of range"):
-            list(reader.chunks(16))
-
-    def test_engine_answers_unchanged_under_readahead(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("start", (5, 14, 333))
+    def test_start_offset_measures_chunks_from_the_offset(
+        self, tmp_path, mmap_mode, start
     ):
-        from repro.engine import ShardedRunner
-
-        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
-        from repro.sketch.exact import DegreeCounter
-
-        stream = columnar(500, n=16)
+        stream = columnar(333)
         path = tmp_path / "stream.npz"
         dump_stream(stream, path, format="v2")
+        reader = ChunkedStreamReader(path, mmap=mmap_mode)
+        chunks = list(reader.chunks(7, start=start))
+        sizes = [len(chunk[0]) for chunk in chunks]
+        tail = len(stream) - start
+        assert sizes == [7] * (tail // 7) + ([tail % 7] if tail % 7 else [])
+        if chunks:
+            a = np.concatenate([np.asarray(chunk[0]) for chunk in chunks])
+            assert np.array_equal(a, stream.a[start:])
 
-        class CountingProcessor:
-            def __init__(self):
-                self.counter = DegreeCounter(16)
+    def test_mapped_range_error_surfaces_at_the_offending_chunk(self, tmp_path):
+        a = np.zeros(64, dtype=np.int64)
+        a[40] = 99  # n=8, so update 40 is out of range
+        bad = ColumnarEdgeStream(
+            a, np.arange(64, dtype=np.int64), n=8, m=64, validate=False
+        )
+        path = tmp_path / "late_bad.npz"
+        dump_stream(bad, path, format="v2")
+        chunks = ChunkedStreamReader(path, mmap=True).chunks(16)
+        assert len(next(chunks)[0]) == 16
+        assert len(next(chunks)[0]) == 16
+        with pytest.raises(StreamFormatError, match="out of range"):
+            next(chunks)
 
-            def process_batch(self, a, b, sign=None):
-                self.counter.increment_batch(np.asarray(a))
-
-            def finalize(self):
-                return self.counter._degrees.copy()
-
-            def merge(self, other):
-                self.counter.merge(other.counter)
-                return self
-
-            def split(self, n_shards):
-                return [CountingProcessor() for _ in range(n_shards)]
-
-            shard_routing = "any"
-
-        plain = ShardedRunner(
-            {"deg": CountingProcessor()}, n_workers=2, mmap=True,
-        ).run(str(path))["deg"]
-        prefetched = ShardedRunner(
-            {"deg": CountingProcessor()}, n_workers=2, mmap=True,
-            readahead=True,
-        ).run(str(path))["deg"]
-        assert np.array_equal(plain, prefetched)
-
-
-class TestShardedAutoReadahead:
-    """ShardedRunner(readahead=None) auto-enables prefetch on mmap
-    passes and keeps answers identical either way."""
-
-    def test_auto_resolution(self):
-        from repro.engine import ShardedRunner
-
-        runner = ShardedRunner(n_workers=2, mmap=True)
-        assert runner.readahead is None
-        assert runner._effective_readahead(True) is True
-        assert runner._effective_readahead(False) is False
-        forced_off = ShardedRunner(n_workers=2, mmap=True, readahead=False)
-        assert forced_off._effective_readahead(True) is False
-        forced_on = ShardedRunner(n_workers=2, readahead=True)
-        assert forced_on._effective_readahead(False) is True
-
-    def test_auto_readahead_answers_identical(self, tmp_path, monkeypatch):
-        from repro.engine import ShardedRunner
-        from repro.core.insertion_only import InsertionOnlyFEwW
-
-        monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
-
-        stream = columnar(400, n=16)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chunk_size": 0}, "chunk_size must be >= 1"),
+            ({"start": -1}, "start must be >= 0"),
+        ],
+        ids=["chunk_size", "start"],
+    )
+    def test_invalid_arguments_are_rejected(self, tmp_path, kwargs, message):
         path = tmp_path / "stream.npz"
-        dump_stream(stream, path, format="v2")
-
-        def run(**kwargs):
-            return ShardedRunner(
-                {"alg2": InsertionOnlyFEwW(16, 4, 2, seed=3)},
-                n_workers=2, mmap=True, **kwargs,
-            ).run(str(path))["alg2"]
-
-        assert run() == run(readahead=False)
+        dump_stream(columnar(10), path, format="v2")
+        with pytest.raises(ValueError, match=message):
+            list(ChunkedStreamReader(path, mmap=True).chunks(**kwargs))

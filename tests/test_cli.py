@@ -322,12 +322,7 @@ class TestWindowPolicyCommands:
         assert code == 2
         assert "window must be >= 1" in capsys.readouterr().err
 
-    def test_readahead_requires_mmap(self, capsys):
-        code = main(["run", "--workload", "star", "--readahead"])
-        assert code == 2
-        assert "--readahead requires --mmap" in capsys.readouterr().err
-
-    def test_mmap_readahead_runs(self, capsys, tmp_path):
+    def test_mmap_stream_file_runs(self, capsys, tmp_path):
         path = tmp_path / "stream.npz"
         assert main(
             ["run", "--workload", "star", "--n", "128", "--m", "512",
@@ -335,7 +330,7 @@ class TestWindowPolicyCommands:
         ) == 0
         code = main(
             ["run", "--stream-file", str(path), "--n", "128", "--d", "32",
-             "--mmap", "--readahead"]
+             "--mmap"]
         )
         assert code == 0
 
