@@ -21,11 +21,11 @@ anything exposing the engine surface (``process_batch``, or a
 ``split``/``merge`` pair).  Readers, runners and other driver-side
 classes may hold handles and threads freely.
 
-A fourth rule pins the shared-memory discipline the leak-freedom proof
-in ``engine/shm.py`` depends on: every
-``multiprocessing.shared_memory.SharedMemory`` segment is created (and
-therefore unlinked) inside ``engine/shm.py`` alone
-(``forksafe/shm-outside-engine``).
+A fourth rule bans ``multiprocessing.shared_memory.SharedMemory``
+segments from the package altogether (``forksafe/shm-outside-engine``):
+shard workers inherit their source through ``fork`` and send back only
+their summaries, so nothing needs a segment, and one that a killed
+process never unlinks outlives the run.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ _RESOURCE_FACTORIES: FrozenSet[str] = frozenset(
         "mmap.mmap",
     }
 )
-
-#: The one module allowed to create shared-memory segments.
-_SHM_HOME = "repro/engine/shm.py"
 
 _SHM_FACTORY = "multiprocessing.shared_memory.SharedMemory"
 
@@ -183,24 +180,18 @@ def check_forksafe(source: ModuleSource) -> List[Diagnostic]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call):
             canonical = source.resolve_call(node)
-            if (
-                canonical == _SHM_FACTORY
-                and not source.display_path.endswith(_SHM_HOME)
-            ):
+            if canonical == _SHM_FACTORY:
                 findings.append(
                     Diagnostic(
                         rule="forksafe/shm-outside-engine",
                         path=source.display_path,
                         line=node.lineno,
-                        problem=(
-                            "SharedMemory segment created outside "
-                            "engine/shm.py"
-                        ),
+                        problem="SharedMemory segment created",
                         hint=(
-                            "route segment creation through repro.engine."
-                            "shm (ChunkPublisher/ChunkAttacher); its "
-                            "unlink-in-finally discipline is what keeps "
-                            "kill/raise paths leak-free"
+                            "hand shard workers data by fork inheritance "
+                            "(see repro.engine.sharded) or through a "
+                            "stream file; a segment a killed process "
+                            "never unlinks leaks past the run"
                         ),
                     )
                 )

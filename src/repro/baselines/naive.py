@@ -75,9 +75,8 @@ class FullStorage:
         """Buffer a column chunk of signed updates (deferred netting).
 
         The columns are copied (chunk buffers may be recycled by the
-        caller, e.g. shared-memory transport segments) and applied on
-        the next read through :meth:`_flush`; final state is identical
-        to per-item processing.
+        caller) and applied on the next read through :meth:`_flush`;
+        final state is identical to per-item processing.
         """
         if len(a) == 0:
             return

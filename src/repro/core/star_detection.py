@@ -242,13 +242,16 @@ class StarDetection:
         post-increment degree fans out to every rung — bit-identical to
         each rung counting for itself (the counts would be equal).
         """
+        edge, n = item.edge, self.n_vertices
+        if edge.a >= n or edge.b >= n:
+            raise ValueError(f"edge {edge} out of range for ({n}, {n})")
         if self.model == "insertion-only":
             if item.is_delete:
                 raise ValueError(
                     "Algorithm 2 handles insertion-only streams; "
                     "use InsertionDeletionFEwW for turnstile input"
                 )
-            a, b = item.edge.a, item.edge.b
+            a, b = edge.a, edge.b
             degree = self._degrees.increment(a)
             for _, algorithm in self._runs:
                 algorithm.observe_item(a, b, degree)  # type: ignore[attr-defined]
@@ -274,8 +277,8 @@ class StarDetection:
         finds every rung's threshold crossings
         (``degree_after == d1``) — each of the ``O(α log_{1+ε} n)``
         parallel runs then only replays its own rare crossings.
-        Insertion-deletion: the chunk is range-checked and netted
-        (``np.unique`` + scatter-add on the flat edge coordinate) once,
+        Insertion-deletion: the chunk is netted (``np.unique`` +
+        scatter-add on the flat edge coordinate) once,
         and every rung's linear sketches consume the shared netted
         column.  State after the call is bit-identical to feeding the
         chunk through :meth:`process_item` in order: the per-guess
@@ -286,6 +289,18 @@ class StarDetection:
         b = np.ascontiguousarray(b, dtype=np.int64)
         if len(a) == 0:
             return
+        # Both endpoints live in the double cover's n-vertex sides; a
+        # rejected chunk leaves the detector as if never offered.
+        n = self.n_vertices
+        if (
+            int(a.min()) < 0
+            or int(a.max()) >= n
+            or int(b.min()) < 0
+            or int(b.max()) >= n
+        ):
+            bad = np.flatnonzero((a < 0) | (a >= n) | (b < 0) | (b >= n))[0]
+            edge = Edge(int(a[bad]), int(b[bad]))
+            raise ValueError(f"edge {edge} out of range for ({n}, {n})")
         if self.model == "insertion-only":
             if sign is not None and np.any(sign != INSERT):
                 raise ValueError(
@@ -318,23 +333,11 @@ class StarDetection:
                     crossings=crossings,
                 )
         else:
-            n, m = self.n_vertices, self.n_vertices
             if sign is None:
                 sign = insert_signs(len(a))
             else:
                 sign = np.ascontiguousarray(sign, dtype=np.int64)
-            if (
-                int(a.min()) < 0
-                or int(a.max()) >= n
-                or int(b.min()) < 0
-                or int(b.max()) >= m
-            ):
-                bad = np.flatnonzero(
-                    (a < 0) | (a >= n) | (b < 0) | (b >= m)
-                )[0]
-                edge = Edge(int(a[bad]), int(b[bad]))
-                raise ValueError(f"edge {edge} out of range for ({n}, {m})")
-            flat = a * m + b
+            flat = a * n + b
             unique, inverse = np.unique(flat, return_inverse=True)
             net = np.zeros(len(unique), dtype=np.int64)
             np.add.at(net, inverse, sign)

@@ -39,8 +39,10 @@ al.):
   a summary of the concatenation.  Implementations raise an actionable
   :class:`ValueError` when the operands are incompatible (different
   parameters, different hash seeds, ...).  The returned summary is the
-  combined one; callers must treat both operands as consumed (an
-  implementation may reuse either operand's storage).
+  combined one and may be ``self`` updated in place.  ``other`` is left
+  alone: its answer does not change, and the result shares no mutable
+  container with it, so ``other`` stays usable (audited for every
+  registry entry by ``audit/merge-argument``).
 * ``shard_routing`` — metadata telling a
   :class:`~repro.engine.sharded.ShardedRunner` how stream updates must
   be partitioned for the per-shard runs to stay faithful:

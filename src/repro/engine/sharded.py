@@ -31,29 +31,32 @@ share one partition).
 
 Execution is a ``fork``-based worker pool, one process per shard, each
 running the engine's one chunk loop (:func:`~repro.engine.runner.drive`)
-over its shard.  The workers differ only in their chunk source.  For
-*file sources* every worker opens the persisted stream itself
-(optionally memory-mapped) and filters its own sub-stream, so no
-update data ever crosses a pipe — the out-of-core path: a
-multi-gigabyte v2 file streams through ``n_workers`` cores without
-being materialised anywhere.  For in-memory sources the parent
-routes chunks to bounded per-worker queues (backpressure included).
-Either way each worker reports its outcome over its own one-shot
-result pipe, so a worker that dies without reporting surfaces as EOF
-the moment it is gone.  On platforms without ``fork`` every shard
-runs in-process, one at a time, through the same split/route/merge
-plan (same answers, no parallelism; counted in ``fallbacks_used``).
+over the whole source and keeping its own share through
+:func:`route_chunk`, so no update data ever crosses a pipe.  A *file
+source* is opened by every worker itself (optionally memory-mapped) —
+the out-of-core path: a multi-gigabyte v2 file streams through
+``n_workers`` cores without being materialised anywhere.  An
+in-memory source is made re-readable once in the parent (an
+:class:`~repro.streams.stream.EdgeStream` becomes columns, a one-shot
+chunk iterable a list of its chunks) and inherited by the forked
+workers copy-on-write.  Each worker reports its outcome over its own
+one-shot result pipe, so a worker that dies without reporting surfaces
+as EOF the moment it is gone.  On platforms without ``fork`` every
+shard runs in-process, one at a time, through the same
+split/route/merge plan (same answers, no parallelism; counted in
+``fallbacks_used``).
 
 With ``n_workers=1`` the runner degenerates to a plain
 :class:`~repro.engine.runner.FanoutRunner` pass (no split, no merge) —
 the single-core reference path the equivalence suite compares against.
 
-**Fault tolerance.**  File-source shard workers are side-effect-free
-(each re-reads its own sub-stream from the persisted file), so a dead
-worker is recoverable: with ``on_failure="retry"`` the parent respawns
-just the failed shard with bounded retries and exponential backoff
-(``retries``, :data:`ShardedRunner.RETRY_BACKOFF_S`), optionally under
-a per-shard wall-clock ``timeout_s``; ``on_failure="serial_fallback"``
+**Fault tolerance.**  Shard workers are side-effect-free (each re-reads
+its own sub-stream from the file or the inherited in-memory source),
+so a dead worker is recoverable: with ``on_failure="retry"`` the
+parent respawns just the failed shard with bounded retries and
+exponential backoff (``retries``,
+:data:`ShardedRunner.RETRY_BACKOFF_S`), optionally under a per-shard
+wall-clock ``timeout_s``; ``on_failure="serial_fallback"``
 additionally re-runs a shard whose worker keeps dying in-process; the
 default ``on_failure="raise"`` keeps the historical fail-fast
 behaviour.  Python-level worker exceptions travel back with their full
@@ -73,7 +76,6 @@ are exercised deterministically via
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import secrets
 import time
 import traceback
@@ -96,22 +98,17 @@ from repro.engine.protocol import (
     shard_routing_of,
 )
 from repro.engine.runner import CheckpointPlan, as_chunks, drive
-from repro.engine.shm import (
-    ChunkAttacher,
-    ChunkPublisher,
-    ShmChunk,
-    shm_available,
+from repro.streams.columnar import (
+    DEFAULT_CHUNK_SIZE,
+    ColumnarEdgeStream,
+    Columns,
 )
-from repro.streams.columnar import DEFAULT_CHUNK_SIZE, Columns
+from repro.streams.stream import EdgeStream
 
 #: Fibonacci multiplier (golden-ratio reciprocal in 64 bits) for the
 #: vertex-hash shard route.
 _FIB = np.uint64(0x9E3779B97F4A7C15)
 _SHIFT = np.uint64(33)
-
-#: Bounded per-worker chunk queue length (backpressure for in-memory
-#: sources much larger than what the workers can absorb).
-_QUEUE_DEPTH = 8
 
 #: Dead/timed-out worker policies: fail fast, respawn the shard with
 #: bounded retries, or retry then re-run the shard in-process.
@@ -214,9 +211,9 @@ def _shard_ids(
 ):
     """Shard assignment for one chunk: a per-update id array for masked
     routings, or the single owning worker (int) for whole-chunk
-    round-robin.  The one copy of the routing arithmetic — workers
-    routing a file themselves and the parent routing an in-memory
-    source must stay bit-identical.
+    round-robin.  The one copy of the routing arithmetic, shared by
+    :func:`route_chunk` and :func:`route_chunk_all`, so both partition
+    a stream bit-identically.
     """
     if routing == SHARD_ANY:
         return chunk_index % n_workers
@@ -266,13 +263,11 @@ def route_chunk_all(
     chunk_index: int,
     position: int,
 ) -> List[Optional[Columns]]:
-    """Every worker's sub-chunk in one pass.
-
-    Computes the shard-id array once per chunk instead of once per
-    worker — the parent process is the routing bottleneck for
-    queue-fed runs, so the hash/division work must not scale with the
-    worker count.
-    """
+    """Every worker's sub-chunk in one pass: the partition
+    :func:`route_chunk` gives each worker, with the shard-id array
+    computed once per chunk rather than once per worker (for a caller
+    that partitions a stream for all shards itself, such as
+    perfbench's emulated sharded pass)."""
     ids = _shard_ids(chunk, routing, n_workers, chunk_index, position)
     if isinstance(ids, int):
         return [chunk if worker == ids else None for worker in range(n_workers)]
@@ -284,10 +279,10 @@ def route_chunk_all(
 class _ShardTask(NamedTuple):
     """One attempt at one shard, in a worker process or in-process.
 
-    ``source`` is a stream-file path or an in-memory source (routed by
-    the shard itself), or a :class:`_ChunkFeed` (chunks the parent
-    already routed); ``start_chunk``/``start_position`` resume the pass
-    at a checkpoint boundary (file sources only).
+    ``source`` is a stream-file path or a re-readable in-memory source
+    (see :func:`_replayable`); the shard reads all of it and routes
+    for itself.  ``start_chunk``/``start_position`` resume the pass at
+    a checkpoint boundary (file sources only).
     """
 
     worker: int
@@ -307,25 +302,22 @@ class _ShardTask(NamedTuple):
 def _drive(task: _ShardTask, in_process: bool = False) -> Dict[str, Any]:
     """Open one shard's chunk source and run it through :func:`drive`;
     returns the shard's processors."""
-    source, route = task.source, None
-    if isinstance(source, _ChunkFeed):
-        chunks = iter(source)
-    else:
-        if isinstance(source, (str, Path)):
-            from repro.streams.persist import ChunkedStreamReader
+    source = task.source
+    if isinstance(source, (str, Path)):
+        from repro.streams.persist import ChunkedStreamReader
 
-            source = ChunkedStreamReader(source, mmap=task.mmap)
-        chunks = as_chunks(source, task.chunk_size, start=task.start_position)
+        source = ChunkedStreamReader(source, mmap=task.mmap)
 
-        def route(chunk, chunk_index, position):
-            return route_chunk(
-                chunk, task.routing, task.worker, task.n_workers,
-                chunk_index, position,
-            )
+    def route(chunk, chunk_index, position):
+        return route_chunk(
+            chunk, task.routing, task.worker, task.n_workers,
+            chunk_index, position,
+        )
 
     plan = task.fault_plan
     drive(
-        chunks, task.shard,
+        as_chunks(source, task.chunk_size, start=task.start_position),
+        task.shard,
         chunk_index=task.start_chunk, position=task.start_position,
         fault=None if plan is None else partial(
             plan.fire, task.worker, attempt=task.attempt,
@@ -337,49 +329,21 @@ def _drive(task: _ShardTask, in_process: bool = False) -> Dict[str, Any]:
     return task.shard
 
 
-class _ChunkFeed:
-    """An in-memory worker's chunk source: sub-chunks the parent routed.
+def _replayable(source: Any) -> Any:
+    """An in-memory source every shard can read from the start.
 
-    Items on the ``chunks`` queue are raw ``(a, b, sign)`` column tuples
-    or — when the shared-memory transport is engaged —
-    :class:`ShmChunk` descriptors, which are resolved to zero-copy views
-    and released back to the parent's segment pool once processed.
-    ``None`` ends the stream.  Chunk indices count the chunks this
-    worker consumed, which is what fault plans address for in-memory
-    runs.
+    An :class:`~repro.streams.stream.EdgeStream` becomes columns (once,
+    not once per shard), a one-shot chunk iterable becomes the list of
+    its chunks, and a chunk list or an object with a ``chunks`` method
+    (a :class:`~repro.streams.columnar.ColumnarEdgeStream`, a
+    :class:`~repro.streams.persist.ChunkedStreamReader`) is kept as it
+    is.  Forked workers inherit the result copy-on-write.
     """
-
-    def __init__(self, chunks: Any, releases: Any) -> None:
-        self.chunks = chunks
-        self.releases = releases
-        self._attachments = ChunkAttacher()
-        self._ended = False
-
-    def __iter__(self):
-        while not self._ended:
-            item = self.chunks.get()
-            if item is None:
-                self._ended = True
-            elif isinstance(item, ShmChunk):
-                yield self._attachments.view(item)
-                self.releases.put(item.segment)
-            else:
-                yield item
-
-    def close(self) -> None:
-        """Consume up to the end sentinel, then detach.
-
-        A worker that failed mid-stream keeps draining so the parent's
-        bounded-queue puts never block on it; unprocessed descriptors
-        are released so the segment pool keeps cycling.
-        """
-        while not self._ended:
-            item = self.chunks.get()
-            if item is None:
-                self._ended = True
-            elif isinstance(item, ShmChunk):
-                self.releases.put(item.segment)
-        self._attachments.close()
+    if isinstance(source, EdgeStream):
+        return ColumnarEdgeStream.from_edge_stream(source)
+    if isinstance(source, list) or hasattr(source, "chunks"):
+        return source
+    return list(as_chunks(source))
 
 
 def _worker(conn, task: _ShardTask) -> None:
@@ -396,8 +360,6 @@ def _worker(conn, task: _ShardTask) -> None:
         outcome = (worker, attempt, _drive(task), None)
     except BaseException as exc:
         outcome = (worker, attempt, None, _describe_error(exc))
-    if isinstance(task.source, _ChunkFeed):
-        task.source.close()
     if fault_plan is not None:
         if fault_plan.drops_result(worker, attempt):
             return
@@ -419,12 +381,12 @@ class ShardedRunner:
         chunk_size: updates per chunk handed to ``process_batch``.
         mmap: memory-map v2 stream files instead of loading them (file
             sources only; the out-of-core path).
-        retries: times a dead/timed-out file-source shard worker is
-            respawned before the ``on_failure`` policy decides (the
-            workers are side-effect-free, so a re-run is safe).
+        retries: times a dead/timed-out shard worker is respawned
+            before the ``on_failure`` policy decides (the workers are
+            side-effect-free, so a re-run is safe).
         timeout_s: per-shard wall-clock budget; a worker exceeding it
             is terminated and handled like a dead worker (``None``
-            disables the deadline; file sources only, like retries).
+            disables the deadline).
         on_failure: ``"raise"`` (default — fail fast, the historical
             behaviour), ``"retry"`` (exhaust ``retries`` then raise),
             or ``"serial_fallback"`` (exhaust ``retries`` then re-run
@@ -440,18 +402,9 @@ class ShardedRunner:
             threaded into every worker for deterministic chaos tests;
             omit for the no-op default.
 
-    In-memory sources reach the workers through
-    ``multiprocessing.shared_memory`` segments whenever POSIX shared
-    memory works here — the queues then carry only tiny descriptors
-    (see :mod:`repro.engine.shm`); elsewhere the queues carry the
-    pickled chunk columns.
-
     Overridable timing knobs (class attributes, seconds; override on an
     instance to tune a specific run or speed up tests):
 
-    * ``QUEUE_PUT_TIMEOUT_S`` — bounded-queue put poll interval;
-    * ``QUEUE_PUT_DEADLINE_S`` — give up routing to a worker that is
-      alive but has not consumed anything for this long;
     * ``RESULT_POLL_TIMEOUT_S`` — result wait slice between per-shard
       deadline scans;
     * ``WORKER_JOIN_TIMEOUT_S`` — orderly worker join deadline;
@@ -466,8 +419,6 @@ class ShardedRunner:
         merged = runner["alg2"]                # the merged processor
     """
 
-    QUEUE_PUT_TIMEOUT_S = 1.0
-    QUEUE_PUT_DEADLINE_S = 120.0
     RESULT_POLL_TIMEOUT_S = 0.25
     WORKER_JOIN_TIMEOUT_S = 30.0
     TERMINATE_JOIN_TIMEOUT_S = 5.0
@@ -815,11 +766,12 @@ class ShardedRunner:
         in-process instead, through the same :func:`_drive`, only where
         the runner has no choice: on platforms without ``fork`` (every
         shard), and under ``on_failure="serial_fallback"`` once its
-        worker has died ``retries`` times.  An in-memory source is then
-        materialised once and replayed per shard, since it may be
-        consumable only once.
+        worker has died ``retries`` times.  Either way every shard
+        reads the same source, made re-readable up front.
         """
         in_memory = not isinstance(source, (str, Path))
+        if in_memory:
+            source = _replayable(source)
         store = self._checkpoint_store()
         completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
         starts: Dict[int, Tuple[Dict[str, Any], int, int]] = {}
@@ -836,72 +788,41 @@ class ShardedRunner:
         mmap = not in_memory and self._worker_mmap(source)
         attempts = {worker: 0 for worker in starts}
 
-        def task(worker: int, shard_source: Any) -> _ShardTask:
+        def task(worker: int) -> _ShardTask:
             state, start_chunk, start_position = starts[worker]
             return _ShardTask(
                 worker, attempts[worker], self.n_workers, state,
-                shard_source, routing, chunk_size, mmap,
+                source, routing, chunk_size, mmap,
                 start_chunk, start_position, self.fault_plan,
                 self._shard_checkpoint(worker),
             )
 
         context = _fork_context()
         fallback = sorted(starts) if context is None else self._run_pool(
-            context, task, attempts, completed, source, routing, chunk_size
-        )
-        replay = (
-            list(as_chunks(source, chunk_size))
-            if in_memory and fallback else None
+            context, task, attempts, completed
         )
         for worker in fallback:
             # Deterministic in-process kill faults are rejected by the
             # plan itself (see FaultPlan.fire).
             self.fallbacks_used += 1
-            completed[worker] = _drive(
-                task(worker, source if replay is None else iter(replay)),
-                in_process=True,
-            )
+            completed[worker] = _drive(task(worker), in_process=True)
         return completed  # type: ignore[return-value]
 
-    def _run_pool(
-        self, context, task, attempts, completed, source, routing, chunk_size
-    ) -> List[int]:
+    def _run_pool(self, context, task, attempts, completed) -> List[int]:
         """One process per shard, one result pipe per attempt.
 
         Fills ``completed`` with each shard's summaries and returns the
-        shards left to the in-process fallback.  In-memory sources are
-        routed by the parent into bounded per-worker queues (see
-        :meth:`_route_into`).  Each attempt reports over a one-shot pipe
+        shards left to the in-process fallback.  Each forked worker
+        inherits its task, source included, so nothing but the result
+        crosses a pipe.  Each attempt reports over a one-shot pipe
         created fresh for it: a worker killed by the OS (or whose result
         was dropped by fault injection) closes its write end without
         sending, which the parent sees as EOF, and a superseded
-        attempt's message dies with its pipe.
-
-        File-source workers are side-effect-free, so a failed shard is
-        relaunched under the retry policy with exponential backoff.  In
-        an in-memory run the stream was consumed once, so every failure
-        raises whatever the ``on_failure`` policy (persist the stream
-        to a file to get retry semantics).
-
-        When POSIX shared memory works here, the in-memory queues carry
-        only :class:`ShmChunk` descriptors; the column bytes travel
-        through a recycled pool of shared segments that the ``finally``
-        below unlinks on every exit — including failure paths where a
-        worker died without releasing its segments.  Elsewhere the
-        queues carry the pickled columns themselves.
+        attempt's message dies with its pipe.  Workers are
+        side-effect-free, so a failed shard is relaunched under the
+        retry policy with exponential backoff.
         """
-        in_memory = not isinstance(source, (str, Path))
         pending = set(attempts)
-        publisher: Optional[ChunkPublisher] = None
-        feeds: List[_ChunkFeed] = []
-        if in_memory:
-            use_shm = shm_available()
-            publisher = ChunkPublisher() if use_shm else None
-            releases = context.Queue() if use_shm else None
-            feeds = [
-                _ChunkFeed(context.Queue(maxsize=_QUEUE_DEPTH), releases)
-                for _ in range(self.n_workers)
-            ]
         procs: Dict[int, Any] = {}
         results: Dict[int, Any] = {}
         deadlines: Dict[int, Optional[float]] = {}
@@ -911,10 +832,7 @@ class ShardedRunner:
             recv_end, send_end = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker,
-                args=(
-                    send_end,
-                    task(worker, feeds[worker] if in_memory else str(source)),
-                ),
+                args=(send_end, task(worker)),
                 daemon=True,
             )
             process.start()
@@ -924,7 +842,7 @@ class ShardedRunner:
             procs[worker] = process
             results[worker] = recv_end
             deadlines[worker] = (
-                None if self.timeout_s is None or in_memory
+                None if self.timeout_s is None
                 else time.monotonic() + self.timeout_s
             )
 
@@ -945,7 +863,7 @@ class ShardedRunner:
 
         def fail(worker: int, retryable: bool, error: Exception) -> None:
             reap(worker, kill=True)
-            if in_memory or not retryable or self.on_failure == "raise":
+            if not retryable or self.on_failure == "raise":
                 raise error
             if attempts[worker] < self.retries:
                 attempts[worker] += 1
@@ -1008,9 +926,6 @@ class ShardedRunner:
         try:
             for worker in sorted(pending):
                 launch(worker)
-            if in_memory:
-                self._route_into(feeds, procs, publisher, source, routing,
-                                 chunk_size)
             while pending and procs:
                 readers = {
                     results[worker]: worker
@@ -1050,56 +965,4 @@ class ShardedRunner:
         finally:
             for worker in list(procs):
                 reap(worker, kill=True)
-            if publisher is not None:
-                publisher.close()
         return fallback
-
-    def _route_into(
-        self, feeds, procs, publisher, source, routing, chunk_size
-    ) -> None:
-        """Route an in-memory source into the workers' chunk queues,
-        then send every worker its end sentinel."""
-        position = 0
-        for chunk_index, chunk in enumerate(as_chunks(source, chunk_size)):
-            routed_all = route_chunk_all(
-                chunk, routing, self.n_workers, chunk_index, position
-            )
-            if publisher is not None:
-                publisher.drain(feeds[0].releases)
-                routed_all = publisher.publish(routed_all)
-            for worker, routed in enumerate(routed_all):
-                if routed is not None:
-                    self._put_alive(feeds[worker].chunks, routed,
-                                    procs[worker], worker)
-            position += len(chunk[0])
-        for worker, feed in enumerate(feeds):
-            self._put_alive(feed.chunks, None, procs[worker], worker)
-
-    def _put_alive(self, queue, item, process, worker) -> None:
-        """Bounded-queue put that notices a dead or wedged consumer.
-
-        A worker killed abnormally (OOM, segfault) never drains its
-        queue; an unconditional blocking put would hang the parent
-        forever once the queue fills.  A worker that is alive but has
-        stopped consuming (deadlocked processor) is given up on after
-        ``QUEUE_PUT_DEADLINE_S``.
-        """
-        deadline = time.monotonic() + self.QUEUE_PUT_DEADLINE_S
-        while True:
-            try:
-                queue.put(item, timeout=self.QUEUE_PUT_TIMEOUT_S)
-                return
-            except queue_module.Full:
-                if not process.is_alive():
-                    raise RuntimeError(
-                        f"sharded worker {worker} terminated abnormally "
-                        f"(exit code {process.exitcode}) while the stream "
-                        f"was still being routed to it"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"sharded worker {worker} stopped consuming its "
-                        f"chunk queue for {self.QUEUE_PUT_DEADLINE_S:g}s "
-                        f"while still alive; giving up routing to it"
-                    ) from None
-

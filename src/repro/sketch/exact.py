@@ -201,7 +201,7 @@ class ExactSupport:
         """Queue a batch of signed updates (validated, then deferred).
 
         The columns are copied before buffering, so callers may hand in
-        views of reused chunk buffers (e.g. shared-memory segments).
+        views of chunk buffers they later reuse or unmap.
         Raises ``ValueError`` when the columns differ in length.
         """
         check_columns(indices, deltas)

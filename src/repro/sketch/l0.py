@@ -498,8 +498,8 @@ class L0SamplerBank:
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
             bad = indices[(indices < 0) | (indices >= self.dim)][0]
             raise ValueError(f"index {int(bad)} out of range [0, {self.dim})")
-        # Copy both columns: callers (shared-memory transports, reused
-        # chunk buffers) may overwrite them after this call returns.
+        # Copy both columns: callers (reused chunk buffers, unmapped
+        # file views) may overwrite them after this call returns.
         self._pending.append(
             (
                 np.array(indices, dtype=np.int64),

@@ -43,10 +43,16 @@ class TestForksafeGood:
         assert check_forksafe(load_source("fork_good")) == []
 
 
-class TestShmHome:
-    def test_engine_shm_module_itself_is_exempt(self):
-        source = ModuleSource.load(
-            Path("src/repro/engine/shm.py"), "repro/engine/shm.py"
+class TestShmAnywhere:
+    def test_engine_shm_module_is_not_exempt(self):
+        """No module may create a segment, the engine's included."""
+        source = ModuleSource(
+            Path("src/repro/engine/shm.py"),
+            "repro/engine/shm.py",
+            "from multiprocessing import shared_memory\n"
+            "segment = shared_memory.SharedMemory(create=True, size=8)\n",
         )
-        rules = {f.rule for f in check_forksafe(source)}
-        assert "forksafe/shm-outside-engine" not in rules
+        findings = check_forksafe(source)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("forksafe/shm-outside-engine", 2)
+        ]

@@ -152,7 +152,7 @@ def stream_file(tmp_path_factory):
 
 
 def _source(stream_file, kind):
-    """The file path, or the in-memory stream the parent routes."""
+    """The file path, or the in-memory stream the workers inherit."""
     stream, path = stream_file
     return path if kind == "file" else stream
 

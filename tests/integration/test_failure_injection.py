@@ -128,9 +128,10 @@ class TestMidStreamQuerying:
 # -- engine chaos ------------------------------------------------------
 #
 # Everything below drives the fault-tolerance machinery with
-# deterministic FaultPlans over a file-backed stream.  The invariant
-# throughout: any run that *recovers* (retry, fallback, resume) must
-# produce answers bit-identical to an unfaulted single-core pass.
+# deterministic FaultPlans over a file-backed or in-memory stream.  The
+# invariant throughout: any run that *recovers* (retry, fallback,
+# resume) must produce answers bit-identical to an unfaulted
+# single-core pass.
 
 N_UPDATES = 600
 N_VERTICES = 32
@@ -293,54 +294,62 @@ class TestShardRetry:
         assert excinfo.value.cause_type == "CorruptResult"
         assert runner.retries_used == 0
 
-    @pytest.mark.parametrize(
-        "plan, cause",
-        [
-            (FaultPlan.drop_result(worker=1), "WorkerDied"),
-            (FaultPlan.corrupt_result(worker=0), "CorruptResult"),
-        ],
-        ids=["dropped", "corrupt"],
-    )
-    def test_in_memory_lost_result_raises_without_retry(
-        self, plan, cause, monkeypatch
-    ):
-        """An in-memory stream is consumed once, so a lost or garbled
-        result raises whatever the policy — and does so the moment the
-        worker's result pipe reports it, not after a poll slice.  Runs
-        the pickled-columns transport, as on hosts without POSIX
-        shared memory."""
-        monkeypatch.setattr(
-            "repro.engine.sharded.shm_available", lambda: False
-        )
+    def test_in_memory_dropped_result_is_retried(self):
+        """Forked workers inherit an in-memory source, so a lost result
+        is retried as a file-source one is: the respawned shard reads
+        the whole source again and the answer is exact.  The loss is
+        seen the moment the result pipe reports EOF, not after a poll
+        slice."""
         runner = chaos_runner(
-            retries=2, on_failure="retry", fault_plan=plan
+            retries=2,
+            on_failure="retry",
+            fault_plan=FaultPlan.drop_result(worker=1),
+        )
+        runner.RESULT_POLL_TIMEOUT_S = 60.0
+        began = time.monotonic()
+        results = runner.run(chaos_stream())
+        assert time.monotonic() - began < 30.0
+        assert np.array_equal(results["cm"]._table, reference_table())
+        assert runner.retries_used == 1
+
+    def test_in_memory_corrupt_result_raises_without_retry(self):
+        """A garbled result is never retried, whatever the source, and
+        raises as soon as the result pipe delivers it."""
+        runner = chaos_runner(
+            retries=2,
+            on_failure="retry",
+            fault_plan=FaultPlan.corrupt_result(worker=0),
         )
         runner.RESULT_POLL_TIMEOUT_S = 60.0
         began = time.monotonic()
         with pytest.raises(ShardedWorkerError) as excinfo:
             runner.run(chaos_stream())
         assert time.monotonic() - began < 30.0
-        assert excinfo.value.cause_type == cause
+        assert excinfo.value.cause_type == "CorruptResult"
         assert runner.retries_used == 0
 
-    @pytest.mark.parametrize("chunk, fires", [(8, True), (12, False)])
-    def test_in_memory_fault_chunks_count_consumed_chunks(
-        self, chunk, fires
+    @pytest.mark.parametrize("kind", ["file", "memory"])
+    @pytest.mark.parametrize(
+        "chunk, fires", [(8, True), (12, True), (19, False)]
+    )
+    def test_chunk_faults_index_source_chunks_for_every_source(
+        self, stream_file, kind, chunk, fires
     ):
-        """In-memory workers index chunk faults by the chunks they
-        consumed: worker 1 is dealt every other one of the 19 chunks,
-        so its ninth and last is its chunk 8, and a chunk 12 never
-        comes (a file-source worker would count all 19)."""
+        """Every worker reads the whole source, so chunk faults index
+        its 19 source chunks whatever the source: worker 1 is dealt
+        only the odd ones, yet a fault at chunk 12 fires on it, and a
+        chunk 19 never comes."""
         runner = chaos_runner(
             fault_plan=FaultPlan.read_error(
                 worker=1, chunk=chunk, exc="ValueError", message="fired"
             ),
         )
+        source = stream_file if kind == "file" else chaos_stream()
         if fires:
             with pytest.raises(ShardedWorkerError, match="fired"):
-                runner.run(chaos_stream())
+                runner.run(source)
         else:
-            results = runner.run(chaos_stream())
+            results = runner.run(source)
             assert np.array_equal(results["cm"]._table, reference_table())
 
     def test_timeout_enforced_and_retried(self, stream_file):
@@ -355,6 +364,21 @@ class TestShardRetry:
             ),
         )
         results = runner.run(stream_file)
+        assert np.array_equal(results["cm"]._table, reference_table())
+        assert runner.retries_used == 1
+
+    def test_in_memory_timeout_enforced_and_retried(self):
+        """The per-shard deadline holds for an in-memory source too: the
+        wedged first attempt is killed and the retry is exact."""
+        runner = chaos_runner(
+            retries=1,
+            timeout_s=0.4,
+            on_failure="retry",
+            fault_plan=FaultPlan.delay(
+                worker=0, chunk=0, delay_s=10.0, attempt=0
+            ),
+        )
+        results = runner.run(chaos_stream())
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 1
 

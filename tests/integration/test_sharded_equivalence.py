@@ -15,8 +15,10 @@ For every processor family, a :class:`~repro.engine.ShardedRunner` at
   classical mergeable-summaries error) and for Algorithm 2's sampled
   answers in the general (evicting) regime.
 
-A from-disk source (v2 NPZ, memory-mapped, workers self-reading) is
-covered alongside the in-memory queue path.
+Every source kind reaches the workers the same way — each worker reads
+the whole source and keeps its own share — so an in-memory stream, a
+one-shot chunk iterator and a v2 file give the same answers under every
+routing (:class:`TestSourceKinds`).
 """
 
 import math
@@ -38,6 +40,7 @@ from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
 from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import FanoutRunner, ShardedRunner
+from repro.engine.sharded import fork_available
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
@@ -101,6 +104,21 @@ def sharded_pass(factory, source, workers, **kwargs):
     )
     results = runner.run(source)
     return results, runner
+
+
+def window_fingerprint(windows):
+    """Every tumbling window's span and answer."""
+    return [
+        (
+            window.window_index,
+            window.start_update,
+            window.end_update,
+            None
+            if window.neighbourhood is None
+            else (window.neighbourhood.vertex, window.neighbourhood.witnesses),
+        )
+        for window in windows
+    ]
 
 
 def reservoir_state(algorithm):
@@ -258,24 +276,9 @@ class TestWrappers:
         }
         single, _ = single_pass(factory, zipf)
         sharded, _ = sharded_pass(factory, zipf, workers)
-
-        def fingerprint(windows):
-            return [
-                (
-                    window.window_index,
-                    window.start_update,
-                    window.end_update,
-                    None
-                    if window.neighbourhood is None
-                    else (
-                        window.neighbourhood.vertex,
-                        window.neighbourhood.witnesses,
-                    ),
-                )
-                for window in windows
-            ]
-
-        assert fingerprint(single["win"]) == fingerprint(sharded["win"])
+        assert window_fingerprint(single["win"]) == (
+            window_fingerprint(sharded["win"])
+        )
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_star_detection_no_eviction_bit_identical(self, workers):
@@ -329,3 +332,64 @@ class TestFromDisk:
         monkeypatch.setattr("repro.engine.sharded._fork_context", lambda: None)
         in_process, _ = sharded_pass(factory, zipf, 3)
         assert np.array_equal(process["cm"]._table, in_process["cm"]._table)
+
+
+#: Per routing: the routing the runner must pick, the fixture streamed,
+#: a processor factory, and the state compared bit for bit.
+ROUTED = {
+    "any": (
+        "any",
+        "churn",
+        lambda: {"cs": CountSketch(64, rows=3, seed=6)},
+        lambda runner: runner["cs"]._table.tolist(),
+    ),
+    "vertex": (
+        "vertex",
+        "sparse",
+        lambda: {
+            "alg2": InsertionOnlyFEwW(64, 40, 2, seed=13),
+            "cm": CountMinSketch(0.05, 0.05, seed=5),
+        },
+        lambda runner: (
+            reservoir_state(runner["alg2"]), runner["cm"]._table.tolist()
+        ),
+    ),
+    "window": (
+        ("window", 256),
+        "zipf",
+        lambda: {"win": TumblingWindowFEwW(48, 30, 2, window=256, seed=19)},
+        lambda runner: window_fingerprint(runner["win"].finalize()),
+    ),
+}
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestSourceKinds:
+    """In-memory columns, a boxed edge stream, a one-shot chunk iterator
+    and a v2 file all reach the process pool the same way and give the
+    single-pass state bit for bit, under every routing."""
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    @pytest.mark.parametrize(
+        "kind", ("columns", "edge-stream", "chunk-iterator", "file")
+    )
+    @pytest.mark.parametrize("routing", sorted(ROUTED))
+    def test_source_kind_matches_single_pass(
+        self, request, tmp_path, routing, kind, workers
+    ):
+        expected, fixture, factory, state = ROUTED[routing]
+        stream = request.getfixturevalue(fixture)
+        if kind == "columns":
+            source = stream
+        elif kind == "edge-stream":
+            source = stream.to_edge_stream()
+        elif kind == "chunk-iterator":
+            source = stream.chunks(CHUNK)
+        else:
+            source = tmp_path / f"{fixture}.npz"
+            dump_stream(stream, source, format="v2")
+        _, single_runner = single_pass(factory, stream)
+        _, sharded_runner = sharded_pass(factory, source, workers)
+        assert sharded_runner.routing() == expected
+        assert sharded_runner.fallbacks_used == 0
+        assert state(sharded_runner) == state(single_runner)
