@@ -91,10 +91,7 @@ from repro.streams import (
     planted_star_graph,
     stream_from_edges,
 )
-from repro.streams.columnar import (
-    ColumnarEdgeStream,
-    process_columnar,
-)
+from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     adversarial_interleaved_stream,
     churn_columnar,
@@ -163,7 +160,6 @@ __all__ = [
     "load_stream",
     "log_records_to_stream",
     "planted_star_graph",
-    "process_columnar",
     "random_bipartite_columnar",
     "random_bipartite_graph",
     "register_generator",

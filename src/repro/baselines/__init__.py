@@ -11,8 +11,11 @@ Count-Min [17] and CountSketch [15] — plus two naive witness baselines
 E10 can reproduce that contrast quantitatively.
 
 All baselines consume (item, witness) streams via the same
-``process_item`` interface as the core algorithms (witnesses are simply
-ignored by the witness-free sketches) and are space-metered.
+``process_batch`` / ``process(stream)`` interface as the core
+algorithms (witnesses are simply ignored by the witness-free sketches)
+and are space-metered.  Misra-Gries and SpaceSaving also keep their
+scalar ``update(item, weight)``, the algorithms of record; their
+``process(stream)`` runs the weight-collapsed batch path.
 """
 
 from repro.baselines.misra_gries import MisraGries

@@ -17,11 +17,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.sketch.hashing import KWiseHash, KWiseHashStack, random_kwise
-from repro.streams.edge import StreamItem, insert_signs
-from repro.streams.stream import EdgeStream
+from repro.engine.protocol import BatchIngest
+from repro.streams.edge import insert_signs
 
 
-class CountMinSketch:
+class CountMinSketch(BatchIngest):
     """Turnstile frequency sketch.
 
     Args:
@@ -84,10 +84,6 @@ class CountMinSketch:
             np.broadcast_to(net[np.newaxis, :], buckets.shape).reshape(-1),
         )
 
-    def process_item(self, item: StreamItem) -> None:
-        """Adapter: A-vertex is the item, sign is the delta."""
-        self.update(item.edge.a, item.sign)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -99,11 +95,6 @@ class CountMinSketch:
         if sign is None:
             sign = insert_signs(len(a))
         self.update_batch(a, sign)
-
-    def process(self, stream: EdgeStream) -> "CountMinSketch":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def finalize(self) -> "CountMinSketch":
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

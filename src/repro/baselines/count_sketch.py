@@ -15,11 +15,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.sketch.hashing import KWiseHash, KWiseHashStack, random_kwise
-from repro.streams.edge import StreamItem, insert_signs
-from repro.streams.stream import EdgeStream
+from repro.engine.protocol import BatchIngest
+from repro.streams.edge import insert_signs
 
 
-class CountSketch:
+class CountSketch(BatchIngest):
     """Turnstile frequency sketch with unbiased point queries.
 
     Args:
@@ -96,10 +96,6 @@ class CountSketch:
             (signs * net[np.newaxis, :]).reshape(-1),
         )
 
-    def process_item(self, item: StreamItem) -> None:
-        """Adapter: A-vertex is the item, sign is the delta."""
-        self.update(item.edge.a, item.sign)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -111,11 +107,6 @@ class CountSketch:
         if sign is None:
             sign = insert_signs(len(a))
         self.update_batch(a, sign)
-
-    def process(self, stream: EdgeStream) -> "CountSketch":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def finalize(self) -> "CountSketch":
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

@@ -27,12 +27,12 @@ import numpy as np
 
 from repro.baselines.misra_gries import fold_counters
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.spacemeter import edge_words, vertex_words
-from repro.streams.edge import INSERT, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import INSERT
 
 
-class MisraGriesWithWitnesses:
+class MisraGriesWithWitnesses(BatchIngest):
     """Misra–Gries counters, each carrying up to ``max_witnesses``.
 
     Args:
@@ -58,12 +58,6 @@ class MisraGriesWithWitnesses:
         #: diagnostic: how many witnesses were discarded by decrements
         self.witnesses_lost = 0
 
-    def process_item(self, item: StreamItem) -> None:
-        """Process one (item, witness) arrival."""
-        if item.is_delete:
-            raise ValueError("Misra-Gries supports insertion-only streams")
-        self._arrival(item.edge.a, item.edge.b)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -75,7 +69,7 @@ class MisraGriesWithWitnesses:
         The decrement-all step couples every counter to every arrival,
         so unlike the paper's reservoir there is no order-free collapse
         of a chunk — the batch path just replays the chunk in order
-        (bit-identical to :meth:`process_item` by construction).  The
+        (identical at every chunk size by construction).  The
         heuristic exists for honesty benchmarks, not throughput.
         """
         if sign is not None and np.any(sign != INSERT):
@@ -108,11 +102,6 @@ class MisraGriesWithWitnesses:
                 self.witnesses_lost += len(self._witnesses[key])
         self._counters = survivors_counts
         self._witnesses = survivors_witnesses
-
-    def process(self, stream: EdgeStream) -> "MisraGriesWithWitnesses":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def finalize(self) -> "MisraGriesWithWitnesses":
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

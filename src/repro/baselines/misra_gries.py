@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.streams.edge import DELETE, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.engine.protocol import BatchIngest
+from repro.streams.edge import DELETE
 
 
 def fold_counters(combined: Dict[int, int], k: int) -> Dict[int, int]:
@@ -38,7 +38,7 @@ def fold_counters(combined: Dict[int, int], k: int) -> Dict[int, int]:
     return combined
 
 
-class MisraGries:
+class MisraGries(BatchIngest):
     """Deterministic frequent-elements summary with ``k`` counters.
 
     Args:
@@ -84,16 +84,10 @@ class MisraGries:
         if leftover > 0:
             self._apply(item, leftover)
 
-    def process_item(self, item: StreamItem) -> None:
-        """Adapter: treat the stream's A-vertex as the item (witness ignored)."""
-        if item.is_delete:
-            raise ValueError("Misra-Gries supports insertion-only streams")
-        self.update(item.edge.a)
-
     def process_batch(
         self,
         a: np.ndarray,
-        b: np.ndarray = None,
+        b: np.ndarray,
         sign: Optional[np.ndarray] = None,
     ) -> None:
         """Chunk-accumulate-then-merge batch ingestion.
@@ -104,8 +98,8 @@ class MisraGries:
         key-wise, then subtract the (k+1)-st largest count if more than
         ``k`` survive.  The result is a valid Misra-Gries summary of
         everything seen (undercount at most ``L/(k+1)``), though counter
-        values may differ from the per-item decrement schedule, which is
-        arrival-order dependent.
+        values may differ from the scalar :meth:`update` decrement
+        schedule, which is arrival-order dependent.
         """
         if sign is not None and np.any(sign == DELETE):
             raise ValueError("Misra-Gries supports insertion-only streams")
@@ -121,11 +115,6 @@ class MisraGries:
     def _fold(self, combined: Dict[int, int]) -> Dict[int, int]:
         """Apply :func:`fold_counters` with this summary's ``k``."""
         return fold_counters(combined, self.k)
-
-    def process(self, stream: EdgeStream) -> "MisraGries":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def finalize(self) -> "MisraGries":
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

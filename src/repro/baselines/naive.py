@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.spacemeter import edge_words, vertex_words
 from repro.streams.columnar import group_slices
-from repro.streams.edge import DELETE, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import DELETE, check_edge_range
 
 
-class FullStorage:
+class FullStorage(BatchIngest):
     """Store the whole graph; answer any FEwW query exactly.
 
     Batch updates are *deferred*: :meth:`process_batch` only copies the
@@ -57,15 +57,6 @@ class FullStorage:
         self._flush()
         return self._store
 
-    def process_item(self, item: StreamItem) -> None:
-        if self._pending:
-            self._flush()
-        witnesses = self._store.setdefault(item.edge.a, set())
-        if item.is_insert:
-            witnesses.add(item.edge.b)
-        else:
-            witnesses.discard(item.edge.b)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -74,18 +65,19 @@ class FullStorage:
     ) -> None:
         """Buffer a column chunk of signed updates (deferred netting).
 
-        The columns are copied (chunk buffers may be recycled by the
-        caller) and applied on the next read through :meth:`_flush`;
-        final state is identical to per-item processing.
+        Both endpoints are range-checked first: the flat key ``a*m + b``
+        would file an out-of-range edge under the wrong vertex.  The
+        columns are copied (chunk buffers may be recycled by the caller)
+        and applied on the next read through :meth:`_flush`; final state
+        is identical at every chunk size.
         """
         if len(a) == 0:
             return
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+        check_edge_range(a, b, self.n, self.m)
         self._pending.append(
-            (
-                np.array(a, dtype=np.int64),
-                np.array(b, dtype=np.int64),
-                None if sign is None else np.array(sign, dtype=np.int64),
-            )
+            (a, b, None if sign is None else np.array(sign, dtype=np.int64))
         )
 
     def _flush(self) -> None:
@@ -140,11 +132,6 @@ class FullStorage:
             group_witnesses = witnesses_col[group_start:group_end]
             witnesses.update(group_witnesses[inserts].tolist())
             witnesses.difference_update(group_witnesses[~inserts].tolist())
-
-    def process(self, stream: EdgeStream) -> "FullStorage":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def result(self, d: int, alpha: float = 1.0) -> Neighbourhood:
         """The maximum-degree vertex with all its witnesses.
@@ -204,7 +191,7 @@ class FullStorage:
         return vertex_words(len(self._store)) + edge_words(stored)
 
 
-class FirstKWitnessCollector:
+class FirstKWitnessCollector(BatchIngest):
     """Keep the first ``k`` witnesses of every A-vertex (insertion-only).
 
     Correct for FEwW whenever ``k >= ceil(d / alpha)``, but stores up to
@@ -224,22 +211,13 @@ class FirstKWitnessCollector:
         self._witnesses: Dict[int, List[int]] = {}
         self._degrees: Dict[int, int] = {}
 
-    def process_item(self, item: StreamItem) -> None:
-        if item.is_delete:
-            raise ValueError("FirstKWitnessCollector supports insertion-only streams")
-        a, b = item.edge.a, item.edge.b
-        self._degrees[a] = self._degrees.get(a, 0) + 1
-        stored = self._witnesses.setdefault(a, [])
-        if len(stored) < self.k:
-            stored.append(b)
-
     def process_batch(
         self,
         a: np.ndarray,
         b: np.ndarray,
         sign: Optional[np.ndarray] = None,
     ) -> None:
-        """Apply a column chunk of insertions (identical to per-item)."""
+        """Apply a column chunk of insertions."""
         if sign is not None and np.any(sign == DELETE):
             raise ValueError("FirstKWitnessCollector supports insertion-only streams")
         a = np.ascontiguousarray(a, dtype=np.int64)
@@ -256,11 +234,6 @@ class FirstKWitnessCollector:
             if room > 0:
                 take = order[group_start : min(group_end, group_start + room)]
                 stored.extend(b[take].tolist())
-
-    def process(self, stream: EdgeStream) -> "FirstKWitnessCollector":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def result(self, d: int, alpha: float = 1.0) -> Neighbourhood:
         """Highest-degree vertex with its stored witnesses.

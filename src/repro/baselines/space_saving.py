@@ -23,8 +23,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.streams.edge import DELETE, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.engine.protocol import BatchIngest
+from repro.streams.edge import DELETE
 
 #: Stamps occupy the low bits of the fused eviction key.
 _STAMP_MOD = 1 << 20
@@ -35,7 +35,7 @@ _STAMP_MOD = 1 << 20
 _VALUE_CAP = 1 << 42
 
 
-class SpaceSaving:
+class SpaceSaving(BatchIngest):
     """Frequent-elements summary with ``k`` always-full counters.
 
     Args:
@@ -168,7 +168,7 @@ class SpaceSaving:
     def process_batch(
         self,
         a: np.ndarray,
-        b: np.ndarray = None,
+        b: np.ndarray,
         sign: Optional[np.ndarray] = None,
     ) -> None:
         """Weighted batch ingestion.
@@ -176,12 +176,12 @@ class SpaceSaving:
         Chunk frequencies are accumulated with one ``np.unique`` pass and
         applied as weighted updates in order of each item's first
         appearance — straight into the array store, with no public
-        ``update`` call per distinct item.  This matches per-item
-        processing exactly when the chunk is grouped by item, and in
-        general preserves SpaceSaving's invariants (estimates upper-bound
-        true counts, the minimum counter bounds the overestimate) while
-        the per-counter values may differ from a fully interleaved
-        arrival order.
+        ``update`` call per distinct item.  This matches scalar
+        :meth:`update` calls exactly when the chunk is grouped by item,
+        and in general preserves SpaceSaving's invariants (estimates
+        upper-bound true counts, the minimum counter bounds the
+        overestimate) while the per-counter values may differ from a
+        fully interleaved arrival order.
         """
         if sign is not None and np.any(sign == DELETE):
             raise ValueError("SpaceSaving supports insertion-only streams")
@@ -273,17 +273,6 @@ class SpaceSaving:
         self._values[:size] = fused // _STAMP_MOD
         self._stamps[:size] = fused % _STAMP_MOD
         self._overs[:size] = overs
-
-    def process_item(self, item: StreamItem) -> None:
-        """Adapter: A-vertex is the item; witnesses are ignored."""
-        if item.is_delete:
-            raise ValueError("SpaceSaving supports insertion-only streams")
-        self.update(item.edge.a)
-
-    def process(self, stream: EdgeStream) -> "SpaceSaving":
-        for item in stream:
-            self.process_item(item)
-        return self
 
     def finalize(self) -> "SpaceSaving":
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.comm.protocol import MessageLog
+from repro.comm.simulate import share_columns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.streams.edge import Edge, StreamItem
@@ -195,8 +196,7 @@ def solve_bvl_via_feww(
     algorithm = InsertionOnlyFEwW(instance.n, d, alpha, seed=seed)
     log = MessageLog()
     for party in range(p):
-        for edge in party_edges(instance, party):
-            algorithm.process_item(StreamItem(edge))
+        algorithm.process_batch(*share_columns(party_edges(instance, party)))
         if party < p - 1:
             log.record(party, party + 1, algorithm.space_words())
     try:

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.comm.protocol import MessageLog
+from repro.comm.simulate import share_columns
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.neighbourhood import AlgorithmFailed
-from repro.streams.edge import DELETE, INSERT, Edge, StreamItem
+from repro.streams.edge import DELETE, Edge
 
 
 @dataclass(frozen=True)
@@ -139,20 +140,22 @@ def _run_repetition(
         n, m, d, alpha, seed=rng.getrandbits(64), scale=scale
     )
     # Alice: insert an edge for every 1-cell of the permuted matrix.
-    for row in range(n):
-        for column in range(m):
-            if cell(row, column):
-                algorithm.process_item(
-                    StreamItem(Edge(row, permutations[row][column]), INSERT)
-                )
+    alice = [
+        Edge(row, permutations[row][column])
+        for row in range(n)
+        for column in range(m)
+        if cell(row, column)
+    ]
+    algorithm.process_batch(*share_columns(alice))
     log.record(0, 1, algorithm.space_words())
     # Bob: delete the edges at his known 1-positions (rows != J).
-    for row, columns in instance.known_positions.items():
-        for column in columns:
-            if cell(row, column):
-                algorithm.process_item(
-                    StreamItem(Edge(row, permutations[row][column]), DELETE)
-                )
+    bob = [
+        Edge(row, permutations[row][column])
+        for row, columns in instance.known_positions.items()
+        for column in columns
+        if cell(row, column)
+    ]
+    algorithm.process_batch(*share_columns(bob, DELETE))
     try:
         neighbourhood = algorithm.result()
     except AlgorithmFailed:

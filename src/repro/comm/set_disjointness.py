@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Set, Tuple
 
 from repro.comm.protocol import MessageLog
+from repro.comm.simulate import share_columns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.neighbourhood import AlgorithmFailed
-from repro.streams.edge import Edge, StreamItem
+from repro.streams.edge import Edge
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ def solve_set_disjointness_via_feww(
     algorithm = InsertionOnlyFEwW(instance.universe_size, d, alpha, seed=seed)
     log = MessageLog()
     for party in range(p):
-        for edge in _party_edges(instance, party, k):
-            algorithm.process_item(StreamItem(edge))
+        algorithm.process_batch(*share_columns(_party_edges(instance, party, k)))
         if party < p - 1:
             log.record(party, party + 1, algorithm.space_words())
     try:

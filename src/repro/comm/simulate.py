@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.comm.protocol import MessageLog
+from repro.streams.columnar import ColumnarEdgeStream, Columns
+from repro.streams.edge import INSERT, Edge
 from repro.streams.stream import EdgeStream
 
 SPLIT_MODES = ("contiguous", "round-robin")
@@ -54,14 +58,23 @@ def split_among_parties(
     ]
 
 
+def share_columns(edges: Sequence[Edge], sign: int = INSERT) -> Columns:
+    """One party's edges, all with ``sign``, as a single column chunk."""
+    count = len(edges)
+    a = np.fromiter((edge.a for edge in edges), dtype=np.int64, count=count)
+    b = np.fromiter((edge.b for edge in edges), dtype=np.int64, count=count)
+    return a, b, np.full(count, sign, dtype=np.int64)
+
+
 def run_streaming_protocol(
     algorithm, party_streams: Sequence[EdgeStream]
 ) -> Tuple[object, MessageLog]:
     """Drive ``algorithm`` across parties, logging each handoff's size.
 
     Args:
-        algorithm: any object with ``process_item`` and ``space_words``.
-        party_streams: each party's share, in speaking order.
+        algorithm: any object with ``process_batch`` and ``space_words``.
+        party_streams: each party's share, in speaking order; a share
+            is handed to ``process_batch`` as one chunk.
 
     Returns:
         the algorithm (having seen the whole input) and the message log
@@ -70,8 +83,8 @@ def run_streaming_protocol(
     log = MessageLog()
     last = len(party_streams) - 1
     for party, share in enumerate(party_streams):
-        for item in share:
-            algorithm.process_item(item)
+        columns = ColumnarEdgeStream.from_edge_stream(share)
+        algorithm.process_batch(columns.a, columns.b, columns.sign)
         if party < last:
             log.record(party, party + 1, algorithm.space_words())
     return algorithm, log

@@ -11,9 +11,9 @@
 * :class:`Neighbourhood` — the output type: an A-vertex plus witnesses.
 
 All algorithms share the same lifecycle: construct with parameters,
-``process(stream)`` (or feed items one at a time via ``process_item``),
-then ``result()`` which returns a :class:`Neighbourhood` or raises
-:class:`AlgorithmFailed`.
+``process(stream)`` (or feed column chunks via ``process_batch``; one
+update is a length-1 chunk), then ``result()`` which returns a
+:class:`Neighbourhood` or raises :class:`AlgorithmFailed`.
 """
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood, verify_neighbourhood

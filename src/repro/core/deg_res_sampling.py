@@ -17,11 +17,18 @@ The run *succeeds* if at least one stored neighbourhood reaches size
 This class supports two usage modes:
 
 * standalone — it maintains its own :class:`DegreeCounter`; feed it
-  whole streams via :meth:`process` or items via :meth:`process_item`;
+  column chunks via :meth:`process_batch` or whole streams via
+  :meth:`process` (one update is a length-1 chunk);
 * subroutine of Algorithm 2 — the parent owns one shared degree counter
-  and calls :meth:`observe_edge` with the post-increment degree, so the
-  ``O(n log n)``-bit degree table is charged once, not α times
+  and calls :meth:`observe_batch` with the post-increment degrees, so
+  the ``O(n log n)``-bit degree table is charged once, not α times
   (matching Theorem 3.2's accounting).
+
+Either way a chunk replays its ``d1`` crossings in stream order, so the
+state is bit-identical at every chunk size.  A vertex crosses ``d1`` at
+most once and is admitted only at its crossing; a vertex still resident
+at the end therefore holds the ``b``s of its ``d1``-th through
+``(d1 + d2 - 1)``-th occurrences, in stream order.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown, edge_words, vertex_words
 from repro.streams.columnar import group_slices
-from repro.streams.edge import INSERT, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import INSERT
 
 
 def collect_witnesses(requests, composite, order, b: np.ndarray) -> None:
@@ -85,7 +92,7 @@ def collect_witnesses(requests, composite, order, b: np.ndarray) -> None:
         position += len(active)
 
 
-class DegResSampling:
+class DegResSampling(BatchIngest):
     """One run of the paper's Algorithm 1.
 
     Args:
@@ -96,9 +103,8 @@ class DegResSampling:
         s: reservoir size.
         rng: randomness for the reservoir coin flips.
         own_degrees: when True (standalone mode) the instance maintains
-            its own degree counter and accepts :meth:`process` /
-            :meth:`process_item`; when False the caller must drive
-            :meth:`observe_edge`.
+            its own degree counter and accepts :meth:`process_batch`;
+            when False the caller must drive :meth:`observe_batch`.
     """
 
     #: Degree counts and residency-window witness collection are exact
@@ -139,47 +145,6 @@ class DegResSampling:
     # Stream processing.
     # ------------------------------------------------------------------
 
-    def _admit(self, a: int) -> None:
-        self._reservoir[a] = []
-        self._resident.append(a)
-
-    def _cross(self, a: int) -> tuple:
-        """Reservoir maintenance when ``a``'s degree reaches ``d1``.
-
-        Returns ``(admitted, evicted)``; identical RNG consumption to the
-        pre-batch implementation (one draw per full-reservoir candidate).
-        """
-        self._candidates_seen += 1
-        if len(self._reservoir) < self.s:
-            self._admit(a)
-            return True, None
-        if self._rng.random() < self.s / self._candidates_seen:
-            # O(1) uniform eviction: pick a random slot in the resident
-            # list and swap-remove it (one RNG draw, same as the former
-            # O(s) choice over the reservoir keys).
-            slot = self._rng.randrange(len(self._resident))
-            evicted = self._resident[slot]
-            last = self._resident.pop()
-            if slot < len(self._resident):
-                self._resident[slot] = last
-            del self._reservoir[evicted]
-            self._admit(a)
-            return True, evicted
-        return False, None
-
-    def observe_edge(self, a: int, b: int, degree: int) -> None:
-        """Process edge ``ab`` given vertex ``a``'s post-increment degree.
-
-        This is the body of Algorithm 1's loop, lines 4-14: reservoir
-        maintenance when ``degree == d1``, then witness collection when
-        ``a`` is resident.
-        """
-        if degree == self.d1:
-            self._cross(a)
-        witnesses = self._reservoir.get(a)
-        if witnesses is not None and len(witnesses) < self.d2:
-            witnesses.append(b)
-
     def observe_batch(
         self,
         a: np.ndarray,
@@ -188,7 +153,7 @@ class DegResSampling:
         grouping=None,
         crossings: Optional[np.ndarray] = None,
     ) -> None:
-        """Batch counterpart of :meth:`observe_edge` for a run of insertions.
+        """Algorithm 1's loop body (lines 4-14) for a chunk of insertions.
 
         ``degree_after[i]`` must be the post-increment degree of ``a[i]``
         (as produced by :meth:`DegreeCounter.increment_batch`);
@@ -200,15 +165,15 @@ class DegResSampling:
         scan of the chunk instead of ``O(α log n)`` full rescans).
 
         The reservoir only changes at the rare positions where a vertex
-        crosses ``d1``.  Those crossings replay the exact scalar logic in
-        stream order (bit-identical RNG trajectory), while recording each
-        vertex's *residency window* — admission position to eviction.
-        Witness collection then runs once per end-resident vertex:
-        its chunk occurrences (one shared grouping pass) are clipped to
-        its window and the first ``d2 - len(stored)`` are appended.
-        Appends to vertices evicted later in the chunk are skipped — the
-        per-item path discards those lists at eviction anyway — so the
-        final state is bit-identical to item-at-a-time processing.
+        crosses ``d1``.  Those crossings replay reservoir maintenance in
+        stream order (one RNG trajectory at any chunk size), while
+        recording each vertex's *residency window* — admission position
+        to eviction.  Witness collection then runs once per end-resident
+        vertex: its chunk occurrences (one shared grouping pass) are
+        clipped to its window and the first ``d2 - len(stored)`` are
+        appended.  Appends to vertices evicted later in the chunk are
+        skipped — eviction discards those lists anyway — so the final
+        state is bit-identical at every chunk size.
         """
         n_items = len(a)
         if n_items == 0:
@@ -244,14 +209,14 @@ class DegResSampling:
         """
         windows: Dict[int, int] = dict.fromkeys(self._resident, 0)
         if len(crossings):
-            # Inlined :meth:`_cross` replay: same branch conditions and
-            # the same RNG bit consumption, so the trajectory — and with
-            # it the reservoir state — stays bit-identical to the
-            # per-item path.  Hoisting the numpy indexing (one gather +
-            # tolist instead of per-crossing scalar indexing) and the
-            # attribute/method lookups makes the rare-but-hot crossing
-            # loop several times cheaper; Star Detection replays this
-            # loop for every rung of its guess ladder.
+            # Reservoir maintenance per crossing, in stream order: the
+            # RNG draws depend only on the candidate ordinal, so the
+            # trajectory — and with it the reservoir state — is the same
+            # at every chunk size.  Hoisting the numpy indexing (one
+            # gather + tolist instead of per-crossing scalar indexing)
+            # and the attribute/method lookups keeps the rare-but-hot
+            # crossing loop cheap; Star Detection replays this loop for
+            # every rung of its guess ladder.
             reservoir, resident = self._reservoir, self._resident
             seen = self._candidates_seen
             s = self.s
@@ -343,18 +308,6 @@ class DegResSampling:
                 cursor += count
         return cursor
 
-    def process_item(self, item: StreamItem) -> None:
-        """Standalone-mode entry point for a single stream item."""
-        if self._degrees is None:
-            raise RuntimeError(
-                "this instance is driven externally (own_degrees=False); "
-                "use observe_edge"
-            )
-        if item.is_delete:
-            raise ValueError("Deg-Res-Sampling only supports insertion-only streams")
-        degree = self._degrees.increment(item.edge.a)
-        self.observe_edge(item.edge.a, item.edge.b, degree)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -363,8 +316,7 @@ class DegResSampling:
     ) -> None:
         """Standalone-mode entry point for a column chunk of insertions.
 
-        Bit-identical to calling :meth:`process_item` on each update in
-        order; ``sign``, when given, must be all-insert.
+        ``sign``, when given, must be all-insert.
         """
         if self._degrees is None:
             raise RuntimeError(
@@ -377,12 +329,6 @@ class DegResSampling:
         b = np.ascontiguousarray(b, dtype=np.int64)
         degree_after = self._degrees.increment_batch(a)
         self.observe_batch(a, b, degree_after)
-
-    def process(self, stream: EdgeStream) -> "DegResSampling":
-        """Consume an entire insertion-only stream; returns self."""
-        for item in stream:
-            self.process_item(item)
-        return self
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.

@@ -37,10 +37,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.sketch.l0 import L0SamplerBank
 from repro.spacemeter import SpaceBreakdown, vertex_words
-from repro.streams.edge import Edge, StreamItem, insert_signs
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import check_edge_range, insert_signs
 
 
 class SamplingStrategy(Enum):
@@ -76,7 +76,7 @@ def edge_sampler_count(n: int, m: int, d: int, alpha: float, scale: float = 1.0)
     return max(1, math.ceil(base))
 
 
-class InsertionDeletionFEwW:
+class InsertionDeletionFEwW(BatchIngest):
     """The paper's Algorithm 3.
 
     Args:
@@ -147,19 +147,6 @@ class InsertionDeletionFEwW:
     # Stream processing.
     # ------------------------------------------------------------------
 
-    def process_item(self, item: StreamItem) -> None:
-        """Route one signed update into both sampling structures."""
-        edge = item.edge
-        if edge.a >= self.n or edge.b >= self.m:
-            raise ValueError(f"edge {edge} out of range for ({self.n}, {self.m})")
-        self._updates_seen += 1
-        self._result_cache = None
-        bank = self._vertex_banks.get(edge.a)
-        if bank is not None:
-            bank.update(edge.b, item.sign)
-        if self._edge_bank is not None:
-            self._edge_bank.update(edge.flat_index(self.m), item.sign)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -175,7 +162,7 @@ class InsertionDeletionFEwW:
         because flat coordinates sort by vertex first, each sampled
         vertex's bank takes a contiguous pre-netted slice — no per-group
         re-sorting or re-netting.  All sketches involved are linear, so
-        the final state is identical to item-by-item processing.
+        the final state is identical at every chunk size.
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
@@ -185,15 +172,7 @@ class InsertionDeletionFEwW:
             sign = np.ascontiguousarray(sign, dtype=np.int64)
         if len(a) == 0:
             return
-        if (
-            int(a.min()) < 0
-            or int(a.max()) >= self.n
-            or int(b.min()) < 0
-            or int(b.max()) >= self.m
-        ):
-            bad = np.flatnonzero((a < 0) | (a >= self.n) | (b < 0) | (b >= self.m))[0]
-            edge = Edge(int(a[bad]), int(b[bad]))
-            raise ValueError(f"edge {edge} out of range for ({self.n}, {self.m})")
+        check_edge_range(a, b, self.n, self.m)
         self._updates_seen += len(a)
         self._result_cache = None
         flat = a * self.m + b
@@ -247,12 +226,6 @@ class InsertionDeletionFEwW:
                     )
         if self._edge_bank is not None:
             self._edge_bank.update_batch(unique, net, netted=True)
-
-    def process(self, stream: EdgeStream) -> "InsertionDeletionFEwW":
-        """Consume an entire (possibly turnstile) stream; returns self."""
-        for item in stream:
-            self.process_item(item)
-        return self
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.

@@ -26,11 +26,11 @@ import numpy as np
 
 from repro.core.deg_res_sampling import DegResSampling, collect_witnesses
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown
 from repro.streams.columnar import group_slices
-from repro.streams.edge import INSERT, StreamItem
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import INSERT
 
 
 def reservoir_size(n: int, alpha: int) -> int:
@@ -40,7 +40,7 @@ def reservoir_size(n: int, alpha: int) -> int:
     return math.ceil(math.log(n) * n ** (1.0 / alpha))
 
 
-class InsertionOnlyFEwW:
+class InsertionOnlyFEwW(BatchIngest):
     """The paper's Algorithm 2.
 
     Args:
@@ -52,12 +52,11 @@ class InsertionOnlyFEwW:
             reservoir size (used by ablation benchmarks).
         own_degrees: when True (standalone mode) the instance maintains
             its own shared degree counter and accepts :meth:`process` /
-            :meth:`process_item` / :meth:`process_batch`; when False the
-            caller (Star Detection's guess ladder) owns one counter for
-            the whole ladder and drives :meth:`observe_item` /
-            :meth:`observe_batch` with post-increment degrees.  The RNG
-            trajectory is identical either way (the counter draws no
-            randomness).
+            :meth:`process_batch`; when False the caller (Star
+            Detection's guess ladder) owns one counter for the whole
+            ladder and drives :meth:`observe_batch` with post-increment
+            degrees.  The RNG trajectory is identical either way (the
+            counter draws no randomness).
     """
 
     #: The paper's Algorithm 2 shards by vertex hash: the shared degree
@@ -106,38 +105,6 @@ class InsertionOnlyFEwW:
     # Stream processing.
     # ------------------------------------------------------------------
 
-    def observe_item(self, a: int, b: int, degree: int) -> None:
-        """Feed one update to every run given ``a``'s post-increment degree.
-
-        Externally-driven counterpart of :meth:`process_item` — the
-        caller owns the degree counter shared across a whole guess
-        ladder, so the ``O(n log n)``-bit table is charged (and
-        incremented) once, not once per guess.
-        """
-        for run in self.runs:
-            # Fast path: a run only reacts when the vertex crosses its d1
-            # threshold or already sits in its reservoir; anything else is
-            # a guaranteed no-op, skipped without the method call.
-            if degree != run.d1 and a not in run._reservoir:
-                continue
-            run.observe_edge(a, b, degree)
-
-    def process_item(self, item: StreamItem) -> None:
-        """Feed one stream item to every parallel run."""
-        if item.is_delete:
-            raise ValueError(
-                "Algorithm 2 handles insertion-only streams; "
-                "use InsertionDeletionFEwW for turnstile input"
-            )
-        if self._degrees is None:
-            raise RuntimeError(
-                "this instance is driven externally (own_degrees=False); "
-                "use observe_item"
-            )
-        a, b = item.edge.a, item.edge.b
-        degree = self._degrees.increment(a)
-        self.observe_item(a, b, degree)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -151,8 +118,7 @@ class InsertionOnlyFEwW:
         The shared degree table is updated with one vectorized scatter,
         and each run receives the same post-increment degree vector — so
         the ``O(n log n)``-bit table is still charged (and computed) once,
-        not α times.  State after the call is bit-identical to feeding
-        the chunk through :meth:`process_item` one update at a time.
+        not α times.  State is bit-identical at every chunk size.
 
         ``grouping`` optionally passes a precomputed stable
         ``(order, starts, ends)`` grouping of ``a`` (see
@@ -234,12 +200,6 @@ class InsertionOnlyFEwW:
         if composite is None:
             composite = a[order] * np.int64(n_items) + order
         collect_witnesses(requests, composite, order, b)
-
-    def process(self, stream: EdgeStream) -> "InsertionOnlyFEwW":
-        """Consume an entire stream; returns self for chaining."""
-        for item in stream:
-            self.process_item(item)
-        return self
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.

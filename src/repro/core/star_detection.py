@@ -18,9 +18,10 @@ Execution is batch-first: :class:`StarDetection` conforms to the
 :meth:`~StarDetection.process_batch` sorts each double-cover chunk
 *once* and shares the grouping across all ``O(log_{1+ε} n)`` degree
 guesses — so the guess ladder costs one vectorized pass over the
-stream, not ``O(log n)`` per-item sweeps.  The per-item path
-(:meth:`~StarDetection.process_item`) is retained as the reference
-implementation; the two are bit-identical (equivalence-tested).
+stream, not ``O(log n)`` per-item sweeps.  State is bit-identical at
+every chunk size, chunk size 1 included (equivalence-tested); every
+rung pays a fixed cost per chunk, so feed long streams in large chunks,
+``process(stream.chunks(1 << 16))``, as :meth:`process_undirected` does.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import numpy as np
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown
 from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import group_slices
-from repro.streams.edge import INSERT, Edge, StreamItem, insert_signs
-from repro.streams.stream import EdgeStream
+from repro.streams.edge import INSERT, check_edge_range, insert_signs
 
 
 def degree_guesses(n: int, eps: float) -> List[int]:
@@ -112,7 +113,7 @@ class StarDetectionResult:
         return self.neighbourhood.size
 
 
-class StarDetection:
+class StarDetection(BatchIngest):
     """Lemma 3.3's wrapper around a FEwW algorithm.
 
     Args:
@@ -127,14 +128,6 @@ class StarDetection:
     """
 
     MODELS = ("insertion-only", "insertion-deletion")
-
-    #: Chunk size for :meth:`process`.  The ladder-wide hoisted work
-    #: (sort, degree scatter, crossing scan / netting) amortises over
-    #: the chunk, but every rung still pays a small fixed cost per
-    #: chunk — larger chunks than the engine default keep that fan-out
-    #: overhead negligible.  Chunking never changes results (state is
-    #: bit-identical to per-item processing at any chunk size).
-    PROCESS_CHUNK_SIZE = 1 << 16
 
     def __init__(
         self,
@@ -217,50 +210,9 @@ class StarDetection:
             self.n_vertices,
             None if signs is None else np.asarray(list(signs), dtype=np.int64),
         )
-        return self.process(cover)
-
-    def process(self, stream) -> "StarDetection":
-        """Feed an already-doubled bipartite stream through the engine.
-
-        Accepts anything :func:`repro.engine.as_chunks` does — a
-        :class:`~repro.streams.columnar.ColumnarEdgeStream`, a boxed
-        :class:`~repro.streams.stream.EdgeStream`, a persisted stream
-        path, or a chunk iterable.  One single pass feeds every guess.
-        """
-        # Deferred import: core must stay importable without the engine
-        # package at module load (engine imports streams, not core).
-        from repro.engine import as_chunks
-
-        for a, b, sign in as_chunks(stream, self.PROCESS_CHUNK_SIZE):
-            self.process_batch(a, b, sign)
-        return self
-
-    def process_item(self, item: StreamItem) -> None:
-        """Reference per-item path: feed one doubled update to every run.
-
-        Insertion-only: the shared counter increments once and the
-        post-increment degree fans out to every rung — bit-identical to
-        each rung counting for itself (the counts would be equal).
-        """
-        edge, n = item.edge, self.n_vertices
-        if edge.a >= n or edge.b >= n:
-            raise ValueError(f"edge {edge} out of range for ({n}, {n})")
-        if self.model == "insertion-only":
-            if item.is_delete:
-                raise ValueError(
-                    "Algorithm 2 handles insertion-only streams; "
-                    "use InsertionDeletionFEwW for turnstile input"
-                )
-            a, b = edge.a, edge.b
-            degree = self._degrees.increment(a)
-            for _, algorithm in self._runs:
-                algorithm.observe_item(a, b, degree)  # type: ignore[attr-defined]
-        else:
-            for _, algorithm in self._runs:
-                algorithm.process_item(item)  # type: ignore[attr-defined]
-        # Counted last: a rejected update must leave the detector
-        # splittable, as if it had never been offered.
-        self._updates_seen += 1
+        # Large chunks amortise each rung's fixed per-chunk cost (its
+        # resident vertices are walked once per chunk).
+        return self.process(cover.chunks(1 << 16))
 
     def process_batch(
         self,
@@ -280,10 +232,8 @@ class StarDetection:
         Insertion-deletion: the chunk is netted (``np.unique`` +
         scatter-add on the flat edge coordinate) once,
         and every rung's linear sketches consume the shared netted
-        column.  State after the call is bit-identical to feeding the
-        chunk through :meth:`process_item` in order: the per-guess
-        structures are independent, so fanning a chunk to the guesses
-        sequentially commutes with interleaving items.
+        column.  The per-guess structures are independent and each is
+        bit-identical across chunk sizes, so the ladder is too.
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
@@ -292,15 +242,7 @@ class StarDetection:
         # Both endpoints live in the double cover's n-vertex sides; a
         # rejected chunk leaves the detector as if never offered.
         n = self.n_vertices
-        if (
-            int(a.min()) < 0
-            or int(a.max()) >= n
-            or int(b.min()) < 0
-            or int(b.max()) >= n
-        ):
-            bad = np.flatnonzero((a < 0) | (a >= n) | (b < 0) | (b >= n))[0]
-            edge = Edge(int(a[bad]), int(b[bad]))
-            raise ValueError(f"edge {edge} out of range for ({n}, {n})")
+        check_edge_range(a, b, n, n)
         if self.model == "insertion-only":
             if sign is not None and np.any(sign != INSERT):
                 raise ValueError(

@@ -25,11 +25,11 @@ import numpy as np
 
 from repro.core.insertion_only import InsertionOnlyFEwW, reservoir_size
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.engine.protocol import BatchIngest
 from repro.spacemeter import SpaceBreakdown
-from repro.streams.edge import StreamItem
 
 
-class TopKFEwW:
+class TopKFEwW(BatchIngest):
     """Report up to ``k`` vertices of degree ≥ d, each with witnesses.
 
     Args:
@@ -67,10 +67,6 @@ class TopKFEwW:
     def alpha(self) -> int:
         return self._inner.alpha
 
-    def process_item(self, item: StreamItem) -> None:
-        """Reference per-item path (bit-identical to the batch path)."""
-        self._inner.process_item(item)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -79,18 +75,6 @@ class TopKFEwW:
     ) -> None:
         """Engine entry point: one column chunk into the scaled reservoir."""
         self._inner.process_batch(a, b, sign)
-
-    def process(self, stream) -> "TopKFEwW":
-        """Consume a whole stream through the engine's chunk path.
-
-        Accepts anything :func:`repro.engine.as_chunks` does (columnar
-        or boxed streams, persisted paths, chunk iterables).
-        """
-        from repro.engine import as_chunks
-
-        for a, b, sign in as_chunks(stream):
-            self.process_batch(a, b, sign)
-        return self
 
     def merge(self, other: "TopKFEwW") -> "TopKFEwW":
         """Merge the scaled inner Algorithm 2 states (vertex routing).

@@ -32,7 +32,7 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.windows import TumblingPolicy, WindowedProcessor
-from repro.streams.edge import INSERT, StreamItem
+from repro.streams.edge import INSERT
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,6 @@ class TumblingWindowFEwW(WindowedProcessor):
     # Stream processing (insertion-only guard kept from the pre-engine
     # wrapper: the whole chunk is rejected before any state mutates).
     # ------------------------------------------------------------------
-
-    def process_item(self, item: StreamItem) -> None:
-        """Feed one update; closes the window at each boundary."""
-        if item.is_delete:
-            raise ValueError("tumbling-window FEwW is insertion-only")
-        super().process_item(item)
 
     def process_batch(
         self,

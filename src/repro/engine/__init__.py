@@ -31,6 +31,7 @@ from repro.engine.protocol import (
     SHARD_ANY,
     SHARD_BY_VERTEX,
     SHARD_BY_WINDOW,
+    BatchIngest,
     MergeableStreamProcessor,
     StreamProcessor,
     combined_routing,
@@ -59,6 +60,7 @@ from repro.engine.windows import (
 )
 
 __all__ = [
+    "BatchIngest",
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",

@@ -7,10 +7,11 @@ methods:
 
 * ``process_batch(a, b, sign=None)`` — consume one column chunk of
   updates (``a``/``b`` endpoint arrays plus an optional ``sign``
-  column; ``None`` means all-insert).  For every structure this is
-  equivalent to feeding the chunk item by item — bit-identical for the
-  seeded randomized structures, guarantee-identical for the
-  weight-collapsed counter summaries (see
+  column; ``None`` means all-insert).  This is a structure's only
+  ingest path; feeding one update is a length-1 chunk.  State is
+  bit-identical across chunk sizes, chunk size 1 included, for every
+  seeded structure, and guarantee-identical for the weight-collapsed
+  counter summaries, Misra-Gries and SpaceSaving (see
   ``tests/integration/test_batch_equivalence.py``).
 * ``finalize()`` — the end-of-stream hook.  Algorithms return their
   answer (a :class:`~repro.core.neighbourhood.Neighbourhood`, a list of
@@ -22,7 +23,8 @@ methods:
 
 Anything conforming can be registered with a
 :class:`~repro.engine.runner.FanoutRunner` and fed from any chunk
-source in a single pass.
+source in a single pass.  Structures inherit their whole-stream
+``process(source)`` from :class:`BatchIngest`.
 
 Mergeable-summary layer
 -----------------------
@@ -62,7 +64,16 @@ al.):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import (
+    Any,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    TypeVar,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -79,6 +90,8 @@ SHARD_BY_WINDOW = "window"
 ShardRouting = Union[str, Tuple[str, int]]
 
 _MISSING = object()
+
+_Ingest = TypeVar("_Ingest", bound="BatchIngest")
 
 
 @runtime_checkable
@@ -97,6 +110,26 @@ class StreamProcessor(Protocol):
     def finalize(self) -> Any:
         """End-of-stream hook; returns the structure's answer (or self)."""
         ...
+
+
+class BatchIngest:
+    """The one ``process(source)`` every structure shares.
+
+    :meth:`process` hands any source :func:`~repro.engine.runner.as_chunks`
+    accepts (a columnar or boxed stream, a stream-file path, or an
+    iterable of ``(a, b, sign)`` chunks) to the subclass's
+    ``process_batch`` through the engine's one chunk loop,
+    :func:`~repro.engine.runner.drive`.  Pass ``stream.chunks(k)`` to
+    choose the chunk size.
+    """
+
+    def process(self: _Ingest, source: Any) -> _Ingest:
+        """Consume a whole stream; returns self for chaining."""
+        # Deferred: the runner module imports this one.
+        from repro.engine.runner import as_chunks, drive
+
+        drive(as_chunks(source), {"process": self})
+        return self
 
 
 @runtime_checkable

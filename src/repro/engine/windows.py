@@ -6,9 +6,9 @@ into a first-class subsystem: a :class:`WindowPolicy` decides how the
 stream is cut into fixed-size *buckets* and what is retained when a
 bucket closes, and the generic :class:`WindowedProcessor` composes any
 :class:`~repro.engine.protocol.StreamProcessor` with any policy.  The
-engine machinery carries over unchanged: chunks are split at bucket
-boundaries exactly where the per-item path would split them, and the
-wrapper implements the full mergeable-summary layer
+engine machinery carries over unchanged: chunks are split at the
+stream's bucket boundaries, whatever the chunk size, and the wrapper
+implements the full mergeable-summary layer
 (``split``/``merge``/``shard_routing``), so windowed runs shard across
 a :class:`~repro.engine.sharded.ShardedRunner` with ``("window",
 bucket)`` routing.
@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.engine.protocol import (
     SHARD_BY_WINDOW,
+    BatchIngest,
     ensure_stream_processor,
     shard_routing_of,
 )
@@ -556,7 +557,7 @@ class DecayPolicy(WindowPolicy):
 # ----------------------------------------------------------------------
 
 
-class WindowedProcessor:
+class WindowedProcessor(BatchIngest):
     """Compose any :class:`StreamProcessor` with any :class:`WindowPolicy`.
 
     Args:
@@ -573,8 +574,8 @@ class WindowedProcessor:
         seed: master seed for per-bucket seed derivation.
 
     The wrapper is a full mergeable stream processor: ``process_batch``
-    splits chunks at bucket boundaries exactly where per-item
-    processing would, ``shard_routing`` is ``("window", bucket)``, and
+    splits chunks at the stream's bucket boundaries, ``shard_routing``
+    is ``("window", bucket)``, and
     ``split``/``merge`` give each shard ownership of every
     ``n_shards``-th bucket (seeded by global index, so any shard
     reproduces exactly what a single-core run would compute for its
@@ -681,13 +682,6 @@ class WindowedProcessor:
         self._updates = 0
         self._current = self._fresh_instance()
 
-    def process_item(self, item) -> None:
-        """Feed one update; closes the bucket at each boundary."""
-        self._current.process_item(item)
-        self._updates += 1
-        if self._updates == self.policy.bucket:
-            self._close_bucket()
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -698,10 +692,9 @@ class WindowedProcessor:
 
         Each maximal run of updates that falls inside one bucket is fed
         to the current inner instance as a single sub-batch, and buckets
-        close exactly where the per-item path would close them — so the
-        sequence of (instance, updates) pairs, and with it every
-        bucket's retained state, is identical to item-at-a-time
-        processing at any chunk size.  A shard produced by :meth:`split`
+        close at fixed stream positions — so the sequence of (instance,
+        updates) pairs, and with it every bucket's retained state, is
+        identical at any chunk size.  A shard produced by :meth:`split`
         must be fed exactly the updates of its own buckets, in order
         (what a ShardedRunner's window routing does).
         """
@@ -722,14 +715,6 @@ class WindowedProcessor:
             position = stop
             if self._updates == bucket:
                 self._close_bucket()
-
-    def process(self, stream) -> "WindowedProcessor":
-        """Consume a whole stream through the engine's chunk path."""
-        from repro.engine.runner import as_chunks
-
-        for a, b, sign in as_chunks(stream):
-            self.process_batch(a, b, sign)
-        return self
 
     def flush(self) -> None:
         """Close the in-progress bucket early (end of stream).

@@ -20,6 +20,7 @@ from typing import Hashable, List, Optional
 
 import numpy as np
 
+from repro.engine.protocol import BatchIngest
 from repro.sketch.hashing import KWiseHash, random_kwise
 
 
@@ -144,7 +145,7 @@ class DuplicateFilter:
         return self._bloom.space_words()
 
 
-class BloomDedup:
+class BloomDedup(BatchIngest):
     """Engine adapter: streaming pair dedup as a pipeline processor.
 
     Wraps a :class:`DuplicateFilter` in the

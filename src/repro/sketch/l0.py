@@ -62,6 +62,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import ExactSupport, check_columns
 from repro.sketch.hashing import (
     PRIME_61,
@@ -79,6 +80,7 @@ from repro.sketch.ssparse import (
     signed_terms,
     table_powers,
 )
+from repro.streams.edge import insert_signs
 
 
 #: Exact-mode banks buffer update columns and consolidate them with one
@@ -728,7 +730,7 @@ class L0SamplerBank:
             self._stack_planes()
 
 
-class L0EdgeBank:
+class L0EdgeBank(BatchIngest):
     """Engine adapter: an :class:`L0SamplerBank` over the edge vector.
 
     Presents the bank as a pipeline-registrable
@@ -769,11 +771,6 @@ class L0EdgeBank:
             n * m, count, delta, random.Random(seed), mode=mode
         )
 
-    def process_item(self, item) -> None:
-        """Apply one signed edge update (the engine's per-item path)."""
-        self._started = True
-        self._bank.update(item.edge.flat_index(self.m), item.sign)
-
     def process_batch(
         self,
         a: np.ndarray,
@@ -789,10 +786,6 @@ class L0EdgeBank:
             raise ValueError(
                 f"edge endpoints out of range ({self.n}, {self.m})"
             )
-        # Deferred import: sketch is a lower layer than streams and
-        # must not depend on it at module-import time.
-        from repro.streams.edge import insert_signs
-
         indices = a * np.int64(self.m) + b
         deltas = (
             insert_signs(len(a))

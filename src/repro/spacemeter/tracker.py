@@ -2,24 +2,23 @@
 
 ``space_words()`` reports *current* retained state, but streaming space
 complexity is about the *maximum* over the run.  :class:`SpaceTracker`
-wraps any algorithm exposing ``process_item`` and ``space_words`` and
+wraps any algorithm exposing ``process_batch`` and ``space_words`` and
 samples the space at a configurable update interval, recording the peak
 and a (time, words) trace for plotting-style analysis in benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
-from repro.streams.edge import StreamItem
-from repro.streams.stream import EdgeStream
+from repro.engine.runner import as_chunks
 
 
 class SpaceTracker:
     """Wrap an algorithm and record its space profile during a stream.
 
     Args:
-        algorithm: any object with ``process_item(item)`` and
+        algorithm: any object with ``process_batch(a, b, sign)`` and
             ``space_words()``.
         sample_every: measure space every this many updates (1 = every
             update; raise it for long streams).
@@ -34,21 +33,16 @@ class SpaceTracker:
         self.peak_words = algorithm.space_words()
         self.trace: List[Tuple[int, int]] = [(0, self.peak_words)]
 
-    def process_item(self, item: StreamItem) -> None:
-        """Forward one update, sampling space on the configured cadence."""
-        self.algorithm.process_item(item)
-        self._updates += 1
-        if self._updates % self.sample_every == 0:
-            words = self.algorithm.space_words()
-            self.trace.append((self._updates, words))
-            if words > self.peak_words:
-                self.peak_words = words
+    def process(self, source: Any) -> "SpaceTracker":
+        """Forward a whole stream, sampling space after every chunk.
 
-    def process(self, stream: EdgeStream) -> "SpaceTracker":
-        """Forward an entire stream; a final sample is always taken."""
-        for item in stream:
-            self.process_item(item)
-        if self._updates % self.sample_every != 0:
+        A stream is read in chunks of ``sample_every`` updates, so a
+        sample lands on every multiple of ``sample_every`` and after the
+        last update.  A chunk iterable is sampled at its own chunk ends.
+        """
+        for a, b, sign in as_chunks(source, self.sample_every):
+            self.algorithm.process_batch(a, b, sign)
+            self._updates += len(a)
             words = self.algorithm.space_words()
             self.trace.append((self._updates, words))
             self.peak_words = max(self.peak_words, words)

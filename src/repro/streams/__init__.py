@@ -21,7 +21,6 @@ from repro.streams.stream import EdgeStream, StreamStats, stream_from_edges
 from repro.streams.columnar import (
     DEFAULT_CHUNK_SIZE,
     ColumnarEdgeStream,
-    process_columnar,
 )
 from repro.streams.adapters import (
     LabelCodec,
@@ -97,7 +96,6 @@ __all__ = [
     "log_records_to_stream",
     "planted_star_graph",
     "planted_star_undirected",
-    "process_columnar",
     "random_bipartite_columnar",
     "random_bipartite_graph",
     "reversed_stream",

@@ -341,18 +341,3 @@ class ColumnarEdgeStream:
             max_degree_vertex=max_vertex,
         )
 
-
-def process_columnar(
-    algorithm,
-    stream: ColumnarEdgeStream,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-):
-    """Drive any structure exposing ``process_batch`` over a columnar stream.
-
-    Feeds the stream chunk by chunk (zero-copy views) and returns the
-    algorithm for chaining — the batch-mode counterpart of the
-    ``algorithm.process(stream)`` idiom.
-    """
-    for a, b, sign in stream.chunks(chunk_size):
-        algorithm.process_batch(a, b, sign)
-    return algorithm

@@ -72,6 +72,21 @@ class Edge:
         return Edge(index // m, index % m)
 
 
+def check_edge_range(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
+    """Reject a chunk with an endpoint outside ``[0, n) x [0, m)``.
+
+    Raises :class:`ValueError` naming the first offending edge.  Callers
+    run it before mutating any state, so a rejected chunk leaves them as
+    if it had never been offered.
+    """
+    if len(a) and (
+        int(a.min()) < 0 or int(a.max()) >= n or int(b.min()) < 0 or int(b.max()) >= m
+    ):
+        bad = np.flatnonzero((a < 0) | (a >= n) | (b < 0) | (b >= m))[0]
+        edge = Edge(int(a[bad]), int(b[bad]))
+        raise ValueError(f"edge {edge} out of range for ({n}, {m})")
+
+
 @dataclass(frozen=True, slots=True)
 class StreamItem:
     """A signed edge update: ``sign`` is :data:`INSERT` or :data:`DELETE`."""

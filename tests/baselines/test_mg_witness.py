@@ -1,6 +1,7 @@
 """Tests for the Misra–Gries-with-witnesses strawman, including the
 witness-loss failure mode it exists to demonstrate."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.mg_witness import MisraGriesWithWitnesses
@@ -14,6 +15,10 @@ def items_for(pairs):
     return [StreamItem(Edge(a, b)) for a, b in pairs]
 
 
+def stream_of(pairs):
+    return EdgeStream(items_for(pairs), 16, 16)
+
+
 class TestBasics:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -24,12 +29,12 @@ class TestBasics:
     def test_rejects_deletions(self):
         summary = MisraGriesWithWitnesses(2, 4)
         with pytest.raises(ValueError):
-            summary.process_item(StreamItem(Edge(0, 0), DELETE))
+            summary.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
 
     def test_collects_witnesses_when_uncontended(self):
-        summary = MisraGriesWithWitnesses(4, 10)
-        for item in items_for([(0, 5), (0, 6), (0, 7)]):
-            summary.process_item(item)
+        summary = MisraGriesWithWitnesses(4, 10).process(
+            stream_of([(0, 5), (0, 6), (0, 7)])
+        )
         assert summary.estimate(0) == 3
         assert summary.witnesses_of(0) == [5, 6, 7]
         result = summary.result(d=3)
@@ -37,22 +42,21 @@ class TestBasics:
         assert result.witnesses == {5, 6, 7}
 
     def test_witness_cap(self):
-        summary = MisraGriesWithWitnesses(4, 2)
-        for item in items_for([(0, b) for b in range(5)]):
-            summary.process_item(item)
+        summary = MisraGriesWithWitnesses(4, 2).process(
+            stream_of([(0, b) for b in range(5)])
+        )
         assert summary.estimate(0) == 5
         assert summary.witnesses_of(0) == [0, 1]
 
     def test_result_raises_when_insufficient(self):
-        summary = MisraGriesWithWitnesses(4, 10)
-        summary.process_item(StreamItem(Edge(0, 0)))
+        summary = MisraGriesWithWitnesses(4, 10).process(stream_of([(0, 0)]))
         with pytest.raises(AlgorithmFailed):
             summary.result(d=5)
 
     def test_space_words(self):
-        summary = MisraGriesWithWitnesses(4, 10)
-        for item in items_for([(0, 1), (0, 2), (1, 3)]):
-            summary.process_item(item)
+        summary = MisraGriesWithWitnesses(4, 10).process(
+            stream_of([(0, 1), (0, 2), (1, 3)])
+        )
         assert summary.space_words() == 2 * 2 + 2 * 3
 
 

@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.misra_gries import MisraGries
-from repro.streams.edge import DELETE, Edge, StreamItem
+from repro.streams.edge import DELETE
 from repro.streams.generators import GeneratorConfig, zipf_frequency_stream
 
 
@@ -22,7 +24,9 @@ class TestBasics:
 
     def test_rejects_deletions(self):
         with pytest.raises(ValueError):
-            MisraGries(2).process_item(StreamItem(Edge(0, 0), DELETE))
+            MisraGries(2).process_batch(
+                np.array([0]), np.array([0]), np.array([DELETE])
+            )
 
     def test_exact_when_few_items(self):
         summary = MisraGries(10)

@@ -1,12 +1,13 @@
 """Tests for the naive witness baselines."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.naive import FirstKWitnessCollector, FullStorage
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.streams.edge import DELETE, Edge, StreamItem
 from repro.streams.generators import GeneratorConfig, planted_star_graph
-from repro.streams.stream import EdgeStream
+from repro.streams.stream import EdgeStream, stream_from_edges
 
 
 class TestFullStorage:
@@ -28,10 +29,18 @@ class TestFullStorage:
         assert result.witnesses == {1}
 
     def test_raises_when_promise_violated(self):
-        storage = FullStorage(4, 4)
-        storage.process_item(StreamItem(Edge(0, 0)))
+        storage = FullStorage(4, 4).process(stream_from_edges([Edge(0, 0)], 4, 4))
         with pytest.raises(AlgorithmFailed):
             storage.result(d=5)
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (9, 1), (-1, 0), (0, -1)])
+    def test_out_of_range_edge_rejected_before_buffering(self, a, b):
+        """The flat key ``a*m + b`` aliases: (0, 5) in a 4x4 store would
+        be filed as edge (1, 1), and vertex 9 stored in a 4-vertex one."""
+        storage = FullStorage(4, 4)
+        with pytest.raises(ValueError, match="out of range for \\(4, 4\\)|non-negative"):
+            storage.process_batch(np.array([1, a]), np.array([2, b]))
+        assert storage.finalize()._neighbours == {}
 
     def test_space_proportional_to_edges(self):
         config = GeneratorConfig(n=20, m=100, seed=1)
@@ -49,12 +58,12 @@ class TestFirstKWitnessCollector:
     def test_rejects_deletions(self):
         collector = FirstKWitnessCollector(4, 2)
         with pytest.raises(ValueError):
-            collector.process_item(StreamItem(Edge(0, 0), DELETE))
+            collector.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
 
     def test_collects_first_k(self):
-        collector = FirstKWitnessCollector(4, 3)
-        for b in range(10):
-            collector.process_item(StreamItem(Edge(0, b)))
+        collector = FirstKWitnessCollector(4, 3).process(
+            stream_from_edges([Edge(0, b) for b in range(10)], 4, 10)
+        )
         result = collector.result(d=9, alpha=3)
         assert result.vertex == 0
         assert result.witnesses == {0, 1, 2}
@@ -68,9 +77,9 @@ class TestFirstKWitnessCollector:
         assert result.size >= 15
 
     def test_fails_when_k_too_small(self):
-        collector = FirstKWitnessCollector(4, 2)
-        for b in range(10):
-            collector.process_item(StreamItem(Edge(0, b)))
+        collector = FirstKWitnessCollector(4, 2).process(
+            stream_from_edges([Edge(0, b) for b in range(10)], 4, 10)
+        )
         with pytest.raises(AlgorithmFailed):
             collector.result(d=10, alpha=1)
 
@@ -81,8 +90,8 @@ class TestFirstKWitnessCollector:
     def test_space_scales_with_active_vertices(self):
         """Every touched vertex pays ~k words: the factor-n overhead the
         paper's sampling avoids."""
-        collector = FirstKWitnessCollector(100, 5)
-        for a in range(50):
-            for b in range(5):
-                collector.process_item(StreamItem(Edge(a, b)))
+        edges = [Edge(a, b) for a in range(50) for b in range(5)]
+        collector = FirstKWitnessCollector(100, 5).process(
+            stream_from_edges(edges, 100, 5)
+        )
         assert collector.space_words() >= 50 * (2 + 2 * 5) - 10

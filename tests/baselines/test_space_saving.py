@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.space_saving import SpaceSaving
-from repro.streams.edge import DELETE, Edge, StreamItem
+from repro.streams.edge import DELETE
 
 
 class TestBasics:
@@ -19,7 +19,9 @@ class TestBasics:
 
     def test_rejects_deletions(self):
         with pytest.raises(ValueError):
-            SpaceSaving(2).process_item(StreamItem(Edge(0, 0), DELETE))
+            SpaceSaving(2).process_batch(
+                np.array([0]), np.array([0]), np.array([DELETE])
+            )
 
     def test_exact_when_few_items(self):
         summary = SpaceSaving(10)
@@ -105,7 +107,8 @@ class TestCloneAndMerge:
     def _loaded(k=8, seed=4, size=3000):
         summary = SpaceSaving(k)
         rng = np.random.default_rng(seed)
-        summary.process_batch(rng.zipf(1.4, size=size) % 200)
+        items = rng.zipf(1.4, size=size) % 200
+        summary.process_batch(items, items)
         return summary
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -122,7 +125,8 @@ class TestCloneAndMerge:
         estimates = {item: summary.estimate(item) for item in range(200)}
         state = pickle.dumps(summary)
         dup = summary.clone()
-        dup.process_batch(np.arange(50, 150, dtype=np.int64))
+        items = np.arange(50, 150, dtype=np.int64)
+        dup.process_batch(items, items)
         dup.update(7, 40)
         assert {item: summary.estimate(item) for item in range(200)} == (
             estimates
@@ -134,5 +138,6 @@ class TestCloneAndMerge:
         before = pickle.dumps((left, right))
         merged = left.merge(right)
         assert pickle.dumps((left, right)) == before
-        merged.process_batch(np.arange(20, dtype=np.int64))
+        items = np.arange(20, dtype=np.int64)
+        merged.process_batch(items, items)
         assert pickle.dumps((left, right)) == before

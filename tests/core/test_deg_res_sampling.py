@@ -4,11 +4,12 @@ witness collection, uniformity, and the Lemma 3.1 success bound."""
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.deg_res_sampling import DegResSampling
 from repro.core.neighbourhood import AlgorithmFailed
-from repro.streams.edge import DELETE, Edge, StreamItem
+from repro.streams.edge import DELETE, Edge
 from repro.streams.generators import GeneratorConfig, planted_star_graph
 from repro.streams.stream import stream_from_edges
 from repro.theory.bounds import deg_res_success_lower_bound
@@ -33,12 +34,12 @@ class TestValidation:
     def test_rejects_deletions(self):
         algorithm = DegResSampling(10, 1, 1, 1, random.Random(0))
         with pytest.raises(ValueError):
-            algorithm.process_item(StreamItem(Edge(0, 0), DELETE))
+            algorithm.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
 
-    def test_external_mode_rejects_process_item(self):
+    def test_external_mode_rejects_process_batch(self):
         algorithm = DegResSampling(10, 1, 1, 1, random.Random(0), own_degrees=False)
         with pytest.raises(RuntimeError):
-            algorithm.process_item(StreamItem(Edge(0, 0)))
+            algorithm.process_batch(np.array([0]), np.array([0]))
 
 
 class TestCollectionSemantics:

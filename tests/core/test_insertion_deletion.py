@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.insertion_deletion import (
@@ -54,7 +55,7 @@ class TestParameters:
     def test_rejects_out_of_range_edge(self):
         algorithm = InsertionDeletionFEwW(4, 4, 1, 1, seed=0, scale=0.05)
         with pytest.raises(ValueError):
-            algorithm.process_item(StreamItem(Edge(4, 0)))
+            algorithm.process_batch(np.array([4]), np.array([0]))
 
 
 class TestCorrectness:

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.insertion_only import InsertionOnlyFEwW, reservoir_size
 from repro.core.neighbourhood import AlgorithmFailed, verify_neighbourhood
-from repro.streams.edge import DELETE, Edge, StreamItem
+from repro.streams.edge import DELETE
 from repro.streams.generators import (
     GeneratorConfig,
     adversarial_interleaved_stream,
@@ -52,7 +53,7 @@ class TestConstruction:
     def test_rejects_deletions(self):
         algorithm = InsertionOnlyFEwW(10, 2, 1, seed=0)
         with pytest.raises(ValueError):
-            algorithm.process_item(StreamItem(Edge(0, 0), DELETE))
+            algorithm.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
 
     def test_reservoir_override(self):
         algorithm = InsertionOnlyFEwW(100, 10, 2, seed=0, reservoir_override=3)
@@ -148,8 +149,8 @@ class TestCorrectness:
 
     def test_current_degree_tracking(self):
         algorithm = InsertionOnlyFEwW(10, 2, 1, seed=0)
-        algorithm.process_item(StreamItem(Edge(3, 0)))
-        algorithm.process_item(StreamItem(Edge(3, 1)))
+        algorithm.process_batch(np.array([3]), np.array([0]))
+        algorithm.process_batch(np.array([3]), np.array([1]))
         assert algorithm.current_degree(3) == 2
         assert algorithm.current_degree(0) == 0
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.core.star_detection import StarDetection, degree_guesses
-from repro.streams.edge import Edge, StreamItem
 from repro.streams.generators import social_network_stream
 from repro.streams.adapters import bipartite_double_cover
 
@@ -49,15 +48,15 @@ class TestConstruction:
 
     @pytest.mark.parametrize("model", StarDetection.MODELS)
     def test_out_of_range_endpoints_rejected_before_counting(self, model):
-        """Both models reject a B endpoint outside the n-vertex double
-        cover, by chunk and by item, and stay splittable afterwards."""
+        """Both models reject an endpoint outside the n-vertex double
+        cover, in a chunk and alone, and stay splittable afterwards."""
         detector = StarDetection(8, alpha=1, eps=0.5, model=model, seed=1)
         with pytest.raises(ValueError, match="out of range"):
             detector.process_batch(
                 np.full(8, 1), np.arange(99, 107, dtype=np.int64)
             )
         with pytest.raises(ValueError, match="out of range"):
-            detector.process_item(StreamItem(Edge(1, 8)))
+            detector.process_batch(np.array([1]), np.array([8]))
         assert len(detector.split(2)) == 2
 
 

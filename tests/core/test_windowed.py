@@ -1,10 +1,11 @@
 """Tests for the tumbling-window FEwW extension."""
 
+import numpy as np
 import pytest
 
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.core.windowed import TumblingWindowFEwW
-from repro.streams.edge import DELETE, Edge, StreamItem
+from repro.streams.edge import DELETE, Edge
 from repro.streams.stream import EdgeStream, stream_from_edges
 
 
@@ -21,7 +22,7 @@ class TestBasics:
     def test_rejects_deletions(self):
         windowed = TumblingWindowFEwW(10, 2, 1, 4)
         with pytest.raises(ValueError):
-            windowed.process_item(StreamItem(Edge(0, 0), DELETE))
+            windowed.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
 
     def test_latest_before_any_window_raises(self):
         with pytest.raises(AlgorithmFailed):

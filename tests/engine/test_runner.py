@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.insertion_only import InsertionOnlyFEwW
-from repro.core.topk import TopKFEwW
 from repro.engine import (
     CheckpointStore,
     FanoutRunner,
@@ -82,22 +81,6 @@ class TestFanoutRunner:
         assert [a.tolist() for a, _ in first.chunks] == [
             a.tolist() for a, _ in second.chunks
         ]
-
-    def test_single_pass_matches_individual_runs(self):
-        stream = star_stream()
-        columnar = ColumnarEdgeStream.from_edge_stream(stream)
-        solo = InsertionOnlyFEwW(stream.n, 16, 2, seed=7)
-        for a, b, sign in columnar.chunks(64):
-            solo.process_batch(a, b, sign)
-        fanned = InsertionOnlyFEwW(stream.n, 16, 2, seed=7)
-        results = run_fanout(
-            {"alg2": fanned, "topk": TopKFEwW(stream.n, 16, 2, k=2, seed=7)},
-            columnar,
-            chunk_size=64,
-        )
-        assert results["alg2"].vertex == solo.result().vertex
-        assert results["alg2"].witnesses == solo.result().witnesses
-        assert results["topk"]  # the planted star is found
 
     def test_duplicate_name_rejected(self):
         runner = FanoutRunner({"x": CountingProcessor()})

@@ -9,7 +9,7 @@ from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import ShardedRunner, vertex_shard
 from repro.engine.sharded import route_chunk
 from repro.streams.columnar import ColumnarEdgeStream
-from repro.streams.edge import DELETE, INSERT, Edge, StreamItem
+from repro.streams.edge import DELETE, INSERT
 
 
 def small_stream(n_updates=200, n=16):
@@ -284,30 +284,17 @@ def _one(a, b, sign):
 @pytest.mark.parametrize(
     "build, feed",
     [
-        (_alg3, lambda p: p.process_item(StreamItem(Edge(9, 0), INSERT))),
         (_alg3, lambda p: p.process_batch([9], [0])),
-        (
-            lambda: _star("insertion-only"),
-            lambda p: p.process_item(StreamItem(Edge(1, 2), DELETE)),
-        ),
         (
             lambda: _star("insertion-only"),
             lambda p: p.process_batch(*_one(1, 2, DELETE)),
         ),
         (
             lambda: _star("insertion-deletion"),
-            lambda p: p.process_item(StreamItem(Edge(9, 2), INSERT)),
-        ),
-        (
-            lambda: _star("insertion-deletion"),
             lambda p: p.process_batch(*_one(9, 2, INSERT)),
         ),
     ],
-    ids=[
-        "alg3-item", "alg3-batch", "star-insert-only-item",
-        "star-insert-only-batch", "star-turnstile-item",
-        "star-turnstile-batch",
-    ],
+    ids=["alg3-batch", "star-insert-only-batch", "star-turnstile-batch"],
 )
 def test_rejected_chunk_is_not_counted(build, feed):
     processor = build()

@@ -18,7 +18,7 @@ from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
 from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import StreamProcessor, ensure_stream_processor
+from repro.engine import BatchIngest, StreamProcessor, ensure_stream_processor
 
 import random
 
@@ -47,6 +47,7 @@ def every_structure():
 def test_conforms_to_stream_processor(structure):
     assert isinstance(structure, StreamProcessor)
     assert ensure_stream_processor(structure) is structure
+    assert isinstance(structure, BatchIngest)  # the shared process(source)
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,18 @@
-"""Batch/per-item equivalence for every structure with a `process_batch`.
+"""Chunk-size invariance for every structure with a `process_batch`.
 
 The columnar engine's contract: for the deterministic structures and for
 the randomized ones driven by a seeded RNG, feeding a stream through
-``process_batch`` (at any chunk size, including chunks that split a
+``process_batch`` at any chunk size (including chunks that split a
 vertex's d1 crossing) produces exactly the same state, query answers,
-space accounting, and success flags as feeding it through
-``process_item``.  Misra-Gries and SpaceSaving use weight-collapsed
-batch paths whose counters may legitimately differ from the interleaved
-per-item schedule; for those the tests assert the structures' error
-guarantees instead.
+space accounting, and success flags as feeding it one update per chunk.
+Algorithm 1 is also checked against an RNG-free residency oracle.
+Misra-Gries and SpaceSaving use weight-collapsed batch paths whose
+counters may legitimately differ across chunk sizes; for those the
+tests assert the structures' error guarantees instead.
 """
 
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from repro.baselines import (
     FirstKWitnessCollector,
     FullStorage,
     MisraGries,
+    MisraGriesWithWitnesses,
     SpaceSaving,
 )
 from repro.core.deg_res_sampling import DegResSampling
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.sketch.l0 import L0SamplerBank
-from repro.streams.columnar import ColumnarEdgeStream, process_columnar
+from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
     adversarial_interleaved_stream,
@@ -36,7 +38,8 @@ from repro.streams.generators import (
     zipf_frequency_stream,
 )
 
-CHUNK_SIZES = (1, 7, 100, 1000, 10**6)
+#: Each is compared against chunk size 1, one update per chunk.
+CHUNK_SIZES = (7, 100, 1000, 10**6)
 
 
 def zipf(seed, n=64, records=1500, exponent=1.3):
@@ -53,16 +56,36 @@ def churn(seed):
     return stream, ColumnarEdgeStream.from_edge_stream(stream)
 
 
+def assert_residency_oracle(run, a, b):
+    """Algorithm 1's state, predicted without its RNG.
+
+    A vertex crosses ``d1`` once and is admitted only at its crossing,
+    so a vertex still resident at the end holds the witnesses of its
+    ``d1``-th through ``(d1 + d2 - 1)``-th occurrences, in stream order;
+    the candidate count is the number of vertices of degree >= ``d1``;
+    and the reservoir holds ``min(s, candidates)`` vertices.
+    """
+    occurrences = defaultdict(list)
+    for vertex, witness in zip(a.tolist(), b.tolist()):
+        occurrences[vertex].append(witness)
+    candidates = sum(len(seen) >= run.d1 for seen in occurrences.values())
+    assert run._candidates_seen == candidates
+    assert len(run._reservoir) == min(run.s, candidates)
+    assert sorted(run._resident) == sorted(run._reservoir)
+    for vertex, witnesses in run._reservoir.items():
+        start = run.d1 - 1
+        assert witnesses == occurrences[vertex][start : start + run.d2]
+
+
 class TestAlgorithm2:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_bit_identical_state(self, seed, chunk):
-        stream, columnar = zipf(seed)
-        per_item = InsertionOnlyFEwW(64, 60, 2, seed=seed)
-        for item in stream:
-            per_item.process_item(item)
-        batched = InsertionOnlyFEwW(64, 60, 2, seed=seed)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = zipf(seed)
+        per_item, batched = (
+            InsertionOnlyFEwW(64, 60, 2, seed=seed).process(columnar.chunks(size))
+            for size in (1, chunk)
+        )
         for run_item, run_batch in zip(per_item.runs, batched.runs):
             assert run_item._reservoir == run_batch._reservoir
             assert run_item._resident == run_batch._resident
@@ -83,47 +106,48 @@ class TestAlgorithm2:
             decoy_degree=30,
         )
         columnar = ColumnarEdgeStream.from_edge_stream(stream)
+
+        def in_chunks_of(size):
+            run = DegResSampling(32, 30, 10, 3, random.Random(7))
+            return run.process(columnar.chunks(size))
+
+        per_item = in_chunks_of(1)
+        assert_residency_oracle(per_item, columnar.a, columnar.b)
         # Decoy i crosses d1=30 at position 30*i - 1; chunk sizes 29, 30
         # and 31 place boundaries on, before, and after crossings.
         for chunk in (29, 30, 31):
-            per_item = DegResSampling(32, 30, 10, 3, random.Random(7))
-            for item in stream:
-                per_item.process_item(item)
-            batched = DegResSampling(32, 30, 10, 3, random.Random(7))
-            for a, b, sign in columnar.chunks(chunk):
-                batched.process_batch(a, b, sign)
+            batched = in_chunks_of(chunk)
             assert per_item._reservoir == batched._reservoir
             assert per_item._resident == batched._resident
             assert per_item._candidates_seen == batched._candidates_seen
             assert per_item.successful == batched.successful
             assert per_item.space_words() == batched.space_words()
 
-    def test_fast_path_skip_changes_nothing(self):
-        """process_item's no-op skip must not affect any run's trajectory."""
-        stream, _ = zipf(3)
-        algorithm = InsertionOnlyFEwW(64, 60, 4, seed=3)
-        for item in stream:
-            algorithm.process_item(item)
-        reference = InsertionOnlyFEwW(64, 60, 4, seed=3)
-        for item in stream:
-            degree = reference._degrees.increment(item.edge.a)
-            for run in reference.runs:  # unconditional fan-out
-                run.observe_edge(item.edge.a, item.edge.b, degree)
-        for run_a, run_b in zip(algorithm.runs, reference.runs):
-            assert run_a._reservoir == run_b._reservoir
-            assert run_a._candidates_seen == run_b._candidates_seen
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("chunk", (1, 7, 1000))
+    def test_residency_oracle(self, seed, chunk):
+        """Every run of Algorithm 2 (thresholds 1, 15, 30, 45 here) and a
+        standalone Algorithm 1 with a reservoir small enough to evict."""
+        _, columnar = zipf(seed)
+        algorithm = InsertionOnlyFEwW(64, 60, 4, seed=seed)
+        algorithm.process(columnar.chunks(chunk))
+        single = DegResSampling(64, 10, 8, 3, random.Random(seed))
+        single.process(columnar.chunks(chunk))
+        for run in algorithm.runs + [single]:
+            assert_residency_oracle(run, columnar.a, columnar.b)
 
 
 class TestAlgorithm3:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("chunk", (1, 13, 1000))
+    @pytest.mark.parametrize("chunk", (13, 1000))
     def test_identical_results_fast_mode(self, seed, chunk):
-        stream, columnar = churn(seed)
-        per_item = InsertionDeletionFEwW(20, 40, 8, 2, seed=seed, scale=0.2)
-        for item in stream:
-            per_item.process_item(item)
-        batched = InsertionDeletionFEwW(20, 40, 8, 2, seed=seed, scale=0.2)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = churn(seed)
+        per_item, batched = (
+            InsertionDeletionFEwW(20, 40, 8, 2, seed=seed, scale=0.2).process(
+                columnar.chunks(size)
+            )
+            for size in (1, chunk)
+        )
         assert per_item.successful == batched.successful
         assert per_item._collected() == batched._collected()
         assert per_item.space_words() == batched.space_words()
@@ -138,12 +162,11 @@ class TestAlgorithm3:
 class TestLinearSketches:
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_count_min_bit_identical(self, chunk):
-        stream, columnar = churn(1)
-        per_item = CountMinSketch(0.05, 0.05, seed=9)
-        for item in stream:
-            per_item.process_item(item)
-        batched = CountMinSketch(0.05, 0.05, seed=9)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = churn(1)
+        per_item, batched = (
+            CountMinSketch(0.05, 0.05, seed=9).process(columnar.chunks(size))
+            for size in (1, chunk)
+        )
         assert (per_item._table == batched._table).all()
         assert all(
             per_item.estimate(a) == batched.estimate(a) for a in range(20)
@@ -151,12 +174,11 @@ class TestLinearSketches:
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_count_sketch_bit_identical(self, chunk):
-        stream, columnar = churn(3)
-        per_item = CountSketch(32, rows=5, seed=11)
-        for item in stream:
-            per_item.process_item(item)
-        batched = CountSketch(32, rows=5, seed=11)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = churn(3)
+        per_item, batched = (
+            CountSketch(32, rows=5, seed=11).process(columnar.chunks(size))
+            for size in (1, chunk)
+        )
         assert (per_item._table == batched._table).all()
         assert all(
             per_item.estimate(a) == batched.estimate(a) for a in range(20)
@@ -183,26 +205,34 @@ class TestLinearSketches:
 class TestExactStores:
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_full_storage_identical(self, chunk):
-        stream, columnar = churn(4)
-        per_item = FullStorage(20, 40)
-        for item in stream:
-            per_item.process_item(item)
-        batched = FullStorage(20, 40)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = churn(4)
+        per_item, batched = (
+            FullStorage(20, 40).process(columnar.chunks(size)) for size in (1, chunk)
+        )
         assert per_item._neighbours == batched._neighbours
         assert per_item.space_words() == batched.space_words()
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_first_k_collector_identical(self, chunk):
-        stream, columnar = zipf(6)
-        per_item = FirstKWitnessCollector(64, 5)
-        for item in stream:
-            per_item.process_item(item)
-        batched = FirstKWitnessCollector(64, 5)
-        process_columnar(batched, columnar, chunk_size=chunk)
+        _, columnar = zipf(6)
+        per_item, batched = (
+            FirstKWitnessCollector(64, 5).process(columnar.chunks(size))
+            for size in (1, chunk)
+        )
         assert per_item._witnesses == batched._witnesses
         assert per_item._degrees == batched._degrees
         assert per_item.space_words() == batched.space_words()
+
+    @pytest.mark.parametrize("chunk", (7, 1000))
+    def test_mg_with_witnesses_identical(self, chunk):
+        _, columnar = zipf(9)
+        per_item, batched = (
+            MisraGriesWithWitnesses(6, 9).process(columnar.chunks(size))
+            for size in (1, chunk)
+        )
+        assert per_item._counters == batched._counters
+        assert per_item._witnesses == batched._witnesses
+        assert per_item.witnesses_lost == batched.witnesses_lost
 
 
 class TestWeightedSummaries:
@@ -215,8 +245,7 @@ class TestWeightedSummaries:
         truth = {}
         for item in stream:
             truth[item.edge.a] = truth.get(item.edge.a, 0) + 1
-        summary = MisraGries(8)
-        process_columnar(summary, columnar, chunk_size=chunk)
+        summary = MisraGries(8).process(columnar.chunks(chunk))
         assert summary._length == len(stream)
         assert len(summary._counters) <= summary.k
         bound = summary.error_bound()
@@ -231,8 +260,7 @@ class TestWeightedSummaries:
         truth = {}
         for item in stream:
             truth[item.edge.a] = truth.get(item.edge.a, 0) + 1
-        summary = SpaceSaving(8)
-        process_columnar(summary, columnar, chunk_size=chunk)
+        summary = SpaceSaving(8).process(columnar.chunks(chunk))
         assert summary._length == len(stream)
         assert len(summary._counters) <= summary.k
         min_counter = min(summary._counters.values())
@@ -244,7 +272,7 @@ class TestWeightedSummaries:
 
     def test_batch_matches_per_item_on_grouped_streams(self):
         """When every item's occurrences are consecutive, the weighted
-        batch path reproduces the per-item trajectory exactly."""
+        batch path reproduces the scalar update trajectory exactly."""
         items = [0] * 5 + [1] * 3 + [2] * 4 + [3] * 2 + [4] * 6
         a = np.array(items, dtype=np.int64)
         b = np.arange(len(items), dtype=np.int64)

@@ -1,12 +1,11 @@
-"""Engine vs per-item equivalence for the extension wrappers.
+"""Chunk-size invariance for Star Detection, and one fanout pass
+feeding the extension wrappers.
 
-PR 1 proved ``process_batch`` bit-identical to ``process_item`` for the
-core structures; this suite extends the contract up the stack: driving
-Star Detection, top-k, and tumbling windows through the batch engine
-(any chunk size, including chunks that straddle window boundaries)
-produces *bit-identical* output to the old hand-rolled per-item loops —
+Driving Star Detection through the batch engine at any chunk size
+produces *bit-identical* output to feeding it one update per chunk —
 same winners, same witness sets, same per-guess reservoir states, same
-space accounting.
+space accounting.  Top-k and tumbling windows are pinned the same way
+by ``test_registry_process.py`` and ``test_window_equivalence.py``.
 """
 
 import numpy as np
@@ -16,19 +15,16 @@ from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
 from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import FanoutRunner
-from repro.streams.adapters import (
-    bipartite_double_cover,
-    bipartite_double_cover_columnar,
-)
+from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
     planted_star_graph,
     planted_star_undirected,
-    zipf_frequency_stream,
 )
 
-CHUNK_SIZES = (1, 7, 100, 10**6)
+#: Each is compared against chunk size 1, one update per chunk.
+CHUNK_SIZES = (7, 100, 10**6)
 
 
 def undirected_instance(seed=11, n_vertices=48, n_edges=260, star_degree=30):
@@ -43,8 +39,7 @@ class TestStarDetectionEquivalence:
     def test_insertion_only_bit_identical(self, chunk_size):
         pairs, cover = undirected_instance()
         per_item = StarDetection(cover.n, alpha=2, eps=0.5, seed=3)
-        for item in bipartite_double_cover(pairs, cover.n):
-            per_item.process_item(item)
+        per_item.process(cover.chunks(1))
         engine = StarDetection(cover.n, alpha=2, eps=0.5, seed=3)
         for a, b, sign in cover.chunks(chunk_size):
             engine.process_batch(a, b, sign)
@@ -66,11 +61,10 @@ class TestStarDetectionEquivalence:
         )
         assert per_item.space_words() == engine.space_words()
 
-    def test_process_undirected_matches_process_item(self):
+    def test_process_undirected_matches_chunk_size_one(self):
         pairs, cover = undirected_instance(seed=12)
         reference = StarDetection(cover.n, alpha=2, eps=0.5, seed=4)
-        for item in bipartite_double_cover(pairs, cover.n):
-            reference.process_item(item)
+        reference.process(cover.chunks(1))
         through_adapter = StarDetection(cover.n, alpha=2, eps=0.5, seed=4)
         through_adapter.process_undirected(pairs)
         assert reference.result().vertex == through_adapter.result().vertex
@@ -81,13 +75,11 @@ class TestStarDetectionEquivalence:
 
     def test_insertion_deletion_model_through_engine(self):
         pairs, cover = undirected_instance(seed=13, n_edges=200)
-        signs = [1] * len(pairs)
         per_item = StarDetection(
             cover.n, alpha=2, eps=0.5, model="insertion-deletion",
             seed=5, scale=0.3,
         )
-        for item in bipartite_double_cover(pairs, cover.n, signs):
-            per_item.process_item(item)
+        per_item.process(cover.chunks(1))
         engine = StarDetection(
             cover.n, alpha=2, eps=0.5, model="insertion-deletion",
             seed=5, scale=0.3,
@@ -103,72 +95,6 @@ class TestStarDetectionEquivalence:
         detector = StarDetection(8, alpha=2, seed=0)
         with pytest.raises(ValueError, match="deletions"):
             detector.process_batch(
-                np.array([0]), np.array([1]), np.array([-1])
-            )
-
-
-class TestTopKEquivalence:
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_results_bit_identical(self, chunk_size):
-        stream = zipf_frequency_stream(
-            GeneratorConfig(n=48, m=1200, seed=21), n_records=1000
-        )
-        d = stream.max_degree() // 2
-        per_item = TopKFEwW(stream.n, d, 2, k=3, seed=9)
-        for item in stream:
-            per_item.process_item(item)
-        engine = TopKFEwW(stream.n, d, 2, k=3, seed=9)
-        columnar = ColumnarEdgeStream.from_edge_stream(stream)
-        for a, b, sign in columnar.chunks(chunk_size):
-            engine.process_batch(a, b, sign)
-        expected = [
-            (nb.vertex, nb.witnesses) for nb in per_item.results()
-        ]
-        actual = [(nb.vertex, nb.witnesses) for nb in engine.results()]
-        assert actual == expected
-        assert per_item.space_words() == engine.space_words()
-
-
-class TestTumblingWindowEquivalence:
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    @pytest.mark.parametrize("window", (37, 100, 251))
-    def test_windows_bit_identical(self, chunk_size, window):
-        """Chunks split at window boundaries: every window result matches."""
-        stream = planted_star_graph(
-            GeneratorConfig(n=32, m=512, seed=31),
-            star_degree=40,
-            background_degree=4,
-        )
-        per_item = TumblingWindowFEwW(stream.n, 8, 2, window=window, seed=13)
-        for item in stream:
-            per_item.process_item(item)
-        per_item.flush()
-        engine = TumblingWindowFEwW(stream.n, 8, 2, window=window, seed=13)
-        columnar = ColumnarEdgeStream.from_edge_stream(stream)
-        for a, b, sign in columnar.chunks(chunk_size):
-            engine.process_batch(a, b, sign)
-        engine_windows = engine.finalize()  # flush + completed windows
-        reference = per_item.completed_windows()
-        assert len(engine_windows) == len(reference)
-        for expected, actual in zip(reference, engine_windows):
-            assert expected.window_index == actual.window_index
-            assert expected.start_update == actual.start_update
-            assert expected.end_update == actual.end_update
-            assert expected.found == actual.found
-            if expected.found:
-                assert (
-                    expected.neighbourhood.vertex
-                    == actual.neighbourhood.vertex
-                )
-                assert (
-                    expected.neighbourhood.witnesses
-                    == actual.neighbourhood.witnesses
-                )
-
-    def test_deletions_rejected_in_batch(self):
-        windowed = TumblingWindowFEwW(8, 2, 2, window=4, seed=0)
-        with pytest.raises(ValueError, match="insertion-only"):
-            windowed.process_batch(
                 np.array([0]), np.array([1]), np.array([-1])
             )
 
@@ -196,9 +122,7 @@ class TestFanoutAcrossWrappers:
         assert results["topk"][0].vertex == 0
         assert results["windows"], "no windows completed"
         # Solo runs from the same seeds are bit-identical.
-        solo = TopKFEwW(stream.n, 16, 2, k=2, seed=2)
-        for item in stream:
-            solo.process_item(item)
+        solo = TopKFEwW(stream.n, 16, 2, k=2, seed=2).process(stream)
         assert [nb.vertex for nb in results["topk"]] == [
             nb.vertex for nb in solo.results()
         ]

@@ -43,15 +43,17 @@ class TestMalformedStreams:
     def test_insertion_only_algorithm_rejects_any_delete(self):
         algorithm = InsertionOnlyFEwW(4, 2, 1, seed=0)
         with pytest.raises(ValueError, match="insertion-only"):
-            algorithm.process_item(StreamItem(Edge(0, 0), DELETE))
+            algorithm.process_batch(
+                np.array([0]), np.array([0]), np.array([DELETE])
+            )
 
     def test_out_of_range_vertex_rejected_by_algorithms(self):
         io_algorithm = InsertionOnlyFEwW(4, 2, 1, seed=0)
         with pytest.raises(ValueError):
-            io_algorithm.process_item(StreamItem(Edge(7, 0)))
+            io_algorithm.process_batch(np.array([7]), np.array([0]))
         id_algorithm = InsertionDeletionFEwW(4, 4, 2, 1, seed=0, scale=0.1)
         with pytest.raises(ValueError):
-            id_algorithm.process_item(StreamItem(Edge(0, 9)))
+            id_algorithm.process_batch(np.array([0]), np.array([9]))
 
 
 class TestHostileParameters:
@@ -65,8 +67,7 @@ class TestHostileParameters:
 
     def test_threshold_above_m_is_unreachable_but_safe(self):
         algorithm = InsertionOnlyFEwW(8, 100, 1, seed=0)
-        for b in range(8):
-            algorithm.process_item(StreamItem(Edge(0, b)))
+        algorithm.process_batch(np.zeros(8, dtype=np.int64), np.arange(8))
         assert not algorithm.successful
 
     def test_alpha_larger_than_d_still_sound(self):
@@ -81,8 +82,7 @@ class TestHostileParameters:
 
     def test_degenerate_single_vertex_universe(self):
         algorithm = InsertionOnlyFEwW(1, 3, 1, seed=0)
-        for b in range(3):
-            algorithm.process_item(StreamItem(Edge(0, b)))
+        algorithm.process_batch(np.zeros(3, dtype=np.int64), np.arange(3))
         assert algorithm.result().vertex == 0
 
     def test_insertion_deletion_promise_violation_fails_not_fabricates(self):
@@ -101,26 +101,23 @@ class TestMidStreamQuerying:
     def test_result_reflects_prefix_only(self):
         """Querying mid-stream is legal and answers for the prefix."""
         algorithm = InsertionOnlyFEwW(8, 4, 1, seed=0)
-        for b in range(4):
-            algorithm.process_item(StreamItem(Edge(0, b)))
+        algorithm.process_batch(np.zeros(4, dtype=np.int64), np.arange(4))
         prefix_result = algorithm.result()
         assert prefix_result.witnesses <= set(range(4))
-        for b in range(4, 8):
-            algorithm.process_item(StreamItem(Edge(1, b)))
+        algorithm.process_batch(np.ones(4, dtype=np.int64), np.arange(4, 8))
         assert algorithm.result().vertex == prefix_result.vertex
 
     def test_insertion_deletion_cache_invalidated_by_updates(self):
         """Algorithm 3 memoises its sampler query; new updates must
         invalidate the memo."""
         algorithm = InsertionDeletionFEwW(8, 16, 2, 1, seed=7, scale=0.3)
-        for b in range(2):
-            algorithm.process_item(StreamItem(Edge(0, b)))
+        algorithm.process_batch(np.zeros(2, dtype=np.int64), np.arange(2))
         first = algorithm.result()
         assert first.vertex == 0
-        for b in range(8):
-            algorithm.process_item(StreamItem(Edge(3, 8 + b)))
-        algorithm.process_item(StreamItem(Edge(0, 0), DELETE))
-        algorithm.process_item(StreamItem(Edge(0, 1), DELETE))
+        algorithm.process_batch(np.full(8, 3), np.arange(8, 16))
+        algorithm.process_batch(
+            np.zeros(2, dtype=np.int64), np.arange(2), np.full(2, DELETE)
+        )
         second = algorithm.result()
         assert second.vertex == 3
 

@@ -6,8 +6,8 @@ threshold-LUT crossing scan (insertion-only), one netting pass
 (insertion-deletion) — across the whole ``O(log_{1+ε} n)`` ladder.  The
 contract is that none of this hoisting is observable: the resulting
 state is bit-identical to the pre-fusion wrapper, which ran one fully
-independent algorithm instance per degree guess and fed every update to
-each of them one item at a time.
+independent algorithm instance per degree guess and fed the whole
+stream to each of them separately.
 
 The legacy wrapper is embedded here as the frozen reference
 (:class:`_LegacyLadder`): it reproduces the original seeding discipline
@@ -28,7 +28,6 @@ from repro.core.star_detection import StarDetection, degree_guesses
 from repro.engine import FanoutRunner, ShardedRunner
 from repro.engine.sharded import fork_available
 from repro.streams.adapters import bipartite_double_cover_columnar
-from repro.streams.edge import Edge, StreamItem
 from repro.streams.persist import dump_stream
 
 N = 512
@@ -41,10 +40,10 @@ class _LegacyLadder:
     """The pre-fusion Star Detection: independent per-guess instances.
 
     Every rung is a standalone algorithm — Algorithm 2 rungs own their
-    own degree counter (``own_degrees=True``) and every stream item is
-    fed to every rung through the per-item path.  This is the exact
-    execution the fused wrapper replaced; its seeding (root RNG,
-    64 bits per guess in ladder order) matches ``StarDetection.__init__``.
+    own degree counter (``own_degrees=True``) and each rung consumes the
+    whole stream on its own.  This is the exact execution the fused
+    wrapper replaced; its seeding (root RNG, 64 bits per guess in ladder
+    order) matches ``StarDetection.__init__``.
     """
 
     def __init__(self, n, alpha, eps, seed, model="insertion-only", scale=1.0):
@@ -63,12 +62,9 @@ class _LegacyLadder:
                 )
             self._runs.append((guess, algorithm))
 
-    def process_cover(self, a, b, sign=None):
-        signs = [1] * len(a) if sign is None else [int(s) for s in sign]
-        for aa, bb, ss in zip(a.tolist(), b.tolist(), signs):
-            item = StreamItem(Edge(aa, bb), ss)
-            for _, algorithm in self._runs:
-                algorithm.process_item(item)
+    def process_cover(self, cover):
+        for _, algorithm in self._runs:
+            algorithm.process(cover)
 
     def result(self):
         best = None
@@ -118,8 +114,10 @@ def cover():
 
 
 class TestInsertionOnlyLadder:
-    @pytest.mark.parametrize("chunk", (1, 37, 100_000))
-    def test_fused_batch_matches_legacy_per_item(self, cover, chunk):
+    # Chunk size 1 is pinned against larger chunks for the whole
+    # detector in test_engine_equivalence.py.
+    @pytest.mark.parametrize("chunk", (37, 100_000))
+    def test_fused_batch_matches_legacy_ladder(self, cover, chunk):
         fused = StarDetection(N, ALPHA, eps=EPS, seed=SEED)
         legacy = _LegacyLadder(N, ALPHA, EPS, SEED)
         for lo in range(0, len(cover.a), chunk):
@@ -128,7 +126,7 @@ class TestInsertionOnlyLadder:
                 cover.b[lo : lo + chunk],
                 cover.sign[lo : lo + chunk],
             )
-        legacy.process_cover(cover.a, cover.b, cover.sign)
+        legacy.process_cover(cover)
         assert _ladder_state(fused._runs) == _ladder_state(legacy._runs)
         # The shared ladder counter must equal every legacy rung's own
         # counter (they all observed the identical stream).
@@ -142,17 +140,6 @@ class TestInsertionOnlyLadder:
             theirs[0].vertex,
             theirs[1],
             sorted(theirs[0].witnesses),
-        )
-
-    def test_item_path_matches_batch_path(self, cover):
-        by_item = StarDetection(N, ALPHA, eps=EPS, seed=SEED)
-        for aa, bb in zip(cover.a.tolist(), cover.b.tolist()):
-            by_item.process_item(StreamItem(Edge(aa, bb), 1))
-        by_batch = StarDetection(N, ALPHA, eps=EPS, seed=SEED)
-        by_batch.process_batch(cover.a, cover.b, cover.sign)
-        assert _ladder_state(by_item._runs) == _ladder_state(by_batch._runs)
-        assert np.array_equal(
-            by_item._degrees._degrees, by_batch._degrees._degrees
         )
 
     def test_split_merge_degree_table_matches_single_pass(self, cover):
@@ -173,7 +160,7 @@ class TestInsertionOnlyLadder:
 
 class TestInsertionDeletionLadder:
     @pytest.mark.parametrize("chunk", (1, 97, 100_000))
-    def test_netting_hoist_matches_legacy_per_item(self, chunk):
+    def test_netting_hoist_matches_legacy_ladder(self, chunk):
         u, v = _insertion_stream(seed=11, n=64, size=800)
         cover = bipartite_double_cover_columnar(u, v, 64, None)
         fused = StarDetection(
@@ -188,7 +175,7 @@ class TestInsertionDeletionLadder:
                 cover.b[lo : lo + chunk],
                 cover.sign[lo : lo + chunk],
             )
-        legacy.process_cover(cover.a, cover.b, cover.sign)
+        legacy.process_cover(cover)
         for (g1, mine), (g2, theirs) in zip(fused._runs, legacy._runs):
             assert g1 == g2
             assert mine._updates_seen == theirs._updates_seen

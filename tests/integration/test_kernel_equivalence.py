@@ -8,7 +8,8 @@ against the current scalar paths alone — so a future "optimisation"
 that silently changes results cannot pass by being compared to itself.
 
 * CountSketch / CountMin: bit-identical tables and estimates.
-* Algorithm 3: bit-identical bank state and samples (linear sketches).
+* Algorithm 3: insert-only ``sign=None`` chunks answer like one
+  update per chunk.
 * SpaceSaving: guarantee-identical *and* state-identical — same
   estimates, same overestimate bounds, same eviction tie-break order
   (the legacy ``min()`` evicts the first minimal counter in tracking
@@ -27,7 +28,6 @@ from repro.baselines.count_min import CountMinSketch
 from repro.baselines.count_sketch import CountSketch
 from repro.baselines.space_saving import SpaceSaving
 from repro.core.insertion_deletion import InsertionDeletionFEwW
-from repro.streams.edge import Edge, StreamItem
 
 
 # ----------------------------------------------------------------------
@@ -321,59 +321,11 @@ def test_space_saving_interleaved_scalar_and_batch():
 
 
 # ----------------------------------------------------------------------
-# Algorithm 3: the netting pass against the frozen per-item path.
+# Algorithm 3: the cached insert-signs path.
 # ----------------------------------------------------------------------
 
 
-def alg3_stream(seed: int, n: int, m: int, length: int):
-    """A turnstile edge stream whose deletions only cancel live edges."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, length).astype(np.int64)
-    b = rng.integers(0, m, length).astype(np.int64)
-    sign = np.ones(length, dtype=np.int64)
-    live: Dict[Tuple[int, int], int] = {}
-    for index in range(length):
-        edge = (int(a[index]), int(b[index]))
-        if live.get(edge, 0) > 0 and rng.random() < 0.35:
-            sign[index] = -1
-            live[edge] -= 1
-        else:
-            live[edge] = live.get(edge, 0) + 1
-    return a, b, sign
-
-
-@pytest.mark.parametrize("scale", [0.05, 0.3])
-def test_alg3_netting_pass_matches_per_item(scale):
-    """Fused netting (one unique pass, per-bank nets) vs the frozen
-    per-item route — ``process_item`` is the unchanged legacy scalar
-    path.  Banks are linear, so the state must match bit for bit."""
-    n, m = 48, 64
-    a, b, sign = alg3_stream(seed=53, n=n, m=m, length=6000)
-    batched = InsertionDeletionFEwW(n, m, 8, 2, seed=9, scale=scale)
-    scalar = InsertionDeletionFEwW(n, m, 8, 2, seed=9, scale=scale)
-    for start in range(0, len(a), 1024):
-        stop = start + 1024
-        batched.process_batch(a[start:stop], b[start:stop], sign[start:stop])
-    for index in range(len(a)):
-        scalar.process_item(
-            StreamItem(Edge(int(a[index]), int(b[index])), int(sign[index]))
-        )
-
-    def bank_state(algorithm):
-        state = {"edge": None, "vertex": {}}
-        bank = algorithm._edge_bank
-        if bank is not None:
-            state["edge"] = sorted(bank._support.items())
-        for vertex, vertex_bank in algorithm._vertex_banks.items():
-            state["vertex"][vertex] = sorted(vertex_bank._support.items())
-        return state
-
-    assert bank_state(batched) == bank_state(scalar)
-    # Same support + same seeds => identical sampler draws at query time.
-    assert batched.result() == scalar.result()
-
-
-def test_alg3_insert_only_chunks_match_per_item():
+def test_alg3_insert_only_chunks_match_chunk_size_one():
     """sign=None chunks (the cached insert-signs path) stay identical."""
     n, m = 32, 40
     rng = np.random.default_rng(59)
@@ -385,5 +337,5 @@ def test_alg3_insert_only_chunks_match_per_item():
         stop = start + 512
         batched.process_batch(a[start:stop], b[start:stop], None)
     for index in range(len(a)):
-        scalar.process_item(StreamItem(Edge(int(a[index]), int(b[index]))))
+        scalar.process_batch(a[index : index + 1], b[index : index + 1], None)
     assert batched.result() == scalar.result()

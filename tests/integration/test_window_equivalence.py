@@ -7,7 +7,8 @@ Three pillars of the window subsystem:
   per-item loop (fresh Algorithm 2 per window, the same
   ``seed * 1_000_003 + index`` derivation, result() caught per window)
   is compared window by window against the refactored wrapper on
-  seeded streams, through both the per-item and the engine chunk path.
+  seeded streams, at chunk size 1 and at a chunk size that straddles
+  window boundaries.
 
 * **The smooth-histogram sliding window meets its (1+eps) bucket
   bound** — the answer is an *exact* summary of the trailing ``L``
@@ -87,7 +88,8 @@ class LegacyTumblingWindow:
         self._current = self._fresh_instance()
 
     def process_item(self, item):
-        self._current.process_item(item)
+        edge = item.edge
+        self._current.process_batch(np.array([edge.a]), np.array([edge.b]))
         self._updates_in_window += 1
         if self._updates_in_window == self.window:
             self._close_window()
@@ -129,9 +131,10 @@ def fingerprint_new(windows):
 
 
 class TestTumblingLegacyEquivalence:
+    @pytest.mark.parametrize("chunk", (1, CHUNK, 10**6))
     @pytest.mark.parametrize("window", (37, 100, 256))
     @pytest.mark.parametrize("seed", (0, 19))
-    def test_engine_path_bit_identical_to_legacy_loop(self, window, seed):
+    def test_engine_path_bit_identical_to_legacy_loop(self, window, seed, chunk):
         stream = zipf_frequency_columnar(
             GeneratorConfig(n=48, m=1500, seed=61), 1500, exponent=1.3
         )
@@ -139,21 +142,19 @@ class TestTumblingLegacyEquivalence:
         legacy_windows = legacy.run(stream)
 
         refactored = TumblingWindowFEwW(48, 30, 2, window=window, seed=seed)
-        for a, b, sign in stream.chunks(CHUNK):
-            refactored.process_batch(a, b, sign)
+        refactored.process(stream.chunks(chunk))
         assert fingerprint_new(refactored.finalize()) == fingerprint_legacy(
             legacy_windows
         )
 
-    def test_per_item_path_bit_identical_to_legacy_loop(self):
+    def test_chunk_size_one_bit_identical_to_legacy_loop(self):
         stream = planted_star_graph(
             GeneratorConfig(n=32, m=256, seed=7), star_degree=60,
             background_degree=3,
         )
         legacy_windows = LegacyTumblingWindow(32, 20, 2, 50, seed=5).run(stream)
         refactored = TumblingWindowFEwW(32, 20, 2, window=50, seed=5)
-        for item in stream:
-            refactored.process_item(item)
+        refactored.process(ColumnarEdgeStream.from_edge_stream(stream).chunks(1))
         assert fingerprint_new(refactored.finalize()) == fingerprint_legacy(
             legacy_windows
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.spacemeter.tracker import SpaceTracker
-from repro.streams.edge import Edge, StreamItem
+from repro.streams.edge import Edge
 from repro.streams.generators import GeneratorConfig, planted_star_graph
 from repro.streams.stream import stream_from_edges
 
@@ -15,8 +15,8 @@ class FakeAlgorithm:
     def __init__(self):
         self._words = 10
 
-    def process_item(self, item):
-        self._words += 2
+    def process_batch(self, a, b, sign=None):
+        self._words += 2 * len(a)
 
     def space_words(self):
         return self._words

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.protocol import BatchIngest
 from repro.streams.columnar import (
     ColumnarEdgeStream,
     group_slices,
     occurrence_ordinals,
-    process_columnar,
 )
 from repro.streams.edge import DELETE, INSERT, Edge, StreamItem
 from repro.streams.generators import (
@@ -240,8 +240,8 @@ class TestColumnarGenerators:
         assert (first.b == second.b).all()
 
 
-def test_process_columnar_drives_chunks():
-    class Recorder:
+def test_process_drives_the_chunks_it_is_given():
+    class Recorder(BatchIngest):
         def __init__(self):
             self.batches = []
 
@@ -249,7 +249,7 @@ def test_process_columnar_drives_chunks():
             self.batches.append(len(a))
 
     stream = make(list(range(10)), list(range(10)))
-    recorder = process_columnar(Recorder(), stream, chunk_size=4)
+    recorder = Recorder().process(stream.chunks(4))
     assert recorder.batches == [4, 4, 2]
 
 
