@@ -12,7 +12,7 @@ best single run's on the cascade, and the union rate is near 1.
 
 import random
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.streams.generators import GeneratorConfig, degree_cascade_graph
 
@@ -35,7 +35,9 @@ def test_e11_parallel_runs_ablation(benchmark):
         d1 = max(1, (i * D) // ALPHA)
         successes = 0
         for seed in range(TRIALS):
-            run = DegResSampling(N, d1, d2, SMALL_RESERVOIR, random.Random(seed))
+            run = SharedDegreeRuns(
+                N, [DegResSampling(d1, d2, SMALL_RESERVOIR, random.Random(seed))]
+            )
             run.process(stream)
             successes += run.successful
         single_rates.append(successes / TRIALS)

@@ -12,7 +12,7 @@ monotone in ``s``.
 
 import random
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.streams.edge import Edge
 from repro.streams.stream import stream_from_edges
 from repro.theory.bounds import deg_res_success_lower_bound
@@ -39,7 +39,9 @@ def success_rate(s: int) -> float:
     successes = 0
     for seed in range(TRIALS):
         stream = build_instance(order_seed=seed)
-        algorithm = DegResSampling(N, D1, D2, s, random.Random(1000 + seed))
+        algorithm = SharedDegreeRuns(
+            N, [DegResSampling(D1, D2, s, random.Random(1000 + seed))]
+        )
         algorithm.process(stream)
         successes += algorithm.successful
     return successes / TRIALS
@@ -70,6 +72,8 @@ def test_e1_success_probability_vs_bound(benchmark):
     stream = build_instance(order_seed=0)
 
     def run_once():
-        DegResSampling(N, D1, D2, 8, random.Random(7)).process(stream)
+        SharedDegreeRuns(N, [DegResSampling(D1, D2, 8, random.Random(7))]).process(
+            stream
+        )
 
     benchmark(run_once)

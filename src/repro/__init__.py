@@ -40,6 +40,7 @@ from repro.core import (
     InsertionOnlyFEwW,
     Neighbourhood,
     SamplingStrategy,
+    SharedDegreeRuns,
     StarDetection,
     StarDetectionResult,
     TopKFEwW,
@@ -133,6 +134,7 @@ __all__ = [
     "ProcessorSpec",
     "SamplingStrategy",
     "ShardedRunner",
+    "SharedDegreeRuns",
     "SlidingPolicy",
     "SourceSpec",
     "StarDetection",

@@ -1,7 +1,9 @@
 """The paper's primary contribution: streaming algorithms for FEwW.
 
-* :class:`DegResSampling` — Algorithm 1, degree-based reservoir sampling
-  (``Deg-Res-Sampling(d1, d2, s)``);
+* :class:`DegResSampling` — one run of Algorithm 1, degree-based
+  reservoir sampling (``Deg-Res-Sampling(d1, d2, s)``), driven by
+  :class:`SharedDegreeRuns`, which owns the one degree table for any
+  number of runs;
 * :class:`InsertionOnlyFEwW` — Algorithm 2, the α-approximation for
   insertion-only streams (Theorem 3.2);
 * :class:`InsertionDeletionFEwW` — Algorithm 3, the α-approximation for
@@ -17,7 +19,7 @@ update is a length-1 chunk), then ``result()`` which returns a
 """
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood, verify_neighbourhood
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.insertion_deletion import InsertionDeletionFEwW, SamplingStrategy
 from repro.core.star_detection import StarDetection, StarDetectionResult
@@ -40,6 +42,7 @@ __all__ = [
     "InsertionOnlyFEwW",
     "Neighbourhood",
     "SamplingStrategy",
+    "SharedDegreeRuns",
     "StarDetection",
     "StarDetectionResult",
     "TopKFEwW",

@@ -14,20 +14,21 @@ The run *succeeds* if at least one stored neighbourhood reaches size
 ``d2`` (Lemma 3.1 lower-bounds that probability by
 ``1 - exp(-s * n2 / n1)``).
 
-This class supports two usage modes:
+The module splits the algorithm in two:
 
-* standalone — it maintains its own :class:`DegreeCounter`; feed it
-  column chunks via :meth:`process_batch` or whole streams via
-  :meth:`process` (one update is a length-1 chunk);
-* subroutine of Algorithm 2 — the parent owns one shared degree counter
-  and calls :meth:`observe_batch` with the post-increment degrees, so
-  the ``O(n log n)``-bit degree table is charged once, not α times
-  (matching Theorem 3.2's accounting).
+* :class:`DegResSampling` is one run's reservoir state — candidate
+  count, residents, collected witnesses and RNG — and nothing else;
+* :class:`SharedDegreeRuns` owns the one degree table and the chunk
+  step for any number of runs that share it.  The standalone Algorithm
+  1 is ``SharedDegreeRuns(n, [DegResSampling(d1, d2, s, rng)])``;
+  Algorithm 2 (Theorem 3.2's α runs) subclasses it, and Star Detection
+  holds one over every run of its guess ladder (Lemma 3.3), so the
+  ``O(n log n)``-bit table is counted, and charged, once.
 
-Either way a chunk replays its ``d1`` crossings in stream order, so the
-state is bit-identical at every chunk size.  A vertex crosses ``d1`` at
-most once and is admitted only at its crossing; a vertex still resident
-at the end therefore holds the ``b``s of its ``d1``-th through
+A chunk replays its ``d1`` crossings in stream order, so the state is
+bit-identical at every chunk size.  A vertex crosses ``d1`` at most
+once and is admitted only at its crossing; a vertex still resident at
+the end therefore holds the ``b``s of its ``d1``-th through
 ``(d1 + d2 - 1)``-th occurrences, in stream order.
 """
 
@@ -92,47 +93,31 @@ def collect_witnesses(requests, composite, order, b: np.ndarray) -> None:
         position += len(active)
 
 
-class DegResSampling(BatchIngest):
-    """One run of the paper's Algorithm 1.
+class DegResSampling:
+    """One run of the paper's Algorithm 1: its reservoir state.
+
+    The degree table and the chunk step live in the
+    :class:`SharedDegreeRuns` driving the run.
 
     Args:
-        n: number of A-vertices.
         d1: degree threshold that makes a vertex a reservoir candidate.
         d2: number of witnesses to collect per sampled vertex; reaching
             ``d2`` for any vertex means success.
         s: reservoir size.
         rng: randomness for the reservoir coin flips.
-        own_degrees: when True (standalone mode) the instance maintains
-            its own degree counter and accepts :meth:`process_batch`;
-            when False the caller must drive :meth:`observe_batch`.
     """
 
-    #: Degree counts and residency-window witness collection are exact
-    #: only when each vertex's updates stay in one shard (see
-    #: repro.engine.protocol).
-    shard_routing = "vertex"
-
-    def __init__(
-        self,
-        n: int,
-        d1: int,
-        d2: int,
-        s: int,
-        rng: random.Random,
-        own_degrees: bool = True,
-    ) -> None:
+    def __init__(self, d1: int, d2: int, s: int, rng: random.Random) -> None:
         if d1 < 1:
             raise ValueError(f"d1 must be >= 1, got {d1}")
         if d2 < 1:
             raise ValueError(f"d2 must be >= 1, got {d2}")
         if s < 1:
             raise ValueError(f"reservoir size s must be >= 1, got {s}")
-        self.n = n
         self.d1 = d1
         self.d2 = d2
         self.s = s
         self._rng = rng
-        self._degrees: Optional[DegreeCounter] = DegreeCounter(n) if own_degrees else None
         #: reservoir contents: vertex -> collected witnesses, in arrival order
         self._reservoir: Dict[int, List[int]] = {}
         #: resident vertices in arbitrary order, for O(1) random eviction
@@ -142,60 +127,8 @@ class DegResSampling(BatchIngest):
         self._candidates_seen = 0
 
     # ------------------------------------------------------------------
-    # Stream processing.
+    # The run's share of the chunk step (see SharedDegreeRuns).
     # ------------------------------------------------------------------
-
-    def observe_batch(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        degree_after: np.ndarray,
-        grouping=None,
-        crossings: Optional[np.ndarray] = None,
-    ) -> None:
-        """Algorithm 1's loop body (lines 4-14) for a chunk of insertions.
-
-        ``degree_after[i]`` must be the post-increment degree of ``a[i]``
-        (as produced by :meth:`DegreeCounter.increment_batch`);
-        ``grouping`` optionally reuses a precomputed stable
-        ``(order, starts, ends)`` grouping of ``a`` so Algorithm 2 can
-        share one sort across its α runs.  ``crossings`` optionally
-        passes the ascending positions where ``degree_after == d1``
-        (Star Detection extracts every guess's crossings from one shared
-        scan of the chunk instead of ``O(α log n)`` full rescans).
-
-        The reservoir only changes at the rare positions where a vertex
-        crosses ``d1``.  Those crossings replay reservoir maintenance in
-        stream order (one RNG trajectory at any chunk size), while
-        recording each vertex's *residency window* — admission position
-        to eviction.  Witness collection then runs once per end-resident
-        vertex: its chunk occurrences (one shared grouping pass) are
-        clipped to its window and the first ``d2 - len(stored)`` are
-        appended.  Appends to vertices evicted later in the chunk are
-        skipped — eviction discards those lists anyway — so the final
-        state is bit-identical at every chunk size.
-        """
-        n_items = len(a)
-        if n_items == 0:
-            return
-        if crossings is None:
-            crossings = np.flatnonzero(degree_after == self.d1)
-        windows = self._replay_crossings(a, b, crossings)
-        if not windows:
-            return
-        requests = self._witness_requests(windows, n_items)
-        if not requests[0]:
-            return
-        composite = None
-        if grouping is None:
-            order, _, _ = group_slices(a)
-        elif len(grouping) == 5:
-            order, composite = grouping[0], grouping[4]
-        else:
-            order = grouping[0]
-        if composite is None:
-            composite = a[order] * np.int64(n_items) + order
-        collect_witnesses([(self,) + requests], composite, order, b)
 
     def _replay_crossings(
         self, a: np.ndarray, b: np.ndarray, crossings: np.ndarray
@@ -308,28 +241,6 @@ class DegResSampling(BatchIngest):
                 cursor += count
         return cursor
 
-    def process_batch(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        sign: Optional[np.ndarray] = None,
-    ) -> None:
-        """Standalone-mode entry point for a column chunk of insertions.
-
-        ``sign``, when given, must be all-insert.
-        """
-        if self._degrees is None:
-            raise RuntimeError(
-                "this instance is driven externally (own_degrees=False); "
-                "use observe_batch"
-            )
-        if sign is not None and np.any(sign != INSERT):
-            raise ValueError("Deg-Res-Sampling only supports insertion-only streams")
-        a = np.ascontiguousarray(a, dtype=np.int64)
-        b = np.ascontiguousarray(b, dtype=np.int64)
-        degree_after = self._degrees.increment_batch(a)
-        self.observe_batch(a, b, degree_after)
-
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
     # ------------------------------------------------------------------
@@ -344,11 +255,10 @@ class DegResSampling(BatchIngest):
         mid-stream probe, so this is query-hot.
         """
         dup = object.__new__(DegResSampling)
-        dup.n, dup.d1, dup.d2, dup.s = self.n, self.d1, self.d2, self.s
+        dup.d1, dup.d2, dup.s = self.d1, self.d2, self.s
         rng = random.Random.__new__(random.Random)
         rng.setstate(self._rng.getstate())
         dup._rng = rng
-        dup._degrees = None if self._degrees is None else self._degrees.clone()
         dup._reservoir = {
             vertex: list(witnesses)
             for vertex, witnesses in self._reservoir.items()
@@ -358,7 +268,7 @@ class DegResSampling(BatchIngest):
         return dup
 
     def merge(self, other: "DegResSampling") -> "DegResSampling":
-        """Combine two runs over vertex-disjoint sub-streams.
+        """Combine two same-parameter runs over vertex-disjoint sub-streams.
 
         Candidate counts add; the merged reservoir is the union of both
         reservoirs.  Under vertex routing the keys are disjoint — each
@@ -375,28 +285,6 @@ class DegResSampling(BatchIngest):
         ``other`` is left unchanged and shares no list with the result:
         witness lists that move over are copied.
         """
-        if not isinstance(other, DegResSampling):
-            raise ValueError(
-                f"cannot merge DegResSampling with {type(other).__name__}"
-            )
-        if (self.n, self.d1, self.d2, self.s) != (
-            other.n,
-            other.d1,
-            other.d2,
-            other.s,
-        ):
-            raise ValueError(
-                f"cannot merge Deg-Res-Sampling(n={self.n}, d1={self.d1}, "
-                f"d2={self.d2}, s={self.s}) with (n={other.n}, "
-                f"d1={other.d1}, d2={other.d2}, s={other.s})"
-            )
-        if (self._degrees is None) != (other._degrees is None):
-            raise ValueError(
-                "cannot merge a standalone run (own_degrees=True) with an "
-                "externally driven one"
-            )
-        if self._degrees is not None and other._degrees is not None:
-            self._degrees.merge(other._degrees)
         self._candidates_seen += other._candidates_seen
         reservoir = self._reservoir
         resident = self._resident
@@ -414,16 +302,6 @@ class DegResSampling(BatchIngest):
                 del stored[d2:]
         return self
 
-    def split(self, n_shards: int) -> List["DegResSampling"]:
-        """``n_shards`` empty same-parameter shard runs (sharded runs)."""
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if self._candidates_seen or (
-            self._degrees is not None and self._degrees.max_degree() > 0
-        ):
-            raise RuntimeError("split() must be called before processing")
-        return [copy.deepcopy(self) for _ in range(n_shards)]
-
     # ------------------------------------------------------------------
     # Output.
     # ------------------------------------------------------------------
@@ -440,42 +318,223 @@ class DegResSampling(BatchIngest):
             for vertex, witnesses in self._reservoir.items()
         ]
 
-    def result(self) -> Neighbourhood:
-        """An arbitrary stored neighbourhood of size ``d2`` (line 15).
-
-        Raises:
-            AlgorithmFailed: when no neighbourhood reached size ``d2``.
-        """
+    def neighbourhood(self) -> Optional[Neighbourhood]:
+        """An arbitrary stored neighbourhood of size ``d2`` (line 15),
+        or ``None`` when none reached it."""
         for vertex, witnesses in self._reservoir.items():
             if len(witnesses) >= self.d2:
                 return Neighbourhood.of(vertex, witnesses)
-        raise AlgorithmFailed(
-            f"Deg-Res-Sampling(d1={self.d1}, d2={self.d2}, s={self.s}): "
-            f"no neighbourhood of size {self.d2} collected"
+        return None
+
+    def space_breakdown(self) -> SpaceBreakdown:
+        """Itemised reservoir space; the degree table is charged by the
+        :class:`SharedDegreeRuns` holding the run."""
+        breakdown = SpaceBreakdown()
+        breakdown.add("reservoir ids", vertex_words(len(self._reservoir)))
+        stored = sum(len(witnesses) for witnesses in self._reservoir.values())
+        breakdown.add("collected edges", edge_words(stored))
+        breakdown.add("candidate counter", 1)
+        return breakdown
+
+
+def first_success(runs: List[DegResSampling]) -> Optional[Neighbourhood]:
+    """The first successful run's neighbourhood, in run order, or
+    ``None`` (Algorithm 2 returns any successful run's answer)."""
+    for run in runs:
+        found = run.neighbourhood()
+        if found is not None:
+            return found
+    return None
+
+
+class SharedDegreeRuns(BatchIngest):
+    """Algorithm 1 runs over one shared degree table.
+
+    It holds the only :class:`DegreeCounter` and the flat run
+    list, and does the chunk step once for every run: one stable
+    grouping, one degree scatter, one lookup-table scan for every run's
+    ``d1`` crossings, and one :func:`collect_witnesses` gather.  The
+    runs draw their own randomness, so sharing the table changes no
+    run's trajectory.
+
+    Args:
+        n: number of A-vertices.
+        runs: the :class:`DegResSampling` runs to drive, in answer order.
+    """
+
+    #: Degree counts and residency-window witness collection are exact
+    #: only when each vertex's updates stay in one shard (see
+    #: repro.engine.protocol).
+    shard_routing = "vertex"
+
+    #: Names the structure in merge and failure messages.
+    NAME = "Deg-Res-Sampling"
+    #: What a chunk holding a deletion raises.
+    DELETIONS_REJECTED = "Deg-Res-Sampling only supports insertion-only streams"
+
+    def __init__(self, n: int, runs: List[DegResSampling]) -> None:
+        if not runs:
+            raise ValueError("at least one Deg-Res-Sampling run is required")
+        self.n = n
+        self.runs = list(runs)
+        self._degrees = DegreeCounter(n)
+        #: Every distinct d1, and a boolean table over degree values
+        #: marking them, so one scan of a chunk finds every run's
+        #: crossings (degree_after == d1) at once.
+        self._thresholds = sorted({run.d1 for run in self.runs})
+        self._threshold_lut = np.zeros(self._thresholds[-1] + 2, dtype=bool)
+        self._threshold_lut[self._thresholds] = True
+
+    def _parameters(self) -> str:
+        """What two mergeable instances must agree on, as text."""
+        runs = ", ".join(
+            f"(d1={run.d1}, d2={run.d2}, s={run.s})" for run in self.runs
         )
+        return f"n={self.n}, runs {runs}"
+
+    # ------------------------------------------------------------------
+    # Stream processing.
+    # ------------------------------------------------------------------
+
+    def process_batch(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        sign: Optional[np.ndarray] = None,
+    ) -> None:
+        """Algorithm 1's loop body (lines 4-14) for a chunk of insertions.
+
+        ``sign``, when given, must be all-insert.  The reservoirs only
+        change at the rare positions where a vertex crosses a run's
+        ``d1``.  Each run replays its crossings in stream order (one RNG
+        trajectory at any chunk size) while recording each vertex's
+        *residency window* — admission position to eviction.  Witness
+        collection then runs once per end-resident vertex of every run:
+        its chunk occurrences are clipped to its window and the first
+        ``d2 - len(stored)`` are appended.  Appends to vertices evicted
+        later in the chunk are skipped — eviction discards those lists
+        anyway — so the final state is bit-identical at every chunk size.
+        """
+        if sign is not None and np.any(sign != INSERT):
+            raise ValueError(self.DELETIONS_REJECTED)
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        b = np.ascontiguousarray(b, dtype=np.int64)
+        n_items = len(a)
+        if n_items == 0:
+            return
+        grouping = group_slices(a)
+        degree_after = self._degrees.increment_batch(a, grouping)
+        # A position crosses threshold t iff degree_after == t, and the
+        # table marks exactly the runs' thresholds.  Slicing the (rare)
+        # hits per threshold keeps them ascending, so each run sees
+        # exactly np.flatnonzero(degree_after == d1).
+        lut = self._threshold_lut
+        hits = np.flatnonzero(lut[np.minimum(degree_after, len(lut) - 1)])
+        hit_degrees = degree_after[hits]
+        crossings = {
+            threshold: hits[hit_degrees == threshold]
+            for threshold in self._thresholds
+        }
+        requests = []
+        for run in self.runs:
+            windows = run._replay_crossings(a, b, crossings[run.d1])
+            if not windows:
+                continue
+            request = run._witness_requests(windows, n_items)
+            if request[0]:
+                requests.append((run,) + request)
+        if requests:
+            order = grouping[0]
+            composite = a[order] * np.int64(n_items) + order
+            collect_witnesses(requests, composite, order, b)
+
+    # ------------------------------------------------------------------
+    # Mergeable-summary layer.
+    # ------------------------------------------------------------------
+
+    def clone(self) -> "SharedDegreeRuns":
+        """An independent duplicate: the degree table and every run are
+        copied directly, not by a deepcopy graph walk (the window-policy
+        fold/probe fast path)."""
+        dup = copy.copy(self)
+        dup._degrees = self._degrees.clone()
+        dup.runs = [run.clone() for run in self.runs]
+        return dup
+
+    def merge(self, other: "SharedDegreeRuns") -> "SharedDegreeRuns":
+        """Combine two states over vertex-disjoint sub-streams.
+
+        The degree tables add (exact under vertex routing) and each run
+        merges with its counterpart (reservoir union, witnesses
+        deduplicated and clipped at merge time).  Every shard is a
+        faithful execution over its sub-stream, so each run's success
+        bound holds for the shard owning the heavy vertex.
+        """
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}"
+            )
+        mine, theirs = self._parameters(), other._parameters()
+        if mine != theirs:
+            raise ValueError(f"cannot merge {self.NAME} ({mine}) with ({theirs})")
+        self._degrees.merge(other._degrees)
+        for run, twin in zip(self.runs, other.runs):
+            run.merge(twin)
+        return self
+
+    def split(self, n_shards: int) -> List["SharedDegreeRuns"]:
+        """``n_shards`` empty copies of the unprocessed instance."""
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        if self._degrees.max_degree() > 0:
+            raise RuntimeError("split() must be called before processing")
+        return [copy.deepcopy(self) for _ in range(n_shards)]
+
+    # ------------------------------------------------------------------
+    # Output.
+    # ------------------------------------------------------------------
+
+    @property
+    def successful(self) -> bool:
+        """True when at least one run succeeded."""
+        return any(run.successful for run in self.runs)
+
+    def successful_runs(self) -> List[int]:
+        """Indices of the successful runs (for diagnostics)."""
+        return [i for i, run in enumerate(self.runs) if run.successful]
+
+    def result(self) -> Neighbourhood:
+        """The first successful run's neighbourhood.
+
+        Raises:
+            AlgorithmFailed: when every run failed.
+        """
+        found = first_success(self.runs)
+        if found is None:
+            raise AlgorithmFailed(
+                f"all {len(self.runs)} parallel runs failed ({self._parameters()})"
+            )
+        return found
 
     def finalize(self) -> Optional[Neighbourhood]:
-        """Engine hook (:class:`repro.engine.StreamProcessor`): the run's
+        """Engine hook (:class:`repro.engine.StreamProcessor`): the
         answer, or ``None`` instead of raising on failure."""
-        try:
-            return self.result()
-        except AlgorithmFailed:
-            return None
+        return first_success(self.runs)
+
+    def current_degree(self, a: int) -> int:
+        """Degree of A-vertex ``a`` seen so far."""
+        return self._degrees.degree(a)
 
     # ------------------------------------------------------------------
     # Space accounting.
     # ------------------------------------------------------------------
 
     def space_breakdown(self) -> SpaceBreakdown:
-        """Itemised space; excludes a shared degree counter (charged once
-        by the parent when ``own_degrees=False``)."""
+        """The degree table charged once, plus every run's reservoir."""
         breakdown = SpaceBreakdown()
-        breakdown.add("reservoir ids", vertex_words(len(self._reservoir)))
-        stored = sum(len(witnesses) for witnesses in self._reservoir.values())
-        breakdown.add("collected edges", edge_words(stored))
-        breakdown.add("candidate counter", 1)
-        if self._degrees is not None:
-            breakdown.add("degree counts", self._degrees.space_words())
+        breakdown.add("degree counts", self._degrees.space_words())
+        for i, run in enumerate(self.runs):
+            breakdown.merge(run.space_breakdown(), prefix=f"run{i} ")
         return breakdown
 
     def space_words(self) -> int:

@@ -14,14 +14,18 @@ semi-streaming ``O(log n)``-approximation of Corollary 3.4; with the
 insertion-deletion algorithm and ``α = √n`` it yields Corollary 5.5.
 
 Execution is batch-first: :class:`StarDetection` conforms to the
-:class:`~repro.engine.StreamProcessor` protocol, and its
-:meth:`~StarDetection.process_batch` sorts each double-cover chunk
-*once* and shares the grouping across all ``O(log_{1+ε} n)`` degree
-guesses — so the guess ladder costs one vectorized pass over the
-stream, not ``O(log n)`` per-item sweeps.  State is bit-identical at
-every chunk size, chunk size 1 included (equivalence-tested); every
-rung pays a fixed cost per chunk, so feed long streams in large chunks,
-``process(stream.chunks(1 << 16))``, as :meth:`process_undirected` does.
+:class:`~repro.engine.StreamProcessor` protocol.  Insertion-only, every
+rung's α runs sit in one
+:class:`~repro.core.deg_res_sampling.SharedDegreeRuns`, so each
+double-cover chunk is sorted, counted and scanned for crossings *once*
+for all ``O(α log_{1+ε} n)`` runs, and the degree table is charged
+once; each rung keeps only its slice of the run list for
+:meth:`~StarDetection.result`.  Insertion-deletion, each chunk is netted
+once and every rung's Algorithm 3 consumes the netted column.  State is
+bit-identical at every chunk size, chunk size 1 included
+(equivalence-tested); every rung pays a fixed cost per chunk, so feed
+long streams in large chunks, ``process(stream.chunks(1 << 16))``, as
+:meth:`process_undirected` does.
 """
 
 from __future__ import annotations
@@ -30,18 +34,17 @@ import copy
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.deg_res_sampling import SharedDegreeRuns, first_success
 from repro.core.insertion_deletion import InsertionDeletionFEwW
-from repro.core.insertion_only import InsertionOnlyFEwW
+from repro.core.insertion_only import algorithm2_runs
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
-from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown
 from repro.streams.adapters import bipartite_double_cover_columnar
-from repro.streams.columnar import group_slices
 from repro.streams.edge import INSERT, check_edge_range, insert_signs
 
 
@@ -147,15 +150,20 @@ class StarDetection(BatchIngest):
         self.model = model
         self.guesses = degree_guesses(n_vertices, eps)
         root = random.Random(seed)
-        self._runs: List[Tuple[int, object]] = []
+        #: ``(guess, rung)`` in ladder order.  Insertion-only, a rung is
+        #: the slice of ``self._shared.runs`` holding its Algorithm 2
+        #: runs; insertion-deletion, it is an Algorithm 3 instance.
+        self._rungs: List[Tuple[int, Any]] = []
+        runs = []
         for guess in self.guesses:
             run_seed = root.getrandbits(64)
             if model == "insertion-only":
-                algorithm: object = InsertionOnlyFEwW(
-                    n_vertices, guess, alpha, seed=run_seed, own_degrees=False
+                rung: Any = slice(len(runs), len(runs) + alpha)
+                runs += algorithm2_runs(
+                    n_vertices, guess, alpha, random.Random(run_seed)
                 )
             else:
-                algorithm = InsertionDeletionFEwW(
+                rung = InsertionDeletionFEwW(
                     n_vertices,
                     n_vertices,
                     guess,
@@ -164,29 +172,15 @@ class StarDetection(BatchIngest):
                     scale=scale,
                     sampler_mode=sampler_mode,
                 )
-            self._runs.append((guess, algorithm))
+            self._rungs.append((guess, rung))
+        #: Insertion-only: one SharedDegreeRuns over every rung's runs, so the
+        #: O(n log n)-bit degree table is incremented once per chunk
+        #: instead of once per guess.  The table draws no randomness, so
+        #: every run's trajectory is that of an independent Algorithm 2.
+        self._shared: Optional[SharedDegreeRuns] = (
+            SharedDegreeRuns(n_vertices, runs) if model == "insertion-only" else None
+        )
         self._updates_seen = 0
-        #: One degree counter shared by the whole guess ladder
-        #: (insertion-only): each rung's Algorithm 2 runs in
-        #: externally-driven mode, so the O(n log n)-bit table is
-        #: incremented once per chunk instead of once per guess.  The
-        #: counter draws no randomness, so per-guess RNG trajectories
-        #: are identical to independently-counting instances.
-        self._degrees: Optional[DegreeCounter] = None
-        if model == "insertion-only":
-            self._degrees = DegreeCounter(n_vertices)
-            # Every distinct d1 threshold across all rungs and their α
-            # parallel runs, plus a boolean lookup table over degree
-            # values so one scan of a chunk finds every rung's
-            # crossings (degree_after == d1) at once.
-            thresholds = sorted(
-                {run.d1 for _, algorithm in self._runs for run in algorithm.runs}
-            )
-            self._thresholds: List[int] = thresholds
-            self._max_threshold = thresholds[-1]
-            lut = np.zeros(self._max_threshold + 2, dtype=bool)
-            lut[np.asarray(thresholds, dtype=np.int64)] = True
-            self._threshold_lut = lut
 
     # ------------------------------------------------------------------
     # Stream processing.
@@ -222,18 +216,14 @@ class StarDetection(BatchIngest):
     ) -> None:
         """Feed one column chunk of the double cover to every guess.
 
-        The ladder-wide work is hoisted and done once per chunk, not
-        once per guess.  Insertion-only: the chunk is sorted once
-        (:func:`~repro.streams.columnar.group_slices`), the shared
-        degree counter increments once, and a single lookup-table scan
-        finds every rung's threshold crossings
-        (``degree_after == d1``) — each of the ``O(α log_{1+ε} n)``
-        parallel runs then only replays its own rare crossings.
-        Insertion-deletion: the chunk is netted (``np.unique`` +
-        scatter-add on the flat edge coordinate) once,
-        and every rung's linear sketches consume the shared netted
-        column.  The per-guess structures are independent and each is
-        bit-identical across chunk sizes, so the ladder is too.
+        The ladder-wide work is done once per chunk, not once per guess.
+        Insertion-only: the one SharedDegreeRuns sorts, counts and scans the
+        chunk once for all ``O(α log_{1+ε} n)`` runs, each of which
+        replays only its own rare crossings.  Insertion-deletion: the
+        chunk is netted (``np.unique`` + scatter-add on the flat edge
+        coordinate) once, and every rung's linear sketches consume the
+        shared netted column.  Each run is bit-identical across chunk
+        sizes, so the ladder is too.
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
@@ -243,37 +233,13 @@ class StarDetection(BatchIngest):
         # rejected chunk leaves the detector as if never offered.
         n = self.n_vertices
         check_edge_range(a, b, n, n)
-        if self.model == "insertion-only":
+        if self._shared is not None:
             if sign is not None and np.any(sign != INSERT):
                 raise ValueError(
                     "insertion-only Star Detection cannot process deletions; "
                     "construct with model='insertion-deletion'"
                 )
-            grouping = group_slices(a)
-            order, starts, ends = grouping
-            degree_after = self._degrees.increment_batch(a, grouping=grouping)
-            composite = a[order] * np.int64(len(a)) + order
-            run_grouping = (order, starts, ends, a[order[starts]], composite)
-            # One pass over the chunk finds every rung's crossings: a
-            # position crosses threshold t iff degree_after == t, and
-            # the LUT marks exactly the ladder's thresholds.  Slicing
-            # the (rare) hits per threshold preserves ascending order,
-            # so each run sees exactly np.flatnonzero(degree_after == d1).
-            capped = np.minimum(degree_after, self._max_threshold + 1)
-            hits = np.flatnonzero(self._threshold_lut[capped])
-            hit_degrees = degree_after[hits]
-            crossings = {
-                threshold: hits[hit_degrees == threshold]
-                for threshold in self._thresholds
-            }
-            for _, algorithm in self._runs:
-                algorithm.observe_batch(  # type: ignore[attr-defined]
-                    a,
-                    b,
-                    degree_after,
-                    grouping=run_grouping,
-                    crossings=crossings,
-                )
+            self._shared.process_batch(a, b)
         else:
             if sign is None:
                 sign = insert_signs(len(a))
@@ -285,10 +251,8 @@ class StarDetection(BatchIngest):
             np.add.at(net, inverse, sign)
             live = net != 0
             unique, net = unique[live], net[live]
-            for _, algorithm in self._runs:
-                algorithm.process_netted(  # type: ignore[attr-defined]
-                    unique, net, len(a)
-                )
+            for _, algorithm in self._rungs:
+                algorithm.process_netted(unique, net, len(a))
         self._updates_seen += len(a)
 
     # ------------------------------------------------------------------
@@ -330,10 +294,11 @@ class StarDetection(BatchIngest):
                 "cannot merge Star Detection wrappers with different "
                 "parameters; split both from the same seeded instance"
             )
-        if self._degrees is not None:
-            self._degrees.merge(other._degrees)
-        for (_, mine), (_, theirs) in zip(self._runs, other._runs):
-            mine.merge(theirs)  # type: ignore[attr-defined]
+        if self._shared is not None:
+            self._shared.merge(other._shared)
+        else:
+            for (_, mine), (_, theirs) in zip(self._rungs, other._rungs):
+                mine.merge(theirs)
         self._updates_seen += other._updates_seen
         return self
 
@@ -357,10 +322,12 @@ class StarDetection(BatchIngest):
             on an empty graph or with algorithm failure probability).
         """
         best: Optional[StarDetectionResult] = None
-        for guess, algorithm in self._runs:
-            try:
-                neighbourhood = algorithm.result()  # type: ignore[attr-defined]
-            except AlgorithmFailed:
+        for guess, rung in self._rungs:
+            if self._shared is not None:
+                neighbourhood = first_success(self._shared.runs[rung])
+            else:
+                neighbourhood = rung.finalize()
+            if neighbourhood is None:
                 continue
             if best is None or neighbourhood.size > best.size:
                 best = StarDetectionResult(neighbourhood, guess)
@@ -388,13 +355,16 @@ class StarDetection(BatchIngest):
         """Shared degree table charged once for the whole ladder
         (insertion-only), plus each rung's residency/sampler state."""
         breakdown = SpaceBreakdown()
-        if self._degrees is not None:
-            breakdown.add("degree counts", self._degrees.space_words())
-        for guess, algorithm in self._runs:
-            breakdown.merge(
-                algorithm.space_breakdown(),  # type: ignore[attr-defined]
-                prefix=f"guess {guess}: ",
-            )
+        if self._shared is not None:
+            breakdown.add("degree counts", self._shared._degrees.space_words())
+        for guess, rung in self._rungs:
+            if self._shared is None:
+                breakdown.merge(rung.space_breakdown(), prefix=f"guess {guess}: ")
+                continue
+            for i, run in enumerate(self._shared.runs[rung]):
+                breakdown.merge(
+                    run.space_breakdown(), prefix=f"guess {guess}: run{i} "
+                )
         return breakdown
 
     def space_words(self) -> int:

@@ -38,27 +38,16 @@ class DegreeCounter:
         self.n = n
         self._degrees = np.zeros(n, dtype=np.int64)
 
-    def increment(self, a: int, delta: int = 1) -> int:
-        """Adjust vertex ``a``'s degree and return the new value."""
-        if not 0 <= a < self.n:
-            raise ValueError(f"vertex {a} out of range [0, {self.n})")
-        self._degrees[a] += delta
-        degree = int(self._degrees[a])
-        if degree < 0:
-            raise ValueError(f"degree of vertex {a} went negative")
-        return degree
-
-    def increment_batch(self, a: np.ndarray, grouping=None) -> np.ndarray:
+    def increment_batch(self, a: np.ndarray, grouping) -> np.ndarray:
         """Count a batch of insertions; return each item's post-increment degree.
 
-        ``a`` holds one A-vertex per inserted edge.  The degree table is
-        updated with a single ``np.add.at`` scatter, and the returned
-        array matches what ``increment`` would have returned item by item:
-        degree before the batch, plus one, plus the number of earlier
-        batch occurrences of the same vertex.  ``grouping`` optionally
-        passes a precomputed ``(order, starts, ends)`` stable grouping of
-        ``a`` (see :func:`repro.streams.columnar.group_slices`) so
-        callers that already grouped the chunk don't sort twice.
+        ``a`` holds one A-vertex per inserted edge and ``grouping`` its
+        stable ``(order, starts, ends)`` grouping (see
+        :func:`repro.streams.columnar.group_slices`), which the caller
+        shares with its witness collection.  The returned array holds,
+        per item, the degree before the batch, plus one, plus the number
+        of earlier batch occurrences of the same vertex.  An
+        out-of-range id raises before the table changes.
         """
         if len(a) == 0:
             return np.zeros(0, dtype=np.int64)
@@ -66,12 +55,6 @@ class DegreeCounter:
             bad = a[(a < 0) | (a >= self.n)][0]
             raise ValueError(f"vertex {int(bad)} out of range [0, {self.n})")
         before = self._degrees[a]
-        if grouping is None:
-            # Deferred import: sketch is a lower layer than streams and
-            # must not depend on it at module-import time.
-            from repro.streams.columnar import group_slices
-
-            grouping = group_slices(a)
         order, starts, ends = grouping
         ranks = np.arange(len(a), dtype=np.int64) - np.repeat(starts, ends - starts)
         ordinals = np.empty(len(a), dtype=np.int64)
@@ -89,10 +72,6 @@ class DegreeCounter:
         if not 0 <= a < self.n:
             raise ValueError(f"vertex {a} out of range [0, {self.n})")
         return int(self._degrees[a])
-
-    def vertices_with_degree_at_least(self, threshold: int) -> List[int]:
-        """All vertices of current degree >= threshold (ascending ids)."""
-        return np.flatnonzero(self._degrees >= threshold).tolist()
 
     def max_degree(self) -> int:
         """Largest current degree."""
@@ -164,6 +143,18 @@ class ExactSupport:
         self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
         self._scalar: List[Tuple[int, int]] = []
         self._pending_len = 0
+
+    def __getstate__(self):
+        # Pickles and deep copies carry the consolidated support, never
+        # the raw buffered update columns.
+        self._consolidated()
+        return self.__dict__
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        # Copies of read-only arrays come back writeable, and
+        # support_array() hands the coordinates out without a copy.
+        self._keys.flags.writeable = False
 
     def _consolidated(self) -> Tuple[np.ndarray, np.ndarray]:
         """The sorted ``(coordinates, values)`` columns (flushes pending)."""

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.neighbourhood import AlgorithmFailed
 from repro.streams.edge import DELETE, Edge
 from repro.streams.generators import GeneratorConfig, planted_star_graph
@@ -15,31 +15,38 @@ from repro.streams.stream import stream_from_edges
 from repro.theory.bounds import deg_res_success_lower_bound
 
 
+def algorithm1(n, d1, d2, s, seed):
+    """The standalone Algorithm 1: one run over its own degree table."""
+    return SharedDegreeRuns(n, [DegResSampling(d1, d2, s, random.Random(seed))])
+
+
 def run_on_edges(edges, n=50, m=200, d1=1, d2=5, s=10, seed=0):
-    algorithm = DegResSampling(n, d1, d2, s, random.Random(seed))
+    algorithm = algorithm1(n, d1, d2, s, seed)
     algorithm.process(stream_from_edges(edges, n, m))
     return algorithm
+
+
+def candidates(algorithm):
+    (run,) = algorithm.runs
+    return run.candidates()
 
 
 class TestValidation:
     def test_rejects_bad_parameters(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            DegResSampling(10, 0, 1, 1, rng)
+            DegResSampling(0, 1, 1, rng)
         with pytest.raises(ValueError):
-            DegResSampling(10, 1, 0, 1, rng)
+            DegResSampling(1, 0, 1, rng)
         with pytest.raises(ValueError):
-            DegResSampling(10, 1, 1, 0, rng)
+            DegResSampling(1, 1, 0, rng)
+        with pytest.raises(ValueError):
+            SharedDegreeRuns(10, [])
 
     def test_rejects_deletions(self):
-        algorithm = DegResSampling(10, 1, 1, 1, random.Random(0))
+        algorithm = algorithm1(10, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             algorithm.process_batch(np.array([0]), np.array([0]), np.array([DELETE]))
-
-    def test_external_mode_rejects_process_batch(self):
-        algorithm = DegResSampling(10, 1, 1, 1, random.Random(0), own_degrees=False)
-        with pytest.raises(RuntimeError):
-            algorithm.process_batch(np.array([0]), np.array([0]))
 
 
 class TestCollectionSemantics:
@@ -47,19 +54,19 @@ class TestCollectionSemantics:
         """A vertex becomes a candidate the moment its degree hits d1,
         and the triggering edge itself is collected."""
         algorithm = run_on_edges([Edge(0, b) for b in range(5)], d1=3, d2=10, s=5)
-        candidates = algorithm.candidates()
-        assert len(candidates) == 1
+        stored = candidates(algorithm)
+        assert len(stored) == 1
         # degree 5, d1=3: collects edges 3rd..5th = min(d2, deg-d1+1) = 3
-        assert candidates[0].size == 3
-        assert candidates[0].witnesses == {2, 3, 4}
+        assert stored[0].size == 3
+        assert stored[0].witnesses == {2, 3, 4}
 
     def test_collection_caps_at_d2(self):
         algorithm = run_on_edges([Edge(0, b) for b in range(20)], d1=1, d2=4, s=5)
-        assert algorithm.candidates()[0].size == 4
+        assert candidates(algorithm)[0].size == 4
 
     def test_below_threshold_vertex_never_stored(self):
         algorithm = run_on_edges([Edge(0, 0), Edge(0, 1)], d1=3, d2=2, s=5)
-        assert algorithm.candidates() == []
+        assert candidates(algorithm) == []
 
     def test_small_candidate_set_kept_entirely(self):
         """With fewer than s candidates the reservoir holds all of them
@@ -68,7 +75,7 @@ class TestCollectionSemantics:
         for a in range(4):
             edges.extend(Edge(a, a * 10 + j) for j in range(6))
         algorithm = run_on_edges(edges, d1=2, d2=5, s=10)
-        assert len(algorithm.candidates()) == 4
+        assert len(candidates(algorithm)) == 4
         assert algorithm.successful
 
     def test_success_and_result(self):
@@ -91,27 +98,27 @@ class TestCollectionSemantics:
         for a in range(30):
             edges.extend(Edge(a, a * 10 + j) for j in range(3))
         algorithm = run_on_edges(edges, n=50, m=500, d1=1, d2=10, s=1, seed=3)
-        assert len(algorithm.candidates()) == 1
+        assert len(candidates(algorithm)) == 1
 
     def test_witnesses_are_true_neighbours(self):
         config = GeneratorConfig(n=40, m=300, seed=5)
         stream = planted_star_graph(config, star_degree=50, background_degree=4)
-        algorithm = DegResSampling(40, 1, 10, 20, random.Random(1))
+        algorithm = algorithm1(40, 1, 10, 20, 1)
         algorithm.process(stream)
-        for candidate in algorithm.candidates():
+        for candidate in candidates(algorithm):
             assert candidate.witnesses <= stream.neighbours_of(candidate.vertex)
 
     def test_space_accounts_reservoir_and_edges(self):
         algorithm = run_on_edges([Edge(0, b) for b in range(10)], d1=1, d2=5, s=3)
         breakdown = algorithm.space_breakdown()
-        assert breakdown.components["reservoir ids"] == 1
-        assert breakdown.components["collected edges"] == 2 * 5
+        assert breakdown.components["run0 reservoir ids"] == 1
+        assert breakdown.components["run0 collected edges"] == 2 * 5
         assert breakdown.components["degree counts"] == 50
         assert algorithm.space_words() == breakdown.total_words()
 
-    def test_external_mode_excludes_degree_table(self):
-        algorithm = DegResSampling(50, 1, 5, 3, random.Random(0), own_degrees=False)
-        assert "degree counts" not in algorithm.space_breakdown().components
+    def test_run_excludes_degree_table(self):
+        run = DegResSampling(1, 5, 3, random.Random(0))
+        assert "degree counts" not in run.space_breakdown().components
 
 
 class TestReservoirUniformity:
@@ -128,7 +135,7 @@ class TestReservoirUniformity:
             algorithm = run_on_edges(
                 edges, n=20, m=200, d1=2, d2=1, s=1, seed=seed
             )
-            (candidate,) = algorithm.candidates()
+            (candidate,) = candidates(algorithm)
             counts[candidate.vertex] += 1
         expected = trials / n_candidates
         for a in range(n_candidates):
@@ -144,7 +151,7 @@ class TestReservoirUniformity:
             algorithm = run_on_edges(
                 first_block + late_block, n=20, m=200, d1=2, d2=1, s=1, seed=seed
             )
-            (candidate,) = algorithm.candidates()
+            (candidate,) = candidates(algorithm)
             counts[candidate.vertex] += 1
         early = sum(counts[a] for a in range(6))
         late = sum(counts[a] for a in range(6, 12))

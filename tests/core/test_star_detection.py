@@ -40,7 +40,8 @@ class TestConstruction:
 
     def test_one_run_per_guess(self):
         detector = StarDetection(100, 2, eps=0.5, seed=0)
-        assert len(detector._runs) == len(detector.guesses)
+        assert len(detector._rungs) == len(detector.guesses)
+        assert len(detector._shared.runs) == 2 * len(detector.guesses)
 
     def test_approximation_ratio(self):
         detector = StarDetection(100, 4, eps=0.5, seed=0)

@@ -14,7 +14,7 @@ from repro.baselines import (
     MisraGriesWithWitnesses,
     SpaceSaving,
 )
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
@@ -35,7 +35,7 @@ def every_structure():
     return [
         InsertionOnlyFEwW(16, 4, 2, seed=0),
         InsertionDeletionFEwW(16, 16, 4, 2, seed=0, scale=0.1),
-        DegResSampling(16, 2, 2, 4, random.Random(0)),
+        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
         TumblingWindowFEwW(16, 4, 2, window=8, seed=0),
@@ -133,13 +133,11 @@ class TestCompatibilityErrors:
                 TumblingWindowFEwW(16, 4, 2, window=8, seed=2)
             )
 
-    def test_deg_res_mixed_ownership(self):
-        standalone = DegResSampling(16, 2, 2, 4, random.Random(0))
-        driven = DegResSampling(
-            16, 2, 2, 4, random.Random(0), own_degrees=False
-        )
-        with pytest.raises(ValueError, match="standalone"):
-            standalone.merge(driven)
+    def test_algorithm1_parameter_mismatch(self):
+        with pytest.raises(ValueError, match="cannot merge Deg-Res-Sampling"):
+            SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]).merge(
+                SharedDegreeRuns(16, [DegResSampling(3, 2, 4, random.Random(0))])
+            )
 
 
 class TestSpaceSavingMergeGuarantee:

@@ -12,7 +12,7 @@ from repro.baselines import (
     MisraGriesWithWitnesses,
     SpaceSaving,
 )
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
@@ -27,7 +27,7 @@ def every_structure():
     return [
         InsertionOnlyFEwW(16, 4, 2, seed=0),
         InsertionDeletionFEwW(16, 16, 4, 2, seed=0, scale=0.1),
-        DegResSampling(16, 2, 2, 4, random.Random(0)),
+        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
         TumblingWindowFEwW(16, 4, 2, window=8, seed=0),

@@ -26,10 +26,12 @@ from repro.baselines import (
     MisraGriesWithWitnesses,
     SpaceSaving,
 )
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
+from repro.core.star_detection import StarDetection
 from repro.sketch.l0 import L0SamplerBank
+from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
@@ -108,18 +110,22 @@ class TestAlgorithm2:
         columnar = ColumnarEdgeStream.from_edge_stream(stream)
 
         def in_chunks_of(size):
-            run = DegResSampling(32, 30, 10, 3, random.Random(7))
-            return run.process(columnar.chunks(size))
+            algorithm = SharedDegreeRuns(
+                32, [DegResSampling(30, 10, 3, random.Random(7))]
+            )
+            return algorithm.process(columnar.chunks(size))
 
         per_item = in_chunks_of(1)
-        assert_residency_oracle(per_item, columnar.a, columnar.b)
+        (run_item,) = per_item.runs
+        assert_residency_oracle(run_item, columnar.a, columnar.b)
         # Decoy i crosses d1=30 at position 30*i - 1; chunk sizes 29, 30
         # and 31 place boundaries on, before, and after crossings.
         for chunk in (29, 30, 31):
             batched = in_chunks_of(chunk)
-            assert per_item._reservoir == batched._reservoir
-            assert per_item._resident == batched._resident
-            assert per_item._candidates_seen == batched._candidates_seen
+            (run_batch,) = batched.runs
+            assert run_item._reservoir == run_batch._reservoir
+            assert run_item._resident == run_batch._resident
+            assert run_item._candidates_seen == run_batch._candidates_seen
             assert per_item.successful == batched.successful
             assert per_item.space_words() == batched.space_words()
 
@@ -131,10 +137,91 @@ class TestAlgorithm2:
         _, columnar = zipf(seed)
         algorithm = InsertionOnlyFEwW(64, 60, 4, seed=seed)
         algorithm.process(columnar.chunks(chunk))
-        single = DegResSampling(64, 10, 8, 3, random.Random(seed))
+        single = SharedDegreeRuns(
+            64, [DegResSampling(10, 8, 3, random.Random(seed))]
+        )
         single.process(columnar.chunks(chunk))
-        for run in algorithm.runs + [single]:
+        for run in algorithm.runs + single.runs:
             assert_residency_oracle(run, columnar.a, columnar.b)
+
+
+#: Chunk sizes 1 and 7, and (None) the whole stream as one chunk.
+EDGE_CHUNKS = (1, 7, None)
+
+
+def _feed(structure, a, b, chunk):
+    chunk = chunk or len(a)
+    for lo in range(0, len(a), chunk):
+        structure.process_batch(a[lo : lo + chunk], b[lo : lo + chunk])
+
+
+class TestCrossingScanEdges:
+    """The one threshold scan that finds every run's ``d1`` crossings,
+    checked against the residency oracle where runs share thresholds
+    and at the ends of the vertex range."""
+
+    @staticmethod
+    def heavy_tail_stream(n, seed, size=400):
+        """Skewed vertex ids that include both 0 and ``n - 1``."""
+        rng = np.random.default_rng(seed)
+        a = np.minimum(rng.zipf(1.4, size=size) - 1, n - 1)
+        a[::5] = n - 1
+        return a.astype(np.int64), rng.integers(0, 1000, size=size)
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_runs_sharing_a_threshold(self, seed, chunk):
+        a, b = self.heavy_tail_stream(32, seed)
+        algorithm = InsertionOnlyFEwW(32, 2, 3, seed=seed)
+        assert [run.d1 for run in algorithm.runs] == [1, 1, 1]
+        _feed(algorithm, a, b, chunk)
+        for run in algorithm.runs:
+            assert_residency_oracle(run, a, b)
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_star_detection_ladder(self, chunk):
+        """The benchmark's ladder shape: 40 runs over 27 distinct d1."""
+        n = 65_536
+        rng = np.random.default_rng(3)
+        hub = n - 1
+        u = np.concatenate([np.full(150, hub), rng.integers(0, 40, size=300)])
+        v = np.concatenate(
+            [rng.permutation(n - 1)[:150], rng.integers(40, 80, size=300)]
+        )
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        _, first = np.unique(key, return_index=True)
+        first = rng.permutation(first)
+        cover = bipartite_double_cover_columnar(u[first], v[first], n, None)
+        detector = StarDetection(n, 4, eps=3.0, seed=11)
+        runs = detector._shared.runs
+        assert (len(runs), len({run.d1 for run in runs})) == (40, 27)
+        _feed(detector, cover.a, cover.b, chunk)
+        for run in runs:
+            assert_residency_oracle(run, cover.a, cover.b)
+        assert detector.result().vertex == hub
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_single_vertex(self, chunk):
+        a = np.zeros(50, dtype=np.int64)
+        b = np.arange(50, dtype=np.int64)
+        algorithm = InsertionOnlyFEwW(1, 20, 2, seed=4)
+        single = SharedDegreeRuns(1, [DegResSampling(5, 3, 1, random.Random(4))])
+        for structure in (algorithm, single):
+            _feed(structure, a, b, chunk)
+            for run in structure.runs:
+                assert_residency_oracle(run, a, b)
+        assert algorithm.current_degree(0) == 50
+        assert algorithm.result().vertex == 0
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_maximal_vertex_id(self, seed, chunk):
+        a, b = self.heavy_tail_stream(64, seed)
+        algorithm = InsertionOnlyFEwW(64, 40, 4, seed=seed)
+        _feed(algorithm, a, b, chunk)
+        for run in algorithm.runs:
+            assert_residency_oracle(run, a, b)
+        assert algorithm.current_degree(63) == int((a == 63).sum())
 
 
 class TestAlgorithm3:
@@ -293,7 +380,9 @@ class TestInsertionOnlyGuards:
         with pytest.raises(ValueError):
             InsertionOnlyFEwW(4, 2, 1, seed=0).process_batch(a, b, sign)
         with pytest.raises(ValueError):
-            DegResSampling(4, 1, 1, 1, random.Random(0)).process_batch(a, b, sign)
+            SharedDegreeRuns(
+                4, [DegResSampling(1, 1, 1, random.Random(0))]
+            ).process_batch(a, b, sign)
         with pytest.raises(ValueError):
             MisraGries(4).process_batch(a, b, sign)
         with pytest.raises(ValueError):

@@ -45,12 +45,9 @@ class TestStarDetectionEquivalence:
             engine.process_batch(a, b, sign)
         # Bit-identical state: every guess's every run holds the same
         # reservoir (same vertices, same witness lists, same order).
-        for (guess_a, run_a), (guess_b, run_b) in zip(
-            per_item._runs, engine._runs
-        ):
-            assert guess_a == guess_b
-            for inner_a, inner_b in zip(run_a.runs, run_b.runs):
-                assert inner_a._reservoir == inner_b._reservoir
+        assert per_item.guesses == engine.guesses
+        for inner_a, inner_b in zip(per_item._shared.runs, engine._shared.runs):
+            assert inner_a._reservoir == inner_b._reservoir
         result_item = per_item.result()
         result_engine = engine.result()
         assert result_item.vertex == result_engine.vertex

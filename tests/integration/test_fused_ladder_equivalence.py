@@ -1,9 +1,11 @@
 """Bit-identity of the fused guess ladder against the legacy wrapper.
 
-Star Detection's batch path hoists the per-guess work — one shared
-:class:`~repro.sketch.exact.DegreeCounter`, one sorted grouping, one
-threshold-LUT crossing scan (insertion-only), one netting pass
-(insertion-deletion) — across the whole ``O(log_{1+ε} n)`` ladder.  The
+Star Detection's batch path hoists the per-guess work across the whole
+``O(log_{1+ε} n)`` ladder: insertion-only, one
+:class:`~repro.core.deg_res_sampling.SharedDegreeRuns` drives every
+rung's runs (one degree table, one sorted grouping, one threshold-LUT
+crossing scan, one witness gather); insertion-deletion, one netting
+pass feeds every rung.  The
 contract is that none of this hoisting is observable: the resulting
 state is bit-identical to the pre-fusion wrapper, which ran one fully
 independent algorithm instance per degree guess and fed the whole
@@ -39,9 +41,9 @@ SEED = 29
 class _LegacyLadder:
     """The pre-fusion Star Detection: independent per-guess instances.
 
-    Every rung is a standalone algorithm — Algorithm 2 rungs own their
-    own degree counter (``own_degrees=True``) and each rung consumes the
-    whole stream on its own.  This is the exact execution the fused
+    Every rung is a standalone algorithm — each Algorithm 2 rung is its
+    own :class:`InsertionOnlyFEwW` with its own degree table — and each
+    rung consumes the whole stream on its own.  This is the exact execution the fused
     wrapper replaced; its seeding (root RNG, 64 bits per guess in ladder
     order) matches ``StarDetection.__init__``.
     """
@@ -77,11 +79,12 @@ class _LegacyLadder:
         return best
 
 
-def _ladder_state(runs):
-    """Every rung's full reservoir-sampling state, in ladder order."""
+def _ladder_state(rungs):
+    """Every rung's full reservoir-sampling state, in ladder order;
+    ``rungs`` lists ``(guess, runs)`` pairs."""
     out = []
-    for guess, algorithm in runs:
-        for run in algorithm.runs:
+    for guess, runs in rungs:
+        for run in runs:
             out.append(
                 (
                     guess,
@@ -127,12 +130,16 @@ class TestInsertionOnlyLadder:
                 cover.sign[lo : lo + chunk],
             )
         legacy.process_cover(cover)
-        assert _ladder_state(fused._runs) == _ladder_state(legacy._runs)
+        fused_rungs = [
+            (guess, fused._shared.runs[rung]) for guess, rung in fused._rungs
+        ]
+        legacy_rungs = [(guess, alg.runs) for guess, alg in legacy._runs]
+        assert _ladder_state(fused_rungs) == _ladder_state(legacy_rungs)
         # The shared ladder counter must equal every legacy rung's own
         # counter (they all observed the identical stream).
         for _, algorithm in legacy._runs:
             assert np.array_equal(
-                fused._degrees._degrees, algorithm._degrees._degrees
+                fused._shared._degrees._degrees, algorithm._degrees._degrees
             )
         ours, theirs = fused.result(), legacy.result()
         assert theirs is not None
@@ -153,7 +160,7 @@ class TestInsertionOnlyLadder:
         single = StarDetection(N, ALPHA, eps=EPS, seed=SEED)
         single.process_batch(cover.a, cover.b, cover.sign)
         assert np.array_equal(
-            merged._degrees._degrees, single._degrees._degrees
+            merged._shared._degrees._degrees, single._shared._degrees._degrees
         )
         assert merged._updates_seen == single._updates_seen
 
@@ -176,7 +183,7 @@ class TestInsertionDeletionLadder:
                 cover.sign[lo : lo + chunk],
             )
         legacy.process_cover(cover)
-        for (g1, mine), (g2, theirs) in zip(fused._runs, legacy._runs):
+        for (g1, mine), (g2, theirs) in zip(fused._rungs, legacy._runs):
             assert g1 == g2
             assert mine._updates_seen == theirs._updates_seen
             # The banks' query draws are deterministic functions of
@@ -238,8 +245,8 @@ class TestShardedLadder:
         )
         sharded.run(path)
         assert np.array_equal(
-            single["star"]._degrees._degrees,
-            sharded["star"]._degrees._degrees,
+            single["star"]._shared._degrees._degrees,
+            sharded["star"]._shared._degrees._degrees,
         )
         assert single["star"]._updates_seen == sharded["star"]._updates_seen
         ours, theirs = single["star"].result(), sharded["star"].result()

@@ -9,7 +9,7 @@ significance level of 1e-4 (false-failure once per ~10⁴ CI runs).
 import random
 from collections import Counter
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.sketch.l0 import L0Sampler
 from repro.streams.edge import Edge
@@ -32,9 +32,10 @@ class TestReservoirUniformityChiSquare:
         stream = stream_from_edges(edges, 20, 200)
         counts = Counter()
         for seed in range(2000):
-            algorithm = DegResSampling(20, 2, 1, 1, random.Random(seed))
-            algorithm.process(stream)
-            (candidate,) = algorithm.candidates()
+            (run,) = SharedDegreeRuns(
+                20, [DegResSampling(2, 1, 1, random.Random(seed))]
+            ).process(stream).runs
+            (candidate,) = run.candidates()
             counts[candidate.vertex] += 1
         histogram = [counts[a] for a in range(n_candidates)]
         assert chi_square_uniformity_pvalue(histogram) > SIGNIFICANCE
@@ -78,7 +79,9 @@ class TestSuccessProbabilityBinomial:
         stream = stream_from_edges(edges, 30, 300)
         trials, successes = 400, 0
         for seed in range(trials):
-            algorithm = DegResSampling(30, d1, d2, s, random.Random(seed))
+            algorithm = SharedDegreeRuns(
+                30, [DegResSampling(d1, d2, s, random.Random(seed))]
+            )
             algorithm.process(stream)
             successes += algorithm.successful
         claimed = deg_res_success_lower_bound(n1, n2, s)

@@ -1,10 +1,15 @@
 """Unit tests for exact counters and support tracking."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sketch.exact import DegreeCounter, ExactSupport
+from repro.streams.columnar import group_slices
 
 
 class TestDegreeCounter:
@@ -16,39 +21,49 @@ class TestDegreeCounter:
         with pytest.raises(ValueError):
             DegreeCounter(0)
 
-    def test_increment_returns_new_value(self):
-        counter = DegreeCounter(3)
-        assert counter.increment(1) == 1
-        assert counter.increment(1) == 2
+    @staticmethod
+    def count(counter, ids):
+        a = np.asarray(ids, dtype=np.int64)
+        return counter.increment_batch(a, group_slices(a)).tolist()
 
-    def test_decrement(self):
-        counter = DegreeCounter(3)
-        counter.increment(0, 5)
-        assert counter.increment(0, -2) == 3
-
-    def test_negative_degree_rejected(self):
-        counter = DegreeCounter(3)
-        with pytest.raises(ValueError):
-            counter.increment(0, -1)
+    def test_batch_returns_running_count(self):
+        counter = DegreeCounter(4)
+        chunks = ([2, 0, 2, 2, 3, 0], [0, 2, 1, 0])
+        running = [0] * 4
+        for chunk in chunks:
+            expected = []
+            for vertex in chunk:
+                running[vertex] += 1
+                expected.append(running[vertex])
+            assert self.count(counter, chunk) == expected
+        assert [counter.degree(a) for a in range(4)] == running
 
     def test_out_of_range_vertex(self):
         counter = DegreeCounter(3)
-        with pytest.raises(ValueError):
-            counter.increment(3)
+        self.count(counter, [0, 1])
+        for bad in ([0, 3, 1], [2, -1]):
+            with pytest.raises(ValueError, match="out of range"):
+                self.count(counter, bad)
+            assert [counter.degree(a) for a in range(3)] == [1, 1, 0]
         with pytest.raises(ValueError):
             counter.degree(-1)
 
-    def test_vertices_with_degree_at_least(self):
-        counter = DegreeCounter(4)
-        counter.increment(0, 3)
-        counter.increment(2, 5)
-        assert counter.vertices_with_degree_at_least(3) == [0, 2]
-        assert counter.vertices_with_degree_at_least(4) == [2]
-        assert counter.vertices_with_degree_at_least(6) == []
+    def test_empty_chunk(self):
+        counter = DegreeCounter(3)
+        assert self.count(counter, []) == []
+        assert counter.max_degree() == 0
+
+    def test_single_vertex(self):
+        counter = DegreeCounter(1)
+        assert self.count(counter, [0, 0, 0]) == [1, 2, 3]
+        assert self.count(counter, [0]) == [4]
+        with pytest.raises(ValueError):
+            self.count(counter, [1])
+        assert counter.degree(0) == 4
 
     def test_max_degree(self):
         counter = DegreeCounter(4)
-        counter.increment(3, 7)
+        self.count(counter, [3] * 7 + [1])
         assert counter.max_degree() == 7
 
     def test_space_is_n_words(self):
@@ -83,6 +98,18 @@ class TestExactSupport:
         support = ExactSupport(10)
         with pytest.raises(ValueError):
             support.update(10, 1)
+
+    @pytest.mark.parametrize(
+        "duplicate", (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    )
+    def test_copies_keep_the_support_read_only(self, duplicate):
+        support = ExactSupport(10)
+        support.update_batch(np.array([4, 1, 4]), np.array([1, 1, 1]))
+        assert support.support() == [1, 4]
+        restored = duplicate(support)
+        assert dict(restored.items()) == {1: 1, 4: 2}
+        with pytest.raises(ValueError):
+            restored.support_array()[0] = 7
 
     @given(
         st.lists(

@@ -384,3 +384,20 @@ def test_exact_bank_resident_bytes_within_2x_of_accounted():
     assert all(sample is not None for sample in bank.sample_all())
     accounted = 8 * bank.space_words()
     assert _resident_array_bytes(bank) <= 2 * accounted
+
+
+def test_fast_bank_pickles_its_consolidated_support():
+    """A pickled fast bank carries the netted support, not the raw
+    update columns buffered since the last read."""
+    bank = L0EdgeBank(64, 64, 8, seed=3)
+    rng = np.random.default_rng(4)
+    size = 200_000
+    bank.process_batch(
+        rng.integers(0, 64, size=size),
+        rng.integers(0, 64, size=size),
+        np.ones(size, dtype=np.int64),
+    )
+    unread = pickle.dumps(bank)
+    restored = pickle.loads(unread)
+    assert restored.sample_all() == bank.sample_all()
+    assert len(unread) <= 2 * len(pickle.dumps(bank))
