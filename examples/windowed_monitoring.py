@@ -1,10 +1,12 @@
 """Windowed monitoring: per-hour heavy items with witnesses.
 
 A monitoring deployment wants "which row was hot *this window*, and who
-touched it" — not all-time frequency.  The tumbling-window extension
-restarts FEwW each window and retains each window's verdict.  This
-example also round-trips the workload through the stream file format,
-the way an experiment would archive its input.
+touched it" — not all-time frequency.  The engine's tumbling policy
+(``TumblingPolicy``) composed with Algorithm 2 through
+``WindowedProcessor`` restarts FEwW each window and retains each
+window's verdict as a ``WindowRecord``.  This example also round-trips
+the workload through the stream file format, the way an experiment
+would archive its input.
 
 Run:  python examples/windowed_monitoring.py
 """
@@ -12,7 +14,8 @@ Run:  python examples/windowed_monitoring.py
 import tempfile
 from pathlib import Path
 
-from repro.core.windowed import TumblingWindowFEwW
+from repro.engine import TumblingPolicy, WindowedProcessor
+from repro.pipeline import RegistryWindowFactory
 from repro.streams import dump_stream, load_stream
 from repro.streams.edge import Edge
 from repro.streams.stream import stream_from_edges
@@ -44,22 +47,26 @@ def main() -> None:
         print(f"workload archived to and reloaded from {path.name} "
               f"({len(stream)} updates)")
 
-    monitor = TumblingWindowFEwW(
-        n=stream.n, d=30, alpha=2, window=window, seed=1
-    ).process(stream)
-    monitor.flush()
+    # One Algorithm 2 instance per window, seeded by the window's index.
+    monitor = WindowedProcessor(
+        RegistryWindowFactory.of("insertion-only",
+                                 {"n": stream.n, "d": 30, "alpha": 2}),
+        TumblingPolicy(window),
+        seed=1,
+    )
+    records = monitor.process(stream).finalize()
 
-    print(f"\n{len(monitor.completed_windows())} windows of {window} updates:")
-    for result in monitor.completed_windows():
-        if result.found:
-            neighbourhood = result.neighbourhood
-            print(f"  window {result.window_index}: row {neighbourhood.vertex} "
+    print(f"\n{len(records)} windows of {window} updates:")
+    for record in records:
+        if record.found:
+            neighbourhood = record.value
+            print(f"  window {record.window_index}: row {neighbourhood.vertex} "
                   f"hot with {neighbourhood.size} witnesses "
                   f"(e.g. users {sorted(neighbourhood.witnesses)[:4]})")
         else:
-            print(f"  window {result.window_index}: no row reached d=30")
+            print(f"  window {record.window_index}: no row reached d=30")
 
-    winners = [r.neighbourhood.vertex for r in monitor.completed_windows() if r.found]
+    winners = [r.value.vertex for r in records if r.found]
     assert winners == [3, 7, 11]
     print("\nverification: each window's hot row detected in order — OK")
 

@@ -44,7 +44,6 @@ from repro.core import (
     StarDetection,
     StarDetectionResult,
     TopKFEwW,
-    TumblingWindowFEwW,
     verify_neighbourhood,
 )
 from repro.engine import (
@@ -143,7 +142,6 @@ __all__ = [
     "StreamProcessor",
     "TopKFEwW",
     "TumblingPolicy",
-    "TumblingWindowFEwW",
     "WindowPolicy",
     "WindowSpec",
     "WindowedProcessor",

@@ -22,6 +22,10 @@ every entry, so the static and dynamic views cannot drift.  Per entry:
   stream.  Flushing ``other`` in place is allowed and ``finalize`` is
   outside the contract (it may draw from an RNG or memoise), so
   answers are read from throwaway copies, settled by one more merge;
+* seeded merge: an entry whose instance does not declare
+  ``merge_needs_equal_seeds`` must merge two builds with different
+  seeds, because sliding and decay windows seed its buckets apart —
+  ``audit/seeded-merge``;
 * metadata ↔ capability agreement: the *instance*'s validated
   ``shard_routing`` must match the registry's declared routing, and
   ``mergeable`` must match what
@@ -341,5 +345,23 @@ def audit_registry(
                     "may flush its argument but must not change its "
                     "answer, and must copy any container it takes from it "
                     "— window probes merge live buckets without cloning",
+                )
+            if entry.seed_param is None or getattr(
+                fresh, "merge_needs_equal_seeds", False
+            ):
+                continue
+            try:
+                left = entry.build({**params, entry.seed_param: 1})
+                right = entry.build({**params, entry.seed_param: 2})
+                left.process_batch(_BATCH_A, _BATCH_B)
+                right.process_batch(_BATCH_A2, _BATCH_B2)
+                left.merge(right).finalize()
+            except Exception as error:  # noqa: BLE001
+                report(
+                    "audit/seeded-merge",
+                    f"builds with different seeds do not merge "
+                    f"({type(error).__name__}: {error})",
+                    "set merge_needs_equal_seeds = True on the class so "
+                    "sliding and decay windows seed every bucket alike",
                 )
     return findings

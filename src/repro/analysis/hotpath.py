@@ -5,7 +5,8 @@ loops with whole-chunk NumPy kernels, and every per-layer ceiling in
 ``scripts/perf_gate.py`` (``baselines.count_min.ingest_s`` and the
 rest) assumes the batch entry points stay that way.
 ``hotpath/scalar-loop`` flags a ``for`` loop inside a
-``process_batch`` / ``observe_batch`` / ``update_batch`` body whose
+``process_batch`` / ``check_batch`` / ``observe_batch`` /
+``update_batch`` body whose
 iterable references one of the method's own batch parameters — the
 signature of per-item iteration over chunk columns (``zip(a.tolist(),
 b.tolist())``, ``range(len(a))``, ``enumerate(deltas)``, ...).
@@ -41,7 +42,7 @@ __all__ = ["HOT_BATCH_METHODS", "check_hotpath"]
 
 #: The engine-driven batch entry points the rule watches.
 HOT_BATCH_METHODS: FrozenSet[str] = frozenset(
-    {"process_batch", "observe_batch", "update_batch"}
+    {"process_batch", "check_batch", "observe_batch", "update_batch"}
 )
 
 

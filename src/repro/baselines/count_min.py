@@ -33,6 +33,8 @@ class CountMinSketch(BatchIngest):
     #: Linear sketch: same-seed shards merge bit-identically for any
     #: stream split (see :mod:`repro.engine.protocol`).
     shard_routing = "any"
+    #: Only same-seed twins merge: windows seed every bucket alike.
+    merge_needs_equal_seeds = True
 
     def __init__(self, epsilon: float, delta: float, seed: int | None = None) -> None:
         if not 0 < epsilon < 1:

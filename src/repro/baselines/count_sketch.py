@@ -31,6 +31,8 @@ class CountSketch(BatchIngest):
     #: Linear sketch: same-seed shards merge bit-identically for any
     #: stream split (see :mod:`repro.engine.protocol`).
     shard_routing = "any"
+    #: Only same-seed twins merge: windows seed every bucket alike.
+    merge_needs_equal_seeds = True
 
     def __init__(self, width: int, rows: int = 5, seed: int | None = None) -> None:
         if width < 1:

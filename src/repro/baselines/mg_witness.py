@@ -29,7 +29,6 @@ from repro.baselines.misra_gries import fold_counters
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
 from repro.spacemeter import edge_words, vertex_words
-from repro.streams.edge import INSERT
 
 
 class MisraGriesWithWitnesses(BatchIngest):
@@ -45,6 +44,7 @@ class MisraGriesWithWitnesses(BatchIngest):
     #: witness lists stay best-effort either way (that is the point of
     #: this heuristic).
     shard_routing = "any"
+    DELETIONS_REJECTED = "Misra-Gries supports insertion-only streams"
 
     def __init__(self, k: int, max_witnesses: int) -> None:
         if k < 1:
@@ -72,8 +72,7 @@ class MisraGriesWithWitnesses(BatchIngest):
         (identical at every chunk size by construction).  The
         heuristic exists for honesty benchmarks, not throughput.
         """
-        if sign is not None and np.any(sign != INSERT):
-            raise ValueError("Misra-Gries supports insertion-only streams")
+        self.check_batch(a, b, sign)
         # repro: allow-scalar-loop decrement-all couples every counter
         # to every arrival; no order-free collapse exists (see docstring)
         for a_item, b_item in zip(a.tolist(), b.tolist()):

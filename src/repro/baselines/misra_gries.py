@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.protocol import BatchIngest
-from repro.streams.edge import DELETE
 
 
 def fold_counters(combined: Dict[int, int], k: int) -> Dict[int, int]:
@@ -49,6 +48,7 @@ class MisraGries(BatchIngest):
     #: Counter summaries are classically mergeable for any stream split
     #: (see :mod:`repro.engine.protocol`).
     shard_routing = "any"
+    DELETIONS_REJECTED = "Misra-Gries supports insertion-only streams"
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -101,8 +101,7 @@ class MisraGries(BatchIngest):
         values may differ from the scalar :meth:`update` decrement
         schedule, which is arrival-order dependent.
         """
-        if sign is not None and np.any(sign == DELETE):
-            raise ValueError("Misra-Gries supports insertion-only streams")
+        self.check_batch(a, b, sign)
         if len(a) == 0:
             return
         items, counts = np.unique(np.asarray(a, dtype=np.int64), return_counts=True)

@@ -20,7 +20,7 @@ from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
 from repro.spacemeter import edge_words, vertex_words
 from repro.streams.columnar import group_slices
-from repro.streams.edge import DELETE, check_edge_range
+from repro.streams.edge import check_edge_range
 
 
 class FullStorage(BatchIngest):
@@ -57,6 +57,13 @@ class FullStorage(BatchIngest):
         self._flush()
         return self._store
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Reject a chunk with an endpoint outside ``[0, n) x [0, m)``:
+        the flat key ``a*m + b`` would file it under the wrong vertex."""
+        check_edge_range(a, b, self.n, self.m)
+
     def process_batch(
         self,
         a: np.ndarray,
@@ -65,8 +72,7 @@ class FullStorage(BatchIngest):
     ) -> None:
         """Buffer a column chunk of signed updates (deferred netting).
 
-        Both endpoints are range-checked first: the flat key ``a*m + b``
-        would file an out-of-range edge under the wrong vertex.  The
+        Both endpoints are range-checked first (:meth:`check_batch`).  The
         columns are copied (chunk buffers may be recycled by the caller)
         and applied on the next read through :meth:`_flush`; final state
         is identical at every chunk size.
@@ -75,7 +81,7 @@ class FullStorage(BatchIngest):
             return
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
-        check_edge_range(a, b, self.n, self.m)
+        self.check_batch(a, b, sign)
         self._pending.append(
             (a, b, None if sign is None else np.array(sign, dtype=np.int64))
         )
@@ -202,6 +208,7 @@ class FirstKWitnessCollector(BatchIngest):
     #: First-k witnesses are a per-vertex prefix of arrival order, so
     #: shards must own vertices outright (see repro.engine.protocol).
     shard_routing = "vertex"
+    DELETIONS_REJECTED = "FirstKWitnessCollector supports insertion-only streams"
 
     def __init__(self, n: int, k: int) -> None:
         if k < 1:
@@ -218,8 +225,7 @@ class FirstKWitnessCollector(BatchIngest):
         sign: Optional[np.ndarray] = None,
     ) -> None:
         """Apply a column chunk of insertions."""
-        if sign is not None and np.any(sign == DELETE):
-            raise ValueError("FirstKWitnessCollector supports insertion-only streams")
+        self.check_batch(a, b, sign)
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
         if len(a) == 0:

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.protocol import BatchIngest
-from repro.streams.edge import DELETE
 
 #: Stamps occupy the low bits of the fused eviction key.
 _STAMP_MOD = 1 << 20
@@ -45,6 +44,7 @@ class SpaceSaving(BatchIngest):
     #: Counter summaries are classically mergeable for any stream split
     #: (see :mod:`repro.engine.protocol`).
     shard_routing = "any"
+    DELETIONS_REJECTED = "SpaceSaving supports insertion-only streams"
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -183,8 +183,7 @@ class SpaceSaving(BatchIngest):
         overestimate) while the per-counter values may differ from a
         fully interleaved arrival order.
         """
-        if sign is not None and np.any(sign == DELETE):
-            raise ValueError("SpaceSaving supports insertion-only streams")
+        self.check_batch(a, b, sign)
         if len(a) == 0:
             return
         items, first_positions, counts = np.unique(

@@ -66,6 +66,7 @@ from repro.engine.sharded import ON_FAILURE_POLICIES, ShardedWorkerError
 from repro.pipeline import (
     GENERATORS,
     PROCESSORS,
+    WINDOW_POLICIES,
     CheckpointSpec,
     ExecSpec,
     Pipeline,
@@ -93,7 +94,6 @@ from repro.theory.bounds import (
 
 WORKLOADS = ("star", "cascade", "adversarial", "zipf", "churn")
 ALGORITHMS = ("insertion-only", "insertion-deletion")
-WINDOW_POLICIES = ("tumbling", "sliding", "decay")
 
 
 def build_parser() -> argparse.ArgumentParser:

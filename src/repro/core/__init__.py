@@ -24,18 +24,8 @@ from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.insertion_deletion import InsertionDeletionFEwW, SamplingStrategy
 from repro.core.star_detection import StarDetection, StarDetectionResult
 from repro.core.topk import TopKFEwW
-from repro.core.windowed import (
-    Alg2WindowFactory,
-    Alg3WindowFactory,
-    TumblingWindowFEwW,
-    WindowResult,
-)
 
 __all__ = [
-    "Alg2WindowFactory",
-    "Alg3WindowFactory",
-    "TumblingWindowFEwW",
-    "WindowResult",
     "AlgorithmFailed",
     "DegResSampling",
     "InsertionDeletionFEwW",

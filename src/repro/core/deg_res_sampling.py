@@ -45,7 +45,6 @@ from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown, edge_words, vertex_words
 from repro.streams.columnar import group_slices
-from repro.streams.edge import INSERT
 
 
 def collect_witnesses(requests, composite, order, b: np.ndarray) -> None:
@@ -396,6 +395,13 @@ class SharedDegreeRuns(BatchIngest):
     # Stream processing.
     # ------------------------------------------------------------------
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Reject deletions and out-of-range vertices."""
+        super().check_batch(a, b, sign)
+        self._degrees.check_range(a)
+
     def process_batch(
         self,
         a: np.ndarray,
@@ -415,10 +421,9 @@ class SharedDegreeRuns(BatchIngest):
         later in the chunk are skipped — eviction discards those lists
         anyway — so the final state is bit-identical at every chunk size.
         """
-        if sign is not None and np.any(sign != INSERT):
-            raise ValueError(self.DELETIONS_REJECTED)
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
+        self.check_batch(a, b, sign)
         n_items = len(a)
         if n_items == 0:
             return

@@ -95,6 +95,8 @@ class InsertionDeletionFEwW(BatchIngest):
     #: same-seed shards merge bit-identically for any stream split (see
     #: repro.engine.protocol).
     shard_routing = "any"
+    #: Only same-seed twins merge: windows seed every bucket alike.
+    merge_needs_equal_seeds = True
 
     def __init__(
         self,
@@ -147,6 +149,12 @@ class InsertionDeletionFEwW(BatchIngest):
     # Stream processing.
     # ------------------------------------------------------------------
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Reject a chunk with an endpoint outside ``[0, n) x [0, m)``."""
+        check_edge_range(a, b, self.n, self.m)
+
     def process_batch(
         self,
         a: np.ndarray,
@@ -166,13 +174,13 @@ class InsertionDeletionFEwW(BatchIngest):
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
+        self.check_batch(a, b, sign)
         if sign is None:
             sign = insert_signs(len(a))
         else:
             sign = np.ascontiguousarray(sign, dtype=np.int64)
         if len(a) == 0:
             return
-        check_edge_range(a, b, self.n, self.m)
         self._updates_seen += len(a)
         self._result_cache = None
         flat = a * self.m + b

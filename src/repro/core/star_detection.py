@@ -45,7 +45,7 @@ from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
 from repro.spacemeter import SpaceBreakdown
 from repro.streams.adapters import bipartite_double_cover_columnar
-from repro.streams.edge import INSERT, check_edge_range, insert_signs
+from repro.streams.edge import check_edge_range, insert_signs
 
 
 def degree_guesses(n: int, eps: float) -> List[int]:
@@ -148,6 +148,14 @@ class StarDetection(BatchIngest):
         self.alpha = alpha
         self.eps = eps
         self.model = model
+        #: Turnstile rungs are Algorithm 3 instances, which only merge
+        #: with same-seed counterparts (see InsertionDeletionFEwW).
+        self.merge_needs_equal_seeds = model != "insertion-only"
+        if model == "insertion-only":
+            self.DELETIONS_REJECTED = (
+                "insertion-only Star Detection cannot process deletions; "
+                "construct with model='insertion-deletion'"
+            )
         self.guesses = degree_guesses(n_vertices, eps)
         root = random.Random(seed)
         #: ``(guess, rung)`` in ladder order.  Insertion-only, a rung is
@@ -208,6 +216,14 @@ class StarDetection(BatchIngest):
         # resident vertices are walked once per chunk).
         return self.process(cover.chunks(1 << 16))
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Both endpoints must lie in the double cover's n-vertex
+        sides, and the insertion-only ladder rejects deletions."""
+        check_edge_range(a, b, self.n_vertices, self.n_vertices)
+        super().check_batch(a, b, sign)
+
     def process_batch(
         self,
         a: np.ndarray,
@@ -229,16 +245,9 @@ class StarDetection(BatchIngest):
         b = np.ascontiguousarray(b, dtype=np.int64)
         if len(a) == 0:
             return
-        # Both endpoints live in the double cover's n-vertex sides; a
-        # rejected chunk leaves the detector as if never offered.
+        self.check_batch(a, b, sign)
         n = self.n_vertices
-        check_edge_range(a, b, n, n)
         if self._shared is not None:
-            if sign is not None and np.any(sign != INSERT):
-                raise ValueError(
-                    "insertion-only Star Detection cannot process deletions; "
-                    "construct with model='insertion-deletion'"
-                )
             self._shared.process_batch(a, b)
         else:
             if sign is None:

@@ -67,6 +67,12 @@ class TopKFEwW(BatchIngest):
     def alpha(self) -> int:
         return self._inner.alpha
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """The inner Algorithm 2's input checks."""
+        self._inner.check_batch(a, b, sign)
+
     def process_batch(
         self,
         a: np.ndarray,

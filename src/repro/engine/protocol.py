@@ -1,7 +1,7 @@
 """The :class:`StreamProcessor` protocol: what the engine drives.
 
 Every streaming structure in this library — the paper's Algorithms 1–3,
-the extension wrappers (Star Detection, top-k, tumbling windows), the
+the extension wrappers (Star Detection, top-k, windowed processing), the
 classical baselines and the sketch summaries — exposes the same two
 methods:
 
@@ -77,6 +77,8 @@ from typing import (
 
 import numpy as np
 
+from repro.streams.edge import INSERT
+
 #: Routing tag: updates may be partitioned arbitrarily across shards.
 SHARD_ANY = "any"
 
@@ -122,6 +124,27 @@ class BatchIngest:
     :func:`~repro.engine.runner.drive`.  Pass ``stream.chunks(k)`` to
     choose the chunk size.
     """
+
+    #: Set by insertion-only structures: the message that a chunk
+    #: holding any non-insert update is rejected with.
+    DELETIONS_REJECTED: Optional[str] = None
+
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Raise :class:`ValueError` for a chunk this structure rejects.
+
+        ``process_batch`` runs it before changing any state, and a
+        windowed wrapper runs it on a whole chunk before splitting it at
+        bucket boundaries.  The default rejects non-insert updates when
+        :attr:`DELETIONS_REJECTED` is set and accepts every other chunk.
+        """
+        if (
+            self.DELETIONS_REJECTED is not None
+            and sign is not None
+            and np.any(sign != INSERT)
+        ):
+            raise ValueError(self.DELETIONS_REJECTED)
 
     def process(self: _Ingest, source: Any) -> _Ingest:
         """Consume a whole stream; returns self for chaining."""

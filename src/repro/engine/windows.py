@@ -1,10 +1,8 @@
 """Window policies: engine-level windowing for any stream processor.
 
-The tumbling-window wrapper used to be a bespoke loop hard-wired to
-Algorithm 2 (``repro.core.windowed``).  This module extracts windowing
-into a first-class subsystem: a :class:`WindowPolicy` decides how the
-stream is cut into fixed-size *buckets* and what is retained when a
-bucket closes, and the generic :class:`WindowedProcessor` composes any
+A :class:`WindowPolicy` decides how the stream is cut into fixed-size
+*buckets* and what is retained when a bucket closes, and the generic
+:class:`WindowedProcessor` composes any
 :class:`~repro.engine.protocol.StreamProcessor` with any policy.  The
 engine machinery carries over unchanged: chunks are split at the
 stream's bucket boundaries, whatever the chunk size, and the wrapper
@@ -16,9 +14,9 @@ bucket)`` routing.
 Three policies ship:
 
 * :class:`TumblingPolicy` — consecutive non-overlapping windows; each
-  bucket *is* a window, finalized and recorded when it closes.  The
-  refactored :class:`~repro.core.windowed.TumblingWindowFEwW` is this
-  policy over Algorithm 2, bit-identical to the pre-refactor wrapper.
+  bucket *is* a window, finalized and recorded when it closes.  Over
+  Algorithm 2 (``RegistryWindowFactory.of("insertion-only", ...)``) it
+  is bit-identical to the original per-window restart loop.
 * :class:`SlidingPolicy` — sliding window of span ``window`` via the
   smooth-histogram technique (Braverman & Ostrovsky): the stream is cut
   into buckets of ``max(1, ceil(window * bucket_ratio))`` updates, each
@@ -35,8 +33,11 @@ Three policies ship:
 
 Sliding and decay retention merge inner summaries, so those policies
 require a mergeable inner processor; tumbling works with any
-:class:`~repro.engine.protocol.StreamProcessor`.  Per the PR 3
-taxonomy, sharded windowed runs are bit-identical for tumbling and
+:class:`~repro.engine.protocol.StreamProcessor`.  An inner structure
+whose merge needs equal seeds (it declares
+``merge_needs_equal_seeds``) gets bucket 0's seed in every bucket under
+those policies; every other inner is seeded per bucket.  Sharded
+windowed runs are bit-identical for tumbling and
 sliding (buckets are seeded by global index and wholly owned by one
 shard) and bit-identical for decay over linear/exact inner structures
 (tail folding is a commutative merge), guarantee-identical otherwise.
@@ -59,8 +60,7 @@ from repro.engine.protocol import (
 )
 
 #: Multiplier in the per-bucket seed derivation; kept identical to the
-#: pre-refactor TumblingWindowFEwW so tumbling-as-a-policy reproduces
-#: the old wrapper bit for bit.
+#: original tumbling loop so tumbling windows reproduce it bit for bit.
 _SEED_MULTIPLIER = 1_000_003
 
 
@@ -220,7 +220,7 @@ class WindowPolicy:
     def is_empty(self, state: Any) -> bool:
         raise NotImplementedError
 
-    def close(self, state: Any, bucket: Bucket, make_record: Callable) -> None:
+    def close(self, state: Any, bucket: Bucket) -> None:
         """Retain one closed bucket (called in global index order within
         a shard; across shards indices interleave and merge re-orders)."""
         raise NotImplementedError
@@ -229,27 +229,25 @@ class WindowPolicy:
         """Combine two shards' retention states (indices are disjoint)."""
         raise NotImplementedError
 
-    def result(self, state: Any, make_record: Callable) -> Any:
+    def result(self, state: Any) -> Any:
         """The policy's end-of-stream answer."""
         raise NotImplementedError
 
-    def query(
-        self, state: Any, partial: Optional[Bucket], make_record: Callable
-    ) -> Any:
+    def query(self, state: Any, partial: Optional[Bucket]) -> Any:
         """The policy's answer *mid-stream*, without closing anything.
 
         ``partial`` is the in-progress bucket over the *live* instance
         (``None`` when it is empty).  It keeps streaming after the
         probe, so a policy may merge it into a summary it owns but must
         clone it before keeping or finalizing it.  The base behaviour —
-        kept by tumbling, matching the pre-refactor "query the last
-        completed window" semantics — ignores it; policies whose
+        kept by tumbling, whose query reports the completed windows
+        only — ignores it; policies whose
         retention merges summaries (sliding, decay) override to
         include the partial bucket so the answer covers the stream up
         to the current update.  Must not change the retained buckets in
         ``state`` (derived query caches may be filled in).
         """
-        return self.result(state, make_record)
+        return self.result(state)
 
 
 @dataclass(frozen=True)
@@ -273,11 +271,11 @@ class TumblingPolicy(WindowPolicy):
     def is_empty(self, state: List[WindowRecord]) -> bool:
         return not state
 
-    def close(self, state, bucket: Bucket, make_record) -> None:
+    def close(self, state, bucket: Bucket) -> None:
         # The instance is finalized and dropped at the boundary — space
         # stays one live instance plus the retained records.
         state.append(
-            make_record(
+            WindowRecord(
                 bucket.index, bucket.start, bucket.end,
                 bucket.instance.finalize(),
             )
@@ -288,7 +286,7 @@ class TumblingPolicy(WindowPolicy):
         state.sort(key=lambda record: record.window_index)
         return state
 
-    def result(self, state, make_record) -> List[WindowRecord]:
+    def result(self, state) -> List[WindowRecord]:
         return list(state)
 
 
@@ -333,20 +331,16 @@ class SlidingPolicy(WindowPolicy):
     def is_empty(self, state: List[Bucket]) -> bool:
         return not state
 
-    def close(self, state, bucket: Bucket, make_record) -> None:
+    def close(self, state, bucket: Bucket) -> None:
         state.append(bucket)
         del state[: -self.retained]
-        cache = getattr(state, "suffix", None)
-        if cache is not None:
-            cache.clear()
+        state.suffix.clear()
 
     def merge(self, state, other):
         state.extend(other)
         state.sort(key=lambda bucket: bucket.index)
         del state[: -self.retained]
-        cache = getattr(state, "suffix", None)
-        if cache is not None:
-            cache.clear()
+        state.suffix.clear()
         return state
 
     def _suffix_fold(self, state, start: int) -> Any:
@@ -355,23 +349,20 @@ class SlidingPolicy(WindowPolicy):
         Buckets stay live for repeat queries.  A merge leaves its
         argument's answer alone and shares nothing mutable with it (the
         ``audit/merge-argument`` contract), so the fold clones its seed
-        bucket and merges the later buckets in directly.  When the state carries a suffix
-        cache (see :class:`SuffixCacheList`) the fold is built once per
-        (start, bucket-list) pair and re-cloned on later probes, making
-        repeated queries O(1) merges instead of O(retained) — the cache
-        only empties when a bucket closes.
+        bucket and merges the later buckets in directly.  The state's
+        suffix cache (see :class:`SuffixCacheList`) builds the fold once
+        per (start, bucket-list) pair and re-clones it on later probes,
+        making repeated queries O(1) merges instead of O(retained) — the
+        cache only empties when a bucket closes.
         """
         if start >= len(state):
             return None
-        cache = getattr(state, "suffix", None)
-        fold = None if cache is None else cache.get(start)
+        fold = state.suffix.get(start)
         if fold is None:
             fold = clone_summary(state[start].instance)
             for bucket in state[start + 1 :]:
                 fold = fold.merge(bucket.instance)
-            if cache is None:
-                return fold
-            cache[start] = fold
+            state.suffix[start] = fold
         return clone_summary(fold)
 
     def _answer(
@@ -408,10 +399,10 @@ class SlidingPolicy(WindowPolicy):
             value=merged.finalize(),
         )
 
-    def result(self, state, make_record) -> Optional[SlidingWindowAnswer]:
+    def result(self, state) -> Optional[SlidingWindowAnswer]:
         return self._answer(state, None)
 
-    def query(self, state, partial, make_record):
+    def query(self, state, partial):
         """Query-at-any-point: the smooth-histogram answer over the
         trailing buckets *plus* the in-progress one, so the covered
         span always ends at the current update (the end-of-stream
@@ -476,7 +467,7 @@ class DecayPolicy(WindowPolicy):
         for key in [key for key in cache if key not in live]:
             del cache[key]
 
-    def close(self, state, bucket: Bucket, make_record) -> None:
+    def close(self, state, bucket: Bucket) -> None:
         state["recent"].append(bucket)
         while len(state["recent"]) > self.keep:
             self._fold(state, state["recent"].pop(0))
@@ -495,18 +486,18 @@ class DecayPolicy(WindowPolicy):
         self._prune_records(state)
         return state
 
-    def query(self, state, partial, make_record):
+    def query(self, state, partial):
         """Mid-stream answer: the in-progress bucket appears as the
         newest recent bucket (retention folding only happens when it
         actually closes, so ``recent`` may transiently show ``keep + 1``
         buckets).  Retention is never touched; the record and tail-value
         memos land in ``state``, so later probes reuse them."""
-        return self._answer(state, partial, make_record)
+        return self._answer(state, partial)
 
-    def result(self, state, make_record) -> DecayAnswer:
-        return self._answer(state, None, make_record)
+    def result(self, state) -> DecayAnswer:
+        return self._answer(state, None)
 
-    def _answer(self, state, partial, make_record) -> DecayAnswer:
+    def _answer(self, state, partial) -> DecayAnswer:
         # Closed buckets receive no further updates, so their records
         # are memoized per (index, end) — a probe only re-finalizes the
         # in-progress bucket and whatever closed since the last probe.
@@ -526,7 +517,7 @@ class DecayPolicy(WindowPolicy):
             if cache is not None:
                 record = cache.get(key)
             if record is None:
-                record = make_record(
+                record = WindowRecord(
                     bucket.index, bucket.start, bucket.end,
                     clone_summary(bucket.instance).finalize(),
                 )
@@ -564,8 +555,9 @@ class WindowedProcessor(BatchIngest):
         factory: builds one inner processor per bucket; called as
             ``factory(seed)`` with the bucket's derived seed (a function
             of the master ``seed`` and the *global* bucket index, see
-            :func:`derive_bucket_seed`).  Deterministic processors may
-            ignore the argument.  For sharded (multi-process) execution
+            :func:`derive_bucket_seed`; bucket 0's index for an inner
+            whose merge needs equal seeds, under sliding or decay).
+            Deterministic processors may ignore the argument.  For sharded (multi-process) execution
             the factory must be picklable — a module-level function,
             ``functools.partial`` of one, or a dataclass with
             ``__call__`` — not a lambda.
@@ -579,7 +571,9 @@ class WindowedProcessor(BatchIngest):
     ``split``/``merge`` give each shard ownership of every
     ``n_shards``-th bucket (seeded by global index, so any shard
     reproduces exactly what a single-core run would compute for its
-    buckets).
+    buckets).  A chunk that crosses a bucket boundary is checked whole
+    by the inner ``check_batch`` first, so a rejected chunk closes no
+    bucket.
 
     Raises:
         TypeError: when the factory's product does not conform to the
@@ -612,8 +606,15 @@ class WindowedProcessor(BatchIngest):
         self._stride = 1
         self._updates = 0
         self._state = policy.new_state()
+        self._same_seed = False
         self._current = self._fresh_instance()
         self._validate_inner(self._current)
+        #: Buckets merged under sliding/decay must share hash functions
+        #: when the inner says so: every bucket then reuses bucket 0's
+        #: seed, read off the bucket-0 instance just built.
+        self._same_seed = policy.requires_merge and bool(
+            getattr(self._current, "merge_needs_equal_seeds", False)
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -653,13 +654,8 @@ class WindowedProcessor(BatchIngest):
             )
 
     def _fresh_instance(self) -> Any:
-        return self._factory(derive_bucket_seed(self._seed, self._bucket_index))
-
-    def _make_record(
-        self, index: int, start: int, end: int, value: Any
-    ) -> Any:
-        """Record constructor hook (subclasses may emit their own type)."""
-        return WindowRecord(index, start, end, value)
+        index = 0 if self._same_seed else self._bucket_index
+        return self._factory(derive_bucket_seed(self._seed, index))
 
     # ------------------------------------------------------------------
     # Stream processing (engine protocol).
@@ -676,7 +672,6 @@ class WindowedProcessor(BatchIngest):
         self.policy.close(
             self._state,
             Bucket(self._bucket_index, start, start + self._updates, self._current),
-            self._make_record,
         )
         self._bucket_index += self._stride
         self._updates = 0
@@ -694,14 +689,20 @@ class WindowedProcessor(BatchIngest):
         to the current inner instance as a single sub-batch, and buckets
         close at fixed stream positions — so the sequence of (instance,
         updates) pairs, and with it every bucket's retained state, is
-        identical at any chunk size.  A shard produced by :meth:`split`
-        must be fed exactly the updates of its own buckets, in order
-        (what a ShardedRunner's window routing does).
+        identical at any chunk size.  A chunk that crosses a boundary is
+        first checked whole by the inner ``check_batch``: a rejected
+        chunk raises before any bucket closes.  A shard produced by
+        :meth:`split` must be fed exactly the updates of its own
+        buckets, in order (what a ShardedRunner's window routing does).
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
         bucket = self.policy.bucket
         position, n_items = 0, len(a)
+        if n_items > bucket - self._updates:
+            check = getattr(self._current, "check_batch", None)
+            if check is not None:
+                check(a, b, sign)
         while position < n_items:
             room = bucket - self._updates
             take = min(room, n_items - position)
@@ -720,8 +721,8 @@ class WindowedProcessor(BatchIngest):
         """Close the in-progress bucket early (end of stream).
 
         A no-op when the last bucket closed exactly at a boundary —
-        except on a completely untouched instance, where (matching the
-        pre-refactor tumbling semantics) it records one empty bucket.
+        except on a completely untouched instance, where (as the
+        original tumbling loop did) it records one empty bucket.
         """
         if self._updates > 0 or (
             self.policy.is_empty(self._state) and self._bucket_index == 0
@@ -733,7 +734,7 @@ class WindowedProcessor(BatchIngest):
         policy's answer (a record list, a sliding answer, or a decay
         answer)."""
         self.flush()
-        return self.policy.result(self._state, self._make_record)
+        return self.policy.result(self._state)
 
     def query(self) -> Any:
         """The policy's answer at the *current* stream position.
@@ -759,22 +760,11 @@ class WindowedProcessor(BatchIngest):
             partial = Bucket(
                 self._bucket_index, start, start + self._updates, self._current
             )
-        return self.policy.query(self._state, partial, self._make_record)
+        return self.policy.query(self._state, partial)
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
     # ------------------------------------------------------------------
-
-    def _check_merge_compatible(self, other: "WindowedProcessor") -> None:
-        if type(other) is not type(self):
-            raise ValueError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        if self.policy != other.policy or self._seed != other._seed:
-            raise ValueError(
-                "cannot merge windowed wrappers with different policies or "
-                "seeds; split both from the same instance"
-            )
 
     def merge(self, other: "WindowedProcessor") -> "WindowedProcessor":
         """Interleave the retained buckets of two shards.
@@ -787,18 +777,21 @@ class WindowedProcessor(BatchIngest):
         single-core run over the concatenated stream (decay tail
         folding is bit-identical for commutative inner merges).
         """
-        self._check_merge_compatible(other)
+        if not isinstance(other, WindowedProcessor):
+            raise ValueError(
+                f"cannot merge WindowedProcessor with {type(other).__name__}"
+            )
+        if self.policy != other.policy or self._seed != other._seed:
+            raise ValueError(
+                "cannot merge windowed wrappers with different policies or "
+                "seeds; split both from the same instance"
+            )
         if self._updates > 0:
             self._close_bucket()
         if other._updates > 0:
             other._close_bucket()
         self._state = self.policy.merge(self._state, other._state)
         return self
-
-    def _spawn(self) -> "WindowedProcessor":
-        """A fresh same-configuration wrapper (overridden by subclasses
-        whose constructors take algorithm parameters)."""
-        return WindowedProcessor(self._factory, self.policy, seed=self._seed)
 
     def split(self, n_shards: int) -> List["WindowedProcessor"]:
         """``n_shards`` shards, shard ``j`` owning buckets ``j, j + n, ...``.
@@ -817,7 +810,7 @@ class WindowedProcessor(BatchIngest):
             raise RuntimeError("split() must be called before processing")
         shards = []
         for offset in range(n_shards):
-            shard = self._spawn()
+            shard = WindowedProcessor(self._factory, self.policy, seed=self._seed)
             shard._bucket_index = offset
             shard._stride = n_shards
             shard._current = shard._fresh_instance()
@@ -850,10 +843,9 @@ class WindowedProcessor(BatchIngest):
         """The live instance plus whatever the policy retains.
 
         Sliding/decay retain live bucket summaries (charged via their
-        own ``space_words``); tumbling retains finalized records, for
-        which — matching :class:`~repro.core.windowed.TumblingWindowFEwW`'s
-        accounting — the most recent found answer is charged as one
-        vertex word plus two words per witness edge.
+        own ``space_words``); tumbling retains finalized records, of
+        which the most recent found answer is charged as one vertex
+        word plus two words per witness edge.
         """
         total = _space_of(self._current)
         if isinstance(self._state, list):
@@ -864,7 +856,7 @@ class WindowedProcessor(BatchIngest):
                 else:
                     records.append(entry)
             for record in reversed(records):
-                value = getattr(record, "value", None)
+                value = record.value
                 if value is not None and hasattr(value, "size"):
                     total += 1 + 2 * value.size
                     break

@@ -258,7 +258,7 @@ class RegistryWindowFactory:
     structures) and builds through the registry.  Parameters are stored
     as a sorted item tuple so the dataclass stays frozen, hashable and
     picklable — sharded worker processes re-resolve the entry by name
-    after import, exactly like the built-in window factories.
+    after import.
     """
 
     name: str

@@ -19,10 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.engine.windows import (
-    DecayAnswer,
-    SlidingWindowAnswer,
-)
+from repro.engine.windows import DecayAnswer, SlidingWindowAnswer, WindowRecord
 
 
 def describe_answer(value: Any) -> Any:
@@ -62,17 +59,13 @@ def describe_answer(value: Any) -> Any:
             "tail_end_update": value.tail_end_update,
             "tail_value": describe_answer(value.tail_value),
         }
-    if hasattr(value, "window_index") and hasattr(value, "start_update"):
-        # WindowRecord and subclasses (e.g. core.windowed.WindowResult).
-        inner = getattr(value, "value", None)
-        if inner is None:
-            inner = getattr(value, "neighbourhood", None)
+    if isinstance(value, WindowRecord):
         return {
             "type": "window",
             "index": value.window_index,
             "start_update": value.start_update,
             "end_update": value.end_update,
-            "value": describe_answer(inner),
+            "value": describe_answer(value.value),
         }
     if isinstance(value, (list, tuple)):
         return [describe_answer(item) for item in value]

@@ -166,6 +166,8 @@ class BloomDedup(BatchIngest):
 
     #: Pair keys partition by A-endpoint, keeping dedup decisions exact.
     shard_routing = "vertex"
+    #: Only same-seed twins merge: windows seed every bucket alike.
+    merge_needs_equal_seeds = True
 
     def __init__(
         self,

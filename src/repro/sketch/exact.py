@@ -51,9 +51,7 @@ class DegreeCounter:
         """
         if len(a) == 0:
             return np.zeros(0, dtype=np.int64)
-        if int(a.min()) < 0 or int(a.max()) >= self.n:
-            bad = a[(a < 0) | (a >= self.n)][0]
-            raise ValueError(f"vertex {int(bad)} out of range [0, {self.n})")
+        self.check_range(a)
         before = self._degrees[a]
         order, starts, ends = grouping
         ranks = np.arange(len(a), dtype=np.int64) - np.repeat(starts, ends - starts)
@@ -66,6 +64,12 @@ class DegreeCounter:
         else:
             np.add.at(self._degrees, a, 1)
         return before + ordinals + 1
+
+    def check_range(self, a: np.ndarray) -> None:
+        """Reject a column holding a vertex outside ``[0, n)``."""
+        if len(a) and (int(a.min()) < 0 or int(a.max()) >= self.n):
+            bad = a[(a < 0) | (a >= self.n)][0]
+            raise ValueError(f"vertex {int(bad)} out of range [0, {self.n})")
 
     def degree(self, a: int) -> int:
         """Current degree of vertex ``a``."""

@@ -80,7 +80,7 @@ from repro.sketch.ssparse import (
     signed_terms,
     table_powers,
 )
-from repro.streams.edge import insert_signs
+from repro.streams.edge import check_edge_range, insert_signs
 
 
 #: Exact-mode banks buffer update columns and consolidate them with one
@@ -751,6 +751,8 @@ class L0EdgeBank(BatchIngest):
 
     #: Linear sketches merge under any stream partition.
     shard_routing = "any"
+    #: Only same-seed twins merge: windows seed every bucket alike.
+    merge_needs_equal_seeds = True
 
     def __init__(
         self,
@@ -771,6 +773,12 @@ class L0EdgeBank(BatchIngest):
             n * m, count, delta, random.Random(seed), mode=mode
         )
 
+    def check_batch(
+        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
+    ) -> None:
+        """Reject a chunk with an endpoint outside ``[0, n) x [0, m)``."""
+        check_edge_range(a, b, self.n, self.m)
+
     def process_batch(
         self,
         a: np.ndarray,
@@ -779,13 +787,10 @@ class L0EdgeBank(BatchIngest):
     ) -> None:
         if len(a) == 0:
             return
-        self._started = True
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.min() < 0 or a.max() >= self.n or b.min() < 0 or b.max() >= self.m:
-            raise ValueError(
-                f"edge endpoints out of range ({self.n}, {self.m})"
-            )
+        self.check_batch(a, b, sign)
+        self._started = True
         indices = a * np.int64(self.m) + b
         deltas = (
             insert_signs(len(a))

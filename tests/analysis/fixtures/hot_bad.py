@@ -28,3 +28,10 @@ class EnumerateWalker:
 
     def note(self, offset, degree):
         pass
+
+
+class CheckingWalker:
+    def check_batch(self, a, b, sign=None):
+        for item in a:  # MARK: check-loop
+            if item < 0:
+                raise ValueError(item)

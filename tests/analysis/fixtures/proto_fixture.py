@@ -128,3 +128,26 @@ class WitnessAdoptingMerge:
             else:
                 stored.extend(witnesses)
         return self
+
+
+class SeedBoundMerge(GoodSummary):
+    """A seeded summary that only merges with a same-seed twin but does
+    not say so."""
+
+    def __init__(self, k: int = 4, seed: int = 0) -> None:
+        super().__init__(k)
+        self.seed = seed
+
+    def split(self, n_shards: int) -> List["SeedBoundMerge"]:
+        return [type(self)(self.k, self.seed) for _ in range(n_shards)]
+
+    def merge(self, other: "SeedBoundMerge") -> "SeedBoundMerge":
+        if other.seed != self.seed:
+            raise ValueError("different hash functions")
+        return super().merge(other)
+
+
+class DeclaredSeedBoundMerge(SeedBoundMerge):
+    """The same summary, declaring that its merge needs equal seeds."""
+
+    merge_needs_equal_seeds = True

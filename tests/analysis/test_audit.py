@@ -21,7 +21,8 @@ def audited(import_fixture):
     module = import_fixture("proto_fixture")
     registry = Registry("processor")
 
-    def add(name, cls, *, mergeable, routing=None, params=(Param("k", int, 4),)):
+    def add(name, cls, *, mergeable, routing=None, params=(Param("k", int, 4),),
+            seed_param=None):
         registry.register(
             Entry(
                 name=name,
@@ -30,6 +31,7 @@ def audited(import_fixture):
                 kind="test",
                 routing=routing,
                 mergeable=mergeable,
+                seed_param=seed_param,
             )
         )
 
@@ -40,6 +42,11 @@ def audited(import_fixture):
     add("not-actually", module.NotActuallyMergeable, mergeable=True, params=())
     add("draining", module.ArgumentDrainingMerge, mergeable=True, routing="any")
     add("adopting", module.WitnessAdoptingMerge, mergeable=True, routing="any")
+    seeded = (Param("k", int, 4), Param("seed", int, 0))
+    add("seed-bound", module.SeedBoundMerge, mergeable=True, routing="any",
+        params=seeded, seed_param="seed")
+    add("declared", module.DeclaredSeedBoundMerge, mergeable=True,
+        routing="any", params=seeded, seed_param="seed")
     add(
         "unbuildable",
         module.GoodSummary,
@@ -83,6 +90,12 @@ class TestBrokenRegistry:
             "processor 'adopting': merge(other)'s result shares mutable "
             "state with other (list x1)"
         ]
+
+    def test_undeclared_seed_bound_merge_is_named(self, audited):
+        """Sliding and decay seed an undeclared entry's buckets apart,
+        so its merge must take different seeds."""
+        assert _rules_for(audited, "seed-bound") == ["audit/seeded-merge"]
+        assert _rules_for(audited, "declared") == []
 
     def test_unbuildable_entry_reported_not_crashed(self, audited):
         assert _rules_for(audited, "unbuildable") == ["audit/unbuildable"]

@@ -11,6 +11,7 @@ class TestHotpathBad:
             ("hotpath/scalar-loop", marked_line(source, "zip-loop")),
             ("hotpath/scalar-loop", marked_line(source, "range-len-loop")),
             ("hotpath/scalar-loop", marked_line(source, "enum-loop")),
+            ("hotpath/scalar-loop", marked_line(source, "check-loop")),
         }
         assert {(f.rule, f.line) for f in findings} == expected
 
@@ -19,6 +20,7 @@ class TestHotpathBad:
         assert any("ZipWalker.process_batch" in p for p in problems)
         assert any("IndexWalker.update_batch" in p for p in problems)
         assert any("EnumerateWalker.observe_batch" in p for p in problems)
+        assert any("CheckingWalker.check_batch" in p for p in problems)
 
 
 class TestHotpathGood:

@@ -19,16 +19,18 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
-from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import (
     SHARD_ANY,
     SHARD_BY_VERTEX,
     SHARD_BY_WINDOW,
     MergeableStreamProcessor,
+    TumblingPolicy,
+    WindowedProcessor,
     combined_routing,
     ensure_mergeable,
     shard_routing_of,
 )
+from repro.pipeline.registry import RegistryWindowFactory
 
 
 def every_structure():
@@ -38,7 +40,13 @@ def every_structure():
         SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
-        TumblingWindowFEwW(16, 4, 2, window=8, seed=0),
+        WindowedProcessor(
+            RegistryWindowFactory.of(
+                "insertion-only", {"n": 16, "d": 4, "alpha": 2}
+            ),
+            TumblingPolicy(8),
+            seed=0,
+        ),
         MisraGries(4),
         MisraGriesWithWitnesses(4, 4),
         SpaceSaving(4),
@@ -126,12 +134,6 @@ class TestCompatibilityErrors:
         )
         with pytest.raises(ValueError, match="cannot merge Algorithm 3"):
             left.merge(right)
-
-    def test_window_seed_mismatch(self):
-        with pytest.raises(ValueError, match="tumbling-window"):
-            TumblingWindowFEwW(16, 4, 2, window=8, seed=1).merge(
-                TumblingWindowFEwW(16, 4, 2, window=8, seed=2)
-            )
 
     def test_algorithm1_parameter_mismatch(self):
         with pytest.raises(ValueError, match="cannot merge Deg-Res-Sampling"):

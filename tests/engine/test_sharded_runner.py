@@ -5,9 +5,14 @@ import pytest
 
 from repro.baselines import CountMinSketch, MisraGries
 from repro.core.insertion_only import InsertionOnlyFEwW
-from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import ShardedRunner, vertex_shard
+from repro.engine import (
+    ShardedRunner,
+    TumblingPolicy,
+    WindowedProcessor,
+    vertex_shard,
+)
 from repro.engine.sharded import route_chunk
+from repro.pipeline.registry import RegistryWindowFactory
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.edge import DELETE, INSERT
 
@@ -97,7 +102,13 @@ class TestRouting:
         runner = ShardedRunner(
             {
                 "alg2": InsertionOnlyFEwW(16, 4, 2, seed=0),
-                "win": TumblingWindowFEwW(16, 4, 2, window=8, seed=0),
+                "win": WindowedProcessor(
+                    RegistryWindowFactory.of(
+                        "insertion-only", {"n": 16, "d": 4, "alpha": 2}
+                    ),
+                    TumblingPolicy(8),
+                    seed=0,
+                ),
             },
             n_workers=2,
         )

@@ -17,8 +17,14 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
-from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import BatchIngest, StreamProcessor, ensure_stream_processor
+from repro.engine import (
+    BatchIngest,
+    StreamProcessor,
+    TumblingPolicy,
+    WindowedProcessor,
+    ensure_stream_processor,
+)
+from repro.pipeline.registry import RegistryWindowFactory
 
 import random
 
@@ -30,7 +36,13 @@ def every_structure():
         SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
-        TumblingWindowFEwW(16, 4, 2, window=8, seed=0),
+        WindowedProcessor(
+            RegistryWindowFactory.of(
+                "insertion-only", {"n": 16, "d": 4, "alpha": 2}
+            ),
+            TumblingPolicy(8),
+            seed=0,
+        ),
         MisraGries(4),
         MisraGriesWithWitnesses(4, 4),
         SpaceSaving(4),

@@ -2,13 +2,13 @@
 
 import functools
 import importlib.util
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.baselines import FullStorage
-from repro.core.windowed import Alg2WindowFactory, TumblingWindowFEwW
+from repro.baselines import CountMinSketch, FullStorage
 from repro.engine import (
     DecayPolicy,
     FanoutRunner,
@@ -19,7 +19,9 @@ from repro.engine import (
     ensure_mergeable,
 )
 from repro.engine import windows
+from repro.pipeline.registry import RegistryWindowFactory
 from repro.streams.columnar import ColumnarEdgeStream
+from repro.streams.edge import DELETE
 
 
 def full_storage_factory(n, m, seed):
@@ -42,6 +44,13 @@ def frozen_queries():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def alg2(n, d, alpha):
+    """Per-bucket Algorithm 2 through the registry."""
+    return RegistryWindowFactory.of(
+        "insertion-only", {"n": n, "d": d, "alpha": alpha}
+    )
 
 
 def make_stream(count, n=16, m=None, seed=3):
@@ -99,7 +108,7 @@ class TestInnerValidation:
     def test_vertex_routed_inner_is_fine(self):
         # Algorithm 2 declares "vertex" routing; inside a bucket there
         # is no further sharding, so the wrapper accepts it.
-        WindowedProcessor(Alg2WindowFactory(16, 4, 2), TumblingPolicy(8))
+        WindowedProcessor(alg2(16, 4, 2), TumblingPolicy(8))
 
     def test_nonconforming_inner_reports_missing_methods(self):
         with pytest.raises(TypeError, match="process_batch"):
@@ -117,7 +126,7 @@ class TestInnerValidation:
 
 
 def _tumbling_inner_factory(n, d, alpha, window, seed):
-    return TumblingWindowFEwW(n, d, alpha, window, seed=seed)
+    return WindowedProcessor(alg2(n, d, alpha), TumblingPolicy(window), seed=seed)
 
 
 class _UnmergeableProcessor:
@@ -468,3 +477,137 @@ class TestMidStreamQuery:
         tumbling = WindowedProcessor(make_full(16, 500), TumblingPolicy(100),
                                      seed=0)
         assert tumbling.query() == []
+
+
+def star_burst(vertex, degree, b_offset):
+    """One vertex's burst of ``degree`` edges (distinct witnesses)."""
+    a = np.full(degree, vertex, dtype=np.int64)
+    b = np.arange(b_offset, b_offset + degree, dtype=np.int64)
+    return a, b
+
+
+def bursts(*specs, m=300):
+    a, b = zip(*(star_burst(*spec) for spec in specs))
+    a, b = np.concatenate(a), np.concatenate(b)
+    return ColumnarEdgeStream(a, b, n=10, m=m, validate=False)
+
+
+class TestAlgorithm2Tumbling:
+    """Algorithm 2 restarted per window, each window answering alone."""
+
+    def test_per_window_heavy_item_changes(self):
+        stream = bursts((0, 10, 0), (1, 10, 100), (2, 10, 200))
+        wrapper = WindowedProcessor(alg2(10, 10, 1), TumblingPolicy(10), seed=1)
+        records = wrapper.process(stream).finalize()
+        assert [r.value.vertex for r in records if r.found] == [0, 1, 2]
+        assert records[-1].value.vertex == 2  # the latest window's answer
+
+    def test_window_without_heavy_item_reports_none(self):
+        a = np.arange(8, dtype=np.int64)
+        stream = ColumnarEdgeStream(a, a, n=10, m=10, validate=False)
+        wrapper = WindowedProcessor(alg2(10, 5, 1), TumblingPolicy(4), seed=2)
+        records = wrapper.process(stream).finalize()
+        assert len(records) == 2
+        assert not any(record.found for record in records)
+
+    def test_flush_closes_partial_window(self):
+        wrapper = WindowedProcessor(alg2(10, 2, 1), TumblingPolicy(4), seed=3)
+        wrapper.process(bursts((0, 6, 0), m=10))
+        assert len(wrapper.query()) == 1  # completed windows only
+        wrapper.flush()
+        assert [r.end_update for r in wrapper.query()] == [4, 6]
+
+    def test_flush_on_exact_boundary_records_nothing(self):
+        wrapper = WindowedProcessor(alg2(10, 2, 1), TumblingPolicy(4), seed=4)
+        wrapper.process(bursts((0, 4, 0), m=10))
+        wrapper.flush()
+        assert len(wrapper.query()) == 1
+
+    def test_witnesses_come_from_own_window(self):
+        stream = bursts((0, 8, 0), (0, 8, 50), m=100)
+        wrapper = WindowedProcessor(alg2(10, 8, 1), TumblingPolicy(8), seed=6)
+        first, second = wrapper.process(stream).finalize()
+        assert first.value.witnesses <= set(range(8))
+        assert second.value.witnesses <= set(range(50, 58))
+
+    def test_space_is_live_instance_plus_latest_found_answer(self):
+        stream = bursts((0, 10, 0), (1, 3, 10), m=100)
+        wrapper = WindowedProcessor(alg2(10, 10, 2), TumblingPolicy(10), seed=7)
+        wrapper.process(stream)
+        found, pending = wrapper.query()[0], wrapper._current
+        assert found.found
+        assert wrapper.space_words() == (
+            pending.space_words() + 1 + 2 * found.value.size
+        )
+
+
+#: (registry entry, params, a boundary-crossing chunk it rejects).
+REJECTING_INNERS = {
+    "alg2-deletion": (
+        "insertion-only", {"n": 10, "d": 2, "alpha": 1},
+        (np.arange(6) % 10, np.arange(6), np.array([1, 1, 1, 1, 1, DELETE])),
+    ),
+    "alg3-out-of-range": (
+        "insertion-deletion", {"n": 10, "m": 16, "d": 2, "alpha": 1},
+        (np.arange(6), np.array([0, 1, 2, 3, 4, 16]), None),
+    ),
+}
+
+POLICIES = {
+    "tumbling": TumblingPolicy(4),
+    "sliding": SlidingPolicy(8, bucket_ratio=0.5),
+    "decay": DecayPolicy(4, keep=2),
+}
+
+
+class TestRejectedChunk:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("inner", sorted(REJECTING_INNERS))
+    def test_crossing_chunk_is_rejected_whole(self, inner, policy):
+        """A chunk spanning two buckets is checked before it is split:
+        it raises with no bucket closed, and the wrapper can still
+        split."""
+        name, params, (a, b, sign) = REJECTING_INNERS[inner]
+        wrapper = WindowedProcessor(
+            RegistryWindowFactory.of(name, params), POLICIES[policy], seed=0
+        )
+        assert len(a) > wrapper.policy.bucket
+        before = pickle.dumps(wrapper)
+        with pytest.raises(ValueError):
+            wrapper.process_batch(a, b, sign)
+        assert pickle.dumps(wrapper) == before
+        assert len(wrapper.split(2)) == 2
+
+
+def seed_recording_count_min(seen, seed):
+    seen.append(seed)
+    return CountMinSketch(0.1, 0.1, seed=seed)
+
+
+class TestEqualSeedInner:
+    """An inner whose merge needs equal seeds gets bucket 0's seed in
+    every bucket under sliding and decay."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_bucket_seeds(self, policy):
+        seen = []
+        factory = functools.partial(seed_recording_count_min, seen)
+        wrapper = WindowedProcessor(factory, POLICIES[policy], seed=5)
+        stream = make_stream(12, n=8, m=64)
+        wrapper.process(stream).finalize()
+        if policy == "tumbling":
+            assert seen == [derive_bucket_seed(5, i) for i in range(4)]
+        else:
+            assert seen == [derive_bucket_seed(5, 0)] * 4
+
+    def test_sliding_answer_equals_one_sketch_over_the_span(self):
+        stream = make_stream(50, n=8, m=64)
+        wrapper = WindowedProcessor(
+            functools.partial(seed_recording_count_min, []),
+            SlidingPolicy(16, bucket_ratio=0.25), seed=5,
+        )
+        answer = wrapper.process(stream.chunks(7)).finalize()
+        span = slice(answer.start_update, answer.end_update)
+        whole = CountMinSketch(0.1, 0.1, seed=derive_bucket_seed(5, 0))
+        whole.process_batch(stream.a[span], stream.b[span])
+        assert np.array_equal(answer.processor._table, whole._table)

@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
-from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import FanoutRunner
+from repro.engine import FanoutRunner, TumblingPolicy, WindowedProcessor
+from repro.pipeline.registry import RegistryWindowFactory
 from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
@@ -108,8 +108,12 @@ class TestFanoutAcrossWrappers:
         runner = FanoutRunner(
             {
                 "topk": TopKFEwW(stream.n, 16, 2, k=2, seed=2),
-                "windows": TumblingWindowFEwW(
-                    stream.n, 8, 2, window=100, seed=3
+                "windows": WindowedProcessor(
+                    RegistryWindowFactory.of(
+                        "insertion-only", {"n": stream.n, "d": 8, "alpha": 2}
+                    ),
+                    TumblingPolicy(100),
+                    seed=3,
                 ),
             },
             chunk_size=64,

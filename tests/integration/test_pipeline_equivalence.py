@@ -15,12 +15,12 @@ the turnstile algorithm and for mmap file sources.  ``to_dict`` →
 """
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
-from repro.core.windowed import Alg2WindowFactory, Alg3WindowFactory
 from repro.engine import (
     DecayPolicy,
     FanoutRunner,
@@ -79,6 +79,34 @@ def churn_stream():
 # ----------------------------------------------------------------------
 # The pre-redesign command_run glue, frozen.
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Alg2WindowFactory:
+    """Per-window Algorithm 2 factory, as the CLI glue used it."""
+
+    n: int
+    d: int
+    alpha: int
+
+    def __call__(self, seed):
+        return InsertionOnlyFEwW(self.n, self.d, self.alpha, seed=seed)
+
+
+@dataclass(frozen=True)
+class Alg3WindowFactory:
+    """Per-window Algorithm 3 factory, as the CLI glue used it."""
+
+    n: int
+    m: int
+    d: int
+    alpha: int
+    scale: float = 1.0
+
+    def __call__(self, seed):
+        return InsertionDeletionFEwW(
+            self.n, self.m, self.d, self.alpha, seed=seed, scale=self.scale
+        )
 
 
 class LegacyRun:

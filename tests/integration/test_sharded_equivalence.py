@@ -38,9 +38,14 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
 from repro.core.topk import TopKFEwW
-from repro.core.windowed import TumblingWindowFEwW
-from repro.engine import FanoutRunner, ShardedRunner
+from repro.engine import (
+    FanoutRunner,
+    ShardedRunner,
+    TumblingPolicy,
+    WindowedProcessor,
+)
 from repro.engine.sharded import fork_available
+from repro.pipeline.registry import RegistryWindowFactory
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
@@ -106,6 +111,15 @@ def sharded_pass(factory, source, workers, **kwargs):
     return results, runner
 
 
+def tumbling_alg2():
+    """Algorithm 2 restarted every 256 updates."""
+    return WindowedProcessor(
+        RegistryWindowFactory.of("insertion-only", {"n": 48, "d": 30, "alpha": 2}),
+        TumblingPolicy(256),
+        seed=19,
+    )
+
+
 def window_fingerprint(windows):
     """Every tumbling window's span and answer."""
     return [
@@ -114,8 +128,8 @@ def window_fingerprint(windows):
             window.start_update,
             window.end_update,
             None
-            if window.neighbourhood is None
-            else (window.neighbourhood.vertex, window.neighbourhood.witnesses),
+            if window.value is None
+            else (window.value.vertex, window.value.witnesses),
         )
         for window in windows
     ]
@@ -271,9 +285,7 @@ class TestAlgorithm2:
 class TestWrappers:
     @pytest.mark.parametrize("workers", WORKERS)
     def test_tumbling_windows_bit_identical(self, zipf, workers):
-        factory = lambda: {
-            "win": TumblingWindowFEwW(48, 30, 2, window=256, seed=19)
-        }
+        factory = lambda: {"win": tumbling_alg2()}
         single, _ = single_pass(factory, zipf)
         sharded, _ = sharded_pass(factory, zipf, workers)
         assert window_fingerprint(single["win"]) == (
@@ -355,7 +367,7 @@ ROUTED = {
     "window": (
         ("window", 256),
         "zipf",
-        lambda: {"win": TumblingWindowFEwW(48, 30, 2, window=256, seed=19)},
+        lambda: {"win": tumbling_alg2()},
         lambda runner: window_fingerprint(runner["win"].finalize()),
     ),
 }

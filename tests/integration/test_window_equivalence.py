@@ -2,13 +2,14 @@
 
 Three pillars of the window subsystem:
 
-* **Tumbling-as-a-policy is bit-identical to the pre-refactor
-  TumblingWindowFEwW.**  A frozen reimplementation of the old bespoke
+* **Tumbling over Algorithm 2 is bit-identical to the original
+  per-window loop.**  A frozen reimplementation of that bespoke
   per-item loop (fresh Algorithm 2 per window, the same
   ``seed * 1_000_003 + index`` derivation, result() caught per window)
-  is compared window by window against the refactored wrapper on
-  seeded streams, at chunk size 1 and at a chunk size that straddles
-  window boundaries.
+  is compared window by window against ``WindowedProcessor`` over
+  ``RegistryWindowFactory.of("insertion-only", ...)`` on seeded
+  streams, at chunk size 1 and at a chunk size that straddles window
+  boundaries.
 
 * **The smooth-histogram sliding window meets its (1+eps) bucket
   bound** — the answer is an *exact* summary of the trailing ``L``
@@ -30,14 +31,15 @@ import pytest
 from repro.baselines import FullStorage
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.neighbourhood import AlgorithmFailed
-from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import (
     DecayPolicy,
     FanoutRunner,
     ShardedRunner,
     SlidingPolicy,
+    TumblingPolicy,
     WindowedProcessor,
 )
+from repro.pipeline.registry import RegistryWindowFactory
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
     GeneratorConfig,
@@ -50,12 +52,12 @@ CHUNK = 173
 
 
 # ----------------------------------------------------------------------
-# The pre-refactor tumbling loop, frozen for the equivalence test.
+# The original tumbling loop, frozen for the equivalence test.
 # ----------------------------------------------------------------------
 
 
 class LegacyTumblingWindow:
-    """Byte-for-byte reimplementation of the old core/windowed.py loop."""
+    """Byte-for-byte reimplementation of the original tumbling loop."""
 
     def __init__(self, n, d, alpha, window, seed=0):
         self.n, self.d, self.alpha, self.window = n, d, alpha, window
@@ -122,12 +124,20 @@ def fingerprint_new(windows):
             w.window_index,
             w.start_update,
             w.end_update,
-            None
-            if w.neighbourhood is None
-            else (w.neighbourhood.vertex, w.neighbourhood.witnesses),
+            None if w.value is None else (w.value.vertex, w.value.witnesses),
         )
         for w in windows
     ]
+
+
+def alg2(n, d, alpha):
+    return RegistryWindowFactory.of(
+        "insertion-only", {"n": n, "d": d, "alpha": alpha}
+    )
+
+
+def tumbling_alg2(n, d, alpha, window, seed):
+    return WindowedProcessor(alg2(n, d, alpha), TumblingPolicy(window), seed=seed)
 
 
 class TestTumblingLegacyEquivalence:
@@ -141,7 +151,7 @@ class TestTumblingLegacyEquivalence:
         legacy = LegacyTumblingWindow(48, 30, 2, window, seed=seed)
         legacy_windows = legacy.run(stream)
 
-        refactored = TumblingWindowFEwW(48, 30, 2, window=window, seed=seed)
+        refactored = tumbling_alg2(48, 30, 2, window, seed)
         refactored.process(stream.chunks(chunk))
         assert fingerprint_new(refactored.finalize()) == fingerprint_legacy(
             legacy_windows
@@ -153,7 +163,7 @@ class TestTumblingLegacyEquivalence:
             background_degree=3,
         )
         legacy_windows = LegacyTumblingWindow(32, 20, 2, 50, seed=5).run(stream)
-        refactored = TumblingWindowFEwW(32, 20, 2, window=50, seed=5)
+        refactored = tumbling_alg2(32, 20, 2, 50, seed=5)
         refactored.process(ColumnarEdgeStream.from_edge_stream(stream).chunks(1))
         assert fingerprint_new(refactored.finalize()) == fingerprint_legacy(
             legacy_windows
@@ -161,7 +171,7 @@ class TestTumblingLegacyEquivalence:
 
     def test_empty_stream_still_records_one_empty_window(self):
         legacy_windows = LegacyTumblingWindow(8, 2, 1, 4, seed=0).run([])
-        refactored = TumblingWindowFEwW(8, 2, 1, window=4, seed=0)
+        refactored = tumbling_alg2(8, 2, 1, 4, seed=0)
         assert fingerprint_new(refactored.finalize()) == fingerprint_legacy(
             legacy_windows
         )
@@ -311,8 +321,6 @@ class TestWindowedAlgorithm2Sharded:
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_sliding_alg2_consistent_across_workers(self, workers):
-        from repro.core.windowed import Alg2WindowFactory
-
         rng = np.random.default_rng(31)
         phases = []
         for hot in (3, 9):
@@ -326,7 +334,7 @@ class TestWindowedAlgorithm2Sharded:
 
         def wrapper():
             return WindowedProcessor(
-                Alg2WindowFactory(32, 200, 2),
+                alg2(32, 200, 2),
                 SlidingPolicy(800, bucket_ratio=0.25),
                 seed=6,
             )

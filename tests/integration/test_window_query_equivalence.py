@@ -33,8 +33,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.baselines import FullStorage, MisraGries, SpaceSaving
-from repro.core.windowed import Alg2WindowFactory
+from repro.baselines import (
+    CountMinSketch,
+    CountSketch,
+    FullStorage,
+    MisraGries,
+    SpaceSaving,
+)
 from repro.engine import (
     DecayPolicy,
     FanoutRunner,
@@ -43,8 +48,14 @@ from repro.engine import (
     WindowedProcessor,
 )
 from repro.engine import windows
-from repro.engine.windows import Bucket, DecayAnswer, SlidingWindowAnswer
+from repro.engine.windows import (
+    Bucket,
+    DecayAnswer,
+    SlidingWindowAnswer,
+    WindowRecord,
+)
 from repro.pipeline.registry import RegistryWindowFactory
+from repro.sketch.bloom import BloomDedup
 from repro.sketch.l0 import L0EdgeBank
 from repro.streams.columnar import ColumnarEdgeStream
 
@@ -121,7 +132,7 @@ def legacy_decay_query(wrapper):
     if partial is not None:
         buckets.append(partial)
     recent = [
-        wrapper._make_record(
+        WindowRecord(
             bucket.index, bucket.start, bucket.end,
             copy.deepcopy(bucket.instance).finalize(),
         )
@@ -170,9 +181,15 @@ def decay_wrapper():
     )
 
 
+def alg2(n, d, alpha):
+    return RegistryWindowFactory.of(
+        "insertion-only", {"n": n, "d": d, "alpha": alpha}
+    )
+
+
 def alg2_sliding_wrapper():
     return WindowedProcessor(
-        Alg2WindowFactory(24, 200, 2),
+        alg2(24, 200, 2),
         SlidingPolicy(WINDOW, bucket_ratio=RATIO),
         seed=6,
     )
@@ -310,7 +327,7 @@ class TestProbeUnderLoad:
         )
         assert result.probes
         shadow = WindowedProcessor(
-            Alg2WindowFactory(24, 8, 2),
+            alg2(24, 8, 2),
             SlidingPolicy(500, bucket_ratio=0.25),
             seed=1,
         )
@@ -436,18 +453,35 @@ class TestQueryCacheHygiene:
 # Every window-capable registry processor vs the frozen fold.
 # ----------------------------------------------------------------------
 
-#: Registry entries that build under a sliding window, at test sizes.
-#: count-min, count-sketch and bloom-dedup refuse to merge buckets with
-#: different seeds, by design.
+#: label -> (registry entry, params): every entry at test sizes, plus
+#: the configurations whose merge needs equal seeds (the wrapper seeds
+#: their buckets alike under sliding and decay).
 WINDOWED_ENTRIES = {
-    "full-storage": {"n": 24, "m": 1600},
-    "insertion-only": {"n": 24, "d": 8, "alpha": 2},
-    "topk": {"n": 24, "d": 8, "alpha": 2, "k": 2},
-    "star-detection": {"n_vertices": 1600, "alpha": 2},
-    "insertion-deletion": {"n": 24, "m": 1600, "d": 8, "alpha": 2},
-    "l0-bank": {"n": 24, "m": 1600, "count": 8},
-    "misra-gries": {"k": 6},
-    "space-saving": {"k": 6},
+    "full-storage": ("full-storage", {"n": 24, "m": 1600}),
+    "insertion-only": ("insertion-only", {"n": 24, "d": 8, "alpha": 2}),
+    "topk": ("topk", {"n": 24, "d": 8, "alpha": 2, "k": 2}),
+    "star-detection": ("star-detection", {"n_vertices": 1600, "alpha": 2}),
+    "star-detection-turnstile": (
+        "star-detection",
+        {"n_vertices": 32, "alpha": 2, "eps": 1.0,
+         "model": "insertion-deletion", "scale": 0.01},
+    ),
+    "insertion-deletion": (
+        "insertion-deletion", {"n": 24, "m": 1600, "d": 8, "alpha": 2}
+    ),
+    "insertion-deletion-scale-0.05": (
+        "insertion-deletion",
+        {"n": 24, "m": 1600, "d": 8, "alpha": 2, "scale": 0.05},
+    ),
+    "l0-bank": ("l0-bank", {"n": 24, "m": 1600, "count": 8}),
+    "l0-bank-exact": (
+        "l0-bank", {"n": 24, "m": 1600, "count": 2, "mode": "exact"}
+    ),
+    "misra-gries": ("misra-gries", {"k": 6}),
+    "space-saving": ("space-saving", {"k": 6}),
+    "count-min": ("count-min", {"epsilon": 0.1, "delta": 0.1}),
+    "count-sketch": ("count-sketch", {"width": 16}),
+    "bloom-dedup": ("bloom-dedup", {"n": 24, "m": 1600, "capacity": 2000}),
 }
 
 
@@ -458,9 +492,25 @@ def registry_stream(monitoring_stream):
     return ColumnarEdgeStream(a, b, n=24, m=1600, validate=False)
 
 
-def registry_wrapper(name, policy):
+#: Labels fed B-ids folded into ``[0, width)``: a turnstile Star
+#: Detection over 1600 vertices deep-copies hundreds of sampler banks
+#: per probe, so it runs on a 32-vertex double cover.
+NARROW_B = {"star-detection-turnstile": 32}
+
+
+def entry_stream(stream, label):
+    width = NARROW_B.get(label)
+    if width is None:
+        return stream
+    return ColumnarEdgeStream(
+        stream.a, stream.b % width, n=stream.n, m=width, validate=False
+    )
+
+
+def registry_wrapper(label, policy):
+    name, params = WINDOWED_ENTRIES[label]
     return WindowedProcessor(
-        RegistryWindowFactory.of(name, WINDOWED_ENTRIES[name]), policy, seed=5
+        RegistryWindowFactory.of(name, params), policy, seed=5
     )
 
 
@@ -478,6 +528,10 @@ def answer_fp(value):
         return list(value._counters.items()), value._length
     if isinstance(value, L0EdgeBank):
         return copy.deepcopy(value).sample_all()
+    if isinstance(value, (CountMinSketch, CountSketch)):
+        return value._table.tolist()
+    if isinstance(value, BloomDedup):
+        return value.admitted, value.suppressed, bytes(value._filter._bloom._bits)
     return value  # None, or frozen-dataclass answers (lists of them)
 
 
@@ -515,6 +569,7 @@ def registry_decay_fp(answer):
 class TestRegistryProcessors:
     @pytest.mark.parametrize("name", sorted(WINDOWED_ENTRIES))
     def test_sliding_probes_match_frozen_fold(self, registry_stream, name):
+        registry_stream = entry_stream(registry_stream, name)
         policy = SlidingPolicy(WINDOW, bucket_ratio=RATIO)
         wrapper = registry_wrapper(name, policy)
         probed = []
@@ -537,6 +592,7 @@ class TestRegistryProcessors:
     def test_finalize_after_boundary_probe(self, registry_stream, name):
         """A probe at a bucket boundary caches the fold; the finalize
         right after it is served from that cache."""
+        registry_stream = entry_stream(registry_stream, name)
         policy = SlidingPolicy(WINDOW, bucket_ratio=RATIO)
         wrapper = registry_wrapper(name, policy)
         stop = 8 * policy.bucket
@@ -555,6 +611,7 @@ class TestRegistryProcessors:
 
     @pytest.mark.parametrize("name", sorted(WINDOWED_ENTRIES))
     def test_decay_probes_match_frozen_fold(self, registry_stream, name):
+        registry_stream = entry_stream(registry_stream, name)
         policy = DecayPolicy(bucket_size=300, keep=3)
         wrapper = registry_wrapper(name, policy)
 
@@ -609,3 +666,91 @@ class TestRegistryProcessors:
         steady = per_probe[2 * policy.retained :]
         assert steady[0::2] == [2] * len(steady[0::2])  # mid-bucket, cache hit
         assert steady[1::2] == [4] * len(steady[1::2])  # after a close
+
+
+# ----------------------------------------------------------------------
+# Every registry entry under every policy, from a spec.
+# ----------------------------------------------------------------------
+
+#: label -> (registry entry, params) over a 24 x 64 random bipartite
+#: source: every entry, plus the configurations whose merge needs
+#: equal seeds.
+SPEC_ENTRIES = {
+    "bloom-dedup": ("bloom-dedup", {"n": 24, "m": 64, "capacity": 1000}),
+    "count-min": ("count-min", {"epsilon": 0.1, "delta": 0.1}),
+    "count-sketch": ("count-sketch", {"width": 16}),
+    "full-storage": ("full-storage", {"n": 24, "m": 64}),
+    "insertion-deletion": (
+        "insertion-deletion",
+        {"n": 24, "m": 64, "d": 8, "alpha": 2, "scale": 0.05},
+    ),
+    "insertion-only": ("insertion-only", {"n": 24, "d": 8, "alpha": 2}),
+    "l0-bank": ("l0-bank", {"n": 24, "m": 64, "count": 8}),
+    "l0-bank-exact": (
+        "l0-bank", {"n": 24, "m": 64, "count": 2, "mode": "exact"}
+    ),
+    "misra-gries": ("misra-gries", {"k": 6}),
+    "space-saving": ("space-saving", {"k": 6}),
+    "star-detection": ("star-detection", {"n_vertices": 64, "alpha": 2}),
+    "star-detection-turnstile": (
+        "star-detection",
+        {"n_vertices": 64, "alpha": 2, "eps": 1.0,
+         "model": "insertion-deletion", "scale": 0.01},
+    ),
+    "topk": ("topk", {"n": 24, "d": 8, "alpha": 2, "k": 2}),
+}
+
+SPEC_SOURCE = {
+    "kind": "generator",
+    "generator": "random-bipartite",
+    "params": {"n": 24, "m": 64, "edges": 600, "seed": 3},
+    "chunk_size": 37,
+}
+
+SPEC_WINDOWS = {
+    "tumbling": {"policy": "tumbling", "window": 128},
+    "sliding": {"policy": "sliding", "window": 256, "bucket_ratio": 0.25},
+    "decay": {"policy": "decay", "window": 128, "keep": 2},
+}
+
+
+def window_answer_fp(answer):
+    if isinstance(answer, list):
+        return [
+            (r.window_index, r.start_update, r.end_update, answer_fp(r.value))
+            for r in answer
+        ]
+    if isinstance(answer, SlidingWindowAnswer):
+        return registry_sliding_fp(answer)
+    return registry_decay_fp(answer)
+
+
+class TestEveryEntryFromSpec:
+    def test_spec_entries_cover_the_registry(self):
+        from repro.pipeline import PROCESSORS
+
+        assert {name for name, _ in SPEC_ENTRIES.values()} == set(
+            PROCESSORS.names()
+        )
+
+    @pytest.mark.parametrize("policy", sorted(SPEC_WINDOWS))
+    @pytest.mark.parametrize("label", sorted(SPEC_ENTRIES))
+    def test_runs_to_completion(self, label, policy):
+        """No entry fails a bucket merge mid-run, and tumbling and
+        sliding answers are the same on two shard workers."""
+        from repro.pipeline import run_spec
+
+        name, params = SPEC_ENTRIES[label]
+        spec = {
+            "source": SPEC_SOURCE,
+            "processors": [{"name": name, "params": params}],
+            "window": {**SPEC_WINDOWS[policy], "seed": 4},
+        }
+        fanout = run_spec(spec)[name]
+        assert fanout is not None
+        if policy == "decay":
+            return
+        sharded = run_spec(
+            {**spec, "execution": {"backend": "sharded", "workers": 2}}
+        )[name]
+        assert window_answer_fp(sharded) == window_answer_fp(fanout)

@@ -135,15 +135,13 @@ class TestWindowFactory:
         direct = InsertionOnlyFEwW(16, 4, 2, seed=12345)
         assert instance._seed_entropy == direct._seed_entropy
 
-    def test_matches_legacy_alg2_factory_bit_for_bit(self):
-        from repro.core.windowed import Alg2WindowFactory
-
-        legacy = Alg2WindowFactory(16, 4, 2)(999)
+    def test_matches_direct_alg2_bit_for_bit(self):
+        direct = InsertionOnlyFEwW(16, 4, 2, seed=999)
         modern = RegistryWindowFactory.of(
             "insertion-only", {"n": 16, "d": 4, "alpha": 2}
         )(999)
-        assert legacy._seed_entropy == modern._seed_entropy
-        assert (legacy.n, legacy.d, legacy.alpha) == (
+        assert direct._seed_entropy == modern._seed_entropy
+        assert (direct.n, direct.d, direct.alpha) == (
             modern.n, modern.d, modern.alpha
         )
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.comm.protocol import MessageLog
 from repro.core.neighbourhood import AlgorithmFailed
-from repro.core.windowed import TumblingWindowFEwW
 from repro.pipeline import GENERATORS, UnknownNameError
 from repro.spacemeter import SpaceBreakdown
 
@@ -24,21 +23,6 @@ class TestMessageLogOrdering:
         log.record(2, 3, 20)
         assert [entry[0] for entry in log.messages] == [0, 1, 2]
         assert [entry[2] for entry in log.messages] == [10, 5, 20]
-
-
-class TestWindowedEdgeCases:
-    def test_flush_on_empty_stream_closes_empty_window(self):
-        windowed = TumblingWindowFEwW(8, 2, 1, window=4, seed=0)
-        windowed.flush()
-        windows = windowed.completed_windows()
-        assert len(windows) == 1
-        assert windows[0].end_update == 0
-        assert not windows[0].found
-
-    def test_latest_after_empty_flush(self):
-        windowed = TumblingWindowFEwW(8, 2, 1, window=4, seed=0)
-        windowed.flush()
-        assert windowed.latest().neighbourhood is None
 
 
 class TestSpaceBreakdownChaining:
