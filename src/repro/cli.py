@@ -2,22 +2,19 @@
 
 Subcommands:
 
-* ``run`` — assemble a declarative :class:`~repro.pipeline.Pipeline`
-  from the flags (workload/file source × optional window policy ×
-  fanout-or-sharded backend × algorithm) and execute it, printing the
-  verified result and space accounting; ``--spec job.json`` runs a
-  JSON pipeline spec directly instead of flags.  ``--save-stream``
-  persists the workload for replay; ``--mmap`` memory-maps a v2 stream
-  file so larger-than-RAM workloads stream without materialising;
-  ``--window-policy tumbling|sliding|decay`` runs the algorithm under
-  an engine window policy (``--window`` span, ``--bucket-ratio`` for
-  the smooth-histogram sliding window, ``--decay-keep`` for
-  count-based decay) and reports per-window answers;
-  ``--checkpoint-dir``/``--checkpoint-every`` snapshot progress so an
-  interrupted run continues with ``--resume``, and
-  ``--retries``/``--timeout-s``/``--on-failure`` govern sharded-worker
-  failure recovery (all of these also override a ``--spec`` file's own
-  settings);
+* ``run`` — run one declarative :class:`~repro.pipeline.Pipeline`.
+  The flags (workload/file source × optional window policy ×
+  fanout-or-sharded backend × algorithm) compile to the spec dict a
+  ``--spec job.json`` file holds (:func:`spec_from_args`), and one
+  body validates, runs and maps every input problem to exit code 2.
+  A flag run adds ``--save-stream`` (persist the workload), a source
+  line, ground-truth verification and the space breakdown; a spec run
+  prints its JSON result.  ``--mmap`` memory-maps a v2 stream file;
+  ``--window-policy tumbling|sliding|decay`` (with ``--window``,
+  ``--bucket-ratio``, ``--decay-keep``) reports per-window answers;
+  ``--checkpoint-dir``/``--checkpoint-every``/``--resume`` and
+  ``--retries``/``--timeout-s``/``--on-failure`` override either
+  entry's checkpoint and execution sections;
 * ``pipeline describe`` — print the processor/generator registries
   (every name a spec can reference, with parameters);
 * ``persist`` — inspect (``info``) and convert (``convert``) persisted
@@ -59,7 +56,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.neighbourhood import AlgorithmFailed, verify_neighbourhood
 from repro.engine.sharded import ON_FAILURE_POLICIES, ShardedWorkerError
@@ -67,23 +64,18 @@ from repro.pipeline import (
     GENERATORS,
     PROCESSORS,
     WINDOW_POLICIES,
-    CheckpointSpec,
-    ExecSpec,
+    OpenSource,
     Pipeline,
-    PipelineSpec,
-    ProcessorSpec,
     SourceSpec,
     SpecError,
-    WindowSpec,
+    open_source,
 )
-from repro.pipeline import pipeline as pipeline_module
 from repro.streams.columnar import DEFAULT_CHUNK_SIZE
 from repro.streams.persist import (
     StreamFormatError,
     detect_version,
     dump_stream,
     load_columnar,
-    stream_has_timestamps,
 )
 from repro.theory.bounds import (
     insertion_deletion_lower_bound_words,
@@ -106,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run an algorithm on a workload")
     run.add_argument("--spec", type=Path, metavar="PATH",
                      help="run a JSON pipeline spec (see the README's "
-                          "Pipeline API section); all other run flags "
-                          "are ignored")
+                          "Pipeline API section); only the fault-tolerance "
+                          "flags apply on top of it")
     run.add_argument("--workload", choices=WORKLOADS, default="star")
     run.add_argument("--algorithm", choices=ALGORITHMS, default="insertion-only")
     run.add_argument("--n", type=int, default=512, help="number of items (A-vertices)")
@@ -240,179 +232,149 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_params(args: argparse.Namespace) -> dict:
-    """Generator-registry parameters of a flag-driven workload."""
-    return {
-        "n": args.n,
-        "m": args.m,
-        "d": args.d,
-        "alpha": args.alpha,
-        "seed": args.seed,
-    }
-
-
-def _window_spec_from_args(args: argparse.Namespace) -> WindowSpec:
-    return WindowSpec(
-        policy=args.window_policy,
-        window=args.window,
-        bucket_ratio=args.bucket_ratio,
-        keep=args.decay_keep,
-        seed=args.seed,
-    )
-
-
-def _source_spec_from_args(args: argparse.Namespace) -> SourceSpec:
+def spec_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """The spec dict a flag-driven ``run`` describes: the same dict a
+    ``--spec`` file holds, with the processor sized from the flags."""
     if args.stream_file is not None:
-        return SourceSpec.from_file(
-            args.stream_file,
-            chunk_size=args.chunk_size,
-            mmap=args.mmap,
-        )
-    return SourceSpec.from_generator(
-        args.workload, _workload_params(args), chunk_size=args.chunk_size
-    )
-
-
-def _pipeline_from_args(
-    args: argparse.Namespace, source_spec: SourceSpec, d: int, n: int, m: int
-) -> Pipeline:
-    """The declarative pipeline a flag-driven ``run`` describes."""
-    window = (
-        _window_spec_from_args(args) if args.window_policy is not None
-        else None
-    )
-    if args.algorithm == "insertion-only":
-        params = {"n": n, "d": d, "alpha": args.alpha}
+        source: Dict[str, Any] = {"kind": "file", "path": str(args.stream_file)}
     else:
-        params = {"n": n, "m": m, "d": d, "alpha": args.alpha,
-                  "scale": args.scale}
-    if window is None:
+        source = {"kind": "generator", "generator": args.workload,
+                  "params": {"n": args.n, "m": args.m, "d": args.d,
+                             "alpha": args.alpha, "seed": args.seed}}
+    source.update(chunk_size=args.chunk_size, mmap=args.mmap)
+    params = {"n": args.n, "d": args.d, "alpha": args.alpha}
+    if args.algorithm == "insertion-deletion":
+        params.update(m=args.m, scale=args.scale)
+    spec: Dict[str, Any] = {
+        "source": source,
+        "processors": [
+            {"name": args.algorithm, "label": "algorithm", "params": params}
+        ],
+        "execution": {"backend": "sharded" if args.workers > 1 else "fanout",
+                      "workers": args.workers},
+    }
+    if args.window_policy is None:
         # Windowed runs seed per-bucket instances from window.seed; a
         # processor-level seed there is a validation conflict.
         params["seed"] = args.seed
-    processor = ProcessorSpec(args.algorithm, params, label="algorithm")
-    exec_overrides = {
-        key: value
-        for key, value in (
-            ("retries", args.retries),
-            ("timeout_s", args.timeout_s),
-            ("on_failure", args.on_failure),
-        )
-        if value is not None
-    }
-    execution = (
-        ExecSpec("sharded", args.workers, **exec_overrides)
-        if args.workers > 1
-        else ExecSpec(**exec_overrides)
-    )
-    checkpoint = None
-    if args.checkpoint_dir is not None:
-        checkpoint = (
-            CheckpointSpec(args.checkpoint_dir, every=args.checkpoint_every)
-            if args.checkpoint_every is not None
-            else CheckpointSpec(args.checkpoint_dir)
-        )
-    return Pipeline(
-        PipelineSpec(
-            source=source_spec,
-            processors=(processor,),
-            window=window,
-            execution=execution,
-            checkpoint=checkpoint,
-        )
-    )
+    else:
+        spec["window"] = {"policy": args.window_policy, "window": args.window,
+                          "bucket_ratio": args.bucket_ratio,
+                          "keep": args.decay_keep, "seed": args.seed}
+    return spec
+
+
+def _override_fault_flags(data: Any, args: argparse.Namespace) -> None:
+    """Merge the fault-tolerance flags into a spec dict's execution and
+    checkpoint sections, in place, before the whole is validated.  A
+    section that is not an object is left for ``from_dict`` to
+    diagnose."""
+    if not isinstance(data, dict):
+        return
+    directory = None if args.checkpoint_dir is None else str(args.checkpoint_dir)
+    for section, flags in (
+        ("execution", {"retries": args.retries, "timeout_s": args.timeout_s,
+                       "on_failure": args.on_failure}),
+        ("checkpoint", {"dir": directory, "every": args.checkpoint_every}),
+    ):
+        given = {key: value for key, value in flags.items() if value is not None}
+        base = data.get(section)
+        if given and (base is None or isinstance(base, dict)):
+            data[section] = {**(base or {}), **given}
+
+
+def _load_spec_file(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise SpecError(f"spec is not valid JSON: {error}") from error
+
+
+def _open_flag_source(args: argparse.Namespace, data: Dict[str, Any]) -> OpenSource:
+    """Open a flag run's source and size its processor from it: the
+    source's dimensions, and a generated zipf workload's maximum degree
+    as ``d``."""
+    source = open_source(SourceSpec.from_dict(data["source"]))
+    params = data["processors"][0]["params"]
+    params["n"] = source.n
+    if "m" in params:
+        params["m"] = source.m
+    if args.workload == "zipf" and args.stream_file is None:
+        params["d"] = source.stream.max_degree()
+    return source
+
+
+def _announce_source(args: argparse.Namespace, source: OpenSource) -> None:
+    stream = source.stream
+    if stream is None:
+        print(f"file {args.stream_file} (mmap): feww-stream v2 "
+              f"n={source.n} m={source.m}, {len(source)} updates")
+        return
+    if args.save_stream is not None:
+        dump_stream(stream, args.save_stream, format="auto",
+                    trailer=f"workload={args.workload} seed={args.seed}")
+        print(f"stream saved to {args.save_stream}")
+    label = (f"file {args.stream_file}" if args.stream_file is not None
+             else f"workload '{args.workload}'")
+    print(f"{label}: {stream.stats()}")
 
 
 def command_run(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        return _run_spec_file(args)
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        print("error: --checkpoint-every requires --checkpoint-dir",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.checkpoint_dir is None:
-        print("error: --resume requires --checkpoint-dir (the snapshots "
-              "to resume from)", file=sys.stderr)
-        return 2
-    if args.stream_file is not None and args.save_stream is not None:
+    """Flags or a ``--spec`` file become one spec dict, which runs
+    through one body; every input problem exits with code 2."""
+    if args.spec is None and args.stream_file and args.save_stream:
         print("error: --save-stream only applies to generated workloads; "
               "use `persist convert` to re-encode an existing stream file",
               file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.mmap and args.stream_file is None:
-        print("error: --mmap requires --stream-file (it memory-maps a "
-              "persisted v2 stream)", file=sys.stderr)
-        return 2
-    source_spec = _source_spec_from_args(args)
+    source: Optional[OpenSource] = None
     try:
-        source = pipeline_module.open_source(source_spec)
-    except (StreamFormatError, OSError, SpecError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    stream = source.stream
-    n, m = source.n, source.m
-    if stream is None:
-        print(f"file {args.stream_file} (mmap): feww-stream v2 "
-              f"n={n} m={m}, {len(source)} updates")
-    else:
-        if args.save_stream is not None:
-            dump_stream(
-                stream,
-                args.save_stream,
-                format="auto",
-                trailer=f"workload={args.workload} seed={args.seed}",
-            )
-            print(f"stream saved to {args.save_stream}")
-        source_label = (
-            f"file {args.stream_file}" if args.stream_file is not None
-            else f"workload '{args.workload}'"
-        )
-        print(f"{source_label}: {stream.stats()}")
-    d = args.d
-    if args.workload == "zipf" and args.stream_file is None:
-        d = stream.max_degree()
-    if args.algorithm == "insertion-only":
-        # In mmap mode the check pages in just the sign column — still
-        # far cheaper than crashing mid-run on the first deletion.
-        if not source.insertion_only:
-            print("error: workload contains deletions; "
-                  "use --algorithm insertion-deletion", file=sys.stderr)
-            return 2
-    try:
-        pipeline = _pipeline_from_args(args, source_spec, d, n, m)
-    except SpecError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
+        if args.spec is not None:
+            data = _load_spec_file(args.spec)
+        else:
+            data = spec_from_args(args)
+            source = _open_flag_source(args, data)
+        _override_fault_flags(data, args)
+        pipeline = Pipeline.from_dict(data)
+        if source is not None:
+            _announce_source(args, source)
         result = pipeline.run(source=source, resume=args.resume)
-    except (StreamFormatError, OSError) as error:
-        # mmap readers defer range validation to chunk iteration, so a
-        # corrupt file can surface here rather than at open time.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except ShardedWorkerError as error:
-        # A sharded worker reports its failure with structured cause
-        # info; keep the friendly exit path for input problems (stream
-        # format, I/O), propagate real bugs.
-        if error.is_stream_error:
-            print(f"error: cannot stream {args.stream_file}: "
-                  f"{error.cause_type} in worker:\n{error}", file=sys.stderr)
-            return 2
-        raise
+        # Input problems inside a worker exit friendly; bugs propagate.
+        if not error.is_stream_error:
+            raise
+        print(f"error: {error.cause_type} in worker:\n{error}",
+              file=sys.stderr)
+        return 2
+    except (StreamFormatError, OSError, ValueError) as error:
+        # ValueError covers SpecError and the input mismatches a spec
+        # cannot express statically, such as a corrupt mmap chunk.
+        where = (f"invalid spec {args.spec}: "
+                 if args.spec is not None and isinstance(error, SpecError)
+                 else "")
+        print(f"error: {where}{error}", file=sys.stderr)
+        return 2
+    if args.spec is not None:
+        print(f"spec: {args.spec}")
+        print(json.dumps(result.to_dict(), indent=2))
+        return 0
+    return report_run(args, result, pipeline.spec.processors[0].params["d"])
+
+
+def report_run(args: argparse.Namespace, result: Any, d: int) -> int:
+    """A flag run's human report; returns 1 when the algorithm fails."""
     algorithm = result.processors["algorithm"]
-    if args.workers > 1:
-        print(f"sharded over {args.workers} workers "
-              f"(routing: {result.report.routing!r})")
-    if result.report.checkpoint is not None:
-        verb = "resumed from" if result.report.resumed else "checkpointed to"
-        print(f"{verb} {result.report.checkpoint['dir']}")
-    if result.report.shard_retries:
-        print(f"shard retries: {result.report.shard_retries}")
-    if result.report.shard_fallbacks:
-        print(f"shard fallbacks: {result.report.shard_fallbacks}")
+    report = result.report
+    if report.workers > 1:
+        print(f"sharded over {report.workers} workers "
+              f"(routing: {report.routing!r})")
+    if report.checkpoint is not None:
+        verb = "resumed from" if report.resumed else "checkpointed to"
+        print(f"{verb} {report.checkpoint['dir']}")
+    if report.shard_retries:
+        print(f"shard retries: {report.shard_retries}")
+    if report.shard_fallbacks:
+        print(f"shard fallbacks: {report.shard_fallbacks}")
     if args.window_policy is not None:
         report_windowed(args.window_policy, result["algorithm"])
         print(f"space: {algorithm.space_words()} words")
@@ -425,105 +387,15 @@ def command_run(args: argparse.Namespace) -> int:
         print(f"algorithm reported fail: {failure}")
         return 1
     print(f"reported: {answer}")
-    if stream is not None:
-        verify_neighbourhood(answer, stream.to_edge_stream(), d, args.alpha)
-        print(f"threshold d/alpha = {d / args.alpha:.1f}; verified against "
-              f"ground truth: OK")
+    threshold = f"threshold d/alpha = {d / args.alpha:.1f}"
+    if result.stream is not None:
+        verify_neighbourhood(answer, result.stream.to_edge_stream(), d, args.alpha)
+        print(f"{threshold}; verified against ground truth: OK")
     else:
-        print(f"threshold d/alpha = {d / args.alpha:.1f}; ground-truth "
-              f"verification skipped (mmap mode never materialises the "
-              f"stream)")
+        print(f"{threshold}; ground-truth verification skipped (mmap mode "
+              f"never materialises the stream)")
     print(f"space: {algorithm.space_words()} words")
     print(algorithm.space_breakdown())
-    return 0
-
-
-def _apply_spec_overrides(data, args: argparse.Namespace) -> None:
-    """Merge the fault-tolerance flags into a spec dict, in place.
-
-    Overrides land before :meth:`PipelineSpec.from_dict`, so the merged
-    spec is validated as a whole (e.g. ``--on-failure retry`` against a
-    fanout-backend spec fails eagerly with the spec layer's own
-    diagnostic).  A section that is present but not an object is left
-    untouched for ``from_dict`` to diagnose.
-    """
-    if not isinstance(data, dict):
-        return
-    execution = {
-        key: value
-        for key, value in (
-            ("retries", args.retries),
-            ("timeout_s", args.timeout_s),
-            ("on_failure", args.on_failure),
-        )
-        if value is not None
-    }
-    base = data.get("execution")
-    if execution and (base is None or isinstance(base, dict)):
-        merged = dict(base or {})
-        merged.update(execution)
-        data["execution"] = merged
-    checkpoint = {}
-    if args.checkpoint_dir is not None:
-        checkpoint["dir"] = str(args.checkpoint_dir)
-    if args.checkpoint_every is not None:
-        checkpoint["every"] = args.checkpoint_every
-    base = data.get("checkpoint")
-    if checkpoint and (base is None or isinstance(base, dict)):
-        merged = dict(base or {})
-        merged.update(checkpoint)
-        data["checkpoint"] = merged
-
-
-def _run_spec_file(args: argparse.Namespace) -> int:
-    """``run --spec job.json``: execute a JSON pipeline spec.
-
-    The fault-tolerance flags compose with the file:
-    ``--checkpoint-dir``/``--checkpoint-every`` and
-    ``--retries``/``--timeout-s``/``--on-failure`` override the spec's
-    own sections, and ``--resume`` continues from the (possibly
-    overridden) checkpoint directory.
-    """
-    path = args.spec
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        print(f"error: invalid spec {path}: spec is not valid JSON: "
-              f"{error}", file=sys.stderr)
-        return 2
-    try:
-        _apply_spec_overrides(data, args)
-        pipeline = Pipeline.from_dict(data)
-    except SpecError as error:
-        print(f"error: invalid spec {path}: {error}", file=sys.stderr)
-        return 2
-    try:
-        result = pipeline.run(resume=args.resume)
-    except SpecError as error:
-        # Run-time spec conflicts, e.g. --resume against a spec with no
-        # checkpoint section (and no --checkpoint-dir override).
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ShardedWorkerError as error:
-        if error.is_stream_error:
-            print(f"error: {error.cause_type} in worker:\n{error}",
-                  file=sys.stderr)
-            return 2
-        raise
-    except (StreamFormatError, OSError, ValueError) as error:
-        # ValueError covers input mismatches a spec can't express
-        # statically — e.g. a deletion-bearing source fed to an
-        # insertion-only processor (the flag path pre-checks this, the
-        # spec path surfaces the processor's own diagnostic).
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"spec: {path}")
-    print(json.dumps(result.to_dict(), indent=2))
     return 0
 
 
@@ -570,45 +442,30 @@ def command_persist(args: argparse.Namespace) -> int:
         if args.persist_command == "info":
             version = detect_version(args.file)
             stream = load_columnar(args.file)
-            label = "v2.1" if stream.has_timestamps else f"v{version}"
-            print(f"{args.file}: feww-stream {label} "
+            print(f"{args.file}: feww-stream v{version} "
                   f"n={stream.n} m={stream.m}")
             print(f"  {stream.stats()}")
-            if stream.has_timestamps:
-                print(f"  timestamps: [{int(stream.t[0])}, "
-                      f"{int(stream.t[-1])}]" if len(stream) else
-                      "  timestamps: present (empty stream)")
             return 0
-        if args.persist_command == "convert":
-            stream = load_columnar(args.source)
-            dump_stream(stream, args.destination, format=args.format)
-            if stream.has_timestamps and not stream_has_timestamps(
-                args.destination
-            ):
-                print("note: timestamps dropped (the v1 text format has "
-                      "no timestamp column)")
-            print(f"wrote {args.destination} "
-                  f"(feww-stream v{detect_version(args.destination)}, "
-                  f"{len(stream)} updates)")
-            return 0
+        stream = load_columnar(args.source)
+        dump_stream(stream, args.destination, format=args.format)
+        print(f"wrote {args.destination} "
+              f"(feww-stream v{detect_version(args.destination)}, "
+              f"{len(stream)} updates)")
+        return 0
     except (StreamFormatError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled persist command {args.persist_command!r}")
 
 
 def command_pipeline(args: argparse.Namespace) -> int:
-    if args.pipeline_command == "describe":
-        print("processors:")
-        for line in PROCESSORS.describe().splitlines():
-            print(f"  {line}")
-        print("generators:")
-        for line in GENERATORS.describe().splitlines():
-            print(f"  {line}")
-        return 0
-    raise AssertionError(
-        f"unhandled pipeline command {args.pipeline_command!r}"
-    )
+    """``pipeline describe``, its only subcommand."""
+    print("processors:")
+    for line in PROCESSORS.describe().splitlines():
+        print(f"  {line}")
+    print("generators:")
+    for line in GENERATORS.describe().splitlines():
+        print(f"  {line}")
+    return 0
 
 
 def command_bounds(args: argparse.Namespace) -> int:
@@ -685,19 +542,12 @@ def command_figures(_: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return command_run(args)
-    if args.command == "persist":
-        return command_persist(args)
-    if args.command == "pipeline":
-        return command_pipeline(args)
-    if args.command == "bounds":
-        return command_bounds(args)
-    if args.command == "analyze":
-        return command_analyze(args)
-    if args.command == "figures":
-        return command_figures(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    command = {
+        "run": command_run, "persist": command_persist,
+        "pipeline": command_pipeline, "bounds": command_bounds,
+        "analyze": command_analyze, "figures": command_figures,
+    }[args.command]
+    return command(args)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,9 @@ class TopKFEwW(BatchIngest):
     #: Thin wrapper over Algorithm 2, which shards by vertex hash (see
     #: repro.engine.protocol).
     shard_routing = "vertex"
+    #: Declared, although check_batch delegates, so a pipeline rejects
+    #: a deletion-bearing source before the first chunk.
+    DELETIONS_REJECTED = InsertionOnlyFEwW.DELETIONS_REJECTED
 
     def __init__(self, n: int, d: int, alpha: int, k: int,
                  seed: int | None = None) -> None:

@@ -653,6 +653,12 @@ class WindowedProcessor(BatchIngest):
                 f"use a mergeable processor or the tumbling policy"
             )
 
+    @property
+    def DELETIONS_REJECTED(self) -> Optional[str]:
+        """The inner processor's: a window rejects what its buckets
+        reject."""
+        return getattr(self._current, "DELETIONS_REJECTED", None)
+
     def _fresh_instance(self) -> Any:
         index = 0 if self._same_seed else self._bucket_index
         return self._factory(derive_bucket_seed(self._seed, index))
@@ -810,7 +816,10 @@ class WindowedProcessor(BatchIngest):
             raise RuntimeError("split() must be called before processing")
         shards = []
         for offset in range(n_shards):
-            shard = WindowedProcessor(self._factory, self.policy, seed=self._seed)
+            # A copy, not the constructor, so each shard builds only
+            # its own first bucket; the factory was validated already.
+            shard = copy.copy(self)
+            shard._state = self.policy.new_state()
             shard._bucket_index = offset
             shard._stride = n_shards
             shard._current = shard._fresh_instance()

@@ -98,10 +98,11 @@ class OpenSource:
     Exactly one of ``stream`` (an in-memory
     :class:`~repro.streams.columnar.ColumnarEdgeStream`) and ``reader``
     (a memory-mapped
-    :class:`~repro.streams.persist.ChunkedStreamReader`) is set.  The
-    CLI pre-opens sources to print stats and derive data-dependent
-    defaults before committing to a run, then hands the open source to
-    :meth:`Pipeline.run` so the stream is built exactly once.
+    :class:`~repro.streams.persist.ChunkedStreamReader`) is set.  A
+    flag-driven CLI run opens its source first, to size its processor
+    from it and print its stats line, then hands it to
+    :meth:`Pipeline.run` so the stream is built exactly once; a
+    ``--spec`` run leaves the opening to :meth:`Pipeline.run`.
     """
 
     spec: SourceSpec
@@ -334,6 +335,12 @@ class Pipeline:
             fault_plan: a deterministic
                 :class:`~repro.engine.faults.FaultPlan` threaded into
                 the execution engine (chaos testing; None = no faults).
+
+        Raises:
+            SpecError: a spec conflict only a run can see, such as
+                ``resume`` without a checkpoint spec, or a source with
+                deletions fed to a processor that rejects them (checked
+                before the first chunk).
         """
         spec = self.spec
         if probe_every is not None:
@@ -376,6 +383,21 @@ class Pipeline:
         else:
             opened = self.open_source()
         processors = self.build_processors()
+        # Before the first chunk, or an insertion-only processor fails
+        # mid-stream (inside a worker, if sharded).  Not in open_source
+        # or build_processors: callers time those as set-up, and this
+        # scans the sign column.
+        rejecting = [
+            (label, processor.DELETIONS_REJECTED)
+            for label, processor in processors.items()
+            if getattr(processor, "DELETIONS_REJECTED", None) is not None
+        ]
+        if rejecting and not opened.insertion_only:
+            label, message = rejecting[0]
+            raise SpecError(
+                f"the source contains deletions, which processor "
+                f"{label!r} rejects: {message}"
+            )
         execution = spec.execution
         checkpoint = spec.checkpoint
         chunk_size = spec.source.chunk_size

@@ -38,7 +38,6 @@ from repro.streams.persist import (
     load_columnar,
     load_stream,
     loads_stream,
-    stream_has_timestamps,
 )
 from repro.streams.transforms import (
     interleaved,
@@ -102,7 +101,6 @@ __all__ = [
     "shuffled",
     "social_network_stream",
     "stream_from_edges",
-    "stream_has_timestamps",
     "subsampled",
     "with_duplicates",
     "zipf_frequency_columnar",

@@ -96,14 +96,8 @@ class ColumnarEdgeStream:
         sign: +1/-1 per update; ``None`` means insertion-only.
         n: number of A-vertices (identifiers must lie in ``[0, n)``).
         m: number of B-vertices (identifiers must lie in ``[0, m)``).
-        t: optional per-update event timestamps (int64, monotonically
-            non-decreasing).  Timestamps ride along the stream — they
-            persist in the v2.1 columnar format and feed event-time
-            tooling — but are not part of the ``(a, b, sign)`` chunk
-            protocol the engine hands to ``process_batch``.
         validate: when True (default), run the vectorized single-pass
-            range and simple-graph-discipline checks (including
-            timestamp monotonicity when ``t`` is given).
+            range and simple-graph-discipline checks.
     """
 
     def __init__(
@@ -114,7 +108,6 @@ class ColumnarEdgeStream:
         *,
         n: int,
         m: int,
-        t=None,
         validate: bool = True,
     ) -> None:
         if n <= 0 or m <= 0:
@@ -133,14 +126,6 @@ class ColumnarEdgeStream:
             if self.sign.shape != self.a.shape:
                 raise ValueError(
                     f"sign must match a/b length, got shape {self.sign.shape}"
-                )
-        if t is None:
-            self.t = None
-        else:
-            self.t = np.ascontiguousarray(t, dtype=np.int64)
-            if self.t.shape != self.a.shape:
-                raise ValueError(
-                    f"t must match a/b length, got shape {self.t.shape}"
                 )
         self.n = n
         self.m = m
@@ -174,16 +159,6 @@ class ColumnarEdgeStream:
                 f"update {position}: sign must be +1 or -1, got "
                 f"{int(sign[position])}"
             )
-        if self.t is not None and len(self.t) > 1:
-            bad = np.flatnonzero(np.diff(self.t) < 0)
-            if len(bad):
-                position = int(bad[0]) + 1
-                raise InvalidStreamError(
-                    f"update {position}: timestamp {int(self.t[position])} "
-                    f"decreases below preceding "
-                    f"{int(self.t[position - 1])} (event time must be "
-                    f"monotonically non-decreasing)"
-                )
         if len(a) == 0:
             return
         # Simple-graph discipline: per edge, the sign subsequence (in
@@ -228,11 +203,6 @@ class ColumnarEdgeStream:
         """True when the stream contains no deletions."""
         return bool((self.sign == INSERT).all())
 
-    @property
-    def has_timestamps(self) -> bool:
-        """True when the stream carries an event-time column."""
-        return self.t is not None
-
     def chunks(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[Columns]:
@@ -256,11 +226,7 @@ class ColumnarEdgeStream:
         return cls(a, b, sign, n=stream.n, m=stream.m, validate=False)
 
     def to_edge_stream(self) -> EdgeStream:
-        """Boxed copy as an :class:`EdgeStream` (skips re-validation).
-
-        :class:`~repro.streams.edge.StreamItem` carries no event time,
-        so the timestamp column (if any) does not survive the trip.
-        """
+        """Boxed copy as an :class:`EdgeStream` (skips re-validation)."""
         items = [
             StreamItem(Edge(a, b), sign)
             for a, b, sign in zip(
@@ -270,21 +236,11 @@ class ColumnarEdgeStream:
         return EdgeStream(items, self.n, self.m, validate=False)
 
     def concatenate(self, other: "ColumnarEdgeStream") -> "ColumnarEdgeStream":
-        """Concatenate two columnar streams over compatible vertex sets.
-
-        Timestamped streams concatenate only with timestamped streams
-        (validation then enforces monotonicity across the seam);
-        mixing a timestamped stream with an untimestamped one raises.
-        """
+        """Concatenate two columnar streams over compatible vertex sets."""
         if (self.n, self.m) != (other.n, other.m):
             raise ValueError(
                 f"incompatible dimensions: ({self.n},{self.m}) vs "
                 f"({other.n},{other.m})"
-            )
-        if self.has_timestamps != other.has_timestamps:
-            raise ValueError(
-                "cannot concatenate a timestamped stream with an "
-                "untimestamped one"
             )
         return ColumnarEdgeStream(
             np.concatenate([self.a, other.a]),
@@ -292,11 +248,6 @@ class ColumnarEdgeStream:
             np.concatenate([self.sign, other.sign]),
             n=self.n,
             m=self.m,
-            t=(
-                np.concatenate([self.t, other.t])
-                if self.has_timestamps
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -228,7 +228,6 @@ def zipf_frequency_columnar(
     config: GeneratorConfig,
     n_records: int,
     exponent: float = 1.2,
-    timestamps: bool = False,
 ) -> ColumnarEdgeStream:
     """Columnar counterpart of :func:`zipf_frequency_stream`.
 
@@ -236,12 +235,6 @@ def zipf_frequency_columnar(
     witnesses — built directly as columns with NumPy sampling (its own
     seeded generator, so trajectories are reproducible but not update-
     for-update identical to the list-based generator).
-
-    With ``timestamps=True`` the stream carries an event-time column:
-    strictly increasing integer timestamps with random inter-arrival
-    gaps (drawn after the endpoints, so the ``a``/``b`` trajectory for
-    a given seed is unchanged by the flag).  Persisting such a stream
-    produces a v2.1 file.
     """
     if n_records > config.m:
         raise ValueError(f"need m >= n_records, got m={config.m}, records={n_records}")
@@ -249,10 +242,7 @@ def zipf_frequency_columnar(
     weights = (np.arange(1, config.n + 1, dtype=np.float64)) ** (-exponent)
     a = rng.choice(config.n, size=n_records, p=weights / weights.sum())
     b = np.arange(n_records, dtype=np.int64)
-    t = None
-    if timestamps:
-        t = np.cumsum(rng.integers(1, 1000, size=n_records, dtype=np.int64))
-    return ColumnarEdgeStream(a, b, n=config.n, m=config.m, t=t, validate=False)
+    return ColumnarEdgeStream(a, b, n=config.n, m=config.m, validate=False)
 
 
 def random_bipartite_columnar(

@@ -33,21 +33,8 @@ holding exactly four entries:
 ``meta``
     int64 array ``[version, n, m]`` with ``version == 2``.
 
-**v2.1 — timestamped columnar NPZ.**  A v2 archive may carry one extra
-entry:
-
-``t``
-    int64 array of monotonically non-decreasing event timestamps, one
-    per update (same length).
-
-Presence of ``t`` is auto-detected (:func:`stream_has_timestamps`);
-``meta`` stays ``[2, n, m]`` and the four v2 entries are unchanged, so
-a timestamped file remains fully readable by a pre-timestamp (plain
-v2) reader — which simply ignores the extra entry.  Loaders validate
-monotonicity and report the offending update offset.  The v1 text
-format has no timestamp column; dumping a timestamped stream as v1
-drops the timestamps (documented loss, the price of the
-diffable-text format).
+Loaders ignore any other entry, so an archive that still carries the
+retired ``t`` (event-time) column loads as plain v2.
 
 v2 files load as ready-to-stream NumPy columns — no per-item boxing —
 and :class:`ChunkedStreamReader` slices them into engine-sized chunks,
@@ -190,24 +177,15 @@ def dump_columnar(stream, destination: Union[str, Path]) -> None:
     dump_stream(stream, destination, format="v2")
 
 
-def _columns_of(stream) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    if isinstance(stream, ColumnarEdgeStream):
-        return stream.a, stream.b, stream.sign, stream.t
-    columnar = ColumnarEdgeStream.from_edge_stream(stream)
-    return columnar.a, columnar.b, columnar.sign, None
-
-
 def _dump_v2(stream, path: Path) -> None:
-    a, b, sign, t = _columns_of(stream)
+    if not isinstance(stream, ColumnarEdgeStream):
+        stream = ColumnarEdgeStream.from_edge_stream(stream)
     meta = np.array([V2_VERSION, stream.n, stream.m], dtype=np.int64)
     # An explicit binary handle stops np.savez from appending ".npz"
-    # to extension-less paths behind the caller's back.  The timestamp
-    # column (v2.1) is an optional fifth entry; meta stays [2, n, m] so
-    # pre-timestamp readers keep working.
-    entries = dict(a=a, b=b, sign=sign, meta=meta)
-    if t is not None:
-        entries["t"] = t
-    _atomic_write(path, lambda handle: np.savez(handle, **entries))
+    # to extension-less paths behind the caller's back.
+    _atomic_write(path, lambda handle: np.savez(
+        handle, a=stream.a, b=stream.b, sign=stream.sign, meta=meta
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +212,7 @@ def _finish_v2_columns(
     b: np.ndarray,
     sign: np.ndarray,
     meta: np.ndarray,
-    t: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Shared tail of eager and mmap v2 loading: validate ``meta`` and
     normalise the column dtypes (a no-copy view when already int64)."""
     if meta.shape != (3,):
@@ -245,43 +222,18 @@ def _finish_v2_columns(
         raise StreamFormatError(
             f"{path}: unsupported feww-stream version {version}"
         )
-    if t is not None:
-        t = t.astype(np.int64, copy=False)
-        if t.shape != a.shape:
-            raise StreamFormatError(
-                f"{path}: timestamp column length {len(t)} does not match "
-                f"{len(a)} updates"
-            )
     return (
         a.astype(np.int64, copy=False),
         b.astype(np.int64, copy=False),
         sign.astype(np.int64, copy=False),
-        t,
         n,
         m,
     )
 
 
-def check_monotonic_timestamps(t: np.ndarray, path) -> None:
-    """Reject event-time columns that travel backwards.
-
-    The error names the offending update offset — for a million-update
-    file "timestamps are broken" without a position is undebuggable.
-    """
-    if len(t) > 1:
-        bad = np.flatnonzero(np.diff(np.asarray(t)) < 0)
-        if len(bad):
-            offset = int(bad[0]) + 1
-            raise StreamFormatError(
-                f"{path}: update offset {offset}: timestamp "
-                f"{int(t[offset])} decreases below preceding "
-                f"{int(t[offset - 1])}"
-            )
-
-
 def _load_v2_columns(
     path: Path,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     try:
         with np.load(path) as archive:
             entries = set(archive.files)
@@ -293,10 +245,9 @@ def _load_v2_columns(
                 )
             a, b, sign = archive["a"], archive["b"], archive["sign"]
             meta = archive["meta"]
-            t = archive["t"] if "t" in entries else None
     except zipfile.BadZipFile as error:
         raise StreamFormatError(f"{path}: not a valid NPZ archive") from error
-    return _finish_v2_columns(path, a, b, sign, meta, t)
+    return _finish_v2_columns(path, a, b, sign, meta)
 
 
 # Zip local-file-header layout: 30 fixed bytes, then the (variable)
@@ -346,12 +297,11 @@ def _mmap_npz_entry(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
 
 def _mmap_v2_columns(
     path: Path,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Like :func:`_load_v2_columns` but columns are memory-mapped.
 
     The tiny ``meta`` entry is materialised for validation; the update
-    columns (including the optional v2.1 timestamp column) stay on disk
-    until sliced.  Archives whose members are compressed (e.g. written
+    columns stay on disk until sliced.  Archives whose members are compressed (e.g. written
     by ``np.savez_compressed``) cannot be mapped and fall back to eager
     loading.
     """
@@ -366,11 +316,8 @@ def _mmap_v2_columns(
         raise StreamFormatError(
             f"{path}: v2 archive missing entries {missing}"
         )
-    mapped = set(required)
-    if "t.npy" in entries:
-        mapped.add("t.npy")
     if any(
-        entries[name].compress_type != zipfile.ZIP_STORED for name in mapped
+        entries[name].compress_type != zipfile.ZIP_STORED for name in required
     ):
         return _load_v2_columns(path)
     return _finish_v2_columns(
@@ -379,37 +326,17 @@ def _mmap_v2_columns(
         _mmap_npz_entry(path, entries["b.npy"]),
         _mmap_npz_entry(path, entries["sign.npy"]),
         np.asarray(_mmap_npz_entry(path, entries["meta.npy"])),
-        _mmap_npz_entry(path, entries["t.npy"]) if "t.npy" in entries else None,
     )
-
-
-def stream_has_timestamps(path: Union[str, Path]) -> bool:
-    """True when a stream file carries the v2.1 timestamp column.
-
-    Reads only the zip directory; v1 text files never have timestamps.
-    """
-    path = Path(path)
-    if not _is_v2_path(path):
-        return False
-    try:
-        with zipfile.ZipFile(path) as archive:
-            return "t.npy" in archive.namelist()
-    except zipfile.BadZipFile as error:
-        raise StreamFormatError(f"{path}: not a valid NPZ archive") from error
 
 
 def load_columnar(
     source: Union[str, Path], validate: bool = True
 ) -> ColumnarEdgeStream:
-    """Load a stream file (either format) as a :class:`ColumnarEdgeStream`.
-
-    Timestamped (v2.1) files come back with the stream's ``t`` column
-    populated; validation covers timestamp monotonicity as well.
-    """
+    """Load a stream file (either format) as a :class:`ColumnarEdgeStream`."""
     path = Path(source)
     if _is_v2_path(path):
-        a, b, sign, t, n, m = _load_v2_columns(path)
-        return ColumnarEdgeStream(a, b, sign, n=n, m=m, t=t, validate=validate)
+        a, b, sign, n, m = _load_v2_columns(path)
+        return ColumnarEdgeStream(a, b, sign, n=n, m=m, validate=validate)
     with open(path, "r", encoding="ascii") as handle:
         return ColumnarEdgeStream.from_edge_stream(
             _load_v1(handle, validate=validate)
@@ -526,24 +453,20 @@ class ChunkedStreamReader:
         self.path = Path(path)
         self.mmap = bool(mmap)
         self._validate_chunks = False
-        self._timestamps_checked = False
         if _is_v2_path(self.path):
             self.version = 2
             if self.mmap:
-                a, b, sign, t, n, m = _mmap_v2_columns(self.path)
+                a, b, sign, n, m = _mmap_v2_columns(self.path)
                 # Checking ranges here would page the whole file in;
-                # chunks() validates each slice as it is read instead
-                # (and .timestamps checks monotonicity on first access).
+                # chunks() validates each slice as it is read instead.
                 self._validate_chunks = True
             else:
-                a, b, sign, t, n, m = _load_v2_columns(self.path)
+                a, b, sign, n, m = _load_v2_columns(self.path)
             self.n, self.m = n, m
             if not self._validate_chunks:
                 self._check_ranges(a, b, sign)
-                if t is not None:
-                    check_monotonic_timestamps(t, self.path)
             self._columns: Optional[ColumnarEdgeStream] = ColumnarEdgeStream(
-                a, b, sign, n=n, m=m, t=t, validate=False
+                a, b, sign, n=n, m=m, validate=False
             )
         else:
             self.version = 1
@@ -563,33 +486,14 @@ class ChunkedStreamReader:
             )
 
     @property
-    def has_timestamps(self) -> bool:
-        """True when the file carries the v2.1 timestamp column."""
-        return self._columns is not None and self._columns.has_timestamps
-
-    @property
-    def timestamps(self) -> Optional[np.ndarray]:
-        """The event-time column (``None`` for untimestamped files).
-
-        Memory-mapped readers defer the monotonicity check to this
-        first access — it pages the timestamp column in, which ``chunks``
-        deliberately never does.
-        """
-        if self._columns is None or self._columns.t is None:
-            return None
-        if self._validate_chunks and not self._timestamps_checked:
-            check_monotonic_timestamps(self._columns.t, self.path)
-            self._timestamps_checked = True
-        return self._columns.t
-
-    @property
     def insertion_only(self) -> bool:
         """True when the stream contains no deletions.
 
         For v2 files this scans only the sign column, a bounded slice
         at a time with an early exit at the first deletion — mmap
         readers page in at most the prefix up to that point, never the
-        endpoint columns.  For v1 text it costs one parse pass.
+        endpoint columns.  For v1 text it reads each line's sign
+        character without parsing the line; :meth:`chunks` validates.
         """
         if self._columns is not None:
             sign = self._columns.sign
@@ -598,9 +502,9 @@ class ChunkedStreamReader:
                 if bool((sign[start:start + step] != INSERT).any()):
                     return False
             return True
-        return all(
-            bool((sign == INSERT).all()) for _, _, sign in self.chunks()
-        )
+        with open(self.path, "r", encoding="ascii") as handle:
+            handle.readline()  # header, parsed in __init__
+            return not any(raw.lstrip().startswith("-") for raw in handle)
 
     def _check_ranges(self, a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> None:
         if len(a) and (

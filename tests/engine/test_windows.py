@@ -611,3 +611,23 @@ class TestEqualSeedInner:
         whole = CountMinSketch(0.1, 0.1, seed=derive_bucket_seed(5, 0))
         whole.process_batch(stream.a[span], stream.b[span])
         assert np.array_equal(answer.processor._table, whole._table)
+
+
+def recording_alg2(seen, seed):
+    seen.append(seed)
+    return alg2(16, 4, 2)(seed)
+
+
+class TestSplitBuilds:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_each_shard_builds_only_its_first_bucket(self, policy):
+        """``split(W)`` makes W factory calls, one per shard, seeded
+        with that shard's first global bucket index."""
+        seen = []
+        wrapper = WindowedProcessor(
+            functools.partial(recording_alg2, seen), POLICIES[policy], seed=5
+        )
+        seen.clear()
+        shards = wrapper.split(3)
+        assert seen == [derive_bucket_seed(5, offset) for offset in range(3)]
+        assert [shard._bucket_index for shard in shards] == [0, 1, 2]

@@ -172,6 +172,27 @@ class TestSources:
         assert isinstance(opened.stream, ColumnarEdgeStream)
         assert len(opened) == len(stream)
 
+    @pytest.mark.parametrize("name, params, window", [
+        ("insertion-only", {}, None),
+        ("insertion-only", {}, "tumbling"),
+        ("topk", {"k": 2}, None),
+    ], ids=["alg2", "alg2-tumbling", "topk"])
+    def test_deletions_rejected_before_the_first_chunk(
+        self, name, params, window
+    ):
+        """A source with deletions fed to an insertion-only processor
+        fails in ``run`` before any chunk reaches a shard worker."""
+        builder = (
+            Pipeline.builder()
+            .generator("churn", n=32, m=64, d=8, seed=1)
+            .processor(name, n=32, d=8, alpha=2, **params)
+            .sharded(2)
+        )
+        if window is not None:
+            builder = builder.window(window, 64)
+        with pytest.raises(SpecError, match="contains deletions.*insertion-only"):
+            builder.build().run()
+
     def test_builder_requires_a_source(self):
         with pytest.raises(SpecError, match="needs a source"):
             Pipeline.builder().processor("misra-gries", k=4).build()

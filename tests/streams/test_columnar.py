@@ -251,70 +251,3 @@ def test_process_drives_the_chunks_it_is_given():
     stream = make(list(range(10)), list(range(10)))
     recorder = Recorder().process(stream.chunks(4))
     assert recorder.batches == [4, 4, 2]
-
-
-class TestTimestampColumn:
-    def make(self, t=None, validate=True):
-        a = np.array([0, 1, 0, 2], dtype=np.int64)
-        b = np.array([0, 1, 2, 3], dtype=np.int64)
-        return ColumnarEdgeStream(a, b, n=4, m=4, t=t, validate=validate)
-
-    def test_untimestamped_by_default(self):
-        stream = self.make()
-        assert not stream.has_timestamps and stream.t is None
-
-    def test_timestamps_stored_as_int64(self):
-        stream = self.make(t=[10, 10, 30, 40])
-        assert stream.has_timestamps
-        assert stream.t.dtype == np.int64
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="t must match"):
-            self.make(t=[1, 2])
-
-    def test_non_monotonic_rejected_with_update_context(self):
-        with pytest.raises(InvalidStreamError, match="update 2"):
-            self.make(t=[10, 20, 15, 30])
-
-    def test_equal_timestamps_allowed(self):
-        self.make(t=[5, 5, 5, 5])  # non-decreasing, not strictly increasing
-
-    def test_concatenate_carries_timestamps(self):
-        first = self.make(t=[1, 2, 3, 4])
-        second = ColumnarEdgeStream(
-            np.array([3], dtype=np.int64), np.array([0], dtype=np.int64),
-            n=4, m=4, t=[9],
-        )
-        combined = first.concatenate(second)
-        assert combined.t.tolist() == [1, 2, 3, 4, 9]
-
-    def test_concatenate_rejects_backwards_seam(self):
-        first = self.make(t=[1, 2, 3, 10])
-        second = ColumnarEdgeStream(
-            np.array([3], dtype=np.int64), np.array([0], dtype=np.int64),
-            n=4, m=4, t=[5],
-        )
-        with pytest.raises(InvalidStreamError, match="update 4"):
-            first.concatenate(second)
-
-    def test_concatenate_rejects_mixed_presence(self):
-        with pytest.raises(ValueError, match="timestamped"):
-            self.make(t=[1, 2, 3, 4]).concatenate(self.make())
-
-    def test_to_edge_stream_drops_timestamps_losslessly_otherwise(self):
-        stream = self.make(t=[1, 2, 3, 4])
-        boxed = stream.to_edge_stream()
-        assert len(boxed) == 4
-
-    def test_generator_timestamps_monotonic_and_trajectory_stable(self):
-        from repro.streams.generators import (
-            GeneratorConfig,
-            zipf_frequency_columnar,
-        )
-
-        config = GeneratorConfig(n=8, m=200, seed=5)
-        with_t = zipf_frequency_columnar(config, 200, timestamps=True)
-        without = zipf_frequency_columnar(config, 200)
-        assert with_t.has_timestamps
-        assert (np.diff(with_t.t) >= 0).all()
-        assert np.array_equal(with_t.a, without.a)

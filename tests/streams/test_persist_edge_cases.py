@@ -50,6 +50,13 @@ class TestEmptyAndTinyStreams:
         assert len(reader) == 0
         assert list(reader.chunks(16)) == []
 
+    def test_v1_insertion_only_reads_signs_not_comments(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("# feww-stream v1 n=4 m=4\n+ 0 1\n# - note\n+ 1 2\n")
+        assert ChunkedStreamReader(path).insertion_only
+        path.write_text("# feww-stream v1 n=4 m=4\n+ 0 1\n - 0 1\n")
+        assert not ChunkedStreamReader(path).insertion_only
+
     def test_zero_update_v2_file(self, tmp_path, mmap_mode):
         path = tmp_path / "empty.npz"
         dump_stream(columnar(0), path, format="v2")
@@ -240,123 +247,18 @@ class TestFanoutRunnerMidStreamFailure:
 
 
 # ----------------------------------------------------------------------
-# Persistence v2.1 (timestamp column) edge cases.
+# A v2 archive that still carries the retired timestamp entry.
 # ----------------------------------------------------------------------
-
-
-def timestamped(n_updates, n=8):
-    stream = columnar(n_updates, n=n)
-    t = np.arange(n_updates, dtype=np.int64) * 7
-    return ColumnarEdgeStream(
-        stream.a, stream.b, n=stream.n, m=stream.m, t=t, validate=False
-    )
-
-
-def pre_timestamp_read(path):
-    """A v2 reader as it existed before the timestamp column: loads the
-    four required entries, checks meta version 2, ignores everything
-    else.  Frozen here to prove v2.1 files stay readable by it."""
-    with np.load(path) as archive:
-        required = {"a", "b", "sign", "meta"}
-        assert required <= set(archive.files)
-        meta = archive["meta"]
-        assert meta.shape == (3,) and int(meta[0]) == 2
-        return (
-            archive["a"].astype(np.int64),
-            archive["b"].astype(np.int64),
-            archive["sign"].astype(np.int64),
-            int(meta[1]),
-            int(meta[2]),
-        )
 
 
 class TestTimestampedPersistence:
     def test_v21_file_readable_by_pre_timestamp_reader(self, tmp_path):
-        stream = timestamped(40)
-        path = tmp_path / "timestamped.npz"
-        dump_stream(stream, path, format="v2")
-        a, b, sign, n, m = pre_timestamp_read(path)
-        assert np.array_equal(a, stream.a)
-        assert np.array_equal(sign, stream.sign)
-        assert (n, m) == (stream.n, stream.m)
-
-    def test_round_trip_preserves_timestamps(self, tmp_path, mmap_mode):
-        from repro.streams.persist import load_columnar, stream_has_timestamps
-
-        stream = timestamped(40)
-        path = tmp_path / "timestamped.npz"
-        dump_stream(stream, path, format="v2")
-        assert stream_has_timestamps(path)
-        assert np.array_equal(load_columnar(path).t, stream.t)
-        reader = ChunkedStreamReader(path, mmap=mmap_mode)
-        assert reader.has_timestamps
-        assert np.array_equal(np.asarray(reader.timestamps), stream.t)
-
-    def test_untimestamped_file_reports_no_timestamps(self, tmp_path, mmap_mode):
-        from repro.streams.persist import stream_has_timestamps
-
-        path = tmp_path / "plain.npz"
-        dump_stream(columnar(10), path, format="v2")
-        assert not stream_has_timestamps(path)
-        reader = ChunkedStreamReader(path, mmap=mmap_mode)
-        assert not reader.has_timestamps
-        assert reader.timestamps is None
-
-    def test_empty_timestamp_column(self, tmp_path, mmap_mode):
+        """An archive that still carries the retired ``t`` (event-time)
+        entry loads as plain v2, with the entry ignored."""
         from repro.streams.persist import load_columnar
 
-        stream = timestamped(0)
-        path = tmp_path / "empty.npz"
-        dump_stream(stream, path, format="v2")
-        loaded = load_columnar(path)
-        assert loaded.has_timestamps and len(loaded.t) == 0
-        reader = ChunkedStreamReader(path, mmap=mmap_mode)
-        assert reader.has_timestamps
-        assert list(reader.chunks(4)) == []
-
-    def test_non_monotonic_timestamps_rejected_with_offset(
-        self, tmp_path, mmap_mode
-    ):
-        stream = timestamped(10)
-        bad_t = stream.t.copy()
-        bad_t[6] = bad_t[5] - 1
-        bad = ColumnarEdgeStream(
-            stream.a, stream.b, n=stream.n, m=stream.m, t=bad_t,
-            validate=False,
-        )
-        path = tmp_path / "bad.npz"
-        dump_stream(bad, path, format="v2")
-        if mmap_mode:
-            # mmap defers the check to the first timestamps access (the
-            # chunk path never pages the t column in).
-            reader = ChunkedStreamReader(path, mmap=True)
-            with pytest.raises(StreamFormatError, match="offset 6"):
-                reader.timestamps
-        else:
-            with pytest.raises(StreamFormatError, match="offset 6"):
-                ChunkedStreamReader(path)
-
-    def test_load_columnar_rejects_non_monotonic_with_update_context(
-        self, tmp_path
-    ):
-        from repro.streams.persist import load_columnar
-        from repro.streams.stream import InvalidStreamError
-
-        stream = timestamped(10)
-        bad_t = stream.t.copy()
-        bad_t[3] -= 100
-        bad = ColumnarEdgeStream(
-            stream.a, stream.b, n=stream.n, m=stream.m, t=bad_t,
-            validate=False,
-        )
-        path = tmp_path / "bad2.npz"
-        dump_stream(bad, path, format="v2")
-        with pytest.raises(InvalidStreamError, match="update 3"):
-            load_columnar(path)
-
-    def test_timestamp_length_mismatch_is_a_format_error(self, tmp_path):
-        stream = columnar(10)
-        path = tmp_path / "mismatch.npz"
+        stream = columnar(40)
+        path = tmp_path / "timestamped.npz"
         with open(path, "wb") as handle:
             np.savez(
                 handle,
@@ -364,20 +266,16 @@ class TestTimestampedPersistence:
                 b=stream.b,
                 sign=stream.sign,
                 meta=np.array([2, stream.n, stream.m], dtype=np.int64),
-                t=np.arange(4, dtype=np.int64),
+                t=np.arange(40, dtype=np.int64) * 7,
             )
-        with pytest.raises(StreamFormatError, match="does not match"):
-            ChunkedStreamReader(path)
-
-    def test_v1_dump_drops_timestamps(self, tmp_path):
-        from repro.streams.persist import load_columnar
-
-        stream = timestamped(8)
-        path = tmp_path / "stream.txt"
-        dump_stream(stream, path, format="v1")
         loaded = load_columnar(path)
-        assert not loaded.has_timestamps
-        assert np.array_equal(loaded.a, stream.a)
+        assert (loaded.n, loaded.m) == (stream.n, stream.m)
+        assert not hasattr(loaded, "t")
+        for source in (loaded, ChunkedStreamReader(path),
+                       ChunkedStreamReader(path, mmap=True)):
+            columns = [np.concatenate(c) for c in zip(*source.chunks(16))]
+            for read, written in zip(columns, (stream.a, stream.b, stream.sign)):
+                assert np.array_equal(read, written)
 
 
 # ----------------------------------------------------------------------

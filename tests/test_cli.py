@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cli import _workload_params, build_parser, main
-from repro.pipeline import GENERATORS
+from repro.cli import build_parser, main, spec_from_args
+from repro.pipeline import GENERATORS, Pipeline
 
 
 class TestParser:
@@ -31,7 +31,8 @@ class TestWorkloadFactory:
             ["run", "--workload", workload, "--n", "64", "--m", "512",
              "--d", "16"]
         )
-        stream = GENERATORS.build(workload, _workload_params(args))
+        params = spec_from_args(args)["source"]["params"]
+        stream = GENERATORS.build(workload, params)
         assert len(stream) > 0
 
     def test_churn_contains_deletions(self):
@@ -40,7 +41,7 @@ class TestWorkloadFactory:
              "--d", "8"]
         )
         assert not GENERATORS.build(
-            "churn", _workload_params(args)
+            "churn", spec_from_args(args)["source"]["params"]
         ).insertion_only
 
 
@@ -177,7 +178,9 @@ class TestParallelOptions:
     def test_mmap_without_stream_file_rejected(self, capsys):
         code = main(["run", "--workload", "star", "--mmap"])
         assert code == 2
-        assert "--mmap requires --stream-file" in capsys.readouterr().err
+        assert "source.mmap: mmap requires a file source" in (
+            capsys.readouterr().err
+        )
 
     def test_mmap_requires_v2_format(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -198,7 +201,9 @@ class TestParallelOptions:
     def test_bad_worker_count_rejected(self, capsys):
         code = main(["run", "--workload", "star", "--workers", "0"])
         assert code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "execution.workers: workers must be >= 1" in (
+            capsys.readouterr().err
+        )
 
     def _corrupt_v2_file(self, tmp_path):
         """A v2 file whose A-column holds an out-of-range vertex id —
@@ -261,6 +266,40 @@ class TestPersistCommands:
         from repro.streams.persist import load_stream
 
         assert list(load_stream(source)) == list(load_stream(back))
+
+    def _legacy_timestamped_file(self, tmp_path):
+        """A v2 archive that still carries the retired ``t`` entry."""
+        import numpy as np
+
+        path = tmp_path / "legacy.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, a=np.array([0, 1, 2]), b=np.array([0, 1, 2]),
+                     sign=np.array([1, 1, 1]),
+                     meta=np.array([2, 4, 4], dtype=np.int64),
+                     t=np.array([5, 6, 7]))
+        return path
+
+    def test_info_reads_legacy_timestamped_file_as_v2(self, capsys, tmp_path):
+        path = self._legacy_timestamped_file(tmp_path)
+        assert main(["persist", "info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}: feww-stream v2 n=4 m=4" in out
+        assert "timestamps" not in out
+
+    def test_convert_reads_legacy_timestamped_file_as_v2(
+        self, capsys, tmp_path
+    ):
+        from repro.streams.persist import load_stream
+
+        source = self._legacy_timestamped_file(tmp_path)
+        destination = tmp_path / "stream.txt"
+        assert main(
+            ["persist", "convert", str(source), str(destination)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "feww-stream v1, 3 updates" in out
+        assert "timestamps" not in out
+        assert list(load_stream(destination)) == list(load_stream(source))
 
     def test_info_on_garbage_reports_error(self, capsys, tmp_path):
         junk = tmp_path / "junk.txt"
@@ -333,41 +372,6 @@ class TestWindowPolicyCommands:
              "--mmap"]
         )
         assert code == 0
-
-    def test_persist_info_reports_timestamps(self, capsys, tmp_path):
-        import numpy as np
-
-        from repro.streams.columnar import ColumnarEdgeStream
-        from repro.streams.persist import dump_stream
-
-        path = tmp_path / "timestamped.npz"
-        stream = ColumnarEdgeStream(
-            np.array([0, 1, 2]), np.array([0, 1, 2]), n=4, m=4,
-            t=np.array([5, 6, 7]),
-        )
-        dump_stream(stream, path, format="v2")
-        assert main(["persist", "info", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "v2.1" in out
-        assert "timestamps: [5, 7]" in out
-
-    def test_persist_convert_notes_dropped_timestamps(self, capsys, tmp_path):
-        import numpy as np
-
-        from repro.streams.columnar import ColumnarEdgeStream
-        from repro.streams.persist import dump_stream
-
-        source = tmp_path / "timestamped.npz"
-        stream = ColumnarEdgeStream(
-            np.array([0, 1, 2]), np.array([0, 1, 2]), n=4, m=4,
-            t=np.array([5, 6, 7]),
-        )
-        dump_stream(stream, source, format="v2")
-        destination = tmp_path / "stream.txt"
-        assert main(
-            ["persist", "convert", str(source), str(destination)]
-        ) == 0
-        assert "timestamps dropped" in capsys.readouterr().out
 
 
 class TestSpecRuns:
@@ -459,6 +463,186 @@ class TestSpecRuns:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+def _parity_spec(generator, processor, params, **sections):
+    return {
+        "source": {"kind": "generator", "generator": generator,
+                   "params": {"n": 64, "m": 256, "d": 16, "alpha": 2,
+                              "seed": 1}},
+        "processors": [{"name": processor, "label": "algorithm",
+                        "params": params}],
+        **sections,
+    }
+
+
+class TestFlagSpecParity:
+    """A flag run and the equivalent ``--spec`` file run one pipeline
+    and report one answer."""
+
+    SIZE = ["--n", "64", "--m", "256", "--d", "16", "--seed", "1"]
+    ALG2 = {"n": 64, "d": 16, "alpha": 2}
+
+    def _run(self, monkeypatch, capsys, argv):
+        runs = []
+        run = Pipeline.run
+
+        def recording(pipeline, **kwargs):
+            result = run(pipeline, **kwargs)
+            runs.append((pipeline.spec, result))
+            return result
+
+        monkeypatch.setattr(Pipeline, "run", recording)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        (spec, result), = runs
+        return spec, result.to_dict()["answers"], out
+
+    @pytest.mark.parametrize("flags, spec", [
+        (["--workload", "star"],
+         _parity_spec("star", "insertion-only", {**ALG2, "seed": 1})),
+        (["--workload", "churn", "--algorithm", "insertion-deletion",
+          "--scale", "0.3"],
+         _parity_spec("churn", "insertion-deletion",
+                      {"n": 64, "m": 256, "d": 16, "alpha": 2,
+                       "scale": 0.3, "seed": 1})),
+        (["--workload", "star", "--window-policy", "tumbling",
+          "--window", "128", "--workers", "2"],
+         _parity_spec("star", "insertion-only", ALG2,
+                      window={"policy": "tumbling", "window": 128,
+                              "seed": 1},
+                      execution={"backend": "sharded", "workers": 2})),
+        (["--workload", "star", "--window-policy", "sliding",
+          "--window", "128"],
+         _parity_spec("star", "insertion-only", ALG2,
+                      window={"policy": "sliding", "window": 128,
+                              "seed": 1})),
+        (["--workload", "cascade"],
+         _parity_spec("cascade", "insertion-only", {**ALG2, "seed": 1})),
+        (["--workload", "adversarial", "--workers", "2"],
+         _parity_spec("adversarial", "insertion-only", {**ALG2, "seed": 1},
+                      execution={"backend": "sharded", "workers": 2})),
+        (["--workload", "star", "--window-policy", "decay",
+          "--window", "64", "--decay-keep", "2"],
+         _parity_spec("star", "insertion-only", ALG2,
+                      window={"policy": "decay", "window": 64, "keep": 2,
+                              "seed": 1})),
+    ], ids=["star", "churn", "tumbling-w2", "sliding", "cascade",
+            "adversarial-w2", "decay"])
+    def test_flag_run_matches_spec_file(
+        self, monkeypatch, capsys, tmp_path, flags, spec
+    ):
+        import json
+
+        flag_spec, flag_answers, _ = self._run(
+            monkeypatch, capsys, ["run", *flags, *self.SIZE]
+        )
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(spec))
+        file_spec, file_answers, out = self._run(
+            monkeypatch, capsys, ["run", "--spec", str(path)]
+        )
+        assert flag_spec == file_spec
+        assert flag_answers == file_answers
+        printed = json.loads(out.split("\n", 1)[1])
+        assert printed["answers"] == file_answers
+
+    def test_zipf_flag_run_sizes_d_from_max_degree(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """The flag entry's zipf rule ``d = max_degree`` is the spec file
+        whose processor ``d`` is that degree."""
+        import json
+
+        spec = _parity_spec("zipf", "insertion-only", {**self.ALG2,
+                                                       "seed": 1})
+        stream = GENERATORS.build("zipf", spec["source"]["params"])
+        spec["processors"][0]["params"]["d"] = stream.max_degree()
+        flag_spec, flag_answers, _ = self._run(
+            monkeypatch, capsys, ["run", "--workload", "zipf", *self.SIZE]
+        )
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(spec))
+        file_spec, file_answers, _ = self._run(
+            monkeypatch, capsys, ["run", "--spec", str(path)]
+        )
+        assert flag_spec == file_spec
+        assert flag_answers == file_answers
+
+    @pytest.mark.parametrize("suffix, mmap", [
+        ("txt", False), ("npz", False), ("npz", True),
+    ], ids=["v1", "v2", "v2-mmap"])
+    def test_stream_file_run_matches_spec_file(
+        self, monkeypatch, capsys, tmp_path, suffix, mmap
+    ):
+        """A ``--stream-file`` run sizes the processor from the file,
+        which a spec file states outright."""
+        import json
+
+        stream = tmp_path / f"workload.{suffix}"
+        assert main(["run", "--workload", "star", *self.SIZE,
+                     "--save-stream", str(stream)]) == 0
+        capsys.readouterr()
+        flags = ["--mmap"] if mmap else []
+        flag_spec, flag_answers, _ = self._run(
+            monkeypatch, capsys,
+            ["run", "--stream-file", str(stream), "--d", "16", "--seed", "1",
+             *flags],
+        )
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "source": {"kind": "file", "path": str(stream), "mmap": mmap},
+            "processors": [{"name": "insertion-only", "label": "algorithm",
+                            "params": {**self.ALG2, "seed": 1}}],
+        }))
+        file_spec, file_answers, _ = self._run(
+            monkeypatch, capsys, ["run", "--spec", str(path)]
+        )
+        assert flag_spec == file_spec
+        assert flag_answers == file_answers
+
+
+class TestSharedRunErrors:
+    """Both ``run`` entries validate one spec, so a bad flag and the
+    equivalent spec file exit 2 with the same diagnostic."""
+
+    STAR = {"kind": "generator", "generator": "star",
+            "params": {"n": 64, "m": 256, "d": 16, "seed": 1}}
+    ALG2 = [{"name": "insertion-only", "label": "algorithm",
+             "params": {"n": 64, "d": 16, "seed": 1}}]
+
+    @pytest.mark.parametrize("flags, spec, extra, field", [
+        (["--workers", "0"],
+         {"source": STAR, "processors": ALG2,
+          "execution": {"backend": "fanout", "workers": 0}},
+         [], "execution.workers"),
+        (["--mmap"],
+         {"source": {**STAR, "mmap": True}, "processors": ALG2},
+         [], "source.mmap"),
+        (["--checkpoint-every", "4"],
+         {"source": STAR, "processors": ALG2, "checkpoint": {"every": 4}},
+         [], "CheckpointSpec"),
+        (["--resume"],
+         {"source": STAR, "processors": ALG2},
+         ["--resume"], "checkpoint.dir"),
+        (["--workload", "churn", "--algorithm", "insertion-only"],
+         {"source": {**STAR, "generator": "churn"}, "processors": ALG2},
+         [], "deletions"),
+    ], ids=["workers", "mmap", "checkpoint-every", "resume", "deletions"])
+    def test_flag_and_spec_file_report_one_error(
+        self, capsys, tmp_path, flags, spec, extra, field
+    ):
+        import json
+
+        size = ["--n", "64", "--m", "256", "--d", "16", "--seed", "1"]
+        assert main(["run", *flags, *size]) == 2
+        flag_err = capsys.readouterr().err.strip()
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), *extra]) == 2
+        spec_err = capsys.readouterr().err.strip()
+        assert field in flag_err
+        assert flag_err.removeprefix("error: ") in spec_err
+
+
 class TestFaultToleranceFlags:
     def _save_stream(self, tmp_path):
         path = tmp_path / "workload.npz"
@@ -470,12 +654,14 @@ class TestFaultToleranceFlags:
     def test_checkpoint_every_requires_dir(self, capsys):
         code = main(["run", "--checkpoint-every", "4"])
         assert code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert "CheckpointSpec: missing required field(s) ['dir']" in (
+            capsys.readouterr().err
+        )
 
     def test_resume_requires_dir(self, capsys):
         code = main(["run", "--resume"])
         assert code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert "checkpoint.dir" in capsys.readouterr().err
 
     def test_checkpointed_run_then_resume(self, capsys, tmp_path):
         stream = self._save_stream(tmp_path)
