@@ -329,14 +329,15 @@ def command_run(args: argparse.Namespace) -> int:
         return 2
     source: Optional[OpenSource] = None
     try:
-        if args.spec is not None:
-            data = _load_spec_file(args.spec)
-        else:
-            data = spec_from_args(args)
-            source = _open_flag_source(args, data)
+        data = (_load_spec_file(args.spec) if args.spec is not None
+                else spec_from_args(args))
         _override_fault_flags(data, args)
+        # Everything that does not depend on the source is validated
+        # before a flag run builds a workload or loads a file.
         pipeline = Pipeline.from_dict(data)
-        if source is not None:
+        if args.spec is None:
+            source = _open_flag_source(args, data)
+            pipeline = Pipeline.from_dict(data)
             _announce_source(args, source)
         result = pipeline.run(source=source, resume=args.resume)
     except ShardedWorkerError as error:

@@ -22,8 +22,12 @@ w.h.p.
 ``scale`` parameter multiplies the paper's constant 10 (useful to keep
 pure-Python benchmark runs fast while preserving the formulas' shape);
 ``sampler_mode`` selects real sketches (``"exact"``) or the
-distributionally equivalent accelerated bank (``"fast"``, default — see
-:mod:`repro.sketch.l0`).
+distributionally equivalent accelerated banks (``"fast"``, default — see
+:mod:`repro.sketch.l0`).  Fast mode keeps ONE exact support of the n·m
+edge vector (simulator state, not charged): a chunk is one append to
+it, and every bank draws from it at query time — the edge bank from
+the whole support, vertex ``a``'s bank from its slice ``[a·m,
+(a+1)·m)``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
+from repro.sketch.exact import ExactSupport, net_updates
 from repro.sketch.l0 import L0SamplerBank
 from repro.spacemeter import SpaceBreakdown, vertex_words
 from repro.streams.edge import check_edge_range, insert_signs
@@ -119,6 +124,7 @@ class InsertionDeletionFEwW(BatchIngest):
         self.alpha = alpha
         self.strategy = strategy
         self.scale = scale
+        self.sampler_mode = sampler_mode
         self.threshold = math.ceil(d / alpha)
         self.delta = 1.0 / (max(n, 2) ** 10 * d)
         rng = random.Random(seed)
@@ -135,12 +141,22 @@ class InsertionDeletionFEwW(BatchIngest):
                 )
                 self._bank_flags[a] = True
 
+        #: Sampled vertex ids in construction (= draw) order.
+        self._vertex_ids = np.fromiter(self._vertex_banks, dtype=np.int64)
+        # Constant after construction; clone() shares both.
+        self._vertex_ids.flags.writeable = False
+        self._bank_flags.flags.writeable = False
+
         self._edge_bank: Optional[L0SamplerBank] = None
         if strategy in (SamplingStrategy.EDGE, SamplingStrategy.BOTH):
             count = edge_sampler_count(n, m, d, alpha, scale)
             self._edge_bank = L0SamplerBank(
                 n * m, count, self.delta, rng, mode=sampler_mode
             )
+        #: Fast mode: the one support every bank draws from.
+        self._support: Optional[ExactSupport] = (
+            ExactSupport(n * m) if sampler_mode == "fast" else None
+        )
 
         self._result_cache: Optional[np.ndarray] = None
         self._updates_seen = 0
@@ -163,14 +179,14 @@ class InsertionDeletionFEwW(BatchIngest):
     ) -> None:
         """Route a column chunk of signed updates into both structures.
 
-        The whole chunk is netted once on the flattened edge coordinate
-        ``a * m + b``: one ``np.unique`` + scatter-add yields the net
-        sign per (vertex, witness) pair, shared by *both* sampling
-        structures.  The edge bank takes the netted column directly, and
+        Fast mode appends the flattened edge coordinates ``a * m + b``
+        to the one support.  Exact mode nets the chunk once
+        (:func:`~repro.sketch.exact.net_updates`), shared by *both*
+        sampling structures: the edge bank takes the netted column, and
         because flat coordinates sort by vertex first, each sampled
-        vertex's bank takes a contiguous pre-netted slice — no per-group
-        re-sorting or re-netting.  All sketches involved are linear, so
-        the final state is identical at every chunk size.
+        vertex's bank takes a contiguous pre-netted slice.  All sketches
+        involved are linear, so the final state is identical at every
+        chunk size.
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
@@ -184,13 +200,10 @@ class InsertionDeletionFEwW(BatchIngest):
         self._updates_seen += len(a)
         self._result_cache = None
         flat = a * self.m + b
-        unique, inverse = np.unique(flat, return_inverse=True)
-        net = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(net, inverse, sign)
-        live = net != 0
-        if not live.any():
+        if self._support is not None:
+            self._support.update_batch(flat, sign)
             return
-        self._apply_netted(unique[live], net[live])
+        self._apply_netted(*net_updates(flat, sign, self.n * self.m))
 
     def process_netted(
         self, unique: np.ndarray, net: np.ndarray, n_updates: int
@@ -200,20 +213,24 @@ class InsertionDeletionFEwW(BatchIngest):
         ``unique`` must be the sorted distinct flat edge coordinates
         ``a * m + b`` of an already range-checked chunk of ``n_updates``
         signed updates, and ``net`` their nonzero net signs — exactly
-        what :meth:`process_batch` computes internally.  Star Detection
-        calls this so the ``np.unique`` netting pass (and the range
-        validation) runs once per chunk instead of once per degree
-        guess; every sketch is linear, so the state is identical to
-        handing the raw chunk to :meth:`process_batch`.
+        what exact mode's :meth:`process_batch` computes.  Star Detection
+        calls this so the netting pass (and the range validation) runs
+        once per chunk instead of once per degree guess; every sketch is
+        linear, so the state is identical to handing the raw chunk to
+        :meth:`process_batch`.
         """
         self._result_cache = None
         self._updates_seen += n_updates
         if len(unique) == 0:
             return
-        self._apply_netted(unique, net)
+        if self._support is not None:
+            self._support.update_batch(unique, net)
+        else:
+            self._apply_netted(unique, net)
 
     def _apply_netted(self, unique: np.ndarray, net: np.ndarray) -> None:
-        """Scatter netted flat-coordinate updates into both structures."""
+        """Exact mode: scatter netted flat-coordinate updates into both
+        structures."""
         if self._vertex_banks:
             vertices = unique // self.m
             mask = self._bank_flags[vertices]
@@ -254,19 +271,20 @@ class InsertionDeletionFEwW(BatchIngest):
                 f"cannot merge InsertionDeletionFEwW with "
                 f"{type(other).__name__}"
             )
-        if (self.n, self.m, self.d, self.alpha, self.strategy) != (
-            other.n,
-            other.m,
-            other.d,
-            other.alpha,
-            other.strategy,
-        ):
+        mine = (self.n, self.m, self.d, self.alpha, self.strategy, self.sampler_mode)
+        theirs = (
+            other.n, other.m, other.d, other.alpha, other.strategy,
+            other.sampler_mode,
+        )
+        if mine != theirs:
             raise ValueError(
                 f"cannot merge Algorithm 3 (n={self.n}, m={self.m}, "
                 f"d={self.d}, alpha={self.alpha}, "
-                f"strategy={self.strategy.value}) with (n={other.n}, "
+                f"strategy={self.strategy.value}, "
+                f"sampler_mode={self.sampler_mode}) with (n={other.n}, "
                 f"m={other.m}, d={other.d}, alpha={other.alpha}, "
-                f"strategy={other.strategy.value})"
+                f"strategy={other.strategy.value}, "
+                f"sampler_mode={other.sampler_mode})"
             )
         if set(self._vertex_banks) != set(other._vertex_banks):
             raise ValueError(
@@ -281,9 +299,23 @@ class InsertionDeletionFEwW(BatchIngest):
             )
         if self._edge_bank is not None and other._edge_bank is not None:
             self._edge_bank.merge(other._edge_bank)
+        if self._support is not None and other._support is not None:
+            self._support.merge(other._support)
         self._result_cache = None
         self._updates_seen += other._updates_seen
         return self
+
+    def clone(self) -> "InsertionDeletionFEwW":
+        """An independent copy without a deepcopy graph walk (window
+        probes and folds clone on every query): every bank is cloned
+        (cell planes, generator state) and so is the support."""
+        dup = copy.copy(self)
+        dup._vertex_banks = {a: bank.clone() for a, bank in self._vertex_banks.items()}
+        if self._edge_bank is not None:
+            dup._edge_bank = self._edge_bank.clone()
+        if self._support is not None:
+            dup._support = self._support.clone()
+        return dup
 
     def split(self, n_shards: int) -> List["InsertionDeletionFEwW"]:
         """``n_shards`` empty same-seed shard instances (sharded runs)."""
@@ -301,20 +333,32 @@ class InsertionDeletionFEwW(BatchIngest):
         """Every sampler's output as sorted distinct flat edges ``a*m + b``.
 
         Each bank answers one read with its sorted distinct draws
-        (:meth:`~repro.sketch.l0.L0SamplerBank.distinct_samples`); a
-        vertex bank's witnesses ``b`` become ``a*m + b``, and one
-        ``np.unique`` over the banks' answers leaves the distinct
-        sampled edges grouped by vertex.  Sampler queries are
-        randomised, so the outcome is computed once and memoised:
+        (:meth:`~repro.sketch.l0.L0SamplerBank.distinct_samples`), vertex
+        banks first in construction order.  Fast mode hands vertex
+        ``a``'s bank the support's slice over ``[a·m, (a+1)·m)`` (found
+        with one ``searchsorted`` for all vertices), so its draws are
+        flat edges already; an exact vertex bank's witnesses ``b``
+        become ``a*m + b``.  One ``np.unique`` over the answers leaves
+        the distinct sampled edges grouped by vertex.  Sampler queries
+        are randomised, so the outcome is computed once and memoised:
         repeated calls to :meth:`result` agree.
         """
         if self._result_cache is None:
             m = self.m
             columns = [np.zeros(0, dtype=np.int64)]
-            for a, bank in self._vertex_banks.items():
-                columns.append(bank.distinct_samples() + a * m)
-            if self._edge_bank is not None:
-                columns.append(self._edge_bank.distinct_samples())
+            if self._support is None:
+                for a, bank in self._vertex_banks.items():
+                    columns.append(bank.distinct_samples() + a * m)
+                if self._edge_bank is not None:
+                    columns.append(self._edge_bank.distinct_samples())
+            else:
+                support = self._support.support_array()
+                starts = np.searchsorted(support, self._vertex_ids * m).tolist()
+                stops = np.searchsorted(support, (self._vertex_ids + 1) * m).tolist()
+                for bank, start, stop in zip(self._vertex_banks.values(), starts, stops):
+                    columns.append(bank.distinct_samples(support[start:stop]))
+                if self._edge_bank is not None:
+                    columns.append(self._edge_bank.distinct_samples(support))
             self._result_cache = np.unique(np.concatenate(columns))
         return self._result_cache
 
@@ -364,7 +408,7 @@ class InsertionDeletionFEwW(BatchIngest):
             )
         vertex, start = int(vertices[best]), int(starts[best])
         edges = self._sampled_edges()[start : start + int(sizes[best])]
-        return Neighbourhood.of(vertex, (edges - vertex * self.m).tolist())
+        return Neighbourhood.of(vertex, edges - vertex * self.m)
 
     def finalize(self) -> Optional[Neighbourhood]:
         """Engine hook (:class:`repro.engine.StreamProcessor`): the

@@ -43,6 +43,7 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import algorithm2_runs
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
+from repro.sketch.exact import net_updates
 from repro.spacemeter import SpaceBreakdown
 from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.edge import check_edge_range, insert_signs
@@ -254,12 +255,7 @@ class StarDetection(BatchIngest):
                 sign = insert_signs(len(a))
             else:
                 sign = np.ascontiguousarray(sign, dtype=np.int64)
-            flat = a * n + b
-            unique, inverse = np.unique(flat, return_inverse=True)
-            net = np.zeros(len(unique), dtype=np.int64)
-            np.add.at(net, inverse, sign)
-            live = net != 0
-            unique, net = unique[live], net[live]
+            unique, net = net_updates(a * n + b, sign, n * n)
             for _, algorithm in self._rungs:
                 algorithm.process_netted(unique, net, len(a))
         self._updates_seen += len(a)
@@ -310,6 +306,16 @@ class StarDetection(BatchIngest):
                 mine.merge(theirs)
         self._updates_seen += other._updates_seen
         return self
+
+    def clone(self) -> "StarDetection":
+        """An independent copy through each rung's own ``clone`` (window
+        probes and folds clone on every query), not a deepcopy walk."""
+        dup = copy.copy(self)
+        if self._shared is not None:
+            dup._shared = self._shared.clone()
+        else:
+            dup._rungs = [(guess, rung.clone()) for guess, rung in self._rungs]
+        return dup
 
     def split(self, n_shards: int) -> List["StarDetection"]:
         """``n_shards`` empty same-seed shard wrappers (sharded runs)."""

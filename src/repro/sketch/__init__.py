@@ -9,16 +9,16 @@ vector's support.  This package implements the full stack from scratch:
 * :mod:`repro.sketch.hashing` — k-wise independent hash families over a
   Mersenne-prime field;
 * :mod:`repro.sketch.onesparse` — 1-sparse recovery cells with a
-  fingerprint test;
-* :mod:`repro.sketch.ssparse` — s-sparse recovery by hashing into
-  1-sparse cells;
-* :mod:`repro.sketch.l0` — the geometric-level ℓ₀-sampler;
-* :mod:`repro.sketch.exact` — exact counters used as oracles by tests.
+  fingerprint test, scalar and as array planes sharing one base;
+* :mod:`repro.sketch.l0` — the ℓ₀-sampler: independent repetitions of
+  nested geometric levels, one 1-sparse cell per level, and the
+  exact/fast sampler banks;
+* :mod:`repro.sketch.exact` — exact counters and supports (oracles in
+  tests, the fast banks' support) and the one update-netting pass.
 """
 
 from repro.sketch.hashing import KWiseHash, PRIME_61, random_kwise
 from repro.sketch.onesparse import OneSparseCell, OneSparseResult
-from repro.sketch.ssparse import SSparseRecovery
 from repro.sketch.l0 import (
     L0EdgeBank,
     L0Sampler,
@@ -41,7 +41,6 @@ __all__ = [
     "OneSparseCell",
     "OneSparseResult",
     "PRIME_61",
-    "SSparseRecovery",
     "l0_sampler_space_words",
     "random_kwise",
 ]

@@ -3,8 +3,9 @@
 :class:`DegreeCounter` is the degree-tracking component both FEwW
 algorithms charge ``O(n log n)`` bits for.  :class:`ExactSupport`
 maintains the exact support of a signed vector; it serves as the ground
-truth oracle in tests and as the backing store of the "fast" ℓ₀-sampler
-bank mode (see :mod:`repro.sketch.l0`).
+truth oracle in tests and as the one support every "fast" ℓ₀-sampler
+bank of an owner draws from (see :mod:`repro.sketch.l0`).
+:func:`net_updates` is the one netting pass of signed update columns.
 """
 
 from __future__ import annotations
@@ -21,6 +22,73 @@ def check_columns(indices, deltas) -> None:
             f"update columns differ in length: {len(indices)} indices, "
             f"{len(deltas)} deltas"
         )
+
+
+#: Contributions per float64 bincount in the limb path of
+#: :func:`bincount_sum_int64`: keeps every limb sum an integer below 2^53.
+_BINCOUNT_CHUNK = 1 << 20
+
+
+def bincount_sum_int64(
+    addr: np.ndarray, values: np.ndarray, length: int
+) -> np.ndarray:
+    """Exact per-address ``int64`` sums via float64 bincounts.
+
+    When ``max|value| * len(values) < 2^53`` every partial sum is an
+    integer below 2^53, so one float64 bincount is exact.  Otherwise
+    each value splits into a non-negative low 32-bit limb and a signed
+    high limb, summed over slices of at most 2^20 contributions, so
+    every limb sum stays an integer below 2^53.  Either way the result
+    equals sequential ``int64`` addition (wrapping alike past 2^63).
+    """
+    if len(values) == 0:
+        return np.zeros(length, dtype=np.int64)
+    if max(int(values.max()), -int(values.min())) * len(values) < (1 << 53):
+        return np.bincount(
+            addr, weights=values.astype(np.float64), minlength=length
+        ).astype(np.int64)
+    total = np.zeros(length, dtype=np.int64)
+    for start in range(0, len(values), _BINCOUNT_CHUNK):
+        chunk_addr = addr[start : start + _BINCOUNT_CHUNK]
+        chunk = values[start : start + _BINCOUNT_CHUNK]
+        lo = np.bincount(
+            chunk_addr,
+            weights=(chunk & np.int64(0xFFFFFFFF)).astype(np.float64),
+            minlength=length,
+        ).astype(np.int64)
+        hi = np.bincount(
+            chunk_addr,
+            weights=(chunk >> np.int64(32)).astype(np.float64),
+            minlength=length,
+        ).astype(np.int64)
+        total += (hi << np.int64(32)) + lo
+    return total
+
+
+def net_updates(
+    coords: np.ndarray, deltas: np.ndarray, dim: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Net signed updates per coordinate: ``(coordinates, nets)``.
+
+    Returns the sorted distinct coordinates in ``[0, dim)`` whose deltas
+    do not cancel, and their non-zero net values, both ``int64``.  When
+    the vector is not much larger than the batch (``dim <= 4 *
+    len(coords)``, the rule :meth:`DegreeCounter.increment_batch` uses)
+    one dense :func:`bincount_sum_int64` nets them; otherwise
+    ``np.unique`` plus a scatter-add does.  Both equal sequential
+    ``int64`` addition.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.int64)
+    if dim <= 4 * len(coords):
+        totals = bincount_sum_int64(coords, deltas, dim)
+        live = np.flatnonzero(totals)
+        return live, totals[live]
+    unique, inverse = np.unique(coords, return_inverse=True)
+    totals = np.zeros(len(unique), dtype=np.int64)
+    np.add.at(totals, inverse, deltas)
+    live = totals != 0
+    return unique[live], totals[live]
 
 
 class DegreeCounter:
@@ -132,7 +200,7 @@ class ExactSupport:
     :meth:`update_batch` appends the (validated, copied) coordinate and
     delta columns to a pending list, :meth:`update` appends one pair to
     a scalar buffer, and every read path consolidates both with one
-    vectorized ``np.unique`` + scatter-add netting pass.  The vector is
+    :func:`net_updates` pass.  The vector is
     linear in its updates, so deferring and netting cannot change any
     final value; the consolidated state is identical to applying
     ``update`` item by item.
@@ -156,9 +224,19 @@ class ExactSupport:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        # Copies of read-only arrays come back writeable, and
-        # support_array() hands the coordinates out without a copy.
+        # Copies of read-only arrays come back writeable (see _flush).
         self._keys.flags.writeable = False
+        self._nets.flags.writeable = False
+
+    def clone(self) -> "ExactSupport":
+        """An independent copy: the consolidated columns are never written
+        in place, so the copy shares them (no array copy at all)."""
+        keys, nets = self._consolidated()
+        dup = object.__new__(ExactSupport)
+        dup.dim = self.dim
+        dup._keys, dup._nets = keys, nets
+        dup._pending, dup._scalar, dup._pending_len = [], [], 0
+        return dup
 
     def _consolidated(self) -> Tuple[np.ndarray, np.ndarray]:
         """The sorted ``(coordinates, values)`` columns (flushes pending)."""
@@ -175,13 +253,13 @@ class ExactSupport:
             coords.append(pairs[:, 0])
             nets.append(pairs[:, 1])
         self._pending, self._scalar, self._pending_len = [], [], 0
-        unique, inverse = np.unique(np.concatenate(coords), return_inverse=True)
-        total = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(total, inverse, np.concatenate(nets))
-        live = total != 0
-        self._keys, self._nets = unique[live], total[live]
-        # support_array() hands the coordinates out without a copy.
+        self._keys, self._nets = net_updates(
+            np.concatenate(coords), np.concatenate(nets), self.dim
+        )
+        # support_array() hands the coordinates out without a copy, and
+        # clone() shares both columns: neither is ever written in place.
         self._keys.flags.writeable = False
+        self._nets.flags.writeable = False
 
     def update(self, index: int, delta: int) -> None:
         """Queue ``vector[index] += delta`` (validated, then deferred)."""

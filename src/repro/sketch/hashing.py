@@ -71,29 +71,6 @@ def mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fold61(total)
 
 
-def powmod_p61(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """Element-wise ``base ** exponent mod (2**61 - 1)`` via binary exponentiation.
-
-    Broadcasts like a normal ufunc and returns bit-identical values to
-    ``pow(int(b), int(e), PRIME_61)`` for every element (including
-    ``e == 0`` which yields 1).  Runs ``bit_length(max(exponent))``
-    rounds of :func:`mulmod_p61`, so the cost is logarithmic in the
-    largest exponent, shared across the whole array.
-    """
-    base = np.asarray(base, dtype=np.uint64)
-    exponent = np.asarray(exponent, dtype=np.uint64)
-    base, exponent = np.broadcast_arrays(base, exponent)
-    base = _fold61(base.copy())
-    result = np.ones(base.shape, dtype=np.uint64)
-    n_bits = int(exponent.max()).bit_length() if exponent.size else 0
-    for bit in range(n_bits):
-        take = ((exponent >> np.uint64(bit)) & _ONE) == _ONE
-        result = np.where(take, mulmod_p61(result, base), result)
-        if bit + 1 < n_bits:
-            base = mulmod_p61(base, base)
-    return result
-
-
 def degree1_field(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(a * x + b) mod p`` for degree-1 hash coefficients, broadcast.
 

@@ -7,46 +7,81 @@ cancel.  The paper's insertion-deletion algorithm (Algorithm 3) consumes
 these as a black box, citing Jowhari–Sağlam–Tardos [26] for the bound
 ``O(log²(dim) · log(1/δ))`` bits per sampler.
 
-:class:`L0Sampler` is the real structure: nested geometric subsampling
-levels, an s-sparse recovery per level, and a min-hash tiebreak so that
-the returned coordinate is uniform over the support.
+:class:`L0Sampler` is the textbook sampler of Cormode and Firmani, "A
+unifying framework for ℓ₀-sampling algorithms" (2014): ``R``
+independent repetitions, each a pairwise level hash over ``L =
+ceil(log2 dim) + 1`` nested geometric levels and one 1-sparse cell
+(:mod:`repro.sketch.onesparse`) per level.
 
 Layout
 ------
-All ``n_levels`` recoveries share one sparsity/row geometry, so their
-accumulator planes are stacked into single 3-D ``(n_levels, n_rows,
-n_buckets)`` arrays, and every cell of every level fingerprints with ONE
-random base ``z`` per sampler (see :mod:`repro.sketch.ssparse` for the
-soundness bound: at ``dim = 2**18`` and δ = 0.05 a sampler has 2,964
-cells, and a collision cell passes its fingerprint check with
-probability at most ``2964 * 2**18 / (2**61 - 1) ≈ 3.4e-10``).  A batch
-computes ``delta * z^x`` once per coordinate from the sampler's
-windowed power table (3 × 64 entries, 1.5 KB, at ``dim = 2**18``) and
-broadcasts it across the levels and rows the coordinate lands in; ONE
-scatter-add per plane absorbs every level (level membership is nested,
-so each level's surviving subset is a prefix-filtered view of the
-previous one).  ``decode``/``merge`` build per-level
-:class:`SSparseRecovery` views over the stacked planes.  A sampler is
-charged 3 words per cell, its row hashes, the one base, and its level
-and tiebreak hashes.
+Coordinate ``x`` survives level ``l`` of repetition ``r`` when the low
+``l`` bits of ``h_r(x)`` are zero, so levels are nested with survival
+probabilities 1, 1/2, 1/4, ...  Each update lands ONCE per repetition,
+in the cell of its deepest level ``min(trailing_zeros(h_r(x)), L - 1)``;
+the nested level-``l`` cell is the suffix sum of the cells at levels
+``>= l``.  A repetition therefore succeeds exactly when its deepest
+non-empty cell is 1-sparse: that cell equals the nested cell at its
+level, every deeper nested level is empty, and every shallower one
+holds a superset.  It returns that cell's coordinate, the unique
+coordinate of maximal level.  The sampler answers with its first
+successful repetition (independent repetitions, so the first success is
+as uniform as each one), or fails when none succeeds.
 
-:class:`L0SamplerBank` manages the many independent samplers Algorithm 3
-needs.  It has two modes:
+A bank of samplers keeps every cell in three ``(sampler, repetition,
+level)`` planes, so a batch is one scatter of ``samplers × R`` entries
+per netted coordinate and a read is one argmax (deepest non-empty cell)
+plus one fingerprint check per (sampler, repetition).
 
-* ``"exact"`` — every sampler is a real :class:`L0Sampler`; updates fan
-  out to each of them.  The bank stacks all samplers' planes into 4-D
-  arrays, their level hashes into one
-  :class:`~repro.sketch.hashing.KWiseHashStack` and their power tables
-  on a trailing axis, so a consolidated chunk is one fused kernel pass.
-* ``"fast"`` — the bank tracks the exact support once (simulator state,
-  not charged) and at query time draws every sampler's output with
-  two NumPy calls on a seeded ``Generator``: a δ failure mask from
-  ``random(count)``, then ``count`` uniform picks from the sorted
-  support with ``integers``.  Distributionally this matches a bank of
-  ideal ℓ₀-samplers; space is *accounted* with the paper's formula via
-  :func:`l0_sampler_space_words`.  This keeps Algorithm 3 runnable at
-  benchmark sizes in pure Python.  The equivalence of the two modes is
-  property-tested in ``tests/sketch/test_l0.py``.
+Repetitions
+-----------
+``R = ceil(ln δ / ln(1 - p))`` with ``p = 1/2`` (:data:`REPETITION_SUCCESS`),
+a lower bound on one repetition's success probability.  Under a fully
+random level hash, a repetition succeeds when the maximum of ``k =
+|support|`` independent Geometric(1/2) levels is unique: probability 1
+at ``k = 1``, exactly 2/3 at ``k = 2`` (pairwise independence already
+gives this), 0.714 at ``k = 3``, and within 0.721 ± 0.003 for every
+``k >= 4`` (limit ``1 / (2 ln 2)``).  For larger supports a pairwise
+hash only guarantees 2/9 by the second Bonferroni bound at the level
+``l`` with ``k 2^-l`` in ``[1/3, 2/3]``; the measured per-repetition
+rate of the pairwise hashes used here is 0.67 at two live coordinates
+and 0.71–0.72 at 8 to 2,000 (``tests/sketch/test_l0_claims.py``), so
+``p = 1/2`` leaves a margin below the ideal value and the claims test
+guards it.  At
+``dim = 2**18``: ``R = 5`` and 296 words at δ = 0.05, ``R = 71`` and
+4,190 words at δ = 4.3e-22.
+
+Fingerprints
+------------
+Every cell of a sampler fingerprints with ONE base ``z``.  A cell whose
+vector is not the single coordinate it decodes to (or is non-empty but
+reads as all-zero) passes with probability at most ``dim / (2^61 - 1)``
+(a non-zero polynomial of degree below ``dim`` has at most that many
+roots), so a union bound over the ``R · L`` cells bounds a misread of
+any cell of a sampler: at ``dim = 2**18`` and δ = 0.05, ``95 · 2^18 /
+(2^61 - 1) ≈ 1.1e-11``.  ``z^x`` is read from a windowed power table
+(3 × 64 entries at ``dim = 2**18``) derived from ``z`` and not charged.
+
+Draw order: per sampler, its ``R`` level hashes (repetition by
+repetition), then its base ``z``; a bank draws its samplers in order,
+so sampler ``i`` of a bank equals an :class:`L0Sampler` built after
+``i`` others from the same ``random.Random``.  A sampler is charged 3
+words per cell, 2 per level hash and 1 for ``z``.
+
+:class:`L0SamplerBank` manages the many samplers Algorithm 3 needs, in
+one of two modes:
+
+* ``"exact"`` — real samplers in the stacked planes above.  Update
+  columns are buffered and netted together before one kernel pass.
+* ``"fast"`` — draw-only: a count, δ and one seeded ``Generator``.  The
+  owner tracks the exact support once (simulator state, not charged)
+  and hands each read the sorted array to draw from: two NumPy calls, a
+  δ failure mask from ``random(count)`` then ``count`` uniform picks
+  with ``integers``.  Distributionally this matches a bank of ideal
+  ℓ₀-samplers; space is *accounted* with the paper's formula
+  (:func:`l0_sampler_space_words`).  Algorithm 3 keeps one support for
+  all of its banks; :class:`L0EdgeBank` keeps the one of a standalone
+  bank.
 
 Both modes answer with :meth:`L0SamplerBank.sample_column`, an ``int64``
 column with -1 for a failed sampler; :meth:`L0SamplerBank.sample_all`
@@ -63,20 +98,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.engine.protocol import BatchIngest
-from repro.sketch.exact import ExactSupport, check_columns
-from repro.sketch.hashing import (
-    PRIME_61,
-    KWiseHash,
-    KWiseHashStack,
-    _fold61,
-    degree1_field,
-    random_kwise,
-)
-from repro.sketch.ssparse import (
-    SSparseRecovery,
+from repro.sketch.exact import ExactSupport, check_columns, net_updates
+from repro.sketch.hashing import PRIME_61, _fold61, degree1_field, random_kwise
+from repro.sketch.onesparse import (
     build_power_table,
-    recovery_rows,
-    scatter_cell_updates,
+    one_sparse_cells,
+    scatter_cells,
     signed_terms,
     table_powers,
 )
@@ -84,17 +111,15 @@ from repro.streams.edge import check_edge_range, insert_signs
 
 
 #: Exact-mode banks buffer update columns and consolidate them with one
-#: fused bank-wide kernel pass once this many coordinates are pending
-#: (or at the next query/merge/pickle).  Mirrors ExactSupport's deferred
-#: netting: linearity makes the final state independent of when the
-#: buffered updates land.
+#: kernel pass once this many coordinates are pending (or at the next
+#: query/merge/pickle).  Linearity makes the final state independent of
+#: when the buffered updates land.
 _BANK_FLUSH_PENDING = 1 << 18
-#: Netted coordinates are absorbed in slices of this size so the fused
-#: kernel's expanded (sampler, item, level) entry arrays stay small.
-_BANK_COORD_CHUNK = 1 << 16
-#: Entry-axis slice size inside one fused pass — bounds the transient
-#: (entries, n_rows) matrices to a few MB.
-_BANK_ENTRY_CHUNK = 1 << 16
+#: Cell contributions per kernel slice (netted coordinates × samplers ×
+#: repetitions), bounding the transient entry arrays.
+_BANK_ENTRY_CHUNK = 1 << 20
+#: Per-repetition success lower bound ``p`` (see the module docstring).
+REPETITION_SUCCESS = 0.5
 
 
 def l0_sampler_space_words(dim: int, delta: float) -> int:
@@ -114,260 +139,6 @@ def l0_sampler_space_words(dim: int, delta: float) -> int:
     return max(1, math.ceil(bits / 64))
 
 
-class L0Sampler:
-    """A single ℓ₀-sampler over vectors of dimension ``dim``.
-
-    Args:
-        dim: vector dimension.
-        delta: failure probability target; drives the per-level sparse
-            recovery size.
-    """
-
-    def __init__(self, dim: int, delta: float, rng: random.Random) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0,1), got {delta}")
-        self.dim = dim
-        self.delta = delta
-        self.n_levels = max(1, math.ceil(math.log2(dim)) + 1)
-        self._sparsity = max(2, math.ceil(math.log2(2.0 / delta)))
-        self._recovery_delta = delta / (2 * self.n_levels)
-        self._n_rows = recovery_rows(self._sparsity, self._recovery_delta)
-        self._n_buckets = 2 * self._sparsity
-        # Draw order: level hash, tiebreak hash, every level's row
-        # hashes (level by level), then the one fingerprint base shared
-        # by all levels, rows and buckets.
-        self._level_hash: KWiseHash = random_kwise(2, 1 << self.n_levels, rng)
-        self._tiebreak: KWiseHash = random_kwise(2, 1 << 61, rng)
-        self._row_hashes: List[List[KWiseHash]] = [
-            [random_kwise(2, self._n_buckets, rng) for _ in range(self._n_rows)]
-            for _ in range(self.n_levels)
-        ]
-        self._row_stacks: List[KWiseHashStack] = [
-            KWiseHashStack(hashes) for hashes in self._row_hashes
-        ]
-        self._z = rng.randrange(2, PRIME_61)
-        # Derived from _z, not charged (see SSparseRecovery).
-        self._table = build_power_table(self._z, dim)
-        shape = (self.n_levels, self._n_rows, self._n_buckets)
-        self._weight = np.zeros(shape, dtype=np.int64)
-        self._dot = np.zeros(shape, dtype=np.int64)
-        self._fingerprint = np.zeros(shape, dtype=np.uint64)
-        # Row-hash coefficients stacked as (n_levels, n_rows) matrices so
-        # the fused batch path evaluates every (level, row) bucket with
-        # one broadcast degree1_field pass (all row hashes are pairwise
-        # independent, i.e. degree-1 polynomials).
-        self._row_a = np.array(
-            [[h.coefficients[0] for h in hashes] for hashes in self._row_hashes],
-            dtype=np.uint64,
-        )
-        self._row_b = np.array(
-            [[h.coefficients[1] for h in hashes] for hashes in self._row_hashes],
-            dtype=np.uint64,
-        )
-        # Sample memo: sample() is a pure function of the stacked
-        # planes, so the result is served from cache until an update or
-        # merge dirties the sampler (probe-heavy pipelines re-query
-        # unchanged samplers constantly).
-        self._dirty = True
-        self._sample_cached = False
-        self._sample_memo: Optional[int] = None
-
-    def _recovery(self, level: int) -> SSparseRecovery:
-        """A view-backed :class:`SSparseRecovery` over one level's planes.
-
-        The views share the sampler's fingerprint base and power table
-        and write through to the stacked arrays, so scalar updates,
-        decoding and merging through the view mutate the sampler state.
-        Views are transient — never stored — so ``deepcopy`` of the
-        sampler only ever copies the stacked planes.
-        """
-        recovery = SSparseRecovery.__new__(SSparseRecovery)
-        recovery.dim = self.dim
-        recovery.s = self._sparsity
-        recovery.delta = self._recovery_delta
-        recovery.n_buckets = self._n_buckets
-        recovery.n_rows = self._n_rows
-        recovery._hashes = self._row_hashes[level]
-        recovery._stack = self._row_stacks[level]
-        recovery._z = self._z
-        recovery._table = self._table
-        recovery._weight = self._weight[level]
-        recovery._dot = self._dot[level]
-        recovery._fingerprint = self._fingerprint[level]
-        # The view is transient, so its decode memo never survives; the
-        # durable memo lives on the sampler (see sample()).
-        recovery._dirty = True
-        recovery._decode_cached = False
-        recovery._decode_cache = None
-        return recovery
-
-    @property
-    def _recoveries(self) -> List[SSparseRecovery]:
-        """Per-level recovery views (see :meth:`_recovery`)."""
-        return [self._recovery(level) for level in range(self.n_levels)]
-
-    def _level_of(self, index: int) -> int:
-        """Deepest level at which ``index`` survives nested subsampling.
-
-        Index survives level ``l`` iff the low ``l`` bits of its level
-        hash are zero, so survival probabilities are 1, 1/2, 1/4, ...
-        and levels are nested.
-        """
-        value = self._level_hash(index)
-        level = 0
-        while level + 1 < self.n_levels and value % (1 << (level + 1)) == 0:
-            level += 1
-        return level
-
-    def update(self, index: int, delta: int) -> None:
-        """Apply ``vector[index] += delta``."""
-        self._dirty = True
-        deepest = self._level_of(index)
-        for level in range(deepest + 1):
-            self._recovery(level).update(index, delta)
-
-    def _levels_of_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Deepest surviving level for every index, vectorized."""
-        values = self._level_hash.batch(indices)
-        levels = np.zeros(len(indices), dtype=np.int64)
-        for level in range(1, self.n_levels):
-            survives = (levels == level - 1) & (values % (1 << level) == 0)
-            levels[survives] = level
-        return levels
-
-    def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a batch of signed updates.
-
-        The level of every index is computed with one vectorized hash
-        evaluation.  An index surviving to level ``l``
-        updates levels ``0..l``, so the batch expands into flat
-        ``(item, level)`` entries carrying the item's one fingerprint
-        term ``delta * z^x``; every entry's bucket and cell address are
-        computed with broadcast passes over the stacked planes and ALL
-        levels are absorbed with one exact
-        scatter per accumulator plane — no Python loop over levels or
-        recovery objects.  Final state matches item-by-item updates
-        exactly — the sketch is linear.
-        """
-        check_columns(indices, deltas)
-        if len(indices) == 0:
-            return
-        if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
-            bad = indices[(indices < 0) | (indices >= self.dim)][0]
-            raise ValueError(f"index {int(bad)} out of range [0, {self.dim})")
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-        self._dirty = True
-        levels = self._levels_of_batch(indices)
-        # One fingerprint term delta * z^x per item, shared by every
-        # level and row the item lands in.
-        terms = signed_terms(table_powers(self._table, indices), deltas)
-        # Expand to one entry per (item, level <= deepest(item)).  Entry
-        # e carries item index x[e], delta d[e], term t[e] and level
-        # lab[e].
-        counts = levels + 1
-        starts = np.cumsum(counts) - counts
-        n_entries = int(counts[-1] + starts[-1])
-        x = np.repeat(indices, counts)
-        lab = np.arange(n_entries, dtype=np.int64) - np.repeat(starts, counts)
-        d = np.repeat(deltas, counts)
-        t = np.repeat(terms, counts)
-        rows = np.arange(self._n_rows, dtype=np.int64)[np.newaxis, :]
-        # Degree-1 hashes with per-entry coefficients — bit-identical to
-        # each level's KWiseHash on its surviving subset.
-        field = degree1_field(self._row_a[lab], self._row_b[lab], x[:, np.newaxis])
-        buckets = (field % np.uint64(self._n_buckets)).astype(np.int64)
-        addr = (lab[:, np.newaxis] * self._n_rows + rows) * self._n_buckets + buckets
-        shape = addr.shape
-        scatter_cell_updates(
-            self._weight.reshape(-1),
-            self._dot.reshape(-1),
-            self._fingerprint.reshape(-1),
-            addr.ravel(),
-            np.broadcast_to(d[:, np.newaxis], shape).ravel(),
-            np.broadcast_to((x * d)[:, np.newaxis], shape).ravel(),
-            np.broadcast_to(t[:, np.newaxis], shape).ravel(),
-        )
-
-    def merge(self, other: "L0Sampler") -> "L0Sampler":
-        """Level-wise merge of two samplers over disjoint sub-streams.
-
-        Valid only for samplers split from the same seeded instance
-        (identical level/tiebreak hashes); all levels are linear
-        sketches, so the merged sampler equals the single-pass sampler
-        exactly.
-        """
-        if (
-            not isinstance(other, L0Sampler)
-            or (self.dim, self.n_levels) != (other.dim, other.n_levels)
-            or self._level_hash.coefficients != other._level_hash.coefficients
-            or self._tiebreak.coefficients != other._tiebreak.coefficients
-        ):
-            raise ValueError(
-                "cannot merge incompatible l0-samplers; split both from the "
-                "same seeded structure"
-            )
-        for mine, theirs in zip(self._row_hashes, other._row_hashes):
-            for my_hash, their_hash in zip(mine, theirs):
-                if my_hash.coefficients != their_hash.coefficients:
-                    raise ValueError(
-                        "cannot merge s-sparse recoveries with different row "
-                        "hashes; split both from the same seeded structure"
-                    )
-        if self._z != other._z:
-            raise ValueError(
-                "cannot merge l0-samplers with different fingerprint bases; "
-                "split both from the same seeded structure"
-            )
-        self._dirty = True
-        self._weight += other._weight
-        self._dot += other._dot
-        # In place: when this sampler belongs to an exact-mode bank its
-        # planes are views into the bank's stacked 4-D accumulators;
-        # rebinding would silently detach them.
-        self._fingerprint[:] = _fold61(self._fingerprint + other._fingerprint)
-        return self
-
-    def sample(self) -> Optional[int]:
-        """Return a near-uniform support coordinate, or None on failure.
-
-        Scans levels from deepest to shallowest; at the first level whose
-        recovery decodes to a non-empty set, returns the coordinate with
-        the smallest tiebreak hash.  Returns None when every level fails
-        or the vector is empty.
-
-        The result is a pure function of the stacked planes, so it is
-        memoized until the next update or merge dirties the sampler.
-        """
-        if not self._dirty and self._sample_cached:
-            return self._sample_memo
-        result: Optional[int] = None
-        for level in range(self.n_levels - 1, -1, -1):
-            decoded = self._recovery(level).decode()
-            if decoded is None:
-                continue
-            if decoded:
-                result = min(decoded, key=self._tiebreak)
-                break
-        self._sample_memo = result
-        self._sample_cached = True
-        self._dirty = False
-        return result
-
-    def space_words(self) -> int:
-        """Actual words retained: every level's cells and row hashes,
-        the one fingerprint base, and the level and tiebreak hashes."""
-        return (
-            3 * self._weight.size
-            + sum(h.space_words() for hashes in self._row_hashes for h in hashes)
-            + 1
-            + self._level_hash.space_words()
-            + self._tiebreak.space_words()
-        )
-
-
 class L0SamplerBank:
     """A bank of ``count`` independent ℓ₀-samplers over one vector.
 
@@ -376,9 +147,8 @@ class L0SamplerBank:
         count: number of samplers.
         delta: per-sampler failure probability.
         rng: randomness source.
-        mode: ``"exact"`` (real sketches) or ``"fast"`` (support-tracking
-            simulation with analytically accounted space — see module
-            docstring).
+        mode: ``"exact"`` (real sketches) or ``"fast"`` (draw-only over
+            a support the owner tracks — see the module docstring).
     """
 
     MODES = ("exact", "fast")
@@ -391,6 +161,8 @@ class L0SamplerBank:
         rng: random.Random,
         mode: str = "fast",
     ) -> None:
+        if dim <= 0:
+            raise ValueError(f"dim must be positive, got {dim}")
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if mode not in self.MODES:
@@ -399,72 +171,52 @@ class L0SamplerBank:
         self.count = count
         self.delta = delta
         self.mode = mode
-        if mode == "exact":
-            self._samplers: List[L0Sampler] = [
-                L0Sampler(dim, delta, rng) for _ in range(count)
-            ]
-            # One fused evaluation assigns a chunk's subsampling levels
-            # for every sampler at once (all share one n_levels).
-            self._level_stack: Optional[KWiseHashStack] = (
-                KWiseHashStack([sampler._level_hash for sampler in self._samplers])
-                if self._samplers
-                else None
-            )
-            self._support: Optional[ExactSupport] = None
-            self._draw_rng: Optional[np.random.Generator] = None
-            # Buffered (indices, deltas, already-netted) update columns,
-            # consolidated by _flush_updates (see _BANK_FLUSH_PENDING).
-            self._pending: List[Tuple[np.ndarray, np.ndarray, bool]] = []
-            self._pending_len = 0
-            self._stack_planes()
-        else:
-            self._samplers = []
-            self._level_stack = None
-            self._support = ExactSupport(dim)
+        if mode == "fast":
             # Exactly one 64-bit draw from the parent rng per fast bank.
             self._draw_rng = np.random.default_rng(rng.getrandbits(64))
-
-    def _stack_planes(self) -> None:
-        """Stack all samplers' accumulator planes into bank 4-D arrays.
-
-        The bank-wide fused kernel scatters every sampler's
-        contributions in one pass, which needs all accumulators
-        contiguous: ``(sampler, level, row, bucket)`` arrays for the
-        weight/dot/fingerprint planes, ``(sampler * level, row)``
-        matrices for the row-hash coefficients, and the samplers' power
-        tables stacked as ``(windows, size, sampler)``.  Each sampler's
-        planes are then re-pointed at views of the stacked planes, so
-        the per-sampler scalar path, decoding and merging all read and
-        write the very same memory — no dual bookkeeping, no divergence.
-        Called from ``__init__`` and again after unpickling/deepcopy
-        (copying a numpy view materialises an independent array, which
-        would silently break the aliasing).
-        """
-        if not self._samplers:
-            self._bank_weight = self._bank_dot = self._bank_fingerprint = None
-            self._bank_table = self._bank_row_a = self._bank_row_b = None
+            # True while a clone may hold the same generator: the next
+            # read draws from a private copy (see clone()).
+            self._draw_shared = False
             return
-        samplers = self._samplers
-        self._bank_weight = np.stack([s._weight for s in samplers])
-        self._bank_dot = np.stack([s._dot for s in samplers])
-        self._bank_fingerprint = np.stack([s._fingerprint for s in samplers])
-        self._bank_table = np.stack([s._table for s in samplers], axis=-1)
-        for i, sampler in enumerate(samplers):
-            sampler._weight = self._bank_weight[i]
-            sampler._dot = self._bank_dot[i]
-            sampler._fingerprint = self._bank_fingerprint[i]
-        n_rows = samplers[0]._n_rows
-        self._bank_row_a = np.stack([s._row_a for s in samplers]).reshape(-1, n_rows)
-        self._bank_row_b = np.stack([s._row_b for s in samplers]).reshape(-1, n_rows)
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0,1), got {delta}")
+        # L = ceil(log2 dim) + 1 levels, R = ceil(ln δ / ln(1 - p)).
+        self.n_levels = max(1, math.ceil(math.log2(dim)) + 1)
+        self.n_reps = max(
+            1, math.ceil(math.log(delta) / math.log(1 - REPETITION_SUCCESS))
+        )
+        coefficients, bases = [], []
+        for _ in range(count):
+            for _ in range(self.n_reps):
+                coefficients.append(
+                    random_kwise(2, 1 << self.n_levels, rng).coefficients
+                )
+            bases.append(rng.randrange(2, PRIME_61))
+        pairs = np.array(coefficients, dtype=np.uint64).reshape(
+            count, self.n_reps, 2
+        )
+        self._level_a, self._level_b = pairs[..., 0], pairs[..., 1]
+        self._z = np.array(bases, dtype=np.uint64)
+        # Derived from the bases, not charged.
+        self._table = build_power_table(self._z, dim)
+        shape = (count, self.n_reps, self.n_levels)
+        self._weight = np.zeros(shape, dtype=np.int64)
+        self._dot = np.zeros(shape, dtype=np.int64)
+        self._fingerprint = np.zeros(shape, dtype=np.uint64)
+        # Buffered (indices, deltas, already-netted) update columns,
+        # consolidated by _flush_updates (see _BANK_FLUSH_PENDING).
+        self._pending: List[Tuple[np.ndarray, np.ndarray, bool]] = []
+        self._pending_len = 0
+
+    # ------------------------------------------------------------------
+    # Exact-mode ingest.
+    # ------------------------------------------------------------------
 
     def update(self, index: int, delta: int) -> None:
-        """Fan ``vector[index] += delta`` out to every sampler."""
-        if self.mode == "exact":
-            for sampler in self._samplers:
-                sampler.update(index, delta)
-        else:
-            assert self._support is not None
-            self._support.update(index, delta)
+        """Queue ``vector[index] += delta`` for every sampler."""
+        self.update_batch(
+            np.array([index], dtype=np.int64), np.array([delta], dtype=np.int64)
+        )
 
     def update_batch(
         self,
@@ -472,36 +224,31 @@ class L0SamplerBank:
         deltas: np.ndarray,
         netted: bool = False,
     ) -> None:
-        """Fan a batch of signed updates out to every sampler.
+        """Queue a batch of signed updates for every sampler.
 
-        Every sampler is a linear sketch (and the fast-mode support
-        tracker a plain sum), so collapsing a chunk's repeated or
-        cancelling updates changes nothing about the final state.  Fast
-        mode defers everything to the support tracker's buffered batch
-        path.  Exact mode buffers the update columns and consolidates
-        them lazily (at :data:`_BANK_FLUSH_PENDING` pending coordinates,
-        or at the next query/merge/pickle): consolidation nets every
-        buffered chunk per coordinate in one pass and absorbs the net
-        updates with the bank-wide fused kernel (:meth:`_apply_batch`).
+        The columns are validated, copied (callers may reuse chunk
+        buffers) and buffered; consolidation nets every buffered chunk
+        per coordinate in one pass and absorbs the net updates with one
+        kernel pass (:meth:`_absorb`), at :data:`_BANK_FLUSH_PENDING`
+        pending coordinates or at the next read, merge or pickle.
         ``netted=True`` promises ``indices`` are already unique with
-        per-coordinate net ``deltas`` (Algorithm 3 nets a whole chunk
-        for all its banks in one pass), which lets a lone buffered chunk
-        skip re-netting.  Linearity makes the final state bit-identical
-        to eager item-by-item fan-out.
+        per-coordinate net ``deltas``, which lets a lone buffered chunk
+        skip re-netting.  Every sampler is a linear sketch, so the state
+        equals applying the updates one by one.  A fast bank holds no
+        vector: its owner tracks the support.
         """
         if self.mode == "fast":
-            assert self._support is not None
-            self._support.update_batch(indices, deltas)
-            return
+            raise ValueError(
+                "a fast-mode bank is draw-only; its owner tracks the support "
+                "(see L0EdgeBank)"
+            )
         check_columns(indices, deltas)
-        if len(indices) == 0 or not self._samplers:
+        if len(indices) == 0 or not self.count:
             return
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
             bad = indices[(indices < 0) | (indices >= self.dim)][0]
             raise ValueError(f"index {int(bad)} out of range [0, {self.dim})")
-        # Copy both columns: callers (reused chunk buffers, unmapped
-        # file views) may overwrite them after this call returns.
         self._pending.append(
             (
                 np.array(indices, dtype=np.int64),
@@ -514,107 +261,74 @@ class L0SamplerBank:
             self._flush_updates()
 
     def _flush_updates(self) -> None:
-        """Net every buffered batch and absorb it with the fused kernel."""
-        if not self._pending:
+        """Net every buffered batch and absorb it in one kernel pass."""
+        if self.mode == "fast" or not self._pending:
             return
         pending, self._pending, self._pending_len = self._pending, [], 0
         if len(pending) == 1 and pending[0][2]:
             unique, net = pending[0][0], pending[0][1]
         else:
-            coords = np.concatenate([batch[0] for batch in pending])
-            deltas = np.concatenate([batch[1] for batch in pending])
-            unique, inverse = np.unique(coords, return_inverse=True)
-            net = np.zeros(len(unique), dtype=np.int64)
-            np.add.at(net, inverse, deltas)
-        live = net != 0
-        if not live.any():
-            return
-        if not live.all():
-            unique, net = unique[live], net[live]
-        # The fused kernel writes the stacked planes directly, bypassing
-        # the samplers' own mutators — invalidate their sample memos.
-        for sampler in self._samplers:
-            sampler._dirty = True
-        for start in range(0, len(unique), _BANK_COORD_CHUNK):
-            stop = start + _BANK_COORD_CHUNK
-            self._apply_batch(unique[start:stop], net[start:stop])
+            unique, net = net_updates(
+                np.concatenate([batch[0] for batch in pending]),
+                np.concatenate([batch[1] for batch in pending]),
+                self.dim,
+            )
+        step = max(1, _BANK_ENTRY_CHUNK // (self.count * self.n_reps))
+        for start in range(0, len(unique), step):
+            self._absorb(unique[start : start + step], net[start : start + step])
 
-    def _apply_batch(self, unique: np.ndarray, net: np.ndarray) -> None:
-        """Absorb netted updates into every sampler in one fused pass.
+    def _levels(self, indices: np.ndarray) -> np.ndarray:
+        """Deepest level of every index in every (sampler, repetition):
+        an ``int64`` array shaped ``(count, R, len(indices))``.
 
-        The whole bank is treated as one accumulator indexed by
-        ``(sampler, level, row, bucket)``: level assignment for all
-        samplers is one stacked hash evaluation; each sampler's
-        fingerprint term ``delta * z^x`` is read once per coordinate
-        from the stacked power tables (a ``(sampler, item)`` grid); the
-        grid expands to one entry per surviving ``(sampler, item,
-        level)`` carrying the bank-flat plane index ``sampler * L +
-        level`` and its term; buckets are evaluated with one broadcast
-        :func:`~repro.sketch.hashing.degree1_field` pass over the
-        bank-stacked row coefficients; and all contributions land in the
-        4-D planes through ONE bincount scatter per plane and entry
-        slice, the term broadcast across the rows.  Every plane update is an exact int64 add or a canonical
-        mod-p fold — both commutative and associative — so the final
-        state is bit-identical to fanning the same updates out sampler
-        by sampler (and item by item).
+        The level is the trailing-zero count of the level hash's field
+        value (the low bits of ``h(x) mod 2^L`` are those of ``h(x)``),
+        capped at ``L - 1``; the lowest set bit ``v & -v`` is a power of
+        two below 2^61, so its float64 exponent is exact.
         """
-        template = self._samplers[0]
-        n_samplers = len(self._samplers)
-        n_levels = template.n_levels
-        n_rows = template._n_rows
-        n_buckets = template._n_buckets
-        assert self._level_stack is not None
-        values = self._level_stack.batch_rows(unique)
-        levels = np.zeros(values.shape, dtype=np.int64)
-        for level in range(1, n_levels):
-            survives = (levels == level - 1) & (values % (1 << level) == 0)
-            levels[survives] = level
-        samplers = np.arange(n_samplers, dtype=np.int64)
+        field = degree1_field(
+            self._level_a[:, :, np.newaxis],
+            self._level_b[:, :, np.newaxis],
+            indices[np.newaxis, np.newaxis, :],
+        )
+        lowest = field & (~field + np.uint64(1))
+        zeros = np.frexp(lowest.astype(np.float64))[1].astype(np.int64) - 1
+        top = self.n_levels - 1
+        return np.where((zeros < 0) | (zeros > top), top, zeros)
+
+    def _absorb(self, unique: np.ndarray, net: np.ndarray) -> None:
+        """Add netted updates to every sampler: each coordinate lands
+        once per (sampler, repetition), in its deepest level's cell."""
+        count, reps, levels = self._weight.shape
+        samplers = np.arange(count, dtype=np.int64)
         terms = signed_terms(
-            table_powers(
-                self._bank_table, unique[np.newaxis, :], samplers[:, np.newaxis]
-            ),
+            table_powers(self._table, unique[np.newaxis, :], samplers[:, np.newaxis]),
             net[np.newaxis, :],
         )
-        counts = (levels + 1).reshape(-1)
-        starts = np.cumsum(counts) - counts
-        n_entries = int(starts[-1] + counts[-1])
-        x = np.repeat(np.tile(unique, n_samplers), counts)
-        d = np.repeat(np.tile(net, n_samplers), counts)
-        t = np.repeat(terms.reshape(-1), counts)
-        lab = np.arange(n_entries, dtype=np.int64) - np.repeat(starts, counts)
-        pair = np.repeat(np.repeat(samplers, len(unique)), counts) * n_levels + lab
-        rows = np.arange(n_rows, dtype=np.int64)[np.newaxis, :]
-        weight_flat = self._bank_weight.reshape(-1)
-        dot_flat = self._bank_dot.reshape(-1)
-        fingerprint_flat = self._bank_fingerprint.reshape(-1)
-        for begin in range(0, n_entries, _BANK_ENTRY_CHUNK):
-            end = min(begin + _BANK_ENTRY_CHUNK, n_entries)
-            ex, ed, epair = x[begin:end], d[begin:end], pair[begin:end]
-            field = degree1_field(
-                self._bank_row_a[epair], self._bank_row_b[epair], ex[:, np.newaxis]
-            )
-            buckets = (field % np.uint64(n_buckets)).astype(np.int64)
-            addr = (epair[:, np.newaxis] * n_rows + rows) * n_buckets + buckets
-            shape = addr.shape
-            scatter_cell_updates(
-                weight_flat,
-                dot_flat,
-                fingerprint_flat,
-                addr.ravel(),
-                np.broadcast_to(ed[:, np.newaxis], shape).ravel(),
-                np.broadcast_to((ex * ed)[:, np.newaxis], shape).ravel(),
-                np.broadcast_to(t[begin:end, np.newaxis], shape).ravel(),
-            )
+        rows = samplers[:, np.newaxis] * reps + np.arange(reps, dtype=np.int64)
+        addr = rows[:, :, np.newaxis] * levels + self._levels(unique)
+        shape = addr.shape
+        scatter_cells(
+            self._weight.reshape(-1),
+            self._dot.reshape(-1),
+            self._fingerprint.reshape(-1),
+            addr.ravel(),
+            np.broadcast_to(net, shape).ravel(),
+            np.broadcast_to(unique * net, shape).ravel(),
+            np.broadcast_to(terms[:, np.newaxis, :], shape).ravel(),
+        )
+
+    # ------------------------------------------------------------------
+    # Mergeable-summary layer.
+    # ------------------------------------------------------------------
 
     def merge(self, other: "L0SamplerBank") -> "L0SamplerBank":
         """Merge two banks over disjoint sub-streams of one vector.
 
-        Exact mode merges the underlying linear sketches sampler by
-        sampler; fast mode merges the tracked supports (the draw RNG of
-        ``self`` is retained, so a bank reassembled from same-seed shards
-        answers :meth:`sample_all` bit-identically to a single-pass
-        bank).
+        Exact mode adds the cell planes of two same-seed banks; a fast
+        bank holds no vector (its owner merges the supports) and keeps
+        its own draw generator, so a bank reassembled from same-seed
+        shards answers bit-identically to a single-pass bank.
         """
         if not isinstance(other, L0SamplerBank):
             raise ValueError(
@@ -626,55 +340,131 @@ class L0SamplerBank:
                 f"mode={self.mode}) with bank (dim={other.dim}, "
                 f"count={other.count}, mode={other.mode})"
             )
-        if self.mode == "exact":
-            self._flush_updates()
-            other._flush_updates()
-            for mine, theirs in zip(self._samplers, other._samplers):
-                mine.merge(theirs)
-        else:
-            assert self._support is not None and other._support is not None
-            self._support.merge(other._support)
+        if self.mode == "fast":
+            return self
+        if not (
+            np.array_equal(self._level_a, other._level_a)
+            and np.array_equal(self._level_b, other._level_b)
+            and np.array_equal(self._z, other._z)
+        ):
+            raise ValueError(
+                "cannot merge l0-samplers with different level hashes or "
+                "fingerprint bases; split both from the same seeded structure"
+            )
+        self._flush_updates()
+        other._flush_updates()
+        self._weight += other._weight
+        self._dot += other._dot
+        self._fingerprint[:] = _fold61(self._fingerprint + other._fingerprint)
         return self
 
-    def _draw_picks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """One fast-mode read: ``(support, picks)``, sampler ``i``
-        answering ``support[picks[i]]`` or failing where ``picks[i]`` is
-        -1.
+    def clone(self) -> "L0SamplerBank":
+        """An independent copy.  The cell planes and the buffer list are
+        copied; the hash coefficients, bases and power tables are never
+        written, so they are shared.  A fast bank and its clone share
+        the draw generator until either reads: each read draws from a
+        private copy of the shared state, so both continue exactly as
+        two deep copies would, and a clone that is never read (most
+        window folds) costs no generator copy."""
+        dup = object.__new__(L0SamplerBank)
+        dup.__dict__.update(self.__dict__)
+        if self.mode == "fast":
+            self._draw_shared = dup._draw_shared = True
+            return dup
+        dup._weight = self._weight.copy()
+        dup._dot = self._dot.copy()
+        dup._fingerprint = self._fingerprint.copy()
+        dup._pending = list(self._pending)
+        return dup
+
+    def __getstate__(self):
+        # Pickles and deep copies carry consolidated planes, never the
+        # raw buffered update columns, and always own their generator.
+        self._flush_updates()
+        state = dict(self.__dict__)
+        state.pop("_draw_shared", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if self.mode == "fast":
+            self._draw_shared = False
+
+    # ------------------------------------------------------------------
+    # Reads.
+    # ------------------------------------------------------------------
+
+    def _decode(self) -> np.ndarray:
+        """Exact mode: every sampler's answer, -1 where it failed.
+
+        Per (sampler, repetition) the deepest non-empty cell is found
+        with one argmax over the reversed level axis and classified with
+        one vectorized 1-sparse check; each sampler answers with its
+        first successful repetition.
+        """
+        self._flush_updates()
+        if not self.count:
+            return np.zeros(0, dtype=np.int64)
+        live = (self._weight != 0) | (self._dot != 0) | (self._fingerprint != 0)
+        deepest = self.n_levels - 1 - np.argmax(live[:, :, ::-1], axis=2)
+        at = deepest[:, :, np.newaxis]
+        samplers = np.arange(self.count, dtype=np.int64)[:, np.newaxis]
+        index, success = one_sparse_cells(
+            np.take_along_axis(self._weight, at, axis=2)[:, :, 0],
+            np.take_along_axis(self._dot, at, axis=2)[:, :, 0],
+            np.take_along_axis(self._fingerprint, at, axis=2)[:, :, 0],
+            self.dim,
+            self._table,
+            samplers,
+        )
+        success &= live.any(axis=2)
+        first = np.argmax(success, axis=1)
+        column = index[samplers[:, 0], first]
+        column[~success.any(axis=1)] = -1
+        return column
+
+    def _draw_picks(self, support: Optional[np.ndarray]) -> np.ndarray:
+        """One fast-mode read over ``support``: sampler ``i`` answers
+        ``support[picks[i]]`` or fails where ``picks[i]`` is -1.
 
         Two calls on the draw generator: a failure mask from
         ``random(count)`` (each sampler fails with probability
-        ``delta``), then ``count`` uniform positions in the sorted live
+        ``delta``), then ``count`` uniform positions in the sorted
         support from ``integers``.  An empty support fails every sampler
         without drawing.
         """
-        assert self._support is not None and self._draw_rng is not None
-        support = self._support.support_array()
+        if support is None:
+            raise ValueError(
+                "a fast-mode bank draws from the sorted support its owner "
+                "hands it"
+            )
         if len(support) == 0:
-            return support, np.full(self.count, -1, dtype=np.int64)
+            return np.full(self.count, -1, dtype=np.int64)
+        if self._draw_shared:
+            shared = self._draw_rng.bit_generator
+            self._draw_rng = np.random.Generator(type(shared)(0))
+            self._draw_rng.bit_generator.state = shared.state
+            self._draw_shared = False
         failed = self._draw_rng.random(self.count) < self.delta
         picks = self._draw_rng.integers(0, len(support), size=self.count)
         picks[failed] = -1
-        return support, picks
+        return picks
 
-    def sample_column(self) -> np.ndarray:
+    def sample_column(self, support: Optional[np.ndarray] = None) -> np.ndarray:
         """Query every sampler: an ``int64`` column, -1 where one failed.
 
-        Exact mode decodes each sampler (memoized); fast mode draws a
-        fresh column on every call (see :meth:`_draw_picks`).
+        Exact mode decodes the samplers' cells (``support`` unused);
+        fast mode draws a fresh column from ``support``, the sorted live
+        coordinates of the vector (see :meth:`_draw_picks`).
         """
         if self.mode == "exact":
-            self._flush_updates()
-            samples = [sampler.sample() for sampler in self._samplers]
-            return np.array(
-                [-1 if sample is None else sample for sample in samples],
-                dtype=np.int64,
-            )
-        support, picks = self._draw_picks()
+            return self._decode()
+        picks = self._draw_picks(support)
         drawn = picks >= 0
         picks[drawn] = support[picks[drawn]]
         return picks
 
-    def distinct_samples(self) -> np.ndarray:
+    def distinct_samples(self, support: Optional[np.ndarray] = None) -> np.ndarray:
         """The sorted distinct coordinates one read returns.
 
         Consumes exactly the draws of :meth:`sample_column`; fast mode
@@ -682,52 +472,72 @@ class L0SamplerBank:
         instead of sorting them.
         """
         if self.mode == "exact":
-            column = self.sample_column()
+            column = self._decode()
             return np.unique(column[column >= 0])
-        support, picks = self._draw_picks()
+        picks = self._draw_picks(support)
+        assert support is not None
         return support[np.bincount(picks[picks >= 0], minlength=len(support)) > 0]
 
-    def sample_all(self) -> List[Optional[int]]:
+    def sample_all(
+        self, support: Optional[np.ndarray] = None
+    ) -> List[Optional[int]]:
         """:meth:`sample_column` as a list, None where a sampler failed."""
         return [
-            None if sample < 0 else sample for sample in self.sample_column().tolist()
+            None if sample < 0 else sample
+            for sample in self.sample_column(support).tolist()
         ]
 
     def space_words(self) -> int:
-        """Exact mode: sum of real structure sizes.  Fast mode: paper formula."""
-        if self.mode == "exact":
-            # Buffered input columns are transient ingest state, not
-            # structure; consolidate before accounting.
-            self._flush_updates()
-            return sum(sampler.space_words() for sampler in self._samplers)
-        return self.count * l0_sampler_space_words(self.dim, self.delta)
+        """Exact mode: every sampler's cells (3 words each), level hashes
+        (2 words each) and base.  Fast mode: the paper's formula."""
+        if self.mode == "fast":
+            return self.count * l0_sampler_space_words(self.dim, self.delta)
+        per_sampler = self.n_reps * (3 * self.n_levels + 2) + 1
+        return self.count * per_sampler
 
-    def __deepcopy__(self, memo) -> "L0SamplerBank":
-        dup = object.__new__(L0SamplerBank)
-        memo[id(self)] = dup
-        dup.__dict__.update(copy.deepcopy(self.__getstate__(), memo))
-        if dup.mode == "exact":
-            dup._stack_planes()
-        return dup
 
-    def __getstate__(self):
-        # Consolidate buffered updates, then drop the bank-stacked
-        # planes/tables: copying or pickling a numpy view materialises a
-        # standalone array, which would silently detach the samplers
-        # from the bank accumulators.  ``__setstate__`` (and
-        # ``__deepcopy__``) re-stack from the samplers' copied planes.
-        if self.mode == "exact":
-            self._flush_updates()
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if not key.startswith("_bank_")
-        }
+class L0Sampler:
+    """A single ℓ₀-sampler over vectors of dimension ``dim``: an exact
+    bank of one (see the module docstring for the structure).
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self.mode == "exact":
-            self._stack_planes()
+    Args:
+        dim: vector dimension.
+        delta: failure probability; sets the repetition count.
+        rng: randomness source (R level hashes, then the base).
+    """
+
+    def __init__(self, dim: int, delta: float, rng: random.Random) -> None:
+        self._bank = L0SamplerBank(dim, 1, delta, rng, mode="exact")
+        self.dim = dim
+        self.delta = delta
+        self.n_levels = self._bank.n_levels
+        self.n_reps = self._bank.n_reps
+
+    def update(self, index: int, delta: int) -> None:
+        """Apply ``vector[index] += delta``."""
+        self._bank.update(index, delta)
+
+    def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply a batch of signed updates (netted, then one kernel pass)."""
+        self._bank.update_batch(indices, deltas)
+
+    def merge(self, other: "L0Sampler") -> "L0Sampler":
+        """Cell-wise sum of two same-seed samplers over disjoint
+        sub-streams; equals the single-pass sampler exactly."""
+        if not isinstance(other, L0Sampler):
+            raise ValueError(f"cannot merge L0Sampler with {type(other).__name__}")
+        self._bank.merge(other._bank)
+        return self
+
+    def sample(self) -> Optional[int]:
+        """A near-uniform support coordinate, or None on failure or an
+        empty vector."""
+        (answer,) = self._bank.sample_column().tolist()
+        return None if answer < 0 else answer
+
+    def space_words(self) -> int:
+        """Cells, level hashes and the base (see the module docstring)."""
+        return self._bank.space_words()
 
 
 class L0EdgeBank(BatchIngest):
@@ -737,16 +547,17 @@ class L0EdgeBank(BatchIngest):
     :class:`~repro.engine.protocol.MergeableStreamProcessor`: each
     ``(a, b, sign)`` update becomes a signed update to coordinate
     ``a * m + b`` of the implicit n×m edge-incidence vector — exactly
-    the vector Algorithm 3's samplers observe.  ``finalize`` returns
-    the adapter itself, so callers keep querying (:meth:`sample_all`,
-    :meth:`space_words`) after the run, like the other query-style
-    summaries.
+    the vector Algorithm 3's samplers observe.  A fast bank's support
+    lives here (an :class:`~repro.sketch.exact.ExactSupport`).
+    ``finalize`` returns the adapter itself, so callers keep querying
+    (:meth:`sample_all`, :meth:`space_words`) after the run, like the
+    other query-style summaries.
 
-    Every sampler is a linear sketch (and the fast mode's support
-    tracker a plain sum), so updates may be partitioned arbitrarily
-    across shards (``shard_routing = "any"``); a bank reassembled from
-    same-seed shards answers :meth:`sample_all` bit-identically to a
-    single-pass bank.
+    Every sampler is a linear sketch (and the fast support a plain sum),
+    so updates may be partitioned arbitrarily across shards
+    (``shard_routing = "any"``); a bank reassembled from same-seed
+    shards answers :meth:`sample_all` bit-identically to a single-pass
+    bank.
     """
 
     #: Linear sketches merge under any stream partition.
@@ -772,6 +583,7 @@ class L0EdgeBank(BatchIngest):
         self._bank = L0SamplerBank(
             n * m, count, delta, random.Random(seed), mode=mode
         )
+        self._support = ExactSupport(n * m) if mode == "fast" else None
 
     def check_batch(
         self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
@@ -797,10 +609,22 @@ class L0EdgeBank(BatchIngest):
             if sign is None
             else np.asarray(sign, dtype=np.int64)
         )
-        self._bank.update_batch(indices, deltas)
+        if self._support is not None:
+            self._support.update_batch(indices, deltas)
+        else:
+            self._bank.update_batch(indices, deltas)
 
     def finalize(self) -> "L0EdgeBank":
         return self
+
+    def clone(self) -> "L0EdgeBank":
+        """An independent copy (bank and support cloned, not deep-copied)."""
+        dup = object.__new__(L0EdgeBank)
+        dup.__dict__.update(self.__dict__)
+        dup._bank = self._bank.clone()
+        if self._support is not None:
+            dup._support = self._support.clone()
+        return dup
 
     def split(self, n_shards: int) -> List["L0EdgeBank"]:
         """``n_shards`` same-seed empty shard banks (sharded runs)."""
@@ -819,18 +643,23 @@ class L0EdgeBank(BatchIngest):
                 "the same seeded structure"
             )
         self._bank.merge(other._bank)
+        if self._support is not None and other._support is not None:
+            self._support.merge(other._support)
         self._started = self._started or other._started
         return self
 
+    def _draw_support(self) -> Optional[np.ndarray]:
+        return None if self._support is None else self._support.support_array()
+
     def sample_all(self) -> List[Optional[int]]:
         """Every sampler's flat edge index (``a * m + b``), None on failure."""
-        return self._bank.sample_all()
+        return self._bank.sample_all(self._draw_support())
 
     def sample_edges(self) -> List[Optional[tuple]]:
         """Every sampler's sampled edge as an ``(a, b)`` pair."""
         return [
             None if index is None else (int(index // self.m), int(index % self.m))
-            for index in self._bank.sample_all()
+            for index in self.sample_all()
         ]
 
     def space_words(self) -> int:

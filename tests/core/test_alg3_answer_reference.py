@@ -9,7 +9,8 @@ under the documented tie-break (most distinct witnesses, ties to the
 smallest vertex id), and leave the draw generators in the same state.
 ``_reference_draws`` freezes the fast bank's draw order: one
 ``random(count)`` failure mask, then one ``integers`` call over the
-sorted live support.
+sorted live support it is handed — vertex ``a``'s slice of the one
+support (minus ``a*m``), or the whole support for the edge bank.
 """
 
 import random
@@ -29,8 +30,7 @@ from repro.streams.edge import Edge
 N, M, D, ALPHA = 64, 256, 96, 2
 
 
-def _reference_draws(bank):
-    support = bank._support.support()
+def _reference_draws(bank, support):
     if not support:
         return [None] * bank.count
     failed = bank._draw_rng.random(bank.count) < bank.delta
@@ -48,15 +48,32 @@ def _banks(algorithm):
     return banks
 
 
+def _edge_support(algorithm):
+    """The one support fast banks draw from (None in exact mode)."""
+    if algorithm._support is None:
+        return None
+    return algorithm._support.support_array()
+
+
+def _vertex_support(algorithm, a):
+    """Vertex ``a``'s witnesses: its slice of the one support, minus ``a*m``."""
+    support = _edge_support(algorithm)
+    if support is None:
+        return None
+    m = algorithm.m
+    return support[(support >= a * m) & (support < (a + 1) * m)] - a * m
+
+
 def _legacy_collected(algorithm):
     """Query the banks in the algorithm's order, group with a dict of sets."""
     collected = {}
     for a, bank in algorithm._vertex_banks.items():
-        witnesses = {b for b in bank.sample_all() if b is not None}
+        draws = bank.sample_all(_vertex_support(algorithm, a))
+        witnesses = {b for b in draws if b is not None}
         if witnesses:
             collected.setdefault(a, set()).update(witnesses)
     if algorithm._edge_bank is not None:
-        for flat in algorithm._edge_bank.sample_all():
+        for flat in algorithm._edge_bank.sample_all(_edge_support(algorithm)):
             if flat is None:
                 continue
             edge = Edge.from_flat_index(flat, algorithm.m)
@@ -231,11 +248,10 @@ def test_fast_bank_draws_match_reference_with_failures():
         L0SamplerBank(1000, 400, 0.3, random.Random(21), mode="fast")
         for _ in range(2)
     ]
-    for bank in banks:
-        bank.update_batch(np.arange(0, 1000, 7), np.ones(143, dtype=np.int64))
+    support = np.arange(0, 1000, 7)
     for _ in range(3):
-        got = banks[0].sample_all()
-        assert got == _reference_draws(banks[1])
+        got = banks[0].sample_all(support)
+        assert got == _reference_draws(banks[1], support.tolist())
         assert None in got and any(s is not None for s in got)
     assert (
         banks[0]._draw_rng.bit_generator.state

@@ -1,5 +1,8 @@
 """Unit tests for the Neighbourhood result type and its verifier."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.neighbourhood import (
@@ -36,6 +39,20 @@ class TestNeighbourhood:
         b = Neighbourhood.of(0, [2, 1])
         assert a == b
         assert len({a, b}) == 1
+
+    def test_array_witnesses_are_kept_compact_and_compare_as_sets(self):
+        compact = Neighbourhood.of(3, np.array([9, 1, 9, 4], dtype=np.int64))
+        plain = Neighbourhood.of(3, [4, 1, 9])
+        assert compact._witnesses.tolist() == [1, 4, 9]
+        assert compact.size == 3 and compact.witnesses == frozenset({1, 4, 9})
+        assert compact == plain and hash(compact) == hash(plain)
+        assert repr(compact) == repr(plain)
+        restored = pickle.loads(pickle.dumps(compact))
+        assert restored == plain
+        with pytest.raises(ValueError):
+            restored._witnesses[0] = 2
+        with pytest.raises(AttributeError):
+            compact.vertex = 4
 
     def test_str_previews_witnesses(self):
         text = str(Neighbourhood.of(3, range(20)))

@@ -30,6 +30,7 @@ from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
+from repro.sketch.exact import ExactSupport
 from repro.sketch.l0 import L0SamplerBank
 from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import ColumnarEdgeStream
@@ -273,19 +274,33 @@ class TestLinearSketches:
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_l0_bank_batch_matches_scalar(self, mode):
+        # A fast bank draws from the support its owner tracks, so in
+        # fast mode the updates go to that support.
         rng_a, rng_b = random.Random(5), random.Random(5)
         bank_scalar = L0SamplerBank(50, 4, 0.05, rng_a, mode=mode)
         bank_batch = L0SamplerBank(50, 4, 0.05, rng_b, mode=mode)
+        target_scalar, target_batch = (
+            (bank_scalar, bank_batch)
+            if mode == "exact"
+            else (ExactSupport(50), ExactSupport(50))
+        )
         updates = [(i % 50, +1) for i in range(120)] + [
             (i % 7, -1) for i in range(21)
         ]
         for index, delta in updates:
-            bank_scalar.update(index, delta)
-        bank_batch.update_batch(
+            target_scalar.update(index, delta)
+        target_batch.update_batch(
             np.array([u[0] for u in updates]),
             np.array([u[1] for u in updates]),
         )
-        assert bank_scalar.sample_all() == bank_batch.sample_all()
+        supports = (
+            (None, None)
+            if mode == "exact"
+            else (target_scalar.support_array(), target_batch.support_array())
+        )
+        assert bank_scalar.sample_all(supports[0]) == bank_batch.sample_all(
+            supports[1]
+        )
         assert bank_scalar.space_words() == bank_batch.space_words()
 
 

@@ -187,17 +187,9 @@ class TestInsertionDeletionLadder:
             assert g1 == g2
             assert mine._updates_seen == theirs._updates_seen
             # The banks' query draws are deterministic functions of
-            # their (seeded) state; one draw each must coincide.
-            if mine._edge_bank is not None:
-                assert (
-                    mine._edge_bank.sample_all()
-                    == theirs._edge_bank.sample_all()
-                )
-            for vertex, bank in mine._vertex_banks.items():
-                assert (
-                    bank.sample_all()
-                    == theirs._vertex_banks[vertex].sample_all()
-                )
+            # their (seeded) state; one read of every bank must coincide.
+            assert list(mine._support.items()) == list(theirs._support.items())
+            assert np.array_equal(mine._sampled_edges(), theirs._sampled_edges())
 
 
 needs_fork = pytest.mark.skipif(

@@ -181,8 +181,8 @@ class TestBitIdenticalLinearSketches:
         # The linear support trackers must agree coordinate for
         # coordinate, not just on the sampled answer.
         assert (
-            dict(single_runner["alg3"]._edge_bank._support.items())
-            == dict(sharded_runner["alg3"]._edge_bank._support.items())
+            dict(single_runner["alg3"]._support.items())
+            == dict(sharded_runner["alg3"]._support.items())
         )
 
 

@@ -52,7 +52,10 @@ class TestL0UniformityChiSquare:
                 sampler.update(index, 1)
             counts[sampler.sample()] += 1
         histogram = [counts[index] for index in support]
-        assert sum(histogram) == 800  # no failures at this delta, in-range
+        answered = 800 - counts[None]
+        assert sum(histogram) == answered  # every answer is in the support
+        # H0: each sampler answers with probability >= 1 - delta.
+        assert binomial_tail_bound(answered, 800, 1 - 0.02) > SIGNIFICANCE
         assert chi_square_uniformity_pvalue(histogram) > SIGNIFICANCE
 
 

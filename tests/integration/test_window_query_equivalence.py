@@ -629,6 +629,36 @@ class TestRegistryProcessors:
             clean.finalize()
         )
 
+    @pytest.mark.parametrize(
+        "name",
+        ("insertion-deletion", "l0-bank", "l0-bank-exact",
+         "star-detection-turnstile"),
+    )
+    def test_clone_probes_match_a_deepcopy_twin(
+        self, registry_stream, name, monkeypatch
+    ):
+        """Algorithm 3, the l0 bank and turnstile Star Detection clone
+        their banks, supports and draw generators instead of being deep
+        copied: a sliding run probed after every bucket answers exactly
+        as a twin whose probes deep-copy."""
+        registry_stream = entry_stream(registry_stream, name)
+        policy = SlidingPolicy(WINDOW, bucket_ratio=RATIO)
+
+        def probed_answers():
+            wrapper = registry_wrapper(name, policy)
+            answers = []
+            for a, b, sign in registry_stream.chunks(policy.bucket):
+                wrapper.process_batch(a, b, sign)
+                answers.append(registry_sliding_fp(wrapper.query()))
+            answers.append(registry_sliding_fp(wrapper.finalize()))
+            return wrapper, answers
+
+        wrapper, cloned = probed_answers()
+        assert callable(getattr(wrapper._current, "clone", None))
+        monkeypatch.setattr(windows, "clone_summary", copy.deepcopy)
+        _, deep_copied = probed_answers()
+        assert cloned == deep_copied
+
     def test_probe_clone_counts(self, monitoring_stream, monkeypatch):
         """Clones per probe of the benchmark's two windowed processors.
 

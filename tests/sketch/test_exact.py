@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sketch.exact import DegreeCounter, ExactSupport
+from repro.sketch.exact import (
+    DegreeCounter,
+    ExactSupport,
+    bincount_sum_int64,
+    net_updates,
+)
 from repro.streams.columnar import group_slices
 
 
@@ -100,7 +105,13 @@ class TestExactSupport:
             support.update(10, 1)
 
     @pytest.mark.parametrize(
-        "duplicate", (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+        "duplicate",
+        (
+            copy.deepcopy,
+            lambda x: pickle.loads(pickle.dumps(x)),
+            lambda x: x.clone(),
+        ),
+        ids=("deepcopy", "pickle", "clone"),
     )
     def test_copies_keep_the_support_read_only(self, duplicate):
         support = ExactSupport(10)
@@ -127,3 +138,75 @@ class TestExactSupport:
                 del reference[index]
         assert support.support() == sorted(reference)
         assert dict(support.items()) == reference
+
+    def test_clone_is_independent(self):
+        support = ExactSupport(10)
+        support.update_batch(np.array([4, 1]), np.array([1, 1]))
+        support.update(7, 2)  # still pending when cloned
+        dup = support.clone()
+        support.update_batch(np.array([4, 9]), np.array([-1, 3]))
+        dup.update(1, -1)
+        assert dict(support.items()) == {1: 1, 7: 2, 9: 3}
+        assert dict(dup.items()) == {4: 1, 7: 2}
+
+
+def _reference_net(coords, deltas):
+    """The netting pass every caller used to repeat: np.unique plus an
+    int64 scatter-add (wrapping like any int64 sum)."""
+    unique, inverse = np.unique(coords, return_inverse=True)
+    totals = np.zeros(len(unique), dtype=np.int64)
+    np.add.at(totals, inverse, deltas)
+    live = totals != 0
+    return unique[live], totals[live]
+
+
+BIG = 1 << 53
+
+
+class TestNetUpdates:
+    @pytest.mark.parametrize("dim", (8, 1 << 20), ids=("dense", "sparse"))
+    @pytest.mark.parametrize(
+        "coords, deltas",
+        (
+            ([], []),
+            ([3, 5, 3, 5], [1, 2, -1, -2]),  # full cancellation
+            ([0, 7, 7, 2], [4, -1, 1, -4]),
+            ([6, 6, 1, 1, 1], [BIG, BIG, BIG - 1, 1, -(BIG + 5)]),
+            ([2, 2, 4], [(1 << 62), (1 << 62), -(1 << 63)]),  # wraps
+            ([5] * 9, [(1 << 61) + 3] * 9),
+        ),
+        ids=("empty", "cancel", "mixed", "limb-bound", "wrap", "beyond"),
+    )
+    def test_matches_the_unique_reference(self, dim, coords, deltas):
+        coords = np.array(coords, dtype=np.int64)
+        deltas = np.array(deltas, dtype=np.int64)
+        if dim > 8:
+            coords = coords * 131_071  # spread over the large vector
+        got, expected = net_updates(coords, deltas, dim), _reference_net(coords, deltas)
+        for column, reference in zip(got, expected):
+            assert column.dtype == np.int64
+            assert np.array_equal(column, reference)
+
+    @pytest.mark.parametrize("dim", (1 << 12, 1 << 20))
+    def test_maximal_id_and_random_columns(self, dim):
+        rng = np.random.default_rng(dim)
+        coords = rng.integers(0, dim, size=5000)
+        coords[:3] = dim - 1
+        deltas = rng.choice(np.array([-2, -1, 1, 3]), size=5000)
+        deltas[:3] = 1
+        got = net_updates(coords, deltas, dim)
+        expected = _reference_net(coords, deltas)
+        assert expected[0][-1] == dim - 1
+        for column, reference in zip(got, expected):
+            assert np.array_equal(column, reference)
+
+    def test_limb_path_spans_bincount_slices(self):
+        # More than 2^20 contributions with values past the 2^53 bound
+        # take the limb split in several slices.
+        size = (1 << 20) + 7
+        addr = np.arange(size, dtype=np.int64) % 3
+        values = np.full(size, BIG + 1, dtype=np.int64)
+        values[::2] = -(BIG - 3)
+        expected = np.zeros(3, dtype=np.int64)
+        np.add.at(expected, addr, values)
+        assert np.array_equal(bincount_sum_int64(addr, values, 3), expected)

@@ -22,7 +22,7 @@ from repro.sketch.hashing import (
     mulmod_p61,
 )
 from repro.sketch.l0 import L0Sampler, L0SamplerBank
-from repro.sketch.ssparse import (
+from repro.sketch.onesparse import (
     build_power_table,
     power_table_shape,
     table_powers,
@@ -167,6 +167,8 @@ class TestPowerTables:
             got = table_powers(build_power_table(z, dim), indices)
             assert got.tolist() == [row[column] for row in expected]
         stacked = np.stack([build_power_table(z, dim) for z in bases], axis=-1)
+        vectorized = build_power_table(np.array(bases, dtype=np.uint64), dim)
+        assert np.array_equal(vectorized, stacked)
         cells = np.arange(len(bases), dtype=np.int64)[np.newaxis, :]
         got = table_powers(stacked, indices[:, np.newaxis], cells)
         assert got.tolist() == expected
@@ -188,36 +190,47 @@ def _signed_stream(seed, length=6000):
 
 
 class TestTablesAgainstPythonPow:
-    """The table-fed batch kernels land the planes the scalar paths,
-    which exponentiate with Python's ``pow()``, land item by item."""
+    """The table-fed kernel lands, in every cell, the fingerprint sum
+    Python's ``pow()`` gives item by item."""
+
+    @staticmethod
+    def _python_fingerprints(bank, indices, deltas):
+        levels = bank._levels(indices)
+        expected = np.zeros(bank._fingerprint.shape, dtype=object)
+        for s in range(bank.count):
+            z = int(bank._z[s])
+            terms = [d * pow(z, x, P) for x, d in zip(indices.tolist(), deltas.tolist())]
+            for r in range(bank.n_reps):
+                for level, term in zip(levels[s, r].tolist(), terms):
+                    expected[s, r, level] = (expected[s, r, level] + term) % P
+        return expected.astype(np.uint64)
 
     def test_sampler_planes(self):
         indices, deltas = _signed_stream(11)
-        tabled = L0Sampler(DIM, 0.05, random.Random(5))
-        tabled.update_batch(indices, deltas)
+        sampler = L0Sampler(DIM, 0.05, random.Random(5))
+        sampler.update_batch(indices, deltas)
+        bank = sampler._bank
+        bank._flush_updates()
+        assert np.array_equal(
+            bank._fingerprint, self._python_fingerprints(bank, indices, deltas)
+        )
         scalar = L0Sampler(DIM, 0.05, random.Random(5))
         for index, delta in zip(indices.tolist(), deltas.tolist()):
             scalar.update(index, delta)
-        assert np.array_equal(tabled._fingerprint, scalar._fingerprint)
-        assert np.array_equal(tabled._weight, scalar._weight)
-        assert np.array_equal(tabled._dot, scalar._dot)
-        assert tabled.sample() == scalar.sample()
+        assert scalar.sample() == sampler.sample()
 
     def test_exact_bank_planes(self):
         indices, deltas = _signed_stream(12, length=2000)
         fused = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
         fused.update_batch(indices, deltas)
-        fused_samples = fused.sample_all()
-        scalar = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
-        for index, delta in zip(indices.tolist(), deltas.tolist()):
-            scalar.update(index, delta)
-        assert scalar.sample_all() == fused_samples
-        assert np.array_equal(fused._bank_fingerprint, scalar._bank_fingerprint)
-        assert np.array_equal(fused._bank_weight, scalar._bank_weight)
-        assert np.array_equal(fused._bank_dot, scalar._bank_dot)
+        fused._flush_updates()
+        assert np.array_equal(
+            fused._fingerprint, self._python_fingerprints(fused, indices, deltas)
+        )
 
     def test_sampler_table_is_three_windows_of_64(self):
-        sampler = L0Sampler(DIM, 0.05, random.Random(8))
-        assert sampler._table.shape == (3, 64)
-        assert sampler._table.nbytes == 3 * 64 * 8  # 1.5 KB per sampler
-        assert np.array_equal(sampler._table, build_power_table(sampler._z, DIM))
+        bank = L0Sampler(DIM, 0.05, random.Random(8))._bank
+        table = bank._table[..., 0]
+        assert table.shape == (3, 64)
+        assert table.nbytes == 3 * 64 * 8  # 1.5 KB per sampler
+        assert np.array_equal(table, build_power_table(int(bank._z[0]), DIM))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.insertion_deletion import InsertionDeletionFEwW
+from repro.sketch.exact import ExactSupport
 from repro.sketch.hashing import PRIME_61
 from repro.sketch.l0 import (
     L0EdgeBank,
@@ -20,7 +21,33 @@ from repro.sketch.l0 import (
     L0SamplerBank,
     l0_sampler_space_words,
 )
-from repro.sketch.ssparse import SSparseRecovery
+
+
+def _edge_bank(dim, count, delta, seed, mode):
+    """A bank fed through the engine adapter over a 1 × dim edge vector:
+    flat index ``0 * dim + b`` is the coordinate ``b`` itself, and the
+    adapter owns a fast bank's support."""
+    return L0EdgeBank(1, dim, count, delta=delta, seed=seed, mode=mode)
+
+
+def _feed(edge_bank, indices, deltas):
+    indices = np.asarray(indices, dtype=np.int64)
+    edge_bank.process_batch(
+        np.zeros(len(indices), dtype=np.int64), indices,
+        np.asarray(deltas, dtype=np.int64),
+    )
+
+
+def _fed_bank(dim, count, delta, seed, mode, indices, deltas):
+    """``(bank, support)``: a fast bank draws from the support its owner
+    tracks; an exact bank holds the vector itself (support None)."""
+    bank = L0SamplerBank(dim, count, delta, random.Random(seed), mode=mode)
+    if mode == "exact":
+        bank.update_batch(indices, deltas)
+        return bank, None
+    support = ExactSupport(dim)
+    support.update_batch(indices, deltas)
+    return bank, support.support_array()
 
 
 class TestL0SamplerBasics:
@@ -130,22 +157,25 @@ class TestBankModes:
     def test_fast_mode_samples_from_support(self):
         bank = L0SamplerBank(64, 50, 0.05, random.Random(2), mode="fast")
         support = {5, 10, 15}
-        for index in support:
-            bank.update(index, 1)
-        outcomes = bank.sample_all()
+        outcomes = bank.sample_all(np.array(sorted(support), dtype=np.int64))
         assert len(outcomes) == 50
         assert all(outcome in support for outcome in outcomes if outcome is not None)
 
     def test_fast_mode_empty_support(self):
         bank = L0SamplerBank(64, 5, 0.05, random.Random(3), mode="fast")
-        assert bank.sample_all() == [None] * 5
+        assert bank.sample_all(np.zeros(0, dtype=np.int64)) == [None] * 5
+
+    def test_fast_mode_is_draw_only(self):
+        bank = L0SamplerBank(64, 5, 0.05, random.Random(3), mode="fast")
+        with pytest.raises(ValueError, match="draw-only"):
+            bank.update(1, 1)
+        with pytest.raises(ValueError, match="support its owner"):
+            bank.sample_all()
 
     @pytest.mark.parametrize("mode", ("fast", "exact"))
     def test_respects_deletions(self, mode):
-        bank = L0SamplerBank(64, 30, 0.05, random.Random(4), mode=mode)
-        bank.update(1, 1)
-        bank.update(2, 1)
-        bank.update(1, -1)
+        bank = _edge_bank(64, 30, 0.05, 4, mode)
+        _feed(bank, [1, 2, 1], [1, 1, -1])
         outcomes = [outcome for outcome in bank.sample_all() if outcome is not None]
         assert outcomes and all(outcome == 2 for outcome in outcomes)
 
@@ -158,11 +188,10 @@ class TestBankModes:
         trials = 60
         for _ in range(trials):
             seed = master.getrandbits(64)
-            exact = L0SamplerBank(64, 5, 0.05, random.Random(seed), mode="exact")
-            fast = L0SamplerBank(64, 5, 0.05, random.Random(seed + 1), mode="fast")
-            for index in support:
-                exact.update(index, 1)
-                fast.update(index, 1)
+            exact = _edge_bank(64, 5, 0.05, seed, "exact")
+            fast = _edge_bank(64, 5, 0.05, seed + 1, "fast")
+            for bank in (exact, fast):
+                _feed(bank, support, np.ones(len(support)))
             exact_counts.update(o for o in exact.sample_all() if o is not None)
             fast_counts.update(o for o in fast.sample_all() if o is not None)
         total_exact = sum(exact_counts.values())
@@ -178,9 +207,9 @@ class TestBankModes:
 
     def test_exact_space_sums_real_structures(self):
         bank = L0SamplerBank(64, 3, 0.05, random.Random(7), mode="exact")
-        assert bank.space_words() == sum(
-            sampler.space_words() for sampler in bank._samplers
-        )
+        single = L0Sampler(64, 0.05, random.Random(7))
+        assert bank.space_words() == 3 * single.space_words()
+        assert single.space_words() == single.n_reps * (3 * single.n_levels + 2) + 1
 
 
 def _churn(dim, live, dead, seed):
@@ -197,11 +226,12 @@ def _churn(dim, live, dead, seed):
 class TestFastBankDraws:
     def test_every_draw_is_in_the_live_support(self):
         indices, deltas, live = _churn(1 << 18, 300, 700, seed=1)
-        bank = L0SamplerBank(1 << 18, 5000, 0.05, random.Random(9), mode="fast")
+        support = ExactSupport(1 << 18)
         for chunk in np.array_split(np.arange(len(indices)), 7):
-            bank.update_batch(indices[chunk], deltas[chunk])
+            support.update_batch(indices[chunk], deltas[chunk])
+        bank = L0SamplerBank(1 << 18, 5000, 0.05, random.Random(9), mode="fast")
         for _ in range(3):
-            column = bank.sample_column()
+            column = bank.sample_column(support.support_array())
             drawn = set(column[column >= 0].tolist())
             assert drawn <= live
             assert len(drawn) > 0.9 * len(live)
@@ -209,8 +239,9 @@ class TestFastBankDraws:
     def test_failure_count_is_binomial(self):
         count, delta = 20_000, 0.3
         bank = L0SamplerBank(100, count, delta, random.Random(10), mode="fast")
-        bank.update_batch(np.arange(0, 100, 3), np.ones(34, np.int64))
-        failures = sum(sample is None for sample in bank.sample_all())
+        failures = sum(
+            sample is None for sample in bank.sample_all(np.arange(0, 100, 3))
+        )
         mean = count * delta
         sigma = math.sqrt(count * delta * (1 - delta))
         assert abs(failures - mean) <= 5 * sigma
@@ -218,8 +249,7 @@ class TestFastBankDraws:
     def test_draws_are_uniform_over_the_support(self):
         support = np.arange(0, 1000, 20, dtype=np.int64)  # 50 coordinates
         bank = L0SamplerBank(1000, 50_000, 0.01, random.Random(11), mode="fast")
-        bank.update_batch(support, np.full(50, 2, np.int64))
-        column = bank.sample_column()
+        column = bank.sample_column(support)
         draws = column[column >= 0]
         observed = np.bincount(np.searchsorted(support, draws), minlength=50)
         assert observed.sum() == len(draws)
@@ -231,20 +261,21 @@ class TestFastBankDraws:
     def test_distinct_samples_consume_the_column_draws(self, mode, count):
         indices, deltas, _ = _churn(1 << 12, 150, 50, seed=23)
         twins = [
-            L0SamplerBank(1 << 12, count, 0.2, random.Random(24), mode=mode)
+            _fed_bank(1 << 12, count, 0.2, 24, mode, indices, deltas)
             for _ in range(2)
         ]
-        for bank in twins:
-            bank.update_batch(indices, deltas)
+        (bank, support), (twin, _) = twins
         for _ in range(2):
-            column = twins[1].sample_column()
+            column = twin.sample_column(support)
             expected = np.unique(column[column >= 0])
-            assert np.array_equal(twins[0].distinct_samples(), expected)
+            assert np.array_equal(bank.distinct_samples(support), expected)
         if mode == "fast":
-            states = [bank._draw_rng.bit_generator.state for bank in twins]
-            assert states[0] == states[1]
-        empty = L0SamplerBank(64, count, 0.2, random.Random(25), mode=mode)
-        assert len(empty.distinct_samples()) == 0
+            assert (
+                bank._draw_rng.bit_generator.state
+                == twin._draw_rng.bit_generator.state
+            )
+        empty, nothing = _fed_bank(64, count, 0.2, 25, mode, [], [])
+        assert len(empty.distinct_samples(nothing)) == 0
 
     @pytest.mark.parametrize("mode, count", (("fast", 400), ("exact", 6)))
     def test_split_merge_and_pickle_reproduce_single_pass_draws(self, mode, count):
@@ -253,66 +284,76 @@ class TestFastBankDraws:
         half = len(indices) // 2
 
         def fresh():
-            return L0SamplerBank(dim, count, 0.05, random.Random(13), mode=mode)
+            return _edge_bank(dim, count, 0.05, 13, mode)
 
         single = fresh()
-        single.update_batch(indices, deltas)
-        root = fresh()
-        left, right = copy.deepcopy(root), copy.deepcopy(root)
-        left.update_batch(indices[:half], deltas[:half])
-        right.update_batch(indices[half:], deltas[half:])
+        _feed(single, indices, deltas)
+        left, right = fresh().split(2)
+        _feed(left, indices[:half], deltas[:half])
+        _feed(right, indices[half:], deltas[half:])
         merged = left.merge(right)
         resumed = fresh()
-        resumed.update_batch(indices[:half], deltas[:half])
+        _feed(resumed, indices[:half], deltas[:half])
         resumed = pickle.loads(pickle.dumps(resumed))
-        resumed.update_batch(indices[half:], deltas[half:])
+        _feed(resumed, indices[half:], deltas[half:])
+        copied = copy.deepcopy(fresh())
+        _feed(copied, indices, deltas)
         for _ in range(2):  # consecutive reads stay in step
             expected = single.sample_all()
             assert merged.sample_all() == expected
             assert resumed.sample_all() == expected
+            assert copied.sample_all() == expected
 
 
-def _colliding_pair(hashes, dim, start):
-    """Indices ``i, j`` of equal parity landing in one bucket in every row."""
-    for j in range(start + 2, dim, 2):
-        if all(h(start) == h(j) for h in hashes):
-            return start, j
+def _colliding_pair(bank, dim):
+    """Indices ``i < j`` of equal parity sharing their deepest level in
+    every repetition of a one-sampler bank."""
+    levels = bank._levels(np.arange(dim, dtype=np.int64))[0]
+    for i in range(dim):
+        same = (levels == levels[:, i : i + 1]).all(axis=0)
+        same[: i + 1] = False
+        same[(i + 1) % 2 :: 2] = False
+        if same.any():
+            return i, int(np.flatnonzero(same)[0])
     raise AssertionError("no colliding pair")
 
 
 class TestSharedBaseFingerprint:
     def test_crafted_collision_is_rejected_by_the_fingerprint(self):
-        # Two unit coordinates sharing every cell: each cell reads
-        # weight 2 and dot i + j, so dot / weight = (i + j) / 2 is an
-        # in-range integer, and only the fingerprint can reject it.
-        recovery = SSparseRecovery(4096, 1, 0.45, random.Random(14))
-        i, j = _colliding_pair(recovery._hashes, 4096, 100)
-        recovery.update(i, 1)
-        recovery.update(j, 1)
-        assert (recovery._weight == 2).sum() == recovery.n_rows
-        assert recovery.decode() is None
-        batched = SSparseRecovery(4096, 1, 0.45, random.Random(14))
+        # Two unit coordinates sharing the deepest cell of every
+        # repetition: each such cell reads weight 2 and dot i + j, so
+        # dot / weight = (i + j) / 2 is an in-range integer, and only
+        # the fingerprint can reject it.
+        sampler = L0Sampler(4096, 0.05, random.Random(14))
+        i, j = _colliding_pair(sampler._bank, 4096)
+        sampler.update(i, 1)
+        sampler.update(j, 1)
+        sampler._bank._flush_updates()
+        assert (sampler._bank._weight == 2).sum() == sampler.n_reps
+        assert sampler.sample() is None
+        batched = L0Sampler(4096, 0.05, random.Random(14))
         batched.update_batch(np.array([i, j]), np.array([1, 1]))
-        assert batched.decode() is None
+        assert batched.sample() is None
 
     def test_crafted_collision_cell_in_a_sampler(self):
-        # A sampler's level has too many rows for a natural all-row
-        # collision, so write one collision cell by hand: what i and j
-        # leave in a cell they share, under the sampler's one base.
+        # Write one collision cell by hand: what i and j leave in a cell
+        # they share, under the sampler's one base.
         sampler = L0Sampler(4096, 0.05, random.Random(15))
+        bank = sampler._bank
+        z = int(bank._z[0])
         i, j = 100, 302
-        level, row, bucket = 3, 2, 5
-        sampler._weight[level, row, bucket] = 2
-        sampler._dot[level, row, bucket] = i + j
-        sampler._fingerprint[level, row, bucket] = (
-            pow(sampler._z, i, PRIME_61) + pow(sampler._z, j, PRIME_61)
+        rep, level = 2, 3
+        bank._weight[0, rep, level] = 2
+        bank._dot[0, rep, level] = i + j
+        bank._fingerprint[0, rep, level] = (
+            pow(z, i, PRIME_61) + pow(z, j, PRIME_61)
         ) % PRIME_61
-        assert sampler._recovery(level).decode() is None
+        assert sampler.sample() is None
         # The same cell holding (i + j) / 2 alone decodes.
-        sampler._fingerprint[level, row, bucket] = (
-            2 * pow(sampler._z, (i + j) // 2, PRIME_61)
+        bank._fingerprint[0, rep, level] = (
+            2 * pow(z, (i + j) // 2, PRIME_61)
         ) % PRIME_61
-        assert sampler._recovery(level).decode() == {(i + j) // 2: 2}
+        assert sampler.sample() == (i + j) // 2
 
     @pytest.mark.parametrize("dim", (64, 1 << 18))
     def test_full_cancellation_samples_none(self, dim):
@@ -320,7 +361,7 @@ class TestSharedBaseFingerprint:
         bank = L0SamplerBank(dim, 4, 0.05, random.Random(17), mode="exact")
         bank.update_batch(indices, deltas)
         assert bank.sample_all() == [None] * 4
-        assert not bank._bank_fingerprint.any()
+        assert not bank._fingerprint.any()
 
     def test_dim_one(self):
         bank = L0SamplerBank(1, 4, 0.05, random.Random(18), mode="exact")
@@ -339,13 +380,14 @@ class TestSharedBaseFingerprint:
     def test_maximal_id_at_dim_2_40(self):
         dim = 1 << 40
         bank = L0SamplerBank(dim, 3, 0.05, random.Random(20), mode="exact")
-        assert all(s._table.shape == (5, 256) for s in bank._samplers)
+        assert bank._table.shape == (5, 256, 3)
         bank.update_batch(np.array([dim - 1, 5]), np.array([1, 1]))
         bank.update_batch(np.array([5]), np.array([-1]))
         assert bank.sample_all() == [dim - 1] * 3
         scalar = L0SamplerBank(dim, 3, 0.05, random.Random(20), mode="exact")
         scalar.update(dim - 1, 1)
-        assert np.array_equal(scalar._bank_fingerprint, bank._bank_fingerprint)
+        scalar._flush_updates()
+        assert np.array_equal(scalar._fingerprint, bank._fingerprint)
 
 
 def _resident_array_bytes(root):

@@ -10,7 +10,6 @@ import random
 
 from repro.sketch.l0 import L0Sampler, l0_sampler_space_words
 from repro.sketch.onesparse import CellState, OneSparseCell
-from repro.sketch.ssparse import SSparseRecovery
 
 HUGE = 1 << 40
 
@@ -23,13 +22,6 @@ class TestHugeDimensions:
         result = cell.decode()
         assert result.state is CellState.ONE_SPARSE
         assert (result.index, result.value) == (index, 3)
-
-    def test_ssparse_recovery_at_huge_dim(self):
-        recovery = SSparseRecovery(HUGE, 4, 0.01, random.Random(1))
-        coordinates = {1, HUGE // 2, HUGE - 1}
-        for coordinate in coordinates:
-            recovery.update(coordinate, 1)
-        assert recovery.decode() == {coordinate: 1 for coordinate in coordinates}
 
     def test_l0_sampler_at_huge_dim(self):
         sampler = L0Sampler(HUGE, 0.05, random.Random(2))

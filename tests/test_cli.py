@@ -205,6 +205,25 @@ class TestParallelOptions:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--workers", "0"], "execution.workers"),
+            (["--mmap"], "mmap"),
+            (["--checkpoint-every", "2"], "CheckpointSpec"),
+        ),
+        ids=("workers-0", "mmap-without-file", "checkpoint-every-alone"),
+    )
+    def test_invalid_flags_exit_before_the_source_opens(
+        self, monkeypatch, capsys, flags, message
+    ):
+        def refuse(spec):
+            raise AssertionError("the source was opened before validation")
+
+        monkeypatch.setattr("repro.cli.open_source", refuse)
+        assert main(["run", "--workload", "star", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def _corrupt_v2_file(self, tmp_path):
         """A v2 file whose A-column holds an out-of-range vertex id —
         only detectable when chunks are actually read in mmap mode."""
