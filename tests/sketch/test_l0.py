@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.sketch.exact import ExactSupport
@@ -99,6 +101,128 @@ class TestL0SamplerBasics:
         for index in range(50):
             sampler.update(index, 1)
         assert sampler.space_words() == before > 0
+
+
+def _planes(sampler):
+    bank = sampler._bank
+    bank._flush_updates()
+    return bank._weight, bank._dot, bank._fingerprint
+
+
+@st.composite
+def sparse_vectors(draw):
+    """Vectors of support size <= 6 over dimension 100."""
+    support = draw(
+        st.lists(st.integers(0, 99), min_size=0, max_size=6, unique=True)
+    )
+    values = [draw(st.integers(-5, 5).filter(lambda v: v != 0)) for _ in support]
+    return dict(zip(support, values))
+
+
+class TestExactSamplerRecovery:
+    """The exact sampler recovers a coordinate from one 1-sparse cell per
+    repetition; these pin the recovery on signed, churned and dense
+    vectors."""
+
+    def test_rejects_out_of_range_index(self):
+        sampler = L0Sampler(10, 0.05, random.Random(0))
+        with pytest.raises(ValueError, match="out of range"):
+            sampler.update(10, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            sampler.update(-1, 1)
+
+    def test_repetitions_follow_the_failure_bound(self):
+        """R = ceil(ln delta / ln(1/2)): more confidence, more words."""
+        loose = L0Sampler(256, 0.2, random.Random(1))
+        tight = L0Sampler(256, 0.001, random.Random(1))
+        assert (loose.n_reps, tight.n_reps) == (3, 10)
+        assert tight.space_words() > loose.space_words()
+
+    def test_negative_values_recovered(self):
+        sampler = L0Sampler(64, 0.05, random.Random(2))
+        sampler.update(3, -5)
+        assert sampler.sample() == 3
+        sampler.update(9, 2)
+        assert sampler.sample() in {3, 9}
+
+    def test_sample_does_not_mutate(self):
+        sampler = L0Sampler(64, 0.05, random.Random(3))
+        for index in (1, 2, 3):
+            sampler.update(index, 1)
+        before = [plane.copy() for plane in _planes(sampler)]
+        first = sampler.sample()
+        assert sampler.sample() == first in {1, 2, 3}
+        for plane, kept in zip(_planes(sampler), before):
+            assert np.array_equal(plane, kept)
+
+    def test_dense_vector_still_samples(self):
+        """Unlike s-sparse recovery, an l0 read never needs the whole
+        support to be sparse: a 60-coordinate vector still samples."""
+        support = set(range(0, 120, 2))
+        answers = []
+        for seed in range(20):
+            sampler = L0Sampler(128, 0.05, random.Random(seed))
+            sampler.update_batch(
+                np.array(sorted(support), dtype=np.int64),
+                np.ones(len(support), dtype=np.int64),
+            )
+            answers.append(sampler.sample())
+        assert all(answer in support for answer in answers if answer is not None)
+        assert sum(answer is None for answer in answers) <= 3
+
+    def test_item_path_matches_batch_path(self):
+        indices = np.array([5, 40, 5, 77, 12, 40], dtype=np.int64)
+        deltas = np.array([2, 1, -2, 3, -1, -1], dtype=np.int64)
+        items = L0Sampler(128, 0.05, random.Random(4))
+        batch = L0Sampler(128, 0.05, random.Random(4))
+        for index, delta in zip(indices.tolist(), deltas.tolist()):
+            items.update(index, delta)
+        batch.update_batch(indices, deltas)
+        for left, right in zip(_planes(items), _planes(batch)):
+            assert np.array_equal(left, right)
+        assert items.sample() == batch.sample() in {77, 12}
+
+    def test_merge_matches_single_pass(self):
+        rng = np.random.default_rng(5)
+        indices = rng.integers(0, 256, size=400)
+        deltas = rng.choice(np.array([-1, 1, 2]), size=400)
+        whole = L0Sampler(256, 0.05, random.Random(6))
+        left = L0Sampler(256, 0.05, random.Random(6))
+        right = L0Sampler(256, 0.05, random.Random(6))
+        whole.update_batch(indices, deltas)
+        left.update_batch(indices[:150], deltas[:150])
+        right.update_batch(indices[150:], deltas[150:])
+        merged = left.merge(right)
+        for got, expected in zip(_planes(merged), _planes(whole)):
+            assert np.array_equal(got, expected)
+        assert merged.sample() == whole.sample()
+
+    @settings(max_examples=100)
+    @given(sparse_vectors(), st.integers(0, 5))
+    def test_samples_from_any_turnstile_vector(self, vector, seed):
+        sampler = L0Sampler(100, 0.001, random.Random(seed))
+        for index, value in vector.items():
+            # split each value into two updates to exercise the turnstile
+            sampler.update(index, value - 1)
+            sampler.update(index, 1)
+        answer = sampler.sample()
+        if not vector:
+            assert answer is None
+        else:
+            assert answer is None or answer in vector
+
+    @settings(max_examples=50)
+    @given(st.permutations(list(range(8))), st.integers(0, 3))
+    def test_update_order_irrelevant(self, order, seed):
+        baseline = L0Sampler(50, 0.01, random.Random(seed))
+        shuffled = L0Sampler(50, 0.01, random.Random(seed))
+        for index in range(8):
+            baseline.update(index, index + 1)
+        for index in order:
+            shuffled.update(index, index + 1)
+        for left, right in zip(_planes(baseline), _planes(shuffled)):
+            assert np.array_equal(left, right)
+        assert baseline.sample() == shuffled.sample()
 
 
 class TestL0SamplerUniformity:

@@ -8,7 +8,9 @@ and correctness depend on the support, never on the dimension.
 
 import random
 
-from repro.sketch.l0 import L0Sampler, l0_sampler_space_words
+import numpy as np
+
+from repro.sketch.l0 import L0Sampler, L0SamplerBank, l0_sampler_space_words
 from repro.sketch.onesparse import CellState, OneSparseCell
 
 HUGE = 1 << 40
@@ -36,6 +38,18 @@ class TestHugeDimensions:
         sampler.update(5, 1)
         sampler.update(HUGE - 1, -1)
         assert sampler.sample() == 5
+
+    def test_exact_bank_at_huge_dim(self):
+        coordinates = np.array([1, HUGE // 2, HUGE - 1], dtype=np.int64)
+        whole = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
+        left = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
+        right = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
+        whole.update_batch(coordinates, np.ones(3, dtype=np.int64))
+        left.update_batch(coordinates[:1], np.ones(1, dtype=np.int64))
+        right.update_batch(coordinates[1:], np.ones(2, dtype=np.int64))
+        answers = whole.sample_all()
+        assert left.merge(right).sample_all() == answers
+        assert all(answer in set(coordinates.tolist()) for answer in answers)
 
     def test_space_formula_log_squared_growth(self):
         """Paper accounting: quadrupling log(dim) -> ~16x the words."""
