@@ -310,11 +310,13 @@ class DegResSampling:
         """True when some stored neighbourhood reached size ``d2``."""
         return any(len(witnesses) >= self.d2 for witnesses in self._reservoir.values())
 
-    def candidates(self) -> List[Neighbourhood]:
-        """All currently stored neighbourhoods (any size), for inspection."""
+    def candidates(self, min_size: int = 1) -> List[Neighbourhood]:
+        """The stored neighbourhoods holding at least ``min_size``
+        witnesses; only those are built."""
         return [
             Neighbourhood.of(vertex, witnesses)
             for vertex, witnesses in self._reservoir.items()
+            if len(witnesses) >= min_size
         ]
 
     def neighbourhood(self) -> Optional[Neighbourhood]:

@@ -119,9 +119,7 @@ class TopKFEwW(BatchIngest):
         """
         by_vertex: dict[int, Neighbourhood] = {}
         for run in self._inner.runs:
-            for candidate in run.candidates():
-                if candidate.size < self.threshold:
-                    continue
+            for candidate in run.candidates(self.threshold):
                 current = by_vertex.get(candidate.vertex)
                 if current is None or candidate.size > current.size:
                     by_vertex[candidate.vertex] = candidate
