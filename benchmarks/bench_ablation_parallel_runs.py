@@ -10,8 +10,6 @@ Shape checks: the full algorithm's success rate strictly exceeds the
 best single run's on the cascade, and the union rate is near 1.
 """
 
-import random
-
 from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.streams.generators import GeneratorConfig, degree_cascade_graph
@@ -36,7 +34,7 @@ def test_e11_parallel_runs_ablation(benchmark):
         successes = 0
         for seed in range(TRIALS):
             run = SharedDegreeRuns(
-                N, [DegResSampling(d1, d2, SMALL_RESERVOIR, random.Random(seed))]
+                N, [DegResSampling(d1, d2, SMALL_RESERVOIR, seed)]
             )
             run.process(stream)
             successes += run.successful

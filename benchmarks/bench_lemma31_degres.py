@@ -40,7 +40,7 @@ def success_rate(s: int) -> float:
     for seed in range(TRIALS):
         stream = build_instance(order_seed=seed)
         algorithm = SharedDegreeRuns(
-            N, [DegResSampling(D1, D2, s, random.Random(1000 + seed))]
+            N, [DegResSampling(D1, D2, s, 1000 + seed)]
         )
         algorithm.process(stream)
         successes += algorithm.successful
@@ -72,7 +72,7 @@ def test_e1_success_probability_vs_bound(benchmark):
     stream = build_instance(order_seed=0)
 
     def run_once():
-        SharedDegreeRuns(N, [DegResSampling(D1, D2, 8, random.Random(7))]).process(
+        SharedDegreeRuns(N, [DegResSampling(D1, D2, 8, 7)]).process(
             stream
         )
 

@@ -103,10 +103,10 @@ class DegResSampling:
         d2: number of witnesses to collect per sampled vertex; reaching
             ``d2`` for any vertex means success.
         s: reservoir size.
-        rng: randomness for the reservoir coin flips.
+        seed: the run's 64-bit seed word for its reservoir coin flips.
     """
 
-    def __init__(self, d1: int, d2: int, s: int, rng: random.Random) -> None:
+    def __init__(self, d1: int, d2: int, s: int, seed: int) -> None:
         if d1 < 1:
             raise ValueError(f"d1 must be >= 1, got {d1}")
         if d2 < 1:
@@ -116,7 +116,7 @@ class DegResSampling:
         self.d1 = d1
         self.d2 = d2
         self.s = s
-        self._rng = rng
+        self._rng = random.Random(seed)
         #: reservoir contents: vertex -> collected witnesses, in arrival order
         self._reservoir: Dict[int, List[int]] = {}
         #: resident vertices in arbitrary order, for O(1) random eviction

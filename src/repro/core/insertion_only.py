@@ -63,9 +63,7 @@ def algorithm2_runs(
     s = reservoir_size(n, alpha) if reservoir_override is None else reservoir_override
     d2 = math.ceil(d / alpha)
     return [
-        DegResSampling(
-            max(1, (i * d) // alpha), d2, s, random.Random(root.getrandbits(64))
-        )
+        DegResSampling(max(1, (i * d) // alpha), d2, s, root.getrandbits(64))
         for i in range(alpha)
     ]
 

@@ -37,7 +37,7 @@ def every_structure():
     return [
         InsertionOnlyFEwW(16, 4, 2, seed=0),
         InsertionDeletionFEwW(16, 16, 4, 2, seed=0, scale=0.1),
-        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
+        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, 0)]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
         WindowedProcessor(
@@ -137,8 +137,8 @@ class TestCompatibilityErrors:
 
     def test_algorithm1_parameter_mismatch(self):
         with pytest.raises(ValueError, match="cannot merge Deg-Res-Sampling"):
-            SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]).merge(
-                SharedDegreeRuns(16, [DegResSampling(3, 2, 4, random.Random(0))])
+            SharedDegreeRuns(16, [DegResSampling(2, 2, 4, 0)]).merge(
+                SharedDegreeRuns(16, [DegResSampling(3, 2, 4, 0)])
             )
 
 

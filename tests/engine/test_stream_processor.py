@@ -26,14 +26,12 @@ from repro.engine import (
 )
 from repro.pipeline.registry import RegistryWindowFactory
 
-import random
-
 
 def every_structure():
     return [
         InsertionOnlyFEwW(16, 4, 2, seed=0),
         InsertionDeletionFEwW(16, 16, 4, 2, seed=0, scale=0.1),
-        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, random.Random(0))]),
+        SharedDegreeRuns(16, [DegResSampling(2, 2, 4, 0)]),
         StarDetection(16, 2, seed=0),
         TopKFEwW(16, 4, 2, k=2, seed=0),
         WindowedProcessor(

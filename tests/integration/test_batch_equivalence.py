@@ -112,7 +112,7 @@ class TestAlgorithm2:
 
         def in_chunks_of(size):
             algorithm = SharedDegreeRuns(
-                32, [DegResSampling(30, 10, 3, random.Random(7))]
+                32, [DegResSampling(30, 10, 3, 7)]
             )
             return algorithm.process(columnar.chunks(size))
 
@@ -139,7 +139,7 @@ class TestAlgorithm2:
         algorithm = InsertionOnlyFEwW(64, 60, 4, seed=seed)
         algorithm.process(columnar.chunks(chunk))
         single = SharedDegreeRuns(
-            64, [DegResSampling(10, 8, 3, random.Random(seed))]
+            64, [DegResSampling(10, 8, 3, seed)]
         )
         single.process(columnar.chunks(chunk))
         for run in algorithm.runs + single.runs:
@@ -206,7 +206,7 @@ class TestCrossingScanEdges:
         a = np.zeros(50, dtype=np.int64)
         b = np.arange(50, dtype=np.int64)
         algorithm = InsertionOnlyFEwW(1, 20, 2, seed=4)
-        single = SharedDegreeRuns(1, [DegResSampling(5, 3, 1, random.Random(4))])
+        single = SharedDegreeRuns(1, [DegResSampling(5, 3, 1, 4)])
         for structure in (algorithm, single):
             _feed(structure, a, b, chunk)
             for run in structure.runs:
@@ -396,7 +396,7 @@ class TestInsertionOnlyGuards:
             InsertionOnlyFEwW(4, 2, 1, seed=0).process_batch(a, b, sign)
         with pytest.raises(ValueError):
             SharedDegreeRuns(
-                4, [DegResSampling(1, 1, 1, random.Random(0))]
+                4, [DegResSampling(1, 1, 1, 0)]
             ).process_batch(a, b, sign)
         with pytest.raises(ValueError):
             MisraGries(4).process_batch(a, b, sign)

@@ -33,7 +33,7 @@ class TestReservoirUniformityChiSquare:
         counts = Counter()
         for seed in range(2000):
             (run,) = SharedDegreeRuns(
-                20, [DegResSampling(2, 1, 1, random.Random(seed))]
+                20, [DegResSampling(2, 1, 1, seed)]
             ).process(stream).runs
             (candidate,) = run.candidates()
             counts[candidate.vertex] += 1
@@ -83,7 +83,7 @@ class TestSuccessProbabilityBinomial:
         trials, successes = 400, 0
         for seed in range(trials):
             algorithm = SharedDegreeRuns(
-                30, [DegResSampling(d1, d2, s, random.Random(seed))]
+                30, [DegResSampling(d1, d2, s, seed)]
             )
             algorithm.process(stream)
             successes += algorithm.successful
