@@ -1,42 +1,47 @@
 """Algorithm 1: ``Deg-Res-Sampling(d1, d2, s)``.
 
-Degree-based reservoir sampling.  While processing the stream of edges,
-the degree of every A-vertex is maintained.  A reservoir of size ``s``
-holds a uniform random sample of the vertices whose *current* degree is
-at least ``d1``: the moment a vertex's degree reaches ``d1`` it becomes
-a reservoir candidate (inserted with probability ``s / x`` where ``x``
-counts candidates so far, evicting a uniform resident).  While a vertex
-sits in the reservoir, its incident edges are collected until ``d2`` of
-them are stored — so a vertex that stays sampled collects
-``min(d2, deg - d1 + 1)`` witnesses.
+Degree-based reservoir sampling.  The degree of every A-vertex is
+maintained; the moment a vertex's degree reaches ``d1`` it becomes a
+reservoir candidate, admitted with probability ``s / x`` (``x`` counts
+the candidates so far) in place of a uniform resident.  A resident
+collects its incident edges until ``d2`` are stored.  A vertex crosses
+``d1`` at most once and is admitted only at its crossing, so one still
+resident at the end holds the ``b``s of its ``d1``-th through
+``(d1 + d2 - 1)``-th occurrences, in stream order.  The run *succeeds*
+if some stored neighbourhood reaches size ``d2`` (Lemma 3.1
+lower-bounds that probability by ``1 - exp(-s * n2 / n1)``).
 
-The run *succeeds* if at least one stored neighbourhood reaches size
-``d2`` (Lemma 3.1 lower-bounds that probability by
-``1 - exp(-s * n2 / n1)``).
+:class:`DegResSampling` is one run's reservoir state, and
+:class:`SharedDegreeRuns` owns the one degree table and the chunk step
+for any number of runs sharing it.  The standalone Algorithm 1 is
+``SharedDegreeRuns(n, [DegResSampling(d1, d2, s, seed)])``; Algorithm 2
+(Theorem 3.2's α runs) subclasses it, and Star Detection holds one over
+every run of its guess ladder (Lemma 3.3), so the ``O(n log n)``-bit
+table is counted, and charged, once.
 
-The module splits the algorithm in two:
+**Draws** (Vitter's Algorithm R, one stream per run).  The first ``s``
+candidates fill the slots in order and draw nothing.  Candidate ordinal
+``x > s`` draws ``j = integers(0, x)`` from the run's
+``np.random.Generator`` and is admitted iff ``j < s``, replacing slot
+``j``: admission with probability ``s / x`` and a uniform eviction,
+which is all Lemma 3.1 uses.  A chunk's candidates draw in one vector
+call; ``integers(0, high_array)`` gives the same values however the
+bounds are split across calls, so the state is bit-identical at every
+chunk size.  The Generator is seeded from the run's 64-bit seed word
+and built at the first draw, as most runs never draw.
 
-* :class:`DegResSampling` is one run's reservoir state — candidate
-  count, residents, collected witnesses and RNG — and nothing else;
-* :class:`SharedDegreeRuns` owns the one degree table and the chunk
-  step for any number of runs that share it.  The standalone Algorithm
-  1 is ``SharedDegreeRuns(n, [DegResSampling(d1, d2, s, rng)])``;
-  Algorithm 2 (Theorem 3.2's α runs) subclasses it, and Star Detection
-  holds one over every run of its guess ladder (Lemma 3.3), so the
-  ``O(n log n)``-bit table is counted, and charged, once.
-
-A chunk replays its ``d1`` crossings in stream order, so the state is
-bit-identical at every chunk size.  A vertex crosses ``d1`` at most
-once and is admitted only at its crossing; a vertex still resident at
-the end therefore holds the ``b``s of its ``d1``-th through
-``(d1 + d2 - 1)``-th occurrences, in stream order.
+**State.**  Per run, three slot columns — occupant vertex, stored
+witness count (``fill``) and admission ordinal — and a ragged witness
+store: one flat ``int64`` witness column with its owning slot, appended
+once per chunk.  A slot's live rows start at ``start[slot]``, so an
+evicted occupant's rows die in place; the store is compacted when dead
+rows outnumber live ones, and on clone, merge and pickling.
 """
 
 from __future__ import annotations
 
 import copy
-import random
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,52 +49,70 @@ from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import DegreeCounter
 from repro.spacemeter import SpaceBreakdown, edge_words, vertex_words
-from repro.streams.columnar import group_slices
+from repro.streams.columnar import group_slices, occurrence_ordinals
 
 
-def collect_witnesses(requests, composite, order, b: np.ndarray) -> None:
+def collect_witnesses(requests, a: np.ndarray, b: np.ndarray, grouping) -> None:
     """One fused numpy pass serving many runs' witness collection.
 
-    ``requests`` holds ``(run, active, needs, low_keys, high_keys)``
-    tuples (see :meth:`DegResSampling._witness_requests`); ``composite``
-    is the chunk's ascending group-major/position-minor key
-    ``a[order] * n_items + order`` and ``order`` the stable argsort of
-    ``a``.  The rank of ``low_keys[i]`` in ``composite`` is the absolute
-    index of the vertex's first in-window occurrence and the rank of
-    ``high_keys[i]`` is where its group ends, so two bulk searchsorteds
-    cover window clipping, occurrence counting and absence
-    (``low == high``) for every run at once.  Results are dispatched
-    back per run in request order — bit-identical to each run running
-    the pass alone, since the searches are independent and each run's
-    slice of the gather lists its own in-window occurrences ascending.
+    ``requests`` holds ``(run, slots, vertices, windows, needs)`` tuples
+    (see :meth:`DegResSampling._requests`); ``grouping`` is the chunk's
+    stable ``(order, starts, ends)`` grouping of ``a``.  One search of
+    the groups' vertices finds each slot's occurrences, and one of the
+    key ``a[order] * len(a) + order`` the crossing of each slot admitted
+    inside the chunk.  Each run appends its slice of the one gather.
     """
-    all_lows: List[int] = []
-    all_highs: List[int] = []
-    all_needs: List[int] = []
-    for _, active, needs, low_keys, high_keys in requests:
-        all_lows += low_keys
-        all_highs += high_keys
-        all_needs += needs
-    n_active = len(all_needs)
-    packed = np.array(all_lows + all_highs + all_needs, dtype=np.int64)
-    bounds = np.searchsorted(composite, packed[: 2 * n_active])
-    lows = bounds[:n_active]
-    counts = np.minimum(bounds[n_active:] - lows, packed[2 * n_active :])
-    total = int(counts.sum())
-    if total == 0:
+    order, starts, ends = grouping
+    vertices, windows, needs = (
+        np.concatenate([request[k] for request in requests]) for k in (2, 3, 4)
+    )
+    keys = a[order[starts]]
+    group = np.minimum(np.searchsorted(keys, vertices), len(keys) - 1)
+    lows = starts[group]
+    highs = np.where(keys[group] == vertices, ends[group], lows)
+    late = np.flatnonzero(windows)
+    if len(late):
+        composite = a[order] * len(a) + order
+        lows[late] = np.searchsorted(composite, vertices[late] * len(a) + windows[late])
+    counts = np.minimum(highs - lows, needs)
+    bounds = np.cumsum(counts)
+    if not bounds[-1]:
         return
-    # Ragged gather: flat indices of each vertex's first ``counts[i]``
+    # Ragged gather: flat indices of each slot's first ``counts[i]``
     # in-window occurrences, concatenated in request order.
-    resets = np.cumsum(counts) - counts
-    offsets = np.repeat(lows - resets, counts) + np.arange(total, dtype=np.int64)
-    collected = b[order[offsets]].tolist()
-    counts_list = counts.tolist()
-    cursor = 0
-    position = 0
-    for run, active, _, _, _ in requests:
-        segment = counts_list[position : position + len(active)]
-        cursor = run._store_witnesses(active, segment, collected, cursor)
-        position += len(active)
+    offsets = np.repeat(lows - bounds + counts, counts) + np.arange(int(bounds[-1]))
+    collected = b[order[offsets]]
+    cuts = [0] + bounds.tolist()
+    first = 0
+    for run, slots, _, _, _ in requests:
+        last = first + len(slots)
+        if cuts[last] > cuts[first]:
+            run._store(slots, counts[first:last], collected[cuts[first] : cuts[last]])
+        first = last
+
+
+class RunState(NamedTuple):
+    """A run's full state as plain Python values (equality-comparable)."""
+
+    candidates_seen: int
+    #: occupant vertex per slot, and its admission ordinal
+    slots: List[int]
+    ordinals: List[int]
+    #: occupant -> its stored witnesses in arrival order, in slot order
+    reservoir: Dict[int, List[int]]
+    seed: int
+    #: the Generator's bit-generator state, once the run has drawn
+    generator: Optional[dict]
+
+
+def _zeros(size: int = 0) -> np.ndarray:
+    return np.zeros(size, dtype=np.int64)
+
+
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each ``(x[i], y[i])`` as one 16-byte key, for set membership."""
+    stacked = np.ascontiguousarray(np.stack([x, y], axis=1), dtype=np.int64)
+    return stacked.view(np.dtype((np.void, 16))).ravel()
 
 
 class DegResSampling:
@@ -106,199 +129,174 @@ class DegResSampling:
         seed: the run's 64-bit seed word for its reservoir coin flips.
     """
 
+    #: The slot and store columns, copied by :meth:`clone`.
+    COLUMNS = ("_vertex", "_fill", "_ordinal", "_start", "_row_slot", "_row_witness")
+
     def __init__(self, d1: int, d2: int, s: int, seed: int) -> None:
-        if d1 < 1:
-            raise ValueError(f"d1 must be >= 1, got {d1}")
-        if d2 < 1:
-            raise ValueError(f"d2 must be >= 1, got {d2}")
-        if s < 1:
-            raise ValueError(f"reservoir size s must be >= 1, got {s}")
-        self.d1 = d1
-        self.d2 = d2
-        self.s = s
-        self._rng = random.Random(seed)
-        #: reservoir contents: vertex -> collected witnesses, in arrival order
-        self._reservoir: Dict[int, List[int]] = {}
-        #: resident vertices in arbitrary order, for O(1) random eviction
-        #: (mirrors the reservoir keys; not charged separately)
-        self._resident: List[int] = []
+        for name, value in (("d1", d1), ("d2", d2), ("reservoir size s", s)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        self.d1, self.d2, self.s, self.seed = d1, d2, s, seed
+        self._generator: Optional[np.random.Generator] = None
         #: count of vertices whose degree has reached d1 so far (paper's x)
-        self._candidates_seen = 0
+        self._seen = 0
+        #: slot columns: occupant, stored witnesses, admission ordinal,
+        #: and the first store row that may be the occupant's
+        self._vertex, self._fill, self._ordinal, self._start = (_zeros() for _ in range(4))
+        #: the witness store: ``_rows`` rows of (owning slot, witness) in
+        #: arrival order, in columns with spare capacity
+        self._rows = 0
+        self._row_slot, self._row_witness = _zeros(), _zeros()
 
     # ------------------------------------------------------------------
     # The run's share of the chunk step (see SharedDegreeRuns).
     # ------------------------------------------------------------------
 
-    def _replay_crossings(
-        self, a: np.ndarray, b: np.ndarray, crossings: np.ndarray
-    ) -> Dict[int, int]:
-        """Replay reservoir maintenance for a chunk; return residency windows.
+    def _admit(self, vertices: np.ndarray, positions: np.ndarray):
+        """Reservoir maintenance for a chunk's candidates (distinct, in
+        stream order); returns the slots they hold at the chunk's end
+        and the chunk positions their occupants crossed at."""
+        count = len(vertices)
+        ordinals = self._seen + 1 + np.arange(count, dtype=np.int64)
+        self._seen += count
+        occupied = len(self._vertex)
+        free = min(count, max(0, self.s - occupied))
+        targets = np.arange(occupied, occupied + free, dtype=np.int64)
+        writers = np.arange(free, dtype=np.int64)
+        if free < count:
+            if self._generator is None:
+                self._generator = np.random.default_rng(self.seed)
+            draws = self._generator.integers(0, ordinals[free:])
+            admitted = np.flatnonzero(draws < self.s)
+            targets = np.concatenate([targets, draws[admitted]])
+            writers = np.concatenate([writers, admitted + free])
+        if free:
+            self._vertex, self._fill, self._ordinal, self._start = (
+                np.concatenate([column, _zeros(free)])
+                for column in (self._vertex, self._fill, self._ordinal, self._start)
+            )
+        # A slot written twice in one chunk holds its last writer (the
+        # first hit of a stable unique over the reversed writes).
+        slots, last = np.unique(targets[::-1], return_index=True)
+        winners = writers[len(writers) - 1 - last]
+        self._vertex[slots] = vertices[winners]
+        self._fill[slots] = 0
+        self._ordinal[slots] = ordinals[winners]
+        self._start[slots] = self._rows
+        return slots, positions[winners]
 
-        ``windows[v]`` is the first chunk position from which resident
-        vertex ``v`` may collect witnesses (0 for vertices resident
-        before the chunk; admission position + 1 for vertices admitted
-        inside it — the crossing item itself is stored at admission).
-        """
-        windows: Dict[int, int] = dict.fromkeys(self._resident, 0)
+    def _requests(self, a: np.ndarray, crossings: np.ndarray):
+        """Admit the chunk's crossings; return the collection request
+        ``(slots, vertices, windows, needs)`` of every slot short of
+        ``d2`` witnesses, or ``None``.  ``windows[i]`` is the first chunk
+        position ``slots[i]`` collects from: 0 for an earlier occupant,
+        else its crossing (whose witness it stores first)."""
         if len(crossings):
-            # Reservoir maintenance per crossing, in stream order: the
-            # RNG draws depend only on the candidate ordinal, so the
-            # trajectory — and with it the reservoir state — is the same
-            # at every chunk size.  Hoisting the numpy indexing (one
-            # gather + tolist instead of per-crossing scalar indexing)
-            # and the attribute/method lookups keeps the rare-but-hot
-            # crossing loop cheap; Star Detection replays this loop for
-            # every rung of its guess ladder.
-            reservoir, resident = self._reservoir, self._resident
-            seen = self._candidates_seen
-            s = self.s
-            positions = crossings.tolist()
-            cross_vertices = a[crossings].tolist()
-            cross_witnesses = b[crossings].tolist()
-            # Phase 1 — free admissions.  A vertex crosses ``d1`` at
-            # most once ever (degrees are monotone), so the crossing
-            # vertices are distinct and the first ``s - len(reservoir)``
-            # of them admit unconditionally, consuming no randomness.
-            take = 0
-            room = s - len(reservoir)
-            if room > 0:
-                take = min(room, len(positions))
-                for position, vertex, witness in zip(
-                    positions[:take],
-                    cross_vertices[:take],
-                    cross_witnesses[:take],
-                ):
-                    reservoir[vertex] = [witness]
-                    resident.append(vertex)
-                    windows[vertex] = position + 1
-                seen += take
-            # Phase 2 — the reservoir is (and stays) full: one
-            # ``random()`` per candidate, plus — on admission — the
-            # exact ``getrandbits`` draws ``randrange(s)`` would make
-            # (``_randbelow_with_getrandbits``, inlined: the reservoir
-            # and resident list both hold exactly ``s`` entries here).
-            if take < len(positions):
-                rng_random = self._rng.random
-                rng_getrandbits = self._rng.getrandbits
-                slot_bits = s.bit_length()
-                for position, vertex, witness in zip(
-                    positions[take:],
-                    cross_vertices[take:],
-                    cross_witnesses[take:],
-                ):
-                    seen += 1
-                    if rng_random() < s / seen:
-                        while True:
-                            slot = rng_getrandbits(slot_bits)
-                            if slot < s:
-                                break
-                        evicted = resident[slot]
-                        last = resident.pop()
-                        if slot < len(resident):
-                            resident[slot] = last
-                        del reservoir[evicted]
-                        windows.pop(evicted, None)
-                        # Admitted: the crossing item itself is the
-                        # vertex's first chance to collect (d2 >= 1,
-                        # fresh list => always appends).
-                        reservoir[vertex] = [witness]
-                        resident.append(vertex)
-                        windows[vertex] = position + 1
-            self._candidates_seen = seen
-        return windows
+            admitted, positions = self._admit(a[crossings], crossings)
+        open_slots = np.flatnonzero(self._fill < self.d2)
+        if not len(open_slots):
+            return None
+        windows = _zeros(len(open_slots))
+        if len(crossings):
+            # A fresh occupant stores nothing yet, so its slot is open.
+            windows[np.searchsorted(open_slots, admitted)] = positions
+        return open_slots, self._vertex[open_slots], windows, self.d2 - self._fill[open_slots]
 
-    def _witness_requests(self, windows: Dict[int, int], n_items: int):
-        """Collection requests for one chunk as flat Python lists.
+    def _store(self, slots: np.ndarray, counts: np.ndarray, witnesses: np.ndarray) -> None:
+        """Append a chunk's gathered witnesses, ``counts[i]`` of them
+        for ``slots[i]`` in order, as one block of store rows."""
+        self._fill[slots] += counts
+        rows = self._rows + len(witnesses)
+        if rows > len(self._row_witness):
+            spare = _zeros(max(rows, 2 * len(self._row_witness)) - self._rows)
+            self._row_slot, self._row_witness = (
+                np.concatenate([column[: self._rows], spare])
+                for column in (self._row_slot, self._row_witness)
+            )
+        self._row_slot[self._rows : rows] = np.repeat(slots, counts)
+        self._row_witness[self._rows : rows] = witnesses
+        self._rows = rows
+        if 2 * int(self._fill.sum()) < rows:
+            self._compact()
 
-        Returns ``(active, needs, low_keys, high_keys)``: the resident
-        vertices still short of ``d2`` witnesses, how many each may take,
-        and their composite-key search targets (see
-        :func:`collect_witnesses`).  Building the integer keys here keeps
-        the numpy side to two bulk calls regardless of how many runs
-        share the pass.
-        """
-        reservoir, d2 = self._reservoir, self.d2
-        active: List[int] = []
-        needs: List[int] = []
-        low_keys: List[int] = []
-        high_keys: List[int] = []
-        for vertex, window_start in windows.items():
-            remaining = d2 - len(reservoir[vertex])
-            if remaining > 0:
-                active.append(vertex)
-                needs.append(remaining)
-                low_keys.append(vertex * n_items + window_start)
-                high_keys.append((vertex + 1) * n_items)
-        return active, needs, low_keys, high_keys
+    def _live(self):
+        """The live rows' ``(slot, witness)`` columns, in arrival order."""
+        slot = self._row_slot[: self._rows]
+        live = np.arange(self._rows) >= self._start[slot]
+        return slot[live], self._row_witness[: self._rows][live]
 
-    def _store_witnesses(self, active, counts, collected, cursor: int) -> int:
-        """Append each active vertex's slice of the shared gather."""
-        reservoir = self._reservoir
-        for vertex, count in zip(active, counts):
-            if count:
-                reservoir[vertex].extend(collected[cursor : cursor + count])
-                cursor += count
-        return cursor
+    def _compact(self) -> None:
+        """Drop the witness store's dead rows and spare capacity."""
+        if self._start.any():
+            self._row_slot, self._row_witness = self._live()
+            self._start[:] = 0
+        else:
+            self._row_slot = self._row_slot[: self._rows]
+            self._row_witness = self._row_witness[: self._rows]
+        self._rows = len(self._row_witness)
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
     # ------------------------------------------------------------------
 
-    def clone(self) -> "DegResSampling":
-        """An independent duplicate of the run's full state.
+    def __getstate__(self):
+        """The state, with the witness store compacted first."""
+        self._compact()
+        return self.__dict__
 
-        Equivalent to ``copy.deepcopy`` — the RNG state is carried over,
-        so clone and original draw identical trajectories — but built
-        with direct container copies instead of the generic graph walk.
-        Window policies clone bucket summaries on every suffix fold and
-        mid-stream probe, so this is query-hot.
-        """
+    def clone(self) -> "DegResSampling":
+        """An independent duplicate: array copies (the store compacted)
+        and the Generator state, so both draw identical trajectories.
+        Window policies clone on every suffix fold and probe."""
         dup = object.__new__(DegResSampling)
-        dup.d1, dup.d2, dup.s = self.d1, self.d2, self.s
-        rng = random.Random.__new__(random.Random)
-        rng.setstate(self._rng.getstate())
-        dup._rng = rng
-        dup._reservoir = {
-            vertex: list(witnesses)
-            for vertex, witnesses in self._reservoir.items()
-        }
-        dup._resident = list(self._resident)
-        dup._candidates_seen = self._candidates_seen
+        dup.__dict__.update(self.__getstate__())
+        for name in self.COLUMNS:
+            setattr(dup, name, getattr(self, name).copy())
+        if self._generator is not None:
+            # Cheaper than a deepcopy: a fresh PCG64 handed the state.
+            dup._generator = np.random.Generator(np.random.PCG64(0))
+            dup._generator.bit_generator.state = self._generator.bit_generator.state
         return dup
 
     def merge(self, other: "DegResSampling") -> "DegResSampling":
         """Combine two same-parameter runs over vertex-disjoint sub-streams.
 
-        Candidate counts add; the merged reservoir is the union of both
-        reservoirs.  Under vertex routing the keys are disjoint — each
-        vertex crossed ``d1`` in exactly one shard.  Window buckets split
-        the stream by time instead, so a hot vertex sits in both
-        operands: its witness lists are deduplicated at merge time and
-        clipped to ``d2`` (a list already holding ``d2`` witnesses is
-        left as it is, which is what extend-then-clip would give).  The
-        union holds up to ``n_shards * s`` vertices — the classical
-        mergeable-summaries space tradeoff — and each shard's sample is a
-        faithful Algorithm 1 run over its sub-stream, so Lemma 3.1's
-        success bound applies per shard.
-
-        ``other`` is left unchanged and shares no list with the result:
-        witness lists that move over are copied.
+        Candidate counts add; the slots are this run's, then ``other``'s
+        (disjoint under vertex routing; up to ``n_shards * s`` of them,
+        the mergeable-summaries tradeoff, and Lemma 3.1 holds per shard).
+        Window buckets split by time, so a hot vertex sits in both: it
+        keeps this run's slot, and unless that holds ``d2`` witnesses,
+        ``other``'s witnesses it lacks are appended in order, clipped to
+        ``d2``.  ``other`` is left unchanged.
         """
-        self._candidates_seen += other._candidates_seen
-        reservoir = self._reservoir
-        resident = self._resident
-        d2 = self.d2
-        for vertex, witnesses in other._reservoir.items():
-            stored = reservoir.get(vertex)
-            if stored is None:
-                reservoir[vertex] = witnesses[:]
-                resident.append(vertex)
-            elif len(stored) < d2:
-                seen = set(stored)
-                stored.extend(
-                    witness for witness in witnesses if witness not in seen
-                )
-                del stored[d2:]
+        self._compact()
+        theirs_slot, theirs_witness = other._live()
+        # Where each of other's slots lands: its vertex's slot here, or
+        # a fresh slot appended after this run's.
+        lookup = np.argsort(self._vertex, kind="stable")
+        at = np.searchsorted(self._vertex[lookup], other._vertex)
+        shared = at < len(lookup)
+        shared[shared] = self._vertex[lookup[at[shared]]] == other._vertex[shared]
+        target = len(self._vertex) + np.cumsum(~shared) - 1
+        target[shared] = lookup[at[shared]]
+        rows = target[theirs_slot]
+        keep = ~shared[theirs_slot]
+        joining = np.flatnonzero(~keep)
+        joining = joining[self._fill[rows[joining]] < self.d2]
+        if len(joining):
+            stored = _pairs(self._row_slot, self._row_witness)
+            joining = joining[~np.isin(_pairs(rows[joining], theirs_witness[joining]), stored)]
+            room = self.d2 - self._fill[rows[joining]]
+            joining = joining[occurrence_ordinals(rows[joining]) < room]
+            keep[joining] = True
+            np.add.at(self._fill, rows[joining], 1)
+        for name in ("_vertex", "_fill", "_ordinal"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)[~shared]]))
+        self._start = _zeros(len(self._vertex))
+        self._row_slot = np.concatenate([self._row_slot, rows[keep]])
+        self._row_witness = np.concatenate([self._row_witness, theirs_witness[keep]])
+        self._rows = len(self._row_witness)
+        self._seen += other._seen
         return self
 
     # ------------------------------------------------------------------
@@ -308,34 +306,69 @@ class DegResSampling:
     @property
     def successful(self) -> bool:
         """True when some stored neighbourhood reached size ``d2``."""
-        return any(len(witnesses) >= self.d2 for witnesses in self._reservoir.values())
+        return bool((self._fill >= self.d2).any())
+
+    def _ranked(self, min_size: int) -> np.ndarray:
+        """The slots holding at least ``min_size`` witnesses, earliest
+        admission first (the vertex breaks ties), whatever the chunking."""
+        chosen = np.flatnonzero(self._fill >= min_size)
+        return chosen[np.lexsort((self._vertex[chosen], self._ordinal[chosen]))]
+
+    def _answers(self, chosen: np.ndarray) -> List[Neighbourhood]:
+        """A neighbourhood per slot of ``chosen``, each built from an
+        ``int64`` slice of the store."""
+        slot, witness = self._live()
+        mine = np.isin(slot, chosen)
+        # The chosen slots' rows, grouped by slot in ascending order.
+        witness = witness[mine][np.argsort(slot[mine], kind="stable")]
+        ascending = np.sort(chosen)
+        offsets = _zeros(len(self._vertex))
+        offsets[ascending] = np.cumsum(self._fill[ascending]) - self._fill[ascending]
+        vertices, offsets, fills = (column[chosen].tolist() for column in (self._vertex, offsets, self._fill))
+        return [Neighbourhood(v, witness[o : o + f]) for v, o, f in zip(vertices, offsets, fills)]
 
     def candidates(self, min_size: int = 1) -> List[Neighbourhood]:
         """The stored neighbourhoods holding at least ``min_size``
-        witnesses; only those are built."""
-        return [
-            Neighbourhood.of(vertex, witnesses)
-            for vertex, witnesses in self._reservoir.items()
-            if len(witnesses) >= min_size
-        ]
+        witnesses, earliest admission first; only those are built."""
+        return self._answers(self._ranked(min_size))
 
     def neighbourhood(self) -> Optional[Neighbourhood]:
-        """An arbitrary stored neighbourhood of size ``d2`` (line 15),
-        or ``None`` when none reached it."""
-        for vertex, witnesses in self._reservoir.items():
-            if len(witnesses) >= self.d2:
-                return Neighbourhood.of(vertex, witnesses)
-        return None
+        """The stored neighbourhood of size ``d2`` admitted first (line
+        15 returns any), or ``None`` when none reached it."""
+        full = self._ranked(self.d2)
+        return self._answers(full[:1])[0] if len(full) else None
+
+    def state(self) -> RunState:
+        """The run's full state as plain values, for comparisons."""
+        slot, witness = self._live()
+        grouped = witness[np.argsort(slot, kind="stable")].tolist()
+        ends = np.cumsum(self._fill).tolist()
+        reservoir = {
+            vertex: grouped[end - fill : end]
+            for vertex, end, fill in zip(self._vertex.tolist(), ends, self._fill.tolist())
+        }
+        generator = None if self._generator is None else self._generator.bit_generator.state
+        slots, ordinals = self._vertex.tolist(), self._ordinal.tolist()
+        return RunState(self._seen, slots, ordinals, reservoir, self.seed, generator)
 
     def space_breakdown(self) -> SpaceBreakdown:
         """Itemised reservoir space; the degree table is charged by the
         :class:`SharedDegreeRuns` holding the run."""
         breakdown = SpaceBreakdown()
-        breakdown.add("reservoir ids", vertex_words(len(self._reservoir)))
-        stored = sum(len(witnesses) for witnesses in self._reservoir.values())
-        breakdown.add("collected edges", edge_words(stored))
+        breakdown.add("reservoir ids", vertex_words(len(self._vertex)))
+        breakdown.add("collected edges", edge_words(int(self._fill.sum())))
         breakdown.add("candidate counter", 1)
         return breakdown
+
+
+def spawn_seeds(shards: List[List[DegResSampling]], entropy: int) -> None:
+    """Give every shard's runs seed words of their own, spawned from
+    ``entropy`` with :class:`numpy.random.SeedSequence` (one child per
+    shard), so shards draw independent coins reproducibly."""
+    children = np.random.SeedSequence(entropy).spawn(len(shards))
+    for runs, child in zip(shards, children):
+        for run, word in zip(runs, child.generate_state(len(runs), dtype=np.uint64).tolist()):
+            run.seed = int(word)
 
 
 def first_success(runs: List[DegResSampling]) -> Optional[Neighbourhood]:
@@ -363,9 +396,8 @@ class SharedDegreeRuns(BatchIngest):
         runs: the :class:`DegResSampling` runs to drive, in answer order.
     """
 
-    #: Degree counts and residency-window witness collection are exact
-    #: only when each vertex's updates stay in one shard (see
-    #: repro.engine.protocol).
+    #: Degree counts and witness collection are exact only when each
+    #: vertex's updates stay in one shard (see repro.engine.protocol).
     shard_routing = "vertex"
 
     #: Names the structure in merge and failure messages.
@@ -388,72 +420,50 @@ class SharedDegreeRuns(BatchIngest):
 
     def _parameters(self) -> str:
         """What two mergeable instances must agree on, as text."""
-        runs = ", ".join(
-            f"(d1={run.d1}, d2={run.d2}, s={run.s})" for run in self.runs
-        )
+        runs = ", ".join(f"(d1={run.d1}, d2={run.d2}, s={run.s})" for run in self.runs)
         return f"n={self.n}, runs {runs}"
 
     # ------------------------------------------------------------------
     # Stream processing.
     # ------------------------------------------------------------------
 
-    def check_batch(
-        self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
-    ) -> None:
+    def check_batch(self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None) -> None:
         """Reject deletions and out-of-range vertices."""
         super().check_batch(a, b, sign)
         self._degrees.check_range(a)
 
-    def process_batch(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        sign: Optional[np.ndarray] = None,
-    ) -> None:
+    def process_batch(self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None) -> None:
         """Algorithm 1's loop body (lines 4-14) for a chunk of insertions.
 
-        ``sign``, when given, must be all-insert.  The reservoirs only
-        change at the rare positions where a vertex crosses a run's
-        ``d1``.  Each run replays its crossings in stream order (one RNG
-        trajectory at any chunk size) while recording each vertex's
-        *residency window* — admission position to eviction.  Witness
-        collection then runs once per end-resident vertex of every run:
-        its chunk occurrences are clipped to its window and the first
-        ``d2 - len(stored)`` are appended.  Appends to vertices evicted
-        later in the chunk are skipped — eviction discards those lists
-        anyway — so the final state is bit-identical at every chunk size.
+        ``sign``, when given, must be all-insert.  Each run admits its
+        ``d1`` crossings with one vector draw, keeping per slot only its
+        last writer; then every end-of-chunk occupant still short of
+        ``d2`` appends the first ``d2 - fill`` of its chunk occurrences
+        from its crossing on (all of them for an earlier occupant).  An
+        occupant evicted later in the chunk collects nothing — eviction
+        would discard it — so the state is bit-identical at every chunk
+        size.
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
         self.check_batch(a, b, sign)
-        n_items = len(a)
-        if n_items == 0:
+        if len(a) == 0:
             return
         grouping = group_slices(a)
         degree_after = self._degrees.increment_batch(a, grouping)
-        # A position crosses threshold t iff degree_after == t, and the
-        # table marks exactly the runs' thresholds.  Slicing the (rare)
-        # hits per threshold keeps them ascending, so each run sees
-        # exactly np.flatnonzero(degree_after == d1).
+        # Position i crosses threshold t iff degree_after[i] == t; the
+        # (rare) hits, sliced per threshold, stay ascending.
         lut = self._threshold_lut
         hits = np.flatnonzero(lut[np.minimum(degree_after, len(lut) - 1)])
         hit_degrees = degree_after[hits]
-        crossings = {
-            threshold: hits[hit_degrees == threshold]
-            for threshold in self._thresholds
-        }
+        crossings = {t: hits[hit_degrees == t] for t in self._thresholds}
         requests = []
         for run in self.runs:
-            windows = run._replay_crossings(a, b, crossings[run.d1])
-            if not windows:
-                continue
-            request = run._witness_requests(windows, n_items)
-            if request[0]:
+            request = run._requests(a, crossings[run.d1])
+            if request is not None:
                 requests.append((run,) + request)
         if requests:
-            order = grouping[0]
-            composite = a[order] * np.int64(n_items) + order
-            collect_witnesses(requests, composite, order, b)
+            collect_witnesses(requests, a, b, grouping)
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
@@ -469,18 +479,11 @@ class SharedDegreeRuns(BatchIngest):
         return dup
 
     def merge(self, other: "SharedDegreeRuns") -> "SharedDegreeRuns":
-        """Combine two states over vertex-disjoint sub-streams.
-
-        The degree tables add (exact under vertex routing) and each run
-        merges with its counterpart (reservoir union, witnesses
-        deduplicated and clipped at merge time).  Every shard is a
-        faithful execution over its sub-stream, so each run's success
-        bound holds for the shard owning the heavy vertex.
-        """
+        """Combine two states over vertex-disjoint sub-streams: the
+        degree tables add (exact under vertex routing) and each run
+        merges with its counterpart (:meth:`DegResSampling.merge`)."""
         if type(other) is not type(self):
-            raise ValueError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
+            raise ValueError(f"cannot merge {type(self).__name__} with {type(other).__name__}")
         mine, theirs = self._parameters(), other._parameters()
         if mine != theirs:
             raise ValueError(f"cannot merge {self.NAME} ({mine}) with ({theirs})")
@@ -518,9 +521,7 @@ class SharedDegreeRuns(BatchIngest):
         """
         found = first_success(self.runs)
         if found is None:
-            raise AlgorithmFailed(
-                f"all {len(self.runs)} parallel runs failed ({self._parameters()})"
-            )
+            raise AlgorithmFailed(f"all {len(self.runs)} parallel runs failed ({self._parameters()})")
         return found
 
     def finalize(self) -> Optional[Neighbourhood]:
@@ -531,10 +532,6 @@ class SharedDegreeRuns(BatchIngest):
     def current_degree(self, a: int) -> int:
         """Degree of A-vertex ``a`` seen so far."""
         return self._degrees.degree(a)
-
-    # ------------------------------------------------------------------
-    # Space accounting.
-    # ------------------------------------------------------------------
 
     def space_breakdown(self) -> SpaceBreakdown:
         """The degree table charged once, plus every run's reservoir."""

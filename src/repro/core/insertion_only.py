@@ -29,9 +29,7 @@ import math
 import random
 from typing import List
 
-import numpy as np
-
-from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns
+from repro.core.deg_res_sampling import DegResSampling, SharedDegreeRuns, spawn_seeds
 
 
 def reservoir_size(n: int, alpha: int) -> int:
@@ -128,9 +126,5 @@ class InsertionOnlyFEwW(SharedDegreeRuns):
         bit-identical to single-core execution.
         """
         shards = super().split(n_shards)
-        children = np.random.SeedSequence(self._seed_entropy).spawn(n_shards)
-        for shard, child in zip(shards, children):
-            words = child.generate_state(self.alpha, dtype=np.uint64)
-            for run, word in zip(shard.runs, words.tolist()):
-                run._rng = random.Random(int(word))
+        spawn_seeds([shard.runs for shard in shards], self._seed_entropy)
         return shards

@@ -38,7 +38,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.deg_res_sampling import SharedDegreeRuns, first_success
+from repro.core.deg_res_sampling import SharedDegreeRuns, first_success, spawn_seeds
 from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import algorithm2_runs
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
@@ -189,6 +189,8 @@ class StarDetection(BatchIngest):
         self._shared: Optional[SharedDegreeRuns] = (
             SharedDegreeRuns(n_vertices, runs) if model == "insertion-only" else None
         )
+        #: Entropy for the insertion-only shards' seed words (split()).
+        self._seed_entropy = root.getrandbits(64)
         self._updates_seen = 0
 
     # ------------------------------------------------------------------
@@ -318,12 +320,21 @@ class StarDetection(BatchIngest):
         return dup
 
     def split(self, n_shards: int) -> List["StarDetection"]:
-        """``n_shards`` empty same-seed shard wrappers (sharded runs)."""
+        """``n_shards`` empty shard wrappers (sharded runs).
+
+        Insertion-only, every shard's runs get seed words of their own,
+        spawned from the master seed as Algorithm 2's ``split`` does, so
+        shards draw independent coins.  Insertion-deletion rungs keep
+        their seeds: Algorithm 3 merges only same-seed sketches.
+        """
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if self._updates_seen:
             raise RuntimeError("split() must be called before processing")
-        return [copy.deepcopy(self) for _ in range(n_shards)]
+        shards = [copy.deepcopy(self) for _ in range(n_shards)]
+        if self._shared is not None:
+            spawn_seeds([shard._shared.runs for shard in shards], self._seed_entropy)
+        return shards
 
     # ------------------------------------------------------------------
     # Output.

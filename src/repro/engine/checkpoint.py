@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 #: Bumped whenever the manifest/payload layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: Algorithm 1 runs pickle as slot and witness columns.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Default number of source chunks between snapshots.
 DEFAULT_CHECKPOINT_EVERY = 64

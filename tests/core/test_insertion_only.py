@@ -186,13 +186,18 @@ class TestSpace:
         assert words[0] > words[1] > words[2]
 
 
+def coins(run, count):
+    """The first ``count`` uniforms of the run's seeded coin stream."""
+    return np.random.default_rng(run.state().seed).random(count)
+
+
 class TestShardSeedDerivation:
     """split() derives independent per-shard RNG streams (SeedSequence
     spawn) instead of replicating the parent's coins."""
 
     @staticmethod
     def draws(algorithm, run_index=0, count=2000):
-        return [algorithm.runs[run_index]._rng.random() for _ in range(count)]
+        return coins(algorithm.runs[run_index], count).tolist()
 
     def test_shard_streams_pairwise_uncorrelated(self):
         import numpy as np
@@ -214,7 +219,7 @@ class TestShardSeedDerivation:
 
         shard = InsertionOnlyFEwW(64, 8, 3, seed=11).split(2)[0]
         streams = [
-            np.array([run._rng.random() for _ in range(500)])
+            coins(run, 500)
             for run in shard.runs
         ]
         for i in range(len(streams)):

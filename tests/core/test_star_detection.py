@@ -149,3 +149,38 @@ class TestInsertionDeletionModel:
             16, alpha=2, eps=1.0, model="insertion-deletion", seed=0, scale=0.1
         )
         assert detector.space_words() > 0
+
+
+class TestShardSeedDerivation:
+    """Insertion-only split() gives every shard's runs their own seed
+    words (SeedSequence spawn), as Algorithm 2's split() does."""
+
+    @staticmethod
+    def seeds(detector):
+        return [run.state().seed for run in detector._shared.runs]
+
+    def test_shards_draw_independent_coins(self):
+        parent = StarDetection(64, 2, eps=1.0, seed=11)
+        shards = parent.split(3)
+        seeds = [self.seeds(shard) for shard in shards]
+        flat = [seed for shard in seeds for seed in shard]
+        assert len(set(flat)) == len(flat)
+        assert not set(flat) & set(self.seeds(parent))
+
+    def test_derivation_is_deterministic(self):
+        first = StarDetection(64, 2, eps=1.0, seed=11).split(2)
+        second = StarDetection(64, 2, eps=1.0, seed=11).split(2)
+        assert [self.seeds(s) for s in first] == [self.seeds(s) for s in second]
+
+    def test_different_master_seeds_derive_different_shards(self):
+        one = StarDetection(64, 2, eps=1.0, seed=1).split(2)[0]
+        other = StarDetection(64, 2, eps=1.0, seed=2).split(2)[0]
+        assert self.seeds(one) != self.seeds(other)
+
+    def test_turnstile_shards_keep_the_rung_seeds(self):
+        # Algorithm 3 merges only same-seed sketches.
+        parent = StarDetection(16, 2, eps=1.0, model="insertion-deletion", seed=4, scale=0.1)
+        shards = parent.split(2)
+        for (_, mine), (_, theirs) in zip(shards[0]._rungs, shards[1]._rungs):
+            assert np.array_equal(mine._vertex_ids, theirs._vertex_ids)
+        shards[0].merge(shards[1])

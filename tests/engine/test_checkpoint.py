@@ -119,11 +119,16 @@ class TestDamageRejection:
         with pytest.raises(CheckpointError, match="unreadable"):
             store.load("run")
 
-    def test_future_format_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version", (1, CHECKPOINT_FORMAT_VERSION + 1), ids=("dict-reservoirs", "future")
+    )
+    def test_other_format_version_rejected(self, tmp_path, version):
+        # Version 1 pickled Algorithm 1 runs as dicts of witness lists;
+        # resuming one must fail up front, not mid-resume.
         store = self._saved(tmp_path)
         manifest = tmp_path / "run.manifest.json"
         data = json.loads(manifest.read_text())
-        data["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
+        data["format_version"] = version
         manifest.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="format version"):
             store.load("run")

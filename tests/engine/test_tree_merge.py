@@ -193,8 +193,8 @@ class TestProcessPoolTree:
         for left, right in zip(
             in_process["alg2"].runs, process["alg2"].runs
         ):
-            assert left._candidates_seen == right._candidates_seen
-            assert dict(left._reservoir) == dict(right._reservoir)
+            assert left.state().candidates_seen == right.state().candidates_seen
+            assert left.state().reservoir == right.state().reservoir
 
     def test_worker_error_fails_fast_with_root_cause(self, stream_file, kind):
         runner = ShardedRunner(
@@ -215,8 +215,8 @@ def _assert_same_shards(mine, theirs):
     assert np.array_equal(mine["cs"]._table, theirs["cs"]._table)
     assert mine["full"]._neighbours == theirs["full"]._neighbours
     for left, right in zip(mine["alg2"].runs, theirs["alg2"].runs):
-        assert left._candidates_seen == right._candidates_seen
-        assert dict(left._reservoir) == dict(right._reservoir)
+        assert left.state().candidates_seen == right.state().candidates_seen
+        assert left.state().reservoir == right.state().reservoir
 
 
 @needs_fork

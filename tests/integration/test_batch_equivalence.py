@@ -72,10 +72,11 @@ def assert_residency_oracle(run, a, b):
     for vertex, witness in zip(a.tolist(), b.tolist()):
         occurrences[vertex].append(witness)
     candidates = sum(len(seen) >= run.d1 for seen in occurrences.values())
-    assert run._candidates_seen == candidates
-    assert len(run._reservoir) == min(run.s, candidates)
-    assert sorted(run._resident) == sorted(run._reservoir)
-    for vertex, witnesses in run._reservoir.items():
+    state = run.state()
+    assert state.candidates_seen == candidates
+    assert len(state.reservoir) == min(run.s, candidates)
+    assert sorted(state.slots) == sorted(state.reservoir)
+    for vertex, witnesses in state.reservoir.items():
         start = run.d1 - 1
         assert witnesses == occurrences[vertex][start : start + run.d2]
 
@@ -90,9 +91,7 @@ class TestAlgorithm2:
             for size in (1, chunk)
         )
         for run_item, run_batch in zip(per_item.runs, batched.runs):
-            assert run_item._reservoir == run_batch._reservoir
-            assert run_item._resident == run_batch._resident
-            assert run_item._candidates_seen == run_batch._candidates_seen
+            assert run_item.state() == run_batch.state()
         assert per_item.successful == batched.successful
         assert per_item.successful_runs() == batched.successful_runs()
         assert per_item.space_words() == batched.space_words()
@@ -124,9 +123,7 @@ class TestAlgorithm2:
         for chunk in (29, 30, 31):
             batched = in_chunks_of(chunk)
             (run_batch,) = batched.runs
-            assert run_item._reservoir == run_batch._reservoir
-            assert run_item._resident == run_batch._resident
-            assert run_item._candidates_seen == run_batch._candidates_seen
+            assert run_item.state() == run_batch.state()
             assert per_item.successful == batched.successful
             assert per_item.space_words() == batched.space_words()
 

@@ -47,7 +47,7 @@ class TestStarDetectionEquivalence:
         # reservoir (same vertices, same witness lists, same order).
         assert per_item.guesses == engine.guesses
         for inner_a, inner_b in zip(per_item._shared.runs, engine._shared.runs):
-            assert inner_a._reservoir == inner_b._reservoir
+            assert inner_a.state().reservoir == inner_b.state().reservoir
         result_item = per_item.result()
         result_engine = engine.result()
         assert result_item.vertex == result_engine.vertex

@@ -89,9 +89,7 @@ def _ladder_state(rungs):
                 (
                     guess,
                     run.d1,
-                    run._candidates_seen,
-                    dict(run._reservoir),
-                    list(run._resident),
+                    run.state(),
                 )
             )
     return out

@@ -84,8 +84,9 @@ class TestInsertionOnlySoundness:
         algorithm.process(stream)
         d2 = math.ceil(d / alpha)
         for run in algorithm.runs:
-            assert len(run._reservoir) <= run.s
-            for witnesses in run._reservoir.values():
+            reservoir = run.state().reservoir
+            assert len(reservoir) <= run.s
+            for witnesses in reservoir.values():
                 assert len(witnesses) <= d2
 
     @settings(max_examples=80, deadline=None)

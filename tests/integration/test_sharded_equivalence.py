@@ -141,10 +141,10 @@ def reservoir_state(algorithm):
     sequence (witness order within a vertex is part of the state)."""
     return [
         (
-            run._candidates_seen,
+            run.state().candidates_seen,
             {
                 vertex: tuple(witnesses)
-                for vertex, witnesses in run._reservoir.items()
+                for vertex, witnesses in run.state().reservoir.items()
             },
         )
         for run in algorithm.runs
