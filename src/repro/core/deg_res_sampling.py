@@ -107,12 +107,6 @@ def _zeros(size: int = 0) -> np.ndarray:
     return np.zeros(size, dtype=np.int64)
 
 
-def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each ``(x[i], y[i])`` as one 16-byte key, for set membership."""
-    stacked = np.ascontiguousarray(np.stack([x, y], axis=1), dtype=np.int64)
-    return stacked.view(np.dtype((np.void, 16))).ravel()
-
-
 class DegResSampling:
     """One run of the paper's Algorithm 1: its reservoir state.
 
@@ -224,6 +218,23 @@ class DegResSampling:
         self._row_slot[: self._rows], self._row_witness[: self._rows] = slot, witness
         self._start[:] = 0
 
+    def _holds(self, slots: np.ndarray, witnesses: np.ndarray) -> np.ndarray:
+        """Whether each ``(slots[i], witnesses[i])`` is a row of the
+        (compacted) store, by one sort of ``slot * span + witness`` keys."""
+        receiving = np.zeros(len(self._vertex), dtype=bool)
+        receiving[slots] = True
+        mine = np.flatnonzero(receiving[self._row_slot[: self._rows]])
+        if not len(mine):
+            return np.zeros(len(slots), dtype=bool)
+        witness = np.concatenate([self._row_witness[mine], witnesses])
+        low, span = int(witness.min()), int(witness.max()) - int(witness.min()) + 1
+        if span * len(self._vertex) >= 1 << 62:
+            # Too wide to pack: pack dense witness ranks instead.
+            witness, low, span = np.unique(witness, return_inverse=True)[1], 0, len(witness)
+        keys = np.concatenate([self._row_slot[mine], slots]) * span + (witness - low)
+        stored, probes = np.sort(keys[: len(mine)]), keys[len(mine) :]
+        return stored[np.minimum(np.searchsorted(stored, probes), len(stored) - 1)] == probes
+
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
     # ------------------------------------------------------------------
@@ -287,8 +298,7 @@ class DegResSampling:
         joining = np.flatnonzero(~keep)
         joining = joining[self._fill[rows[joining]] < self.d2]
         if len(joining):
-            stored = _pairs(self._row_slot[: self._rows], self._row_witness[: self._rows])
-            joining = joining[~np.isin(_pairs(rows[joining], theirs_witness[joining]), stored)]
+            joining = joining[~self._holds(rows[joining], theirs_witness[joining])]
             room = self.d2 - self._fill[rows[joining]]
             joining = joining[occurrence_ordinals(rows[joining]) < room]
             keep[joining] = True

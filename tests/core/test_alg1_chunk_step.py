@@ -198,6 +198,14 @@ class TestMergeRule:
         theirs = self.bucket([(0, 3)], d2=2)
         assert mine.merge(theirs).runs[0].state().reservoir == {0: [1, 2]}
 
+    def test_witnesses_too_wide_to_pack(self):
+        # The witness range times the slot count overflows a packed key.
+        low, high = -(2**62), 2**62
+        mine = self.bucket([(0, high), (0, low), (3, 5)])
+        theirs = self.bucket([(0, low), (0, 7), (0, high), (0, -1), (3, high)])
+        merged = mine.merge(theirs).runs[0].state()
+        assert merged.reservoir == {0: [high, low, 7, -1], 3: [5, high]}
+
 
 def test_vector_draws_are_split_invariant():
     """``integers(0, high_array)`` draws the same values however the
