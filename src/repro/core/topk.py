@@ -102,12 +102,14 @@ class TopKFEwW(BatchIngest):
         return self
 
     def split(self, n_shards: int) -> List["TopKFEwW"]:
-        """``n_shards`` empty same-seed shard wrappers (sharded runs)."""
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if self._inner._degrees.max_degree() > 0:
-            raise RuntimeError("split() must be called before processing")
-        return [copy.deepcopy(self) for _ in range(n_shards)]
+        """``n_shards`` empty shard wrappers (sharded runs), whose inner
+        Algorithm 2 shards draw from seed words of their own."""
+        shards = []
+        for inner in self._inner.split(n_shards):
+            shard = copy.copy(self)
+            shard._inner = inner
+            shards.append(shard)
+        return shards
 
     def results(self) -> List[Neighbourhood]:
         """Up to ``k`` distinct-vertex neighbourhoods of size ≥ ceil(d/α),

@@ -102,3 +102,30 @@ class TestResults:
         # retained space can only grow with capacity (here the candidate
         # set is small enough that both hold everything)
         assert large.space_words() >= small.space_words()
+
+
+class TestShardSeedDerivation:
+    """split() hands each shard the inner Algorithm 2 split: seed words
+    of its own per shard, spawned deterministically from the seed."""
+
+    @staticmethod
+    def seeds(shard):
+        return [run.state().seed for run in shard._inner.runs]
+
+    def test_shards_draw_independent_coins(self):
+        parent = TopKFEwW(64, 20, 2, 3, seed=11)
+        shards = parent.split(3)
+        flat = [seed for shard in shards for seed in self.seeds(shard)]
+        assert len(set(flat)) == len(flat)
+        assert not set(flat) & set(self.seeds(parent))
+        assert all(shard.k == 3 and shard._inner is not parent._inner for shard in shards)
+
+    def test_derivation_is_deterministic(self):
+        first = TopKFEwW(64, 20, 2, 3, seed=11).split(2)
+        second = TopKFEwW(64, 20, 2, 3, seed=11).split(2)
+        assert [self.seeds(s) for s in first] == [self.seeds(s) for s in second]
+
+    def test_split_after_processing_is_refused(self):
+        algorithm = TopKFEwW(100, 50, 2, 1, seed=3).process(multi_star_stream([60], seed=2))
+        with pytest.raises(RuntimeError, match="before processing"):
+            algorithm.split(2)
