@@ -221,19 +221,16 @@ class DegResSampling:
     def _holds(self, slots: np.ndarray, witnesses: np.ndarray) -> np.ndarray:
         """Whether each ``(slots[i], witnesses[i])`` is a row of the
         (compacted) store, by one sort of ``slot * span + witness`` keys."""
-        receiving = np.zeros(len(self._vertex), dtype=bool)
-        receiving[slots] = True
-        mine = np.flatnonzero(receiving[self._row_slot[: self._rows]])
-        if not len(mine):
+        if not self._rows:
             return np.zeros(len(slots), dtype=bool)
-        witness = np.concatenate([self._row_witness[mine], witnesses])
+        witness = np.concatenate([self._row_witness[: self._rows], witnesses])
         low, span = int(witness.min()), int(witness.max()) - int(witness.min()) + 1
         if span * len(self._vertex) >= 1 << 62:
             # Too wide to pack: pack dense witness ranks instead.
             witness, low, span = np.unique(witness, return_inverse=True)[1], 0, len(witness)
-        keys = np.concatenate([self._row_slot[mine], slots]) * span + (witness - low)
-        stored, probes = np.sort(keys[: len(mine)]), keys[len(mine) :]
-        return stored[np.minimum(np.searchsorted(stored, probes), len(stored) - 1)] == probes
+        keys = np.concatenate([self._row_slot[: self._rows], slots]) * span + (witness - low)
+        stored, probes = np.sort(keys[: self._rows]), keys[self._rows :]
+        return stored[np.minimum(np.searchsorted(stored, probes), self._rows - 1)] == probes
 
     # ------------------------------------------------------------------
     # Mergeable-summary layer.
@@ -321,11 +318,6 @@ class DegResSampling:
         """True when some stored neighbourhood reached size ``d2``."""
         return bool((self._fill >= self.d2).any())
 
-    def _ranked(self, min_size: int) -> np.ndarray:
-        """Slots of ``min_size`` or more witnesses, earliest admission first."""
-        chosen = np.flatnonzero(self._fill >= min_size)
-        return chosen[np.lexsort((self._vertex[chosen], self._ordinal[chosen]))]
-
     def _answers(self, chosen: np.ndarray) -> List[Neighbourhood]:
         """A neighbourhood per slot of ``chosen``, each built from an
         ``int64`` slice of the store."""
@@ -341,16 +333,18 @@ class DegResSampling:
         vertices, offsets, fills = (column[chosen].tolist() for column in (self._vertex, offsets, self._fill))
         return [Neighbourhood(v, witness[o : o + f]) for v, o, f in zip(vertices, offsets, fills)]
 
-    def candidates(self, min_size: int = 1) -> List[Neighbourhood]:
-        """Neighbourhoods of ``min_size`` or more witnesses, earliest first."""
-        return self._answers(self._ranked(min_size))
+    def candidates(self, min_size: int = 1, limit: Optional[int] = None) -> List[Neighbourhood]:
+        """Up to ``limit`` neighbourhoods of ``min_size`` or more
+        witnesses, earliest admission first (vertex breaks ties)."""
+        chosen = np.flatnonzero(self._fill >= min_size)
+        chosen = chosen[np.lexsort((self._vertex[chosen], self._ordinal[chosen]))]
+        return self._answers(chosen[:limit])
 
     def neighbourhood(self) -> Optional[Neighbourhood]:
         """The stored neighbourhood of size ``d2`` admitted first (line
         15 returns any), or ``None`` when none reached it."""
-        if not self.successful:
-            return None
-        return self._answers(self._ranked(self.d2)[:1])[0]
+        found = self.candidates(self.d2, limit=1)
+        return found[0] if found else None
 
     def state(self) -> RunState:
         """The run's full state as plain values, for comparisons."""
@@ -388,11 +382,7 @@ def spawn_seeds(shards: List[List[DegResSampling]], entropy: int) -> None:
 def first_success(runs: List[DegResSampling]) -> Optional[Neighbourhood]:
     """The first successful run's neighbourhood, in run order, or
     ``None`` (Algorithm 2 returns any successful run's answer)."""
-    for run in runs:
-        found = run.neighbourhood()
-        if found is not None:
-            return found
-    return None
+    return next((run.neighbourhood() for run in runs if run.successful), None)
 
 
 class SharedDegreeRuns(BatchIngest):
