@@ -5,7 +5,8 @@ The static rules reason about source; this auditor imports the real
 every entry, so the static and dynamic views cannot drift.  Per entry:
 
 * build at audit parameters (registry defaults plus
-  :data:`AUDIT_DEFAULTS` for the required ones) —
+  :data:`AUDIT_DEFAULTS` for the required ones; an entry with several
+  :data:`AUDIT_PARAMS` override sets runs every check once per set) —
   ``audit/unbuildable`` / ``audit/build-failed``;
 * feed a tiny batch through ``process_batch`` — ``audit/batch-failed``;
 * pickle round-trip the *loaded* instance and drive the clone through
@@ -72,8 +73,12 @@ AUDIT_DEFAULTS: Dict[str, Any] = {
     "seed": 0,
 }
 
-#: Per-entry overrides when the name-based table is not right.
-AUDIT_PARAMS: Dict[str, Dict[str, Any]] = {}
+#: Per-entry override sets when the name-based table is not right:
+#: the entry is audited once per set.  ``l0-bank`` also runs its exact
+#: class, which has its own ``clone``, pickling and ``merge``.
+AUDIT_PARAMS: Dict[str, Tuple[Dict[str, Any], ...]] = {
+    "l0-bank": ({}, {"mode": "exact"}),
+}
 
 #: The tiny audit batches (well inside every AUDIT_DEFAULTS domain).
 _BATCH_A = np.array([0, 1, 2, 0], dtype=np.int64)
@@ -173,9 +178,10 @@ def _merge_argument_findings(build: Any) -> List[str]:
     return problems
 
 
-def _audit_params(entry: Any) -> Tuple[Optional[Dict[str, Any]], List[str]]:
-    """(params, missing-required-names) for one entry."""
-    overrides = AUDIT_PARAMS.get(entry.name, {})
+def _audit_params(
+    entry: Any, overrides: Dict[str, Any]
+) -> Tuple[Optional[Dict[str, Any]], List[str]]:
+    """(params, missing-required-names) for one entry and override set."""
     params: Dict[str, Any] = {}
     missing: List[str] = []
     for param in entry.params:
@@ -210,158 +216,161 @@ def audit_registry(
         else:
             path, line = "<registry>", 0
 
-        def report(rule: str, problem: str, hint: str) -> None:
-            findings.append(
-                Diagnostic(
-                    rule=rule,
-                    path=path,
-                    line=line,
-                    problem=f"processor {entry.name!r}: {problem}",
-                    hint=hint,
+        for overrides in AUDIT_PARAMS.get(entry.name, ({},)):
+            label = entry.name + "".join(f" {k}={v!r}" for k, v in overrides.items())
+
+            def report(rule: str, problem: str, hint: str) -> None:
+                findings.append(
+                    Diagnostic(
+                        rule=rule,
+                        path=path,
+                        line=line,
+                        problem=f"processor {label!r}: {problem}",
+                        hint=hint,
+                    )
                 )
-            )
 
-        params, missing = _audit_params(entry)
-        if params is None:
-            report(
-                "audit/unbuildable",
-                f"no audit value for required parameter(s) {missing}",
-                "add the parameter name to repro.analysis.audit."
-                "AUDIT_DEFAULTS (or an AUDIT_PARAMS entry) so the "
-                "contract auditor can instantiate the processor",
-            )
-            continue
-        try:
-            processor = entry.build(params)
-        except Exception as error:  # noqa: BLE001 — report, don't crash
-            report(
-                "audit/build-failed",
-                f"factory raised {type(error).__name__}: {error}",
-                "the registry schema and the factory signature disagree",
-            )
-            continue
-        try:
-            processor.process_batch(_BATCH_A, _BATCH_B)
-        except Exception as error:  # noqa: BLE001
-            report(
-                "audit/batch-failed",
-                f"process_batch raised {type(error).__name__}: {error}",
-                "every processor must ingest a plain int64 (a, b) chunk "
-                "with sign=None",
-            )
-            continue
-        try:
-            clone = pickle.loads(pickle.dumps(processor))
-            clone.process_batch(_BATCH_A2, _BATCH_B2)
-            clone.finalize()
-        except Exception as error:  # noqa: BLE001
-            report(
-                "audit/pickle-roundtrip",
-                f"pickle round-trip failed with "
-                f"{type(error).__name__}: {error}",
-                "shard summaries and checkpoints travel by pickle; drop "
-                "the unpicklable state (open handles, lambdas, locks) "
-                "or add __getstate__/__setstate__",
-            )
+            params, missing = _audit_params(entry, overrides)
+            if params is None:
+                report(
+                    "audit/unbuildable",
+                    f"no audit value for required parameter(s) {missing}",
+                    "add the parameter name to repro.analysis.audit."
+                    "AUDIT_DEFAULTS (or an AUDIT_PARAMS entry) so the "
+                    "contract auditor can instantiate the processor",
+                )
+                continue
+            try:
+                processor = entry.build(params)
+            except Exception as error:  # noqa: BLE001 — report, don't crash
+                report(
+                    "audit/build-failed",
+                    f"factory raised {type(error).__name__}: {error}",
+                    "the registry schema and the factory signature disagree",
+                )
+                continue
+            try:
+                processor.process_batch(_BATCH_A, _BATCH_B)
+            except Exception as error:  # noqa: BLE001
+                report(
+                    "audit/batch-failed",
+                    f"process_batch raised {type(error).__name__}: {error}",
+                    "every processor must ingest a plain int64 (a, b) chunk "
+                    "with sign=None",
+                )
+                continue
+            try:
+                clone = pickle.loads(pickle.dumps(processor))
+                clone.process_batch(_BATCH_A2, _BATCH_B2)
+                clone.finalize()
+            except Exception as error:  # noqa: BLE001
+                report(
+                    "audit/pickle-roundtrip",
+                    f"pickle round-trip failed with "
+                    f"{type(error).__name__}: {error}",
+                    "shard summaries and checkpoints travel by pickle; drop "
+                    "the unpicklable state (open handles, lambdas, locks) "
+                    "or add __getstate__/__setstate__",
+                )
 
-        capable = True
-        try:
-            fresh = entry.build(params)
-            ensure_mergeable(fresh)
-        except TypeError:
-            capable = False
-        except Exception as error:  # noqa: BLE001
-            report(
-                "audit/build-failed",
-                f"second build raised {type(error).__name__}: {error}",
-                "factories must be repeatable at fixed parameters",
-            )
-            continue
-        if entry.mergeable != capable:
-            report(
-                "audit/metadata-capability",
-                f"registered mergeable={entry.mergeable} but the instance "
-                f"{'passes' if capable else 'fails'} ensure_mergeable()",
-                "align the registry metadata with the runtime surface",
-            )
-        if capable:
-            routing = shard_routing_of(entry.build(params))
-            if entry.routing is not None and routing != entry.routing:
+            capable = True
+            try:
+                fresh = entry.build(params)
+                ensure_mergeable(fresh)
+            except TypeError:
+                capable = False
+            except Exception as error:  # noqa: BLE001
+                report(
+                    "audit/build-failed",
+                    f"second build raised {type(error).__name__}: {error}",
+                    "factories must be repeatable at fixed parameters",
+                )
+                continue
+            if entry.mergeable != capable:
                 report(
                     "audit/metadata-capability",
-                    f"registered routing={entry.routing!r} but the "
-                    f"instance reports shard_routing={routing!r}",
-                    "the registry routing drives spec validation and "
-                    "shard partitioning; it must match the instance",
+                    f"registered mergeable={entry.mergeable} but the instance "
+                    f"{'passes' if capable else 'fails'} ensure_mergeable()",
+                    "align the registry metadata with the runtime surface",
                 )
-            try:
-                parts = entry.build(params).split(1)
-                if len(parts) != 1 or not isinstance(parts[0], type(fresh)):
+            if capable:
+                routing = shard_routing_of(entry.build(params))
+                if entry.routing is not None and routing != entry.routing:
+                    report(
+                        "audit/metadata-capability",
+                        f"registered routing={entry.routing!r} but the "
+                        f"instance reports shard_routing={routing!r}",
+                        "the registry routing drives spec validation and "
+                        "shard partitioning; it must match the instance",
+                    )
+                try:
+                    parts = entry.build(params).split(1)
+                    if len(parts) != 1 or not isinstance(parts[0], type(fresh)):
+                        report(
+                            "audit/split-identity",
+                            f"split(1) returned "
+                            f"{[type(part).__name__ for part in parts]!r}",
+                            "split(1) must yield exactly one shard instance "
+                            "of the processor's own type",
+                        )
+                    else:
+                        parts[0].process_batch(_BATCH_A, _BATCH_B)
+                        parts[0].finalize()
+                except Exception as error:  # noqa: BLE001
                     report(
                         "audit/split-identity",
-                        f"split(1) returned "
-                        f"{[type(part).__name__ for part in parts]!r}",
-                        "split(1) must yield exactly one shard instance "
-                        "of the processor's own type",
+                        f"split(1) smoke failed with "
+                        f"{type(error).__name__}: {error}",
+                        "a single-shard split must behave like the original "
+                        "processor",
                     )
-                else:
-                    parts[0].process_batch(_BATCH_A, _BATCH_B)
-                    parts[0].finalize()
-            except Exception as error:  # noqa: BLE001
-                report(
-                    "audit/split-identity",
-                    f"split(1) smoke failed with "
-                    f"{type(error).__name__}: {error}",
-                    "a single-shard split must behave like the original "
-                    "processor",
-                )
-            try:
-                left, right = entry.build(params).split(2)
-                merged = left.merge(right)
-                merged.finalize()
-            except Exception as error:  # noqa: BLE001
-                report(
-                    "audit/merge-smoke",
-                    f"split(2)+merge failed with "
-                    f"{type(error).__name__}: {error}",
-                    "same-configuration shards must always merge; this is "
-                    "the exact fold ShardedRunner performs",
-                )
-                continue
-            try:
-                problems = _merge_argument_findings(
-                    lambda: entry.build(params)
-                )
-            except Exception as error:  # noqa: BLE001
-                problems = [
-                    f"merge-argument probe failed with "
-                    f"{type(error).__name__}: {error}"
-                ]
-            for problem in problems:
-                report(
-                    "audit/merge-argument",
-                    problem,
-                    "merge folds into its receiver (or a new summary): it "
-                    "may flush its argument but must not change its "
-                    "answer, and must copy any container it takes from it "
-                    "— window probes merge live buckets without cloning",
-                )
-            if entry.seed_param is None or getattr(
-                fresh, "merge_needs_equal_seeds", False
-            ):
-                continue
-            try:
-                left = entry.build({**params, entry.seed_param: 1})
-                right = entry.build({**params, entry.seed_param: 2})
-                left.process_batch(_BATCH_A, _BATCH_B)
-                right.process_batch(_BATCH_A2, _BATCH_B2)
-                left.merge(right).finalize()
-            except Exception as error:  # noqa: BLE001
-                report(
-                    "audit/seeded-merge",
-                    f"builds with different seeds do not merge "
-                    f"({type(error).__name__}: {error})",
-                    "set merge_needs_equal_seeds = True on the class so "
-                    "sliding and decay windows seed every bucket alike",
-                )
+                try:
+                    left, right = entry.build(params).split(2)
+                    merged = left.merge(right)
+                    merged.finalize()
+                except Exception as error:  # noqa: BLE001
+                    report(
+                        "audit/merge-smoke",
+                        f"split(2)+merge failed with "
+                        f"{type(error).__name__}: {error}",
+                        "same-configuration shards must always merge; this is "
+                        "the exact fold ShardedRunner performs",
+                    )
+                    continue
+                try:
+                    problems = _merge_argument_findings(
+                        lambda: entry.build(params)
+                    )
+                except Exception as error:  # noqa: BLE001
+                    problems = [
+                        f"merge-argument probe failed with "
+                        f"{type(error).__name__}: {error}"
+                    ]
+                for problem in problems:
+                    report(
+                        "audit/merge-argument",
+                        problem,
+                        "merge folds into its receiver (or a new summary): it "
+                        "may flush its argument but must not change its "
+                        "answer, and must copy any container it takes from it "
+                        "— window probes merge live buckets without cloning",
+                    )
+                if entry.seed_param is None or getattr(
+                    fresh, "merge_needs_equal_seeds", False
+                ):
+                    continue
+                try:
+                    left = entry.build({**params, entry.seed_param: 1})
+                    right = entry.build({**params, entry.seed_param: 2})
+                    left.process_batch(_BATCH_A, _BATCH_B)
+                    right.process_batch(_BATCH_A2, _BATCH_B2)
+                    left.merge(right).finalize()
+                except Exception as error:  # noqa: BLE001
+                    report(
+                        "audit/seeded-merge",
+                        f"builds with different seeds do not merge "
+                        f"({type(error).__name__}: {error})",
+                        "set merge_needs_equal_seeds = True on the class so "
+                        "sliding and decay windows seed every bucket alike",
+                    )
     return findings

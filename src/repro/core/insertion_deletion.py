@@ -21,13 +21,15 @@ w.h.p.
 ℓ₀-samplers run with ``δ = 1/(n^10 d)`` as in the paper.  The
 ``scale`` parameter multiplies the paper's constant 10 (useful to keep
 pure-Python benchmark runs fast while preserving the formulas' shape);
-``sampler_mode`` selects real sketches (``"exact"``) or the
-distributionally equivalent accelerated banks (``"fast"``, default — see
-:mod:`repro.sketch.l0`).  Fast mode keeps ONE exact support of the n·m
-edge vector (simulator state, not charged): a chunk is one append to
-it, and every bank draws from it at query time — the edge bank from
-the whole support, vertex ``a``'s bank from its slice ``[a·m,
-(a+1)·m)``.
+``sampler_mode`` picks the bank class once, at construction (see
+:mod:`repro.sketch.l0`): real sketches in
+:class:`~repro.sketch.l0.L0SamplerBank` (``"exact"``) or the
+distributionally equivalent :class:`~repro.sketch.l0.FastL0Bank`
+(``"fast"``, default), a count, δ and a seed word each.  Fast mode
+keeps ONE exact support of the n·m edge vector (simulator state, not
+charged): a chunk is one append to it, and every bank draws from it at
+query time — the edge bank from the whole support, vertex ``a``'s bank
+from its slice ``[a·m, (a+1)·m)``.
 """
 
 from __future__ import annotations
@@ -36,16 +38,19 @@ import copy
 import math
 import random
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
 from repro.engine.protocol import BatchIngest
 from repro.sketch.exact import ExactSupport, net_updates
-from repro.sketch.l0 import L0SamplerBank
+from repro.sketch.l0 import FastL0Bank, L0SamplerBank, bank_class
 from repro.spacemeter import SpaceBreakdown, vertex_words
 from repro.streams.edge import check_edge_range, insert_signs
+
+
+Bank = Union[L0SamplerBank, FastL0Bank]
 
 
 class SamplingStrategy(Enum):
@@ -118,6 +123,7 @@ class InsertionDeletionFEwW(BatchIngest):
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
+        bank = bank_class(sampler_mode)
         self.n = n
         self.m = m
         self.d = d
@@ -129,16 +135,14 @@ class InsertionDeletionFEwW(BatchIngest):
         self.delta = 1.0 / (max(n, 2) ** 10 * d)
         rng = random.Random(seed)
 
-        self._vertex_banks: Dict[int, L0SamplerBank] = {}
+        self._vertex_banks: Dict[int, Bank] = {}
         self._bank_flags = np.zeros(n, dtype=bool)
         if strategy in (SamplingStrategy.VERTEX, SamplingStrategy.BOTH):
             sample_size = vertex_sample_size(n, alpha, scale)
             sampled = rng.sample(range(n), sample_size)
             per_vertex = samplers_per_vertex(n, d, alpha, scale)
             for a in sampled:
-                self._vertex_banks[a] = L0SamplerBank(
-                    m, per_vertex, self.delta, rng, mode=sampler_mode
-                )
+                self._vertex_banks[a] = bank(m, per_vertex, self.delta, rng)
                 self._bank_flags[a] = True
 
         #: Sampled vertex ids in construction (= draw) order.
@@ -147,15 +151,13 @@ class InsertionDeletionFEwW(BatchIngest):
         self._vertex_ids.flags.writeable = False
         self._bank_flags.flags.writeable = False
 
-        self._edge_bank: Optional[L0SamplerBank] = None
+        self._edge_bank: Optional[Bank] = None
         if strategy in (SamplingStrategy.EDGE, SamplingStrategy.BOTH):
             count = edge_sampler_count(n, m, d, alpha, scale)
-            self._edge_bank = L0SamplerBank(
-                n * m, count, self.delta, rng, mode=sampler_mode
-            )
+            self._edge_bank = bank(n * m, count, self.delta, rng)
         #: Fast mode: the one support every bank draws from.
         self._support: Optional[ExactSupport] = (
-            ExactSupport(n * m) if sampler_mode == "fast" else None
+            ExactSupport(n * m) if bank is FastL0Bank else None
         )
 
         self._result_cache: Optional[np.ndarray] = None
@@ -308,7 +310,8 @@ class InsertionDeletionFEwW(BatchIngest):
     def clone(self) -> "InsertionDeletionFEwW":
         """An independent copy without a deepcopy graph walk (window
         probes and folds clone on every query): every bank is cloned
-        (cell planes, generator state) and so is the support."""
+        (cell planes, or a seed word and any generator a read built) and
+        so is the support."""
         dup = copy.copy(self)
         dup._vertex_banks = {a: bank.clone() for a, bank in self._vertex_banks.items()}
         if self._edge_bank is not None:
@@ -333,7 +336,7 @@ class InsertionDeletionFEwW(BatchIngest):
         """Every sampler's output as sorted distinct flat edges ``a*m + b``.
 
         Each bank answers one read with its sorted distinct draws
-        (:meth:`~repro.sketch.l0.L0SamplerBank.distinct_samples`), vertex
+        (``distinct_samples`` of either bank class), vertex
         banks first in construction order.  Fast mode hands vertex
         ``a``'s bank the support's slice over ``[a·m, (a+1)·m)`` (found
         with one ``searchsorted`` for all vertices), so its draws are

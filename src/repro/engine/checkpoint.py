@@ -37,7 +37,9 @@ from typing import Any, Dict, List, Optional, Union
 
 #: Bumped whenever the manifest/payload layout changes incompatibly.
 #: Version 2: Algorithm 1 runs pickle as slot and witness columns.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3: fast ℓ₀ banks pickle as a seed word and an optional
+#: generator (``FastL0Bank``), not as a mode-tagged ``L0SamplerBank``.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Default number of source chunks between snapshots.
 DEFAULT_CHECKPOINT_EVERY = 64

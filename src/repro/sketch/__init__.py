@@ -20,6 +20,7 @@ vector's support.  This package implements the full stack from scratch:
 from repro.sketch.hashing import KWiseHash, PRIME_61, random_kwise
 from repro.sketch.onesparse import OneSparseCell, OneSparseResult
 from repro.sketch.l0 import (
+    FastL0Bank,
     L0EdgeBank,
     L0Sampler,
     L0SamplerBank,
@@ -34,6 +35,7 @@ __all__ = [
     "DegreeCounter",
     "DuplicateFilter",
     "ExactSupport",
+    "FastL0Bank",
     "KWiseHash",
     "L0EdgeBank",
     "L0Sampler",

@@ -68,24 +68,22 @@ so sampler ``i`` of a bank equals an :class:`L0Sampler` built after
 ``i`` others from the same ``random.Random``.  A sampler is charged 3
 words per cell, 2 per level hash and 1 for ``z``.
 
-:class:`L0SamplerBank` manages the many samplers Algorithm 3 needs, in
-one of two modes:
+:class:`L0SamplerBank` holds the many real samplers Algorithm 3 needs
+in the stacked planes above; update columns are buffered and netted
+together before one kernel pass.  :class:`FastL0Bank` stands in for it
+when the owner tracks the exact support once (simulator state, not
+charged): it is a count, δ and a 64-bit seed word, and its NumPy
+``Generator`` is built from the seed at the first non-empty read.  A
+read draws from the sorted support the owner hands it: a δ failure mask
+from ``random(count)`` then ``count`` uniform picks with ``integers``.
+Distributionally this matches a bank of ideal ℓ₀-samplers; space is
+*accounted* with the paper's formula (:func:`l0_sampler_space_words`).
+Algorithm 3 keeps one support for all of its banks; :class:`L0EdgeBank`
+keeps the one of a standalone bank.  Owners pick the class once from
+their ``mode`` value with :func:`bank_class`.
 
-* ``"exact"`` — real samplers in the stacked planes above.  Update
-  columns are buffered and netted together before one kernel pass.
-* ``"fast"`` — draw-only: a count, δ and one seeded ``Generator``.  The
-  owner tracks the exact support once (simulator state, not charged)
-  and hands each read the sorted array to draw from: two NumPy calls, a
-  δ failure mask from ``random(count)`` then ``count`` uniform picks
-  with ``integers``.  Distributionally this matches a bank of ideal
-  ℓ₀-samplers; space is *accounted* with the paper's formula
-  (:func:`l0_sampler_space_words`).  Algorithm 3 keeps one support for
-  all of its banks; :class:`L0EdgeBank` keeps the one of a standalone
-  bank.
-
-Both modes answer with :meth:`L0SamplerBank.sample_column`, an ``int64``
-column with -1 for a failed sampler; :meth:`L0SamplerBank.sample_all`
-is its list view.
+Both classes answer with ``sample_column``, an ``int64`` column with -1
+for a failed sampler; ``sample_all`` is its list view.
 """
 
 from __future__ import annotations
@@ -140,46 +138,24 @@ def l0_sampler_space_words(dim: int, delta: float) -> int:
 
 
 class L0SamplerBank:
-    """A bank of ``count`` independent ℓ₀-samplers over one vector.
+    """A bank of ``count`` independent exact ℓ₀-samplers over one vector.
 
     Args:
         dim: vector dimension shared by all samplers.
         count: number of samplers.
         delta: per-sampler failure probability.
         rng: randomness source.
-        mode: ``"exact"`` (real sketches) or ``"fast"`` (draw-only over
-            a support the owner tracks — see the module docstring).
     """
 
-    MODES = ("exact", "fast")
-
     def __init__(
-        self,
-        dim: int,
-        count: int,
-        delta: float,
-        rng: random.Random,
-        mode: str = "fast",
+        self, dim: int, count: int, delta: float, rng: random.Random
     ) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
+        _check_shape(dim, count)
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0,1), got {delta}")
         self.dim = dim
         self.count = count
         self.delta = delta
-        self.mode = mode
-        if mode == "fast":
-            # Exactly one 64-bit draw from the parent rng per fast bank.
-            self._draw_rng = np.random.default_rng(rng.getrandbits(64))
-            # True while a clone may hold the same generator: the next
-            # read draws from a private copy (see clone()).
-            self._draw_shared = False
-            return
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0,1), got {delta}")
         # L = ceil(log2 dim) + 1 levels, R = ceil(ln δ / ln(1 - p)).
         self.n_levels = max(1, math.ceil(math.log2(dim)) + 1)
         self.n_reps = max(
@@ -209,7 +185,7 @@ class L0SamplerBank:
         self._pending_len = 0
 
     # ------------------------------------------------------------------
-    # Exact-mode ingest.
+    # Ingest.
     # ------------------------------------------------------------------
 
     def update(self, index: int, delta: int) -> None:
@@ -234,14 +210,8 @@ class L0SamplerBank:
         ``netted=True`` promises ``indices`` are already unique with
         per-coordinate net ``deltas``, which lets a lone buffered chunk
         skip re-netting.  Every sampler is a linear sketch, so the state
-        equals applying the updates one by one.  A fast bank holds no
-        vector: its owner tracks the support.
+        equals applying the updates one by one.
         """
-        if self.mode == "fast":
-            raise ValueError(
-                "a fast-mode bank is draw-only; its owner tracks the support "
-                "(see L0EdgeBank)"
-            )
         check_columns(indices, deltas)
         if len(indices) == 0 or not self.count:
             return
@@ -262,7 +232,7 @@ class L0SamplerBank:
 
     def _flush_updates(self) -> None:
         """Net every buffered batch and absorb it in one kernel pass."""
-        if self.mode == "fast" or not self._pending:
+        if not self._pending:
             return
         pending, self._pending, self._pending_len = self._pending, [], 0
         if len(pending) == 1 and pending[0][2]:
@@ -323,25 +293,9 @@ class L0SamplerBank:
     # ------------------------------------------------------------------
 
     def merge(self, other: "L0SamplerBank") -> "L0SamplerBank":
-        """Merge two banks over disjoint sub-streams of one vector.
-
-        Exact mode adds the cell planes of two same-seed banks; a fast
-        bank holds no vector (its owner merges the supports) and keeps
-        its own draw generator, so a bank reassembled from same-seed
-        shards answers bit-identically to a single-pass bank.
-        """
-        if not isinstance(other, L0SamplerBank):
-            raise ValueError(
-                f"cannot merge L0SamplerBank with {type(other).__name__}"
-            )
-        if (self.dim, self.count, self.mode) != (other.dim, other.count, other.mode):
-            raise ValueError(
-                f"cannot merge bank (dim={self.dim}, count={self.count}, "
-                f"mode={self.mode}) with bank (dim={other.dim}, "
-                f"count={other.count}, mode={other.mode})"
-            )
-        if self.mode == "fast":
-            return self
+        """Add the cell planes of a same-seed bank over a disjoint
+        sub-stream of the same vector."""
+        _check_mergeable(self, other)
         if not (
             np.array_equal(self._level_a, other._level_a)
             and np.array_equal(self._level_b, other._level_b)
@@ -361,16 +315,9 @@ class L0SamplerBank:
     def clone(self) -> "L0SamplerBank":
         """An independent copy.  The cell planes and the buffer list are
         copied; the hash coefficients, bases and power tables are never
-        written, so they are shared.  A fast bank and its clone share
-        the draw generator until either reads: each read draws from a
-        private copy of the shared state, so both continue exactly as
-        two deep copies would, and a clone that is never read (most
-        window folds) costs no generator copy."""
-        dup = object.__new__(L0SamplerBank)
+        written, so they are shared."""
+        dup = object.__new__(type(self))
         dup.__dict__.update(self.__dict__)
-        if self.mode == "fast":
-            self._draw_shared = dup._draw_shared = True
-            return dup
         dup._weight = self._weight.copy()
         dup._dot = self._dot.copy()
         dup._fingerprint = self._fingerprint.copy()
@@ -378,24 +325,16 @@ class L0SamplerBank:
         return dup
 
     def __getstate__(self):
-        # Pickles and deep copies carry consolidated planes, never the
-        # raw buffered update columns, and always own their generator.
+        # Pickles and deep copies carry consolidated planes only.
         self._flush_updates()
-        state = dict(self.__dict__)
-        state.pop("_draw_shared", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self.mode == "fast":
-            self._draw_shared = False
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Reads.
     # ------------------------------------------------------------------
 
-    def _decode(self) -> np.ndarray:
-        """Exact mode: every sampler's answer, -1 where it failed.
+    def sample_column(self) -> np.ndarray:
+        """Every sampler's answer, -1 where it failed.
 
         Per (sampler, repetition) the deepest non-empty cell is found
         with one argmax over the reversed level axis and classified with
@@ -423,8 +362,64 @@ class L0SamplerBank:
         column[~success.any(axis=1)] = -1
         return column
 
-    def _draw_picks(self, support: Optional[np.ndarray]) -> np.ndarray:
-        """One fast-mode read over ``support``: sampler ``i`` answers
+    def distinct_samples(self) -> np.ndarray:
+        """The sorted distinct coordinates one read returns."""
+        column = self.sample_column()
+        return np.unique(column[column >= 0])
+
+    def sample_all(self) -> List[Optional[int]]:
+        """:meth:`sample_column` as a list, None where a sampler failed."""
+        return [None if s < 0 else s for s in self.sample_column().tolist()]
+
+    def space_words(self) -> int:
+        """Every sampler's cells (3 words each), level hashes (2 words
+        each) and base."""
+        per_sampler = self.n_reps * (3 * self.n_levels + 2) + 1
+        return self.count * per_sampler
+
+
+class FastL0Bank:
+    """A bank of ``count`` ideal ℓ₀-samplers, simulated by draws from
+    the sorted support its owner tracks (see the module docstring).
+
+    Holds ``dim``, ``count``, ``delta`` and one seed word, a
+    ``getrandbits(64)`` from ``rng``; a bank that was never read (and
+    every clone of it) has no ``Generator``.
+    """
+
+    def __init__(
+        self, dim: int, count: int, delta: float, rng: random.Random
+    ) -> None:
+        _check_shape(dim, count)
+        self.dim = dim
+        self.count = count
+        self.delta = delta
+        self.seed = rng.getrandbits(64)
+        self._generator: Optional[np.random.Generator] = None
+
+    def generator(self) -> np.random.Generator:
+        """The draw generator, built from the seed word at first use."""
+        if self._generator is None:
+            self._generator = np.random.default_rng(self.seed)
+        return self._generator
+
+    def merge(self, other: "FastL0Bank") -> "FastL0Bank":
+        """A fast bank holds no vector (its owner merges the supports)
+        and keeps its own generator, so a bank reassembled from
+        same-seed shards answers bit-identically to a single pass."""
+        _check_mergeable(self, other)
+        return self
+
+    def clone(self) -> "FastL0Bank":
+        """An independent copy: the seed word, and the generator state
+        once a read has built the generator."""
+        dup = copy.copy(self)
+        if self._generator is not None:
+            dup._generator = copy.deepcopy(self._generator)
+        return dup
+
+    def _draw_picks(self, support: np.ndarray) -> np.ndarray:
+        """One read over ``support``: sampler ``i`` answers
         ``support[picks[i]]`` or fails where ``picks[i]`` is -1.
 
         Two calls on the draw generator: a failure mask from
@@ -433,70 +428,67 @@ class L0SamplerBank:
         support from ``integers``.  An empty support fails every sampler
         without drawing.
         """
-        if support is None:
-            raise ValueError(
-                "a fast-mode bank draws from the sorted support its owner "
-                "hands it"
-            )
         if len(support) == 0:
             return np.full(self.count, -1, dtype=np.int64)
-        if self._draw_shared:
-            shared = self._draw_rng.bit_generator
-            self._draw_rng = np.random.Generator(type(shared)(0))
-            self._draw_rng.bit_generator.state = shared.state
-            self._draw_shared = False
-        failed = self._draw_rng.random(self.count) < self.delta
-        picks = self._draw_rng.integers(0, len(support), size=self.count)
+        generator = self.generator()
+        failed = generator.random(self.count) < self.delta
+        picks = generator.integers(0, len(support), size=self.count)
         picks[failed] = -1
         return picks
 
-    def sample_column(self, support: Optional[np.ndarray] = None) -> np.ndarray:
-        """Query every sampler: an ``int64`` column, -1 where one failed.
-
-        Exact mode decodes the samplers' cells (``support`` unused);
-        fast mode draws a fresh column from ``support``, the sorted live
-        coordinates of the vector (see :meth:`_draw_picks`).
-        """
-        if self.mode == "exact":
-            return self._decode()
+    def sample_column(self, support: np.ndarray) -> np.ndarray:
+        """A fresh ``int64`` column drawn from ``support`` (the sorted
+        live coordinates), -1 where a sampler failed."""
         picks = self._draw_picks(support)
         drawn = picks >= 0
         picks[drawn] = support[picks[drawn]]
         return picks
 
-    def distinct_samples(self, support: Optional[np.ndarray] = None) -> np.ndarray:
-        """The sorted distinct coordinates one read returns.
-
-        Consumes exactly the draws of :meth:`sample_column`; fast mode
-        counts the picks per support position with one ``bincount``
-        instead of sorting them.
-        """
-        if self.mode == "exact":
-            column = self._decode()
-            return np.unique(column[column >= 0])
+    def distinct_samples(self, support: np.ndarray) -> np.ndarray:
+        """The sorted distinct coordinates one read returns: the draws
+        of :meth:`sample_column`, counted per support position with one
+        ``bincount`` instead of sorted."""
         picks = self._draw_picks(support)
-        assert support is not None
         return support[np.bincount(picks[picks >= 0], minlength=len(support)) > 0]
 
-    def sample_all(
-        self, support: Optional[np.ndarray] = None
-    ) -> List[Optional[int]]:
+    def sample_all(self, support: np.ndarray) -> List[Optional[int]]:
         """:meth:`sample_column` as a list, None where a sampler failed."""
-        return [
-            None if sample < 0 else sample
-            for sample in self.sample_column(support).tolist()
-        ]
+        return [None if s < 0 else s for s in self.sample_column(support).tolist()]
 
     def space_words(self) -> int:
-        """Exact mode: every sampler's cells (3 words each), level hashes
-        (2 words each) and base.  Fast mode: the paper's formula."""
-        if self.mode == "fast":
-            return self.count * l0_sampler_space_words(self.dim, self.delta)
-        per_sampler = self.n_reps * (3 * self.n_levels + 2) + 1
-        return self.count * per_sampler
+        """The paper's formula per sampler."""
+        return self.count * l0_sampler_space_words(self.dim, self.delta)
 
 
-class L0Sampler:
+#: The bank class behind each ``mode`` / ``sampler_mode`` value.
+BANK_CLASSES = {"exact": L0SamplerBank, "fast": FastL0Bank}
+
+
+def bank_class(mode: str) -> type:
+    """The bank class an owner builds for ``mode``."""
+    if mode not in BANK_CLASSES:
+        raise ValueError(
+            f"l0 bank mode must be one of {tuple(BANK_CLASSES)}, got {mode!r}"
+        )
+    return BANK_CLASSES[mode]
+
+
+def _check_shape(dim: int, count: int) -> None:
+    if dim <= 0:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+
+
+def _check_mergeable(bank, other) -> None:
+    def shape(b):
+        return type(b).__name__, getattr(b, "dim", None), getattr(b, "count", None)
+
+    if shape(other) != shape(bank):
+        raise ValueError(f"cannot merge bank {shape(bank)} with bank {shape(other)}")
+
+
+class L0Sampler(L0SamplerBank):
     """A single ℓ₀-sampler over vectors of dimension ``dim``: an exact
     bank of one (see the module docstring for the structure).
 
@@ -507,48 +499,26 @@ class L0Sampler:
     """
 
     def __init__(self, dim: int, delta: float, rng: random.Random) -> None:
-        self._bank = L0SamplerBank(dim, 1, delta, rng, mode="exact")
-        self.dim = dim
-        self.delta = delta
-        self.n_levels = self._bank.n_levels
-        self.n_reps = self._bank.n_reps
-
-    def update(self, index: int, delta: int) -> None:
-        """Apply ``vector[index] += delta``."""
-        self._bank.update(index, delta)
-
-    def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a batch of signed updates (netted, then one kernel pass)."""
-        self._bank.update_batch(indices, deltas)
-
-    def merge(self, other: "L0Sampler") -> "L0Sampler":
-        """Cell-wise sum of two same-seed samplers over disjoint
-        sub-streams; equals the single-pass sampler exactly."""
-        if not isinstance(other, L0Sampler):
-            raise ValueError(f"cannot merge L0Sampler with {type(other).__name__}")
-        self._bank.merge(other._bank)
-        return self
+        super().__init__(dim, 1, delta, rng)
 
     def sample(self) -> Optional[int]:
         """A near-uniform support coordinate, or None on failure or an
         empty vector."""
-        (answer,) = self._bank.sample_column().tolist()
-        return None if answer < 0 else answer
-
-    def space_words(self) -> int:
-        """Cells, level hashes and the base (see the module docstring)."""
-        return self._bank.space_words()
+        (answer,) = self.sample_all()
+        return answer
 
 
 class L0EdgeBank(BatchIngest):
-    """Engine adapter: an :class:`L0SamplerBank` over the edge vector.
+    """Engine adapter: an ℓ₀ bank over the edge vector.
 
     Presents the bank as a pipeline-registrable
     :class:`~repro.engine.protocol.MergeableStreamProcessor`: each
     ``(a, b, sign)`` update becomes a signed update to coordinate
     ``a * m + b`` of the implicit n×m edge-incidence vector — exactly
-    the vector Algorithm 3's samplers observe.  A fast bank's support
-    lives here (an :class:`~repro.sketch.exact.ExactSupport`).
+    the vector Algorithm 3's samplers observe.  ``mode`` picks an
+    :class:`L0SamplerBank` (``"exact"``) or a :class:`FastL0Bank`
+    (``"fast"``), whose support lives here (an
+    :class:`~repro.sketch.exact.ExactSupport`).
     ``finalize`` returns the adapter itself, so callers keep querying
     (:meth:`sample_all`, :meth:`space_words`) after the run, like the
     other query-style summaries.
@@ -580,10 +550,9 @@ class L0EdgeBank(BatchIngest):
         self.m = m
         self.seed = seed
         self._started = False
-        self._bank = L0SamplerBank(
-            n * m, count, delta, random.Random(seed), mode=mode
-        )
-        self._support = ExactSupport(n * m) if mode == "fast" else None
+        bank = bank_class(mode)
+        self._bank = bank(n * m, count, delta, random.Random(seed))
+        self._support = ExactSupport(n * m) if bank is FastL0Bank else None
 
     def check_batch(
         self, a: np.ndarray, b: np.ndarray, sign: Optional[np.ndarray] = None
@@ -648,12 +617,11 @@ class L0EdgeBank(BatchIngest):
         self._started = self._started or other._started
         return self
 
-    def _draw_support(self) -> Optional[np.ndarray]:
-        return None if self._support is None else self._support.support_array()
-
     def sample_all(self) -> List[Optional[int]]:
         """Every sampler's flat edge index (``a * m + b``), None on failure."""
-        return self._bank.sample_all(self._draw_support())
+        if self._support is None:
+            return self._bank.sample_all()
+        return self._bank.sample_all(self._support.support_array())
 
     def sample_edges(self) -> List[Optional[tuple]]:
         """Every sampler's sampled edge as an ``(a, b)`` pair."""

@@ -232,23 +232,25 @@ def scatter_cells(
     32-bit limbs in float64 over slices small enough to stay integral
     and recombines them modulo ``2^61 - 1``.  Every plane's addition is
     exact and commutative, so the result equals applying the items one
-    at a time.
+    at a time.  Each slice sums and folds only its address window.
     """
-    length = len(weight)
-    weight += bincount_sum_int64(addr, deltas, length)
-    dot += bincount_sum_int64(addr, dots, length)
     for start in range(0, len(addr), _SCATTER_CHUNK):
-        chunk_addr = addr[start : start + _SCATTER_CHUNK]
-        chunk = terms[start : start + _SCATTER_CHUNK]
+        piece = slice(start, start + _SCATTER_CHUNK)
+        low = int(addr[piece].min())
+        chunk_addr = addr[piece] - low
+        window = slice(low, low + int(chunk_addr.max()) + 1)
+        length = window.stop - low
+        weight[window] += bincount_sum_int64(chunk_addr, deltas[piece], length)
+        dot[window] += bincount_sum_int64(chunk_addr, dots[piece], length)
+        chunk = terms[piece]
         lo = np.bincount(
             chunk_addr, weights=(chunk & _MASK32).astype(np.float64), minlength=length
         ).astype(np.uint64)
         hi = np.bincount(
             chunk_addr, weights=(chunk >> _SHIFT32).astype(np.float64), minlength=length
         ).astype(np.uint64)
-        fingerprint[:] = _fold61(
-            fingerprint + _fold61(mulmod_p61(_fold61(hi), _POW32) + _fold61(lo))
-        )
+        folded = _fold61(mulmod_p61(_fold61(hi), _POW32) + _fold61(lo))
+        fingerprint[window] = _fold61(fingerprint[window] + folded)
 
 
 def one_sparse_cells(

@@ -24,7 +24,7 @@ from repro.core.insertion_deletion import (
     vertex_sample_size,
 )
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
-from repro.sketch.l0 import L0SamplerBank
+from repro.sketch.l0 import FastL0Bank
 from repro.streams.edge import Edge
 
 N, M, D, ALPHA = 64, 256, 96, 2
@@ -33,8 +33,8 @@ N, M, D, ALPHA = 64, 256, 96, 2
 def _reference_draws(bank, support):
     if not support:
         return [None] * bank.count
-    failed = bank._draw_rng.random(bank.count) < bank.delta
-    picks = bank._draw_rng.integers(0, len(support), size=bank.count)
+    failed = bank.generator().random(bank.count) < bank.delta
+    picks = bank.generator().integers(0, len(support), size=bank.count)
     return [
         None if fail else support[pick]
         for fail, pick in zip(failed.tolist(), picks.tolist())
@@ -49,31 +49,32 @@ def _banks(algorithm):
 
 
 def _edge_support(algorithm):
-    """The one support fast banks draw from (None in exact mode)."""
+    """A read's arguments: the one support fast banks draw from (none
+    in exact mode)."""
     if algorithm._support is None:
-        return None
-    return algorithm._support.support_array()
+        return ()
+    return (algorithm._support.support_array(),)
 
 
 def _vertex_support(algorithm, a):
     """Vertex ``a``'s witnesses: its slice of the one support, minus ``a*m``."""
-    support = _edge_support(algorithm)
-    if support is None:
-        return None
+    if algorithm._support is None:
+        return ()
+    (support,) = _edge_support(algorithm)
     m = algorithm.m
-    return support[(support >= a * m) & (support < (a + 1) * m)] - a * m
+    return (support[(support >= a * m) & (support < (a + 1) * m)] - a * m,)
 
 
 def _legacy_collected(algorithm):
     """Query the banks in the algorithm's order, group with a dict of sets."""
     collected = {}
     for a, bank in algorithm._vertex_banks.items():
-        draws = bank.sample_all(_vertex_support(algorithm, a))
+        draws = bank.sample_all(*_vertex_support(algorithm, a))
         witnesses = {b for b in draws if b is not None}
         if witnesses:
             collected.setdefault(a, set()).update(witnesses)
     if algorithm._edge_bank is not None:
-        for flat in algorithm._edge_bank.sample_all(_edge_support(algorithm)):
+        for flat in algorithm._edge_bank.sample_all(*_edge_support(algorithm)):
             if flat is None:
                 continue
             edge = Edge.from_flat_index(flat, algorithm.m)
@@ -126,9 +127,9 @@ def _feed(algorithm, columns, chunk=512):
 
 def _draw_states(algorithm):
     return [
-        bank._draw_rng.bit_generator.state
+        bank.generator().bit_generator.state
         for bank in _banks(algorithm)
-        if bank.mode == "fast"
+        if isinstance(bank, FastL0Bank)
     ]
 
 
@@ -245,7 +246,7 @@ def test_fast_bank_draws_match_reference_with_failures():
     # A large delta makes the failure branch fire, so the draw order of
     # mask-then-integers is exercised on both outcomes.
     banks = [
-        L0SamplerBank(1000, 400, 0.3, random.Random(21), mode="fast")
+        FastL0Bank(1000, 400, 0.3, random.Random(21))
         for _ in range(2)
     ]
     support = np.arange(0, 1000, 7)
@@ -254,6 +255,6 @@ def test_fast_bank_draws_match_reference_with_failures():
         assert got == _reference_draws(banks[1], support.tolist())
         assert None in got and any(s is not None for s in got)
     assert (
-        banks[0]._draw_rng.bit_generator.state
-        == banks[1]._draw_rng.bit_generator.state
+        banks[0].generator().bit_generator.state
+        == banks[1].generator().bit_generator.state
     )

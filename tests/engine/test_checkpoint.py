@@ -120,10 +120,13 @@ class TestDamageRejection:
             store.load("run")
 
     @pytest.mark.parametrize(
-        "version", (1, CHECKPOINT_FORMAT_VERSION + 1), ids=("dict-reservoirs", "future")
+        "version",
+        (1, 2, CHECKPOINT_FORMAT_VERSION + 1),
+        ids=("dict-reservoirs", "mode-tagged-l0-banks", "future"),
     )
     def test_other_format_version_rejected(self, tmp_path, version):
-        # Version 1 pickled Algorithm 1 runs as dicts of witness lists;
+        # Version 1 pickled Algorithm 1 runs as dicts of witness lists,
+        # version 2 fast l0 banks as mode-tagged L0SamplerBanks;
         # resuming one must fail up front, not mid-resume.
         store = self._saved(tmp_path)
         manifest = tmp_path / "run.manifest.json"

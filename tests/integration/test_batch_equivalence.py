@@ -31,7 +31,7 @@ from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.star_detection import StarDetection
 from repro.sketch.exact import ExactSupport
-from repro.sketch.l0 import L0SamplerBank
+from repro.sketch.l0 import bank_class
 from repro.streams.adapters import bipartite_double_cover_columnar
 from repro.streams.columnar import ColumnarEdgeStream
 from repro.streams.generators import (
@@ -237,8 +237,8 @@ class TestAlgorithm3:
         assert per_item._collected() == batched._collected()
         assert per_item.space_words() == batched.space_words()
 
-    # Exact-mode banks route through the same L0SamplerBank.update_batch
-    # as fast mode; their batch/scalar agreement is covered (cheaply) by
+    # Exact-mode banks route through L0SamplerBank.update_batch; their
+    # batch/scalar agreement is covered (cheaply) by
     # TestLinearSketches.test_l0_bank_batch_matches_scalar[exact] — the
     # paper's delta = 1/(n^10 d) makes full exact-mode Algorithm 3 runs
     # far too large for the unit suite.
@@ -274,8 +274,8 @@ class TestLinearSketches:
         # A fast bank draws from the support its owner tracks, so in
         # fast mode the updates go to that support.
         rng_a, rng_b = random.Random(5), random.Random(5)
-        bank_scalar = L0SamplerBank(50, 4, 0.05, rng_a, mode=mode)
-        bank_batch = L0SamplerBank(50, 4, 0.05, rng_b, mode=mode)
+        bank_scalar = bank_class(mode)(50, 4, 0.05, rng_a)
+        bank_batch = bank_class(mode)(50, 4, 0.05, rng_b)
         target_scalar, target_batch = (
             (bank_scalar, bank_batch)
             if mode == "exact"
@@ -291,12 +291,12 @@ class TestLinearSketches:
             np.array([u[1] for u in updates]),
         )
         supports = (
-            (None, None)
+            ((), ())
             if mode == "exact"
-            else (target_scalar.support_array(), target_batch.support_array())
+            else ((target_scalar.support_array(),), (target_batch.support_array(),))
         )
-        assert bank_scalar.sample_all(supports[0]) == bank_batch.sample_all(
-            supports[1]
+        assert bank_scalar.sample_all(*supports[0]) == bank_batch.sample_all(
+            *supports[1]
         )
         assert bank_scalar.space_words() == bank_batch.space_words()
 

@@ -39,7 +39,7 @@ SEED = 71
 
 
 def make_bank(seed: int = SEED) -> L0SamplerBank:
-    return L0SamplerBank(DIM, COUNT, DELTA, random.Random(seed), mode="exact")
+    return L0SamplerBank(DIM, COUNT, DELTA, random.Random(seed))
 
 
 def signed_stream(
@@ -253,7 +253,7 @@ class TestVectorizedDecode:
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_matches_frozen_cell_scan(self, support, seed):
         rng = np.random.default_rng(100 * support + seed)
-        bank = L0SamplerBank(DIM, 12, DELTA, random.Random(seed), mode="exact")
+        bank = L0SamplerBank(DIM, 12, DELTA, random.Random(seed))
         indices = rng.choice(DIM, size=support, replace=False).astype(np.int64)
         deltas = rng.choice([-5, -1, 1, 2, 7], size=support).astype(np.int64)
         bank.update_batch(indices, deltas)

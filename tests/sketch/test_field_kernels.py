@@ -209,10 +209,9 @@ class TestTablesAgainstPythonPow:
         indices, deltas = _signed_stream(11)
         sampler = L0Sampler(DIM, 0.05, random.Random(5))
         sampler.update_batch(indices, deltas)
-        bank = sampler._bank
-        bank._flush_updates()
+        sampler._flush_updates()
         assert np.array_equal(
-            bank._fingerprint, self._python_fingerprints(bank, indices, deltas)
+            sampler._fingerprint, self._python_fingerprints(sampler, indices, deltas)
         )
         scalar = L0Sampler(DIM, 0.05, random.Random(5))
         for index, delta in zip(indices.tolist(), deltas.tolist()):
@@ -221,7 +220,7 @@ class TestTablesAgainstPythonPow:
 
     def test_exact_bank_planes(self):
         indices, deltas = _signed_stream(12, length=2000)
-        fused = L0SamplerBank(DIM, 3, 0.05, random.Random(6), mode="exact")
+        fused = L0SamplerBank(DIM, 3, 0.05, random.Random(6))
         fused.update_batch(indices, deltas)
         fused._flush_updates()
         assert np.array_equal(
@@ -229,7 +228,7 @@ class TestTablesAgainstPythonPow:
         )
 
     def test_sampler_table_is_three_windows_of_64(self):
-        bank = L0Sampler(DIM, 0.05, random.Random(8))._bank
+        bank = L0Sampler(DIM, 0.05, random.Random(8))
         table = bank._table[..., 0]
         assert table.shape == (3, 64)
         assert table.nbytes == 3 * 64 * 8  # 1.5 KB per sampler

@@ -15,12 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.insertion_deletion import InsertionDeletionFEwW
+from repro.core.star_detection import StarDetection
+from repro.pipeline import Pipeline
 from repro.sketch.exact import ExactSupport
 from repro.sketch.hashing import PRIME_61
 from repro.sketch.l0 import (
+    FastL0Bank,
     L0EdgeBank,
     L0Sampler,
     L0SamplerBank,
+    bank_class,
     l0_sampler_space_words,
 )
 
@@ -41,15 +45,15 @@ def _feed(edge_bank, indices, deltas):
 
 
 def _fed_bank(dim, count, delta, seed, mode, indices, deltas):
-    """``(bank, support)``: a fast bank draws from the support its owner
-    tracks; an exact bank holds the vector itself (support None)."""
-    bank = L0SamplerBank(dim, count, delta, random.Random(seed), mode=mode)
+    """``(bank, read_args)``: a fast bank draws from the support its
+    owner tracks; an exact bank holds the vector itself (no argument)."""
+    bank = bank_class(mode)(dim, count, delta, random.Random(seed))
     if mode == "exact":
         bank.update_batch(indices, deltas)
-        return bank, None
+        return bank, ()
     support = ExactSupport(dim)
     support.update_batch(indices, deltas)
-    return bank, support.support_array()
+    return bank, (support.support_array(),)
 
 
 class TestL0SamplerBasics:
@@ -104,9 +108,8 @@ class TestL0SamplerBasics:
 
 
 def _planes(sampler):
-    bank = sampler._bank
-    bank._flush_updates()
-    return bank._weight, bank._dot, bank._fingerprint
+    sampler._flush_updates()
+    return sampler._weight, sampler._dot, sampler._fingerprint
 
 
 @st.composite
@@ -261,17 +264,40 @@ class TestPaperSpaceFormula:
         assert l0_sampler_space_words(1, 0.5) >= 1
 
 
-class TestBankModes:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            L0SamplerBank(10, 2, 0.1, random.Random(0), mode="magic")
+def _spec_l0_bank(mode):
+    spec = {
+        "source": {"kind": "generator", "generator": "churn", "params": {"n": 8}},
+        "processors": [
+            {"name": "l0-bank", "params": {"n": 4, "m": 4, "count": 2, "mode": mode}}
+        ],
+    }
+    return Pipeline.from_dict(spec).build_processors()
 
-    def test_rejects_negative_count(self):
+
+class TestBankModes:
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda mode: L0EdgeBank(4, 4, 2, mode=mode),
+            _spec_l0_bank,
+            lambda mode: InsertionDeletionFEwW(4, 4, 2, 2, sampler_mode=mode),
+            lambda mode: StarDetection(
+                8, 2, model="insertion-deletion", sampler_mode=mode
+            ),
+        ),
+        ids=("l0-bank", "l0-bank-spec", "insertion-deletion", "star-detection"),
+    )
+    def test_rejects_unknown_mode(self, build):
+        with pytest.raises(ValueError, match=r"\('exact', 'fast'\), got 'magic'"):
+            build("magic")
+
+    @pytest.mark.parametrize("bank", (L0SamplerBank, FastL0Bank))
+    def test_rejects_negative_count(self, bank):
         with pytest.raises(ValueError):
-            L0SamplerBank(10, -1, 0.1, random.Random(0))
+            bank(10, -1, 0.1, random.Random(0))
 
     def test_exact_mode_samples_from_support(self):
-        bank = L0SamplerBank(64, 8, 0.05, random.Random(1), mode="exact")
+        bank = L0SamplerBank(64, 8, 0.05, random.Random(1))
         support = {5, 10, 15}
         for index in support:
             bank.update(index, 1)
@@ -279,22 +305,15 @@ class TestBankModes:
             assert outcome is None or outcome in support
 
     def test_fast_mode_samples_from_support(self):
-        bank = L0SamplerBank(64, 50, 0.05, random.Random(2), mode="fast")
+        bank = FastL0Bank(64, 50, 0.05, random.Random(2))
         support = {5, 10, 15}
         outcomes = bank.sample_all(np.array(sorted(support), dtype=np.int64))
         assert len(outcomes) == 50
         assert all(outcome in support for outcome in outcomes if outcome is not None)
 
     def test_fast_mode_empty_support(self):
-        bank = L0SamplerBank(64, 5, 0.05, random.Random(3), mode="fast")
+        bank = FastL0Bank(64, 5, 0.05, random.Random(3))
         assert bank.sample_all(np.zeros(0, dtype=np.int64)) == [None] * 5
-
-    def test_fast_mode_is_draw_only(self):
-        bank = L0SamplerBank(64, 5, 0.05, random.Random(3), mode="fast")
-        with pytest.raises(ValueError, match="draw-only"):
-            bank.update(1, 1)
-        with pytest.raises(ValueError, match="support its owner"):
-            bank.sample_all()
 
     @pytest.mark.parametrize("mode", ("fast", "exact"))
     def test_respects_deletions(self, mode):
@@ -326,11 +345,11 @@ class TestBankModes:
             assert abs(exact_freq - fast_freq) < 0.12
 
     def test_fast_space_uses_paper_formula(self):
-        bank = L0SamplerBank(1024, 7, 0.01, random.Random(6), mode="fast")
+        bank = FastL0Bank(1024, 7, 0.01, random.Random(6))
         assert bank.space_words() == 7 * l0_sampler_space_words(1024, 0.01)
 
     def test_exact_space_sums_real_structures(self):
-        bank = L0SamplerBank(64, 3, 0.05, random.Random(7), mode="exact")
+        bank = L0SamplerBank(64, 3, 0.05, random.Random(7))
         single = L0Sampler(64, 0.05, random.Random(7))
         assert bank.space_words() == 3 * single.space_words()
         assert single.space_words() == single.n_reps * (3 * single.n_levels + 2) + 1
@@ -353,7 +372,7 @@ class TestFastBankDraws:
         support = ExactSupport(1 << 18)
         for chunk in np.array_split(np.arange(len(indices)), 7):
             support.update_batch(indices[chunk], deltas[chunk])
-        bank = L0SamplerBank(1 << 18, 5000, 0.05, random.Random(9), mode="fast")
+        bank = FastL0Bank(1 << 18, 5000, 0.05, random.Random(9))
         for _ in range(3):
             column = bank.sample_column(support.support_array())
             drawn = set(column[column >= 0].tolist())
@@ -362,7 +381,7 @@ class TestFastBankDraws:
 
     def test_failure_count_is_binomial(self):
         count, delta = 20_000, 0.3
-        bank = L0SamplerBank(100, count, delta, random.Random(10), mode="fast")
+        bank = FastL0Bank(100, count, delta, random.Random(10))
         failures = sum(
             sample is None for sample in bank.sample_all(np.arange(0, 100, 3))
         )
@@ -372,7 +391,7 @@ class TestFastBankDraws:
 
     def test_draws_are_uniform_over_the_support(self):
         support = np.arange(0, 1000, 20, dtype=np.int64)  # 50 coordinates
-        bank = L0SamplerBank(1000, 50_000, 0.01, random.Random(11), mode="fast")
+        bank = FastL0Bank(1000, 50_000, 0.01, random.Random(11))
         column = bank.sample_column(support)
         draws = column[column >= 0]
         observed = np.bincount(np.searchsorted(support, draws), minlength=50)
@@ -390,16 +409,16 @@ class TestFastBankDraws:
         ]
         (bank, support), (twin, _) = twins
         for _ in range(2):
-            column = twin.sample_column(support)
+            column = twin.sample_column(*support)
             expected = np.unique(column[column >= 0])
-            assert np.array_equal(bank.distinct_samples(support), expected)
+            assert np.array_equal(bank.distinct_samples(*support), expected)
         if mode == "fast":
             assert (
-                bank._draw_rng.bit_generator.state
-                == twin._draw_rng.bit_generator.state
+                bank.generator().bit_generator.state
+                == twin.generator().bit_generator.state
             )
         empty, nothing = _fed_bank(64, count, 0.2, 25, mode, [], [])
-        assert len(empty.distinct_samples(nothing)) == 0
+        assert len(empty.distinct_samples(*nothing)) == 0
 
     @pytest.mark.parametrize("mode, count", (("fast", 400), ("exact", 6)))
     def test_split_merge_and_pickle_reproduce_single_pass_draws(self, mode, count):
@@ -449,11 +468,11 @@ class TestSharedBaseFingerprint:
         # dot / weight = (i + j) / 2 is an in-range integer, and only
         # the fingerprint can reject it.
         sampler = L0Sampler(4096, 0.05, random.Random(14))
-        i, j = _colliding_pair(sampler._bank, 4096)
+        i, j = _colliding_pair(sampler, 4096)
         sampler.update(i, 1)
         sampler.update(j, 1)
-        sampler._bank._flush_updates()
-        assert (sampler._bank._weight == 2).sum() == sampler.n_reps
+        sampler._flush_updates()
+        assert (sampler._weight == 2).sum() == sampler.n_reps
         assert sampler.sample() is None
         batched = L0Sampler(4096, 0.05, random.Random(14))
         batched.update_batch(np.array([i, j]), np.array([1, 1]))
@@ -462,8 +481,7 @@ class TestSharedBaseFingerprint:
     def test_crafted_collision_cell_in_a_sampler(self):
         # Write one collision cell by hand: what i and j leave in a cell
         # they share, under the sampler's one base.
-        sampler = L0Sampler(4096, 0.05, random.Random(15))
-        bank = sampler._bank
+        sampler = bank = L0Sampler(4096, 0.05, random.Random(15))
         z = int(bank._z[0])
         i, j = 100, 302
         rep, level = 2, 3
@@ -482,13 +500,13 @@ class TestSharedBaseFingerprint:
     @pytest.mark.parametrize("dim", (64, 1 << 18))
     def test_full_cancellation_samples_none(self, dim):
         indices, deltas, _ = _churn(dim, 0, 40, seed=16)
-        bank = L0SamplerBank(dim, 4, 0.05, random.Random(17), mode="exact")
+        bank = L0SamplerBank(dim, 4, 0.05, random.Random(17))
         bank.update_batch(indices, deltas)
         assert bank.sample_all() == [None] * 4
         assert not bank._fingerprint.any()
 
     def test_dim_one(self):
-        bank = L0SamplerBank(1, 4, 0.05, random.Random(18), mode="exact")
+        bank = L0SamplerBank(1, 4, 0.05, random.Random(18))
         bank.update_batch(np.array([0, 0]), np.array([1, 2]))
         assert bank.sample_all() == [0] * 4
 
@@ -503,12 +521,12 @@ class TestSharedBaseFingerprint:
 
     def test_maximal_id_at_dim_2_40(self):
         dim = 1 << 40
-        bank = L0SamplerBank(dim, 3, 0.05, random.Random(20), mode="exact")
+        bank = L0SamplerBank(dim, 3, 0.05, random.Random(20))
         assert bank._table.shape == (5, 256, 3)
         bank.update_batch(np.array([dim - 1, 5]), np.array([1, 1]))
         bank.update_batch(np.array([5]), np.array([-1]))
         assert bank.sample_all() == [dim - 1] * 3
-        scalar = L0SamplerBank(dim, 3, 0.05, random.Random(20), mode="exact")
+        scalar = L0SamplerBank(dim, 3, 0.05, random.Random(20))
         scalar.update(dim - 1, 1)
         scalar._flush_updates()
         assert np.array_equal(scalar._fingerprint, bank._fingerprint)
@@ -541,7 +559,7 @@ def _resident_array_bytes(root):
 
 def test_exact_bank_resident_bytes_within_2x_of_accounted():
     dim = 1 << 18
-    bank = L0SamplerBank(dim, 8, 0.05, random.Random(21), mode="exact")
+    bank = L0SamplerBank(dim, 8, 0.05, random.Random(21))
     rng = np.random.default_rng(22)
     bank.update_batch(
         rng.choice(dim, size=4000, replace=False).astype(np.int64),

@@ -47,7 +47,7 @@ def _support_stream(size, churned, seed):
 
 def _answers(delta, size, churned, seed):
     indices, deltas, live = _support_stream(size, churned, seed)
-    bank = L0SamplerBank(DIM, SAMPLERS, delta, random.Random(seed), mode="exact")
+    bank = L0SamplerBank(DIM, SAMPLERS, delta, random.Random(seed))
     for chunk in np.array_split(np.arange(len(indices)), 3):
         bank.update_batch(indices[chunk], deltas[chunk])
     return bank.sample_column(), live
@@ -67,14 +67,51 @@ def test_failures_liveness_and_uniformity(size, churned):
         assert chi_square_uniformity_pvalue(histogram) > SIGNIFICANCE
 
 
-@pytest.mark.parametrize("size", (2, 8, 2000))
-def test_one_repetition_succeeds_at_least_at_the_assumed_rate(size):
+def _structured_support(shape, size, seed):
+    """``size`` live coordinates of a structured shape in ``[0, DIM)``."""
+    rng = np.random.default_rng(seed)
+    if shape == "contiguous":
+        start = int(rng.integers(0, DIM - size))
+        return np.arange(start, start + size, dtype=np.int64)
+    if shape == "powers-of-two":
+        return np.int64(1) << np.arange(size, dtype=np.int64)
+    if shape == "stride-2^10":
+        return int(rng.integers(0, 1 << 10)) + (np.arange(size, dtype=np.int64) << 10)
+    # Algorithm 3's edge coordinates a·m + B: one vertex's witnesses.
+    m = 1 << 9
+    witnesses = rng.choice(m, size=size, replace=False).astype(np.int64)
+    return int(rng.integers(0, DIM // m)) * m + np.sort(witnesses)
+
+
+#: (shape, live coordinates); "random" is a churned random support.
+REPETITION_CASES = (
+    ("random", 2), ("random", 8), ("random", 2000),
+    ("contiguous", 2), ("contiguous", 8), ("contiguous", 2000),
+    ("powers-of-two", 2), ("powers-of-two", 8), ("powers-of-two", 18),
+    ("stride-2^10", 8), ("stride-2^10", 256),
+    ("edge", 8), ("edge", 256),
+)
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    REPETITION_CASES,
+    ids=[f"{shape}-{size}" for shape, size in REPETITION_CASES],
+)
+def test_one_repetition_succeeds_at_least_at_the_assumed_rate(shape, size):
     # At delta >= 1/2 a sampler is a single repetition, so its answer
     # rate is the per-repetition success rate the repetition count
     # assumes: 2/3 at two live coordinates, about 0.72 beyond.
-    bank = L0SamplerBank(DIM, 1, 0.6, random.Random(0), mode="exact")
+    bank = L0SamplerBank(DIM, 1, 0.6, random.Random(0))
     assert bank.n_reps == 1
-    column, _ = _answers(0.6, size, churned=True, seed=size)
+    if shape == "random":
+        column, _ = _answers(0.6, size, churned=True, seed=size)
+    else:
+        bank = L0SamplerBank(DIM, SAMPLERS, 0.6, random.Random(size))
+        live = _structured_support(shape, size, seed=size)
+        bank.update_batch(live, np.ones(size, dtype=np.int64))
+        column = bank.sample_column()
+        assert np.isin(column[column >= 0], live).all()
     answered = int((column >= 0).sum())
     assert binomial_tail_bound(answered, SAMPLERS, REPETITION_SUCCESS) > 0.5
     assert answered > 0.6 * SAMPLERS

@@ -41,9 +41,9 @@ class TestHugeDimensions:
 
     def test_exact_bank_at_huge_dim(self):
         coordinates = np.array([1, HUGE // 2, HUGE - 1], dtype=np.int64)
-        whole = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
-        left = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
-        right = L0SamplerBank(HUGE, 8, 0.05, random.Random(6), mode="exact")
+        whole = L0SamplerBank(HUGE, 8, 0.05, random.Random(6))
+        left = L0SamplerBank(HUGE, 8, 0.05, random.Random(6))
+        right = L0SamplerBank(HUGE, 8, 0.05, random.Random(6))
         whole.update_batch(coordinates, np.ones(3, dtype=np.int64))
         left.update_batch(coordinates[:1], np.ones(1, dtype=np.int64))
         right.update_batch(coordinates[1:], np.ones(2, dtype=np.int64))
