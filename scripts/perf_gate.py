@@ -29,6 +29,12 @@ ingest ceilings, ``core.insertion_only.ingest_s`` (0.3 s, about 7x
 0.041 s), ``core.topk.ingest_s`` (0.4 s, about 7x 0.054 s) and
 ``core.star_detection.ingest_s`` (2.0 s, about 7.5x 0.27 s), trip if a
 run goes back to a Python step per crossing, resident or witness.
+The three grouped baselines' ceilings, ``baselines.space_saving.ingest_s``
+(0.6 s, about 7x 0.087 s), ``baselines.count_min.ingest_s`` (0.3 s,
+about 7.5x 0.039 s) and ``baselines.count_sketch.ingest_s`` (0.3 s,
+about 7x 0.042 s), trip if a summary goes back to a Python step per
+update; a return to ``np.unique`` grouping (about 1.7x) stays below
+them and shows in the ``BENCHMARK.json`` comparison instead.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ CEILINGS: Dict[Tuple[str, str], float] = {
     ("insert-zipf-fanout", "core.insertion_only.ingest_s"): 0.3,
     ("insert-zipf-fanout", "core.topk.ingest_s"): 0.4,
     ("insert-zipf-fanout", "baselines.misra_gries.ingest_s"): 0.3,
-    ("insert-zipf-fanout", "baselines.space_saving.ingest_s"): 1.0,
-    ("insert-zipf-fanout", "baselines.count_min.ingest_s"): 0.5,
-    ("insert-zipf-fanout", "baselines.count_sketch.ingest_s"): 0.5,
+    ("insert-zipf-fanout", "baselines.space_saving.ingest_s"): 0.6,
+    ("insert-zipf-fanout", "baselines.count_min.ingest_s"): 0.3,
+    ("insert-zipf-fanout", "baselines.count_sketch.ingest_s"): 0.3,
     ("turnstile-churn-exact", "core.insertion_deletion.ingest_s"): 0.3,
     ("turnstile-churn-exact", "core.insertion_deletion.finalize_ms"): 80.0,
     ("turnstile-churn-exact", "sketch.l0_bank.ingest_s"): 0.015,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.sketch.hashing import KWiseHash, KWiseHashStack, random_kwise
 from repro.engine.protocol import BatchIngest
+from repro.streams.columnar import group_slices
 from repro.streams.edge import insert_signs
 
 
@@ -76,7 +77,9 @@ class CountSketch(BatchIngest):
     def update_batch(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a column of signed updates with one fused kernel.
 
-        Deltas are first netted per distinct item (cells are commutative
+        Deltas are first netted per distinct item with one
+        :func:`~repro.streams.columnar.group_slices` grouping and an
+        ``np.add.reduceat`` over the grouped deltas (cells are commutative
         ``int64`` sums, so netting cannot change the final table), the
         distinct items are hashed for *all* rows in one stacked Horner
         evaluation, and the ``rows x unique`` signed contributions are
@@ -87,9 +90,9 @@ class CountSketch(BatchIngest):
         deltas = np.asarray(deltas, dtype=np.int64)
         if len(items) == 0:
             return
-        unique, inverse = np.unique(items, return_inverse=True)
-        net = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(net, inverse, deltas)
+        order, starts, _ = group_slices(items)
+        unique = items[order[starts]]
+        net = np.add.reduceat(deltas[order], starts)
         buckets = self._bucket_stack.batch_rows(unique)
         signs = 2 * self._sign_stack.batch_rows(unique) - 1
         np.add.at(

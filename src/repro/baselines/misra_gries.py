@@ -100,6 +100,12 @@ class MisraGries(BatchIngest):
         everything seen (undercount at most ``L/(k+1)``), though counter
         values may differ from the scalar :meth:`update` decrement
         schedule, which is arrival-order dependent.
+
+        Unlike SpaceSaving and the sketches, this summary keeps
+        ``np.unique(return_counts=True)`` rather than
+        :func:`~repro.streams.columnar.group_slices`: it needs neither
+        first positions nor an inverse, and a plain sort of the chunk is
+        cheaper than any stable grouping.
         """
         self.check_batch(a, b, sign)
         if len(a) == 0:

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.protocol import BatchIngest
+from repro.streams.columnar import group_slices
 
 #: Stamps occupy the low bits of the fused eviction key.
 _STAMP_MOD = 1 << 20
@@ -173,33 +174,40 @@ class SpaceSaving(BatchIngest):
     ) -> None:
         """Weighted batch ingestion.
 
-        Chunk frequencies are accumulated with one ``np.unique`` pass and
-        applied as weighted updates in order of each item's first
-        appearance — straight into the array store, with no public
-        ``update`` call per distinct item.  This matches scalar
-        :meth:`update` calls exactly when the chunk is grouped by item,
-        and in general preserves SpaceSaving's invariants (estimates
-        upper-bound true counts, the minimum counter bounds the
-        overestimate) while the per-counter values may differ from a
-        fully interleaved arrival order.
+        The chunk is grouped once by
+        :func:`~repro.streams.columnar.group_slices`: each distinct
+        item's first position is ``order[starts]`` and its count
+        ``ends - starts``.  The items are then applied as weighted
+        updates in order of first appearance (one argsort over distinct
+        positions) — straight into the array store through the heap
+        cascade of :meth:`_batch_apply`, with no public ``update`` call
+        per distinct item.  This matches scalar :meth:`update` calls
+        exactly when the chunk is grouped by item, and in general
+        preserves SpaceSaving's invariants (estimates upper-bound true
+        counts, the minimum counter bounds the overestimate) while the
+        per-counter values may differ from a fully interleaved arrival
+        order.
         """
         self.check_batch(a, b, sign)
         if len(a) == 0:
             return
-        items, first_positions, counts = np.unique(
-            np.asarray(a, dtype=np.int64), return_index=True, return_counts=True
-        )
-        appearance = np.argsort(first_positions, kind="stable")
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        order, starts, ends = group_slices(a)
+        first_positions = order[starts]
+        appearance = np.argsort(first_positions)
         self._length += len(a)
         if not self._wide and self._length >= _VALUE_CAP:
             self._widen()
-        pairs = zip(items[appearance].tolist(), counts[appearance].tolist())
-        if self._wide or len(items) >= _STAMP_MOD - self.k:
+        pairs = zip(
+            a[first_positions[appearance]].tolist(),
+            (ends - starts)[appearance].tolist(),
+        )
+        if self._wide or len(starts) >= _STAMP_MOD - self.k:
             apply = self._apply
             for item, weight in pairs:
                 apply(item, weight)
         else:
-            self._batch_apply(pairs, len(items))
+            self._batch_apply(pairs, len(starts))
 
     def _batch_apply(self, pairs: Iterable[Tuple[int, int]], distinct: int) -> None:
         """Sequential weighted updates at batch speed (non-wide mode).

@@ -450,7 +450,9 @@ class SharedDegreeRuns(BatchIngest):
         """
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
-        self.check_batch(a, b, sign)
+        # Only the sign rule here: increment_batch range-checks the
+        # vertices before the table or any run changes.
+        BatchIngest.check_batch(self, a, b, sign)
         if len(a) == 0:
             return
         grouping = group_slices(a)

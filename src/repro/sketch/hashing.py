@@ -43,6 +43,17 @@ def _fold61(x: np.ndarray) -> np.ndarray:
     return np.where(x == _MASK61, np.uint64(0), x)
 
 
+def _field_points(xs: np.ndarray) -> np.ndarray:
+    """Points reduced into ``[0, p)`` as ``uint64``, as Python's ``x % p``
+    reduces them: a negative signed point is taken modulo ``p`` first,
+    since its ``uint64`` wrap-around ``x + 2**64`` is a different field
+    element (``2**64 ≡ 8``)."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind == "i" and xs.size and int(xs.min()) < 0:
+        xs = np.mod(xs, np.int64(PRIME_61))
+    return _fold61(xs.astype(np.uint64))
+
+
 def mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise ``a * b mod (2**61 - 1)`` for arrays with values in ``[0, p)``.
 
@@ -143,7 +154,7 @@ class KWiseHash:
 
     def field_batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`field_value` over an integer array (``uint64``)."""
-        xs = _fold61(np.asarray(xs, dtype=np.uint64))
+        xs = _field_points(xs)
         # Horner's first round multiplies zero — start from the leading
         # coefficient instead (bit-identical, one round cheaper).
         if len(self.coefficients) == 1:
@@ -212,7 +223,7 @@ class KWiseHashStack:
 
     def field_batch_rows(self, xs: np.ndarray) -> np.ndarray:
         """All raw polynomial values as a ``(rows, len(xs))`` ``uint64`` array."""
-        xs = _fold61(np.asarray(xs, dtype=np.uint64))[np.newaxis, :]
+        xs = _field_points(xs)[np.newaxis, :]
         # Start Horner from the leading coefficients (bit-identical to a
         # zero-initialised first round, one round cheaper).
         if self._coefficients.shape[1] == 1:

@@ -34,6 +34,8 @@ DEFAULT_CHUNK_SIZE = 8192
 
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+_INT64_MAX = (1 << 63) - 1
+
 
 def occurrence_ordinals(values: np.ndarray) -> np.ndarray:
     """Per-position count of earlier occurrences of the same value.
@@ -58,23 +60,42 @@ def group_slices(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
     Returns ``(order, starts, ends)`` where ``order`` is a stable argsort
     of ``values`` and ``[starts[g], ends[g])`` delimits group ``g`` inside
-    it.  Within a group, ``order`` preserves stream (arrival) order — the
-    property batch witness collection relies on.
+    it (no groups for an empty column).  Within a group, ``order``
+    preserves stream (arrival) order — the property batch witness
+    collection relies on — so ``values[order[starts]]`` are the distinct
+    values in ascending order, ``order[starts]`` their first positions
+    and ``ends - starts`` their counts.  This is the one grouping the
+    batch paths share in place of ``np.unique`` with ``return_index``,
+    ``return_inverse`` or ``return_counts``.
+
+    ``int64`` columns take one of two sorts that beat a stable 64-bit
+    argsort.  Values in ``[0, 2^16)`` — vertex columns, nearly always —
+    take numpy's radix argsort over a ``uint16`` copy, which keeps equal
+    keys in arrival order.  Other spans sort the distinct composite keys
+    ``(value - min) * len + position`` with a plain ``np.sort``: keys are
+    unique, so any sort is stable, and a divmod recovers the positions.
+    Only a column whose composite keys would overflow ``int64`` (or a
+    non-``int64`` column) falls back to the stable argsort.
     """
     n_items = len(values)
     if n_items == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    if values.dtype != np.int64:
         order = np.argsort(values, kind="stable")
-        zero = np.zeros(1, dtype=np.int64)
-        return order, zero, zero.copy()
-    if values.dtype == np.int64 and int(values.min()) >= 0 and int(values.max()) < (1 << 16):
-        # Narrow-cast radix argsort: stable like the 64-bit path (equal
-        # keys keep arrival order under numpy's radix sort) but several
-        # times faster at the engine's per-sub-batch call rate, and
-        # vertex columns almost always fit in 16 bits.
-        order = np.argsort(values.astype(np.uint16), kind="stable")
+        sorted_values = values[order]
     else:
-        order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
+        low, high = int(values.min()), int(values.max())
+        if low >= 0 and high < (1 << 16):
+            order = np.argsort(values.astype(np.uint16), kind="stable")
+            sorted_values = values[order]
+        elif (high - low + 1) * n_items - 1 <= _INT64_MAX:
+            keys = (values - low) * n_items + np.arange(n_items, dtype=np.int64)
+            keys.sort()
+            sorted_values, order = np.divmod(keys, n_items)
+        else:
+            order = np.argsort(values, kind="stable")
+            sorted_values = values[order]
     # Boundary mask built in place — np.r_'s index-trick parsing is
     # measurable overhead at the engine's per-sub-batch call rate.
     boundary = np.empty(n_items, dtype=bool)

@@ -166,6 +166,19 @@ def zipf_items(seed: int, n_items: int, length: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+#: Injective id maps that move a workload's narrow ids onto each
+#: grouping path of :func:`repro.streams.columnar.group_slices`: the
+#: 16-bit radix sort (``narrow``), the composite-key sort (ids shifted
+#: past 2^16, negative ids) and the stable-argsort fallback (ids near
+#: 2^62 spread 2^50 apart, whose composite keys overflow ``int64``).
+ID_MAPS = {
+    "narrow": lambda ids: ids,
+    "past-2^16": lambda ids: ids + (1 << 16),
+    "negative": lambda ids: -1 - 3 * ids,
+    "near-2^62": lambda ids: (1 << 62) + ids * (1 << 50),
+}
+
+
 # ----------------------------------------------------------------------
 # CountSketch / CountMin: bit identity.
 # ----------------------------------------------------------------------
@@ -187,8 +200,12 @@ def test_count_sketch_fused_kernel_bit_identical(rows):
         assert sketch.estimate(query) == value
 
 
-def test_count_sketch_scalar_and_batch_agree():
-    chunks = turnstile_chunks(seed=23, chunks=2, chunk_len=512)
+@pytest.mark.parametrize("id_map", ID_MAPS.values(), ids=ID_MAPS.keys())
+def test_count_sketch_scalar_and_batch_agree(id_map):
+    chunks = [
+        (id_map(items), deltas)
+        for items, deltas in turnstile_chunks(seed=23, chunks=2, chunk_len=512)
+    ]
     batched = CountSketch(64, rows=5, seed=3)
     scalar = CountSketch(64, rows=5, seed=3)
     for items, deltas in chunks:
@@ -213,8 +230,12 @@ def test_count_min_fused_kernel_bit_identical():
         assert sketch.estimate(query) == value
 
 
-def test_count_min_scalar_and_batch_agree():
-    chunks = turnstile_chunks(seed=31, chunks=2, chunk_len=512)
+@pytest.mark.parametrize("id_map", ID_MAPS.values(), ids=ID_MAPS.keys())
+def test_count_min_scalar_and_batch_agree(id_map):
+    chunks = [
+        (id_map(items), deltas)
+        for items, deltas in turnstile_chunks(seed=31, chunks=2, chunk_len=512)
+    ]
     batched = CountMinSketch(0.05, 0.05, seed=5)
     scalar = CountMinSketch(0.05, 0.05, seed=5)
     for items, deltas in chunks:
@@ -275,9 +296,10 @@ def test_space_saving_scalar_updates_match_legacy():
     assert_space_saving_identical(new, old, 200)
 
 
-def test_space_saving_batch_matches_legacy_batch():
+@pytest.mark.parametrize("id_map", ID_MAPS.values(), ids=ID_MAPS.keys())
+def test_space_saving_batch_matches_legacy_batch(id_map):
     new, old = SpaceSaving(24), LegacySpaceSaving(24)
-    items = zipf_items(seed=43, n_items=400, length=20000)
+    items = id_map(zipf_items(seed=43, n_items=400, length=20000))
     for start in range(0, len(items), 4096):
         chunk = items[start:start + 4096]
         new.process_batch(chunk, chunk)

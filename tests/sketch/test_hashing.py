@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sketch.hashing import PRIME_61, KWiseHash, mulmod_p61, random_kwise
+from repro.sketch.hashing import (
+    PRIME_61,
+    KWiseHash,
+    KWiseHashStack,
+    mulmod_p61,
+    random_kwise,
+)
 
 
 class TestConstruction:
@@ -130,6 +136,22 @@ class TestBatchEvaluation:
         assert hash_function.field_batch(arr).tolist() == [
             hash_function.field_value(x) for x in xs
         ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_matches_scalar_on_signed_points(self, k):
+        """Negative ``int64`` points hash as Python's ``x % p`` does, not
+        as their ``uint64`` wrap-around."""
+        rng = random.Random(19)
+        hash_function = random_kwise(k, 97, rng)
+        xs = (
+            [rng.randrange(-(2**63), 2**63) for _ in range(300)]
+            + list(range(-16, 16))
+            + [-(2**63), 2**63 - 1, -PRIME_61, -PRIME_61 - 1]
+        )
+        arr = np.array(xs, dtype=np.int64)
+        assert hash_function.batch(arr).tolist() == [hash_function(x) for x in xs]
+        stack = KWiseHashStack([hash_function, hash_function])
+        assert stack.batch_rows(arr)[1].tolist() == [hash_function(x) for x in xs]
 
     def test_empty_batch(self):
         hash_function = random_kwise(2, 16, random.Random(0))

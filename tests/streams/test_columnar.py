@@ -171,6 +171,121 @@ class TestHelpers:
         assert list(got) == expected
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def reference_slices(values):
+    """``(order, starts, ends)`` from numpy's stable argsort."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    boundary = np.ones(len(values), dtype=bool)
+    boundary[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], len(values)) if len(values) else starts
+    return order, starts, ends
+
+
+def assert_matches_reference(values):
+    values = np.array(values, dtype=np.int64)
+    got = group_slices(values)
+    want = reference_slices(values)
+    for column, expected in zip(got, want):
+        assert column.dtype == np.int64
+        assert column.tolist() == expected.tolist()
+
+
+#: Columns on each grouping path: the 16-bit radix sort, the composite
+#: ``(value - min) * len + position`` sort, and the stable-argsort
+#: fallback where that key overflows ``int64``.
+narrow_columns = st.lists(st.integers(0, (1 << 16) - 1), max_size=80)
+composite_columns = st.tuples(
+    st.one_of(st.integers(-(1 << 62), -1), st.integers(1 << 16, 1 << 62)),
+    st.lists(st.integers(0, 1 << 20), min_size=1, max_size=80),
+).map(lambda pair: [pair[0] + offset for offset in pair[1]])
+overflow_columns = st.lists(
+    st.integers(INT64_MIN, INT64_MAX), max_size=80
+).map(lambda tail: [INT64_MIN, INT64_MAX] + tail)
+repeated_columns = st.tuples(
+    st.sampled_from([0, (1 << 16) - 1, 1 << 16, -7, INT64_MIN, INT64_MAX]),
+    st.lists(st.sampled_from([0, 1, 1 << 40]), max_size=40),
+).map(lambda pair: [pair[0] - offset if pair[0] > 0 else pair[0] + offset
+                    for offset in pair[1]])
+
+
+class TestGroupSlices:
+    """``group_slices`` equals the stable argsort's grouping on every path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(narrow_columns)
+    def test_radix_path(self, values):
+        assert_matches_reference(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(composite_columns)
+    def test_composite_key_path(self, values):
+        assert_matches_reference(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(overflow_columns)
+    def test_overflow_fallback(self, values):
+        assert_matches_reference(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_columns)
+    def test_few_distinct_values(self, values):
+        assert_matches_reference(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [5],
+            [-3],
+            [INT64_MIN],
+            [INT64_MAX],
+            [7, 7, 7, 7],
+            [-1, -1, -1],
+            [(1 << 16) - 1, 0, (1 << 16) - 1],
+            [1 << 16, 0, 1 << 16, 0],
+            [(1 << 16) - 1, 1 << 16, (1 << 16) - 1],
+            [-1, 0, -1, 1],
+            # Composite keys of two positions fill int64 exactly ...
+            [(1 << 62) - 1, 0, (1 << 62) - 1],
+            [0, (1 << 62) - 1],
+            # ... and one more unit of span overflows them.
+            [1 << 62, 0, 1 << 62],
+            [INT64_MIN, INT64_MAX, INT64_MIN, 0],
+            [INT64_MAX, INT64_MAX - 1, INT64_MAX],
+        ],
+    )
+    def test_edge_columns(self, values):
+        assert_matches_reference(values)
+
+    @pytest.mark.parametrize(
+        "values, sorted_dtype",
+        [
+            ([3, (1 << 16) - 1, 3], np.uint16),
+            ([3, 1 << 16, 3], None),
+            ([-1, 4, -1], None),
+            ([(1 << 62) - 1, 0, 1], np.int64),
+            ([INT64_MIN, INT64_MAX], np.int64),
+        ],
+    )
+    def test_each_path_is_taken(self, monkeypatch, values, sorted_dtype):
+        """The radix path argsorts a ``uint16`` copy, the composite path
+        argsorts nothing, and the fallback argsorts the ``int64`` ids."""
+        argsorted = []
+        argsort = np.argsort
+
+        def spy(column, *args, **kwargs):
+            argsorted.append(column.dtype)
+            return argsort(column, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        group_slices(np.array(values, dtype=np.int64))
+        assert argsorted == ([] if sorted_dtype is None else [np.dtype(sorted_dtype)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
